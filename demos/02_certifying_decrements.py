@@ -10,7 +10,7 @@ tightens all derivative accuracies by a fixed factor and re-evaluates.
 import numpy as np
 
 from dyntrust import (AccuracyLedger, BundleCache, EvalLedger, InexactOracle,
-                      certified_decrement, make_problem, verify)
+                      TrConfig, certified_decrement, make_problem, verify)
 
 print("verify(delta, decrement, zetas, xi, omega):")
 print("  large decrement  ->", verify(1.0, 1.0, (0.01,), 0.5, 0.1).value)
@@ -24,7 +24,8 @@ oracle = InexactOracle(problem, policy="adversarial", seed=0)
 
 for label, x in (("far from the minimizer", np.array([2.0, -1.0])),
                  ("at the minimizer", np.zeros(2))):
-    acc = AccuracyLedger.fresh(1, 0.1, gamma_zeta=0.1, kappa_zeta=0.1)
+    # initial accuracy zeta0 = 0.1, tightened by gamma_zeta = 0.1 per round
+    acc = AccuracyLedger.fresh(TrConfig.with_defaults((1e-3,)))
     ledger = EvalLedger()
     cert = certified_decrement(x, 1, 0.5, 1e-3, 0.99, 0.02, oracle, acc,
                                BundleCache(x), ledger)

@@ -168,8 +168,7 @@ def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
     x = as_vector(x0 if x0 is not None else oracle.problem.x0).copy()
     if x.size != oracle.dim:
         raise ConfigError("start point dimension does not match the problem")
-    acc = AccuracyLedger.fresh(cfg.q, cfg.zeta0, cfg.gamma_zeta, cfg.kappa_zeta,
-                               oracle.exact_orders)
+    acc = AccuracyLedger.fresh(cfg, oracle.exact_orders)
     ledger = EvalLedger()
     cache = BundleCache(x)
     x_start = x.copy()

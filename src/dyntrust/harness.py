@@ -212,21 +212,10 @@ def eps_scaling_study(problem_name: str, q: int, eps_grid, policy: str = "advers
     if len(eps_grid) < 4:
         raise ConfigError("an accuracy sweep needs at least 4 grid points")
     rows = []
-    excluded = 0
     for eps in eps_grid:
-        for seed in seeds:
-            spec = RunSpec(problem=problem_name, problem_params=problem_params or {},
-                           eps=(eps,) * q, policy=policy, seed=seed,
-                           cfg_overrides=dict(cfg_overrides or {}))
-            result, _, _, _ = execute_run(spec, write=False)
-            n_f = result.eval_ledger.n_f
-            n_d = result.eval_ledger.n_deriv()
-            row = SweepRow(eps=eps, seed=seed, terminated=result.terminated,
-                           iterations=result.n_iterations, n_f=n_f, n_deriv=n_d,
-                           total_evals=n_f + n_d)
-            rows.append(row)
-            if not result.terminated:
-                excluded += 1
+        rows += seed_sweep(problem_name, q, eps, policy, seeds, problem_params,
+                           cfg_overrides)
+    excluded = sum(not row.terminated for row in rows)
     by_eps = {}
     for row in rows:
         if row.terminated:

@@ -36,87 +36,64 @@ def as_vector(x) -> Vector:
     return v
 
 
-def symmetrize(entries: np.ndarray) -> np.ndarray:
-    """Average an array over all index permutations."""
-    arr = np.asarray(entries, dtype=float)
-    if arr.ndim <= 1:
-        return arr
-    perms = list(itertools.permutations(range(arr.ndim)))
-    return sum(np.transpose(arr, p) for p in perms) / len(perms)
-
-
 @dataclass(frozen=True, eq=False)
 class SymTensor:
-    """Dense symmetric tensor holding order-``order`` derivative data on R^n."""
+    """Dense symmetric tensor holding order-``order`` derivative data on R^n;
+    :func:`sym_tensor` validates, the dataclass trusts its fields."""
 
     entries: np.ndarray
     order: int
     dim: int
 
-    def __post_init__(self):
-        if not 1 <= self.order <= MAX_ORDER:
-            raise ValueError(f"tensor order must be in 1..{MAX_ORDER}, got {self.order}")
-        expected = (self.dim,) * self.order
-        if self.entries.shape != expected:
-            raise ValueError(f"entries shape {self.entries.shape} != {expected}")
-        if not np.all(np.isfinite(self.entries)):
-            raise ValueError("tensor entries must be finite")
-
 
 def sym_tensor(entries, already_symmetric: bool = False) -> SymTensor:
-    """Build a :class:`SymTensor`, symmetrizing the input unless promised."""
-    arr = np.asarray(entries, dtype=float)
-    arr = np.atleast_1d(arr)
-    if not already_symmetric:
-        arr = symmetrize(arr)
-    return SymTensor(entries=arr, order=arr.ndim, dim=arr.shape[0])
+    """Build a :class:`SymTensor` from finite order-1..3 data with equal
+    sides, averaging it over all index permutations unless promised
+    symmetric."""
+    arr = np.atleast_1d(np.asarray(entries, dtype=float))
+    order, dim = arr.ndim, arr.shape[0]
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"tensor order must be in 1..{MAX_ORDER}, got {order}")
+    if arr.shape != (dim,) * order:
+        raise ValueError(f"entries shape {arr.shape} != {(dim,) * order}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("tensor entries must be finite")
+    if not already_symmetric and order > 1:
+        perms = list(itertools.permutations(range(order)))
+        arr = sum(np.transpose(arr, p) for p in perms) / len(perms)
+    return SymTensor(entries=arr, order=order, dim=dim)
 
 
-def tensor_apply(t: SymTensor, s) -> float:
-    """i-linear form of the tensor applied to (s, ..., s), without the 1/i!."""
-    s = as_vector(s)
-    if t.dim != s.size:
-        raise ValueError(f"tensor dim {t.dim} != vector dim {s.size}")
+def tensor_apply(t: SymTensor, s):
+    """i-linear form of the tensor applied to (s, ..., s), without the 1/i!.
+
+    ``s`` is one point (n,), giving a float, or rows (m, n), giving an
+    array of m values.
+    """
+    s = np.asarray(s, dtype=float)
+    rows = np.atleast_2d(s)
     e = t.entries
+    # Stacked products send every row through the BLAS call a lone point
+    # uses (dot, and gemv for e @ s), so batch rows equal single-point values
+    # bit for bit; ``rows @ e`` would switch to gemv/gemm and round apart.
     if t.order == 1:
-        return float(e @ s)
-    if t.order == 2:
-        return float(s @ (e @ s))
-    return float(np.einsum("abc,a,b,c->", e, s, s, s))
-
-
-def tensor_apply_many(t: SymTensor, pts: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`tensor_apply` over rows of ``pts`` (m, n)."""
-    pts = np.asarray(pts, dtype=float)
-    e = t.entries
-    if t.order == 1:
-        return pts @ e
-    if t.order == 2:
-        return np.einsum("ab,pa,pb->p", e, pts, pts)
-    return np.einsum("abc,pa,pb,pc->p", e, pts, pts, pts)
+        v = (rows[:, None, :] @ e)[:, 0]
+    elif t.order == 2:
+        v = (rows[:, None, :] @ (e @ rows[:, :, None]))[:, 0, 0]
+    else:
+        v = np.einsum("abc,pa,pb,pc->p", e, rows, rows, rows)
+    return float(v[0]) if s.ndim == 1 else v
 
 
 @dataclass(frozen=True, eq=False)
 class DerivativeBundle:
     """Point-local derivative tensors of orders 1..degree with certified
-    absolute operator-norm error bounds."""
+    absolute operator-norm error bounds; :func:`make_bundle` validates, the
+    dataclass trusts its fields."""
 
     x: Vector
     tensors: tuple[SymTensor, ...]
     error_bounds: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.tensors) != len(self.error_bounds):
-            raise ValueError("one error bound per tensor required")
-        if not self.tensors:
-            raise ValueError("bundle needs at least the order-1 tensor")
-        for i, t in enumerate(self.tensors, start=1):
-            if t.order != i:
-                raise ValueError(f"tensor at slot {i} has order {t.order}")
-            if t.dim != self.x.size:
-                raise ValueError("tensor dimension does not match the point")
-        if any(b < 0 for b in self.error_bounds):
-            raise ValueError("error bounds must be nonnegative")
 
     @property
     def degree(self) -> int:
@@ -128,30 +105,38 @@ class DerivativeBundle:
 
 
 def make_bundle(x, tensors, error_bounds=None) -> DerivativeBundle:
+    """Validated :class:`DerivativeBundle`; error bounds default to zero."""
     x = as_vector(x)
     tensors = tuple(tensors)
     if error_bounds is None:
         error_bounds = (0.0,) * len(tensors)
-    return DerivativeBundle(x=x, tensors=tensors, error_bounds=tuple(float(b) for b in error_bounds))
+    bounds = tuple(float(b) for b in error_bounds)
+    if len(tensors) != len(bounds):
+        raise ValueError("one error bound per tensor required")
+    if not tensors:
+        raise ValueError("bundle needs at least the order-1 tensor")
+    for i, t in enumerate(tensors, start=1):
+        if t.order != i:
+            raise ValueError(f"tensor at slot {i} has order {t.order}")
+        if t.dim != x.size:
+            raise ValueError("tensor dimension does not match the point")
+    if any(b < 0 for b in bounds):
+        raise ValueError("error bounds must be nonnegative")
+    return DerivativeBundle(x=x, tensors=tensors, error_bounds=bounds)
 
 
-def taylor_decrement(b: DerivativeBundle, s, j: int | None = None) -> float:
-    """Model decrement m(0) - m(s) of the degree-j model; independent of f0."""
+def taylor_decrement(b: DerivativeBundle, s, j: int | None = None):
+    """Model decrement m(0) - m(s) of the degree-j model; independent of f0.
+
+    ``s`` is one point (n,), giving a float, or rows (m, n), giving an
+    array of m values.
+    """
     j = b.degree if j is None else j
     if j > b.degree:
         raise ValueError(f"requested degree {j} exceeds bundle degree {b.degree}")
-    s = as_vector(s)
     total = 0.0
     for i in range(1, j + 1):
         total += tensor_apply(b.tensors[i - 1], s) / factorial(i)
-    return -total
-
-
-def taylor_decrement_many(b: DerivativeBundle, pts: np.ndarray, j: int | None = None) -> np.ndarray:
-    j = b.degree if j is None else j
-    total = np.zeros(len(pts))
-    for i in range(1, j + 1):
-        total += tensor_apply_many(b.tensors[i - 1], pts) / factorial(i)
     return -total
 
 
@@ -163,7 +148,6 @@ def taylor_value(b: DerivativeBundle, f0: float, s, j: int | None = None) -> flo
 def model_gradient(b: DerivativeBundle, s, j: int | None = None) -> Vector:
     """Gradient (in s) of the degree-j model: T_1 + T_2 s + (1/2) T_3[s,s,.]."""
     j = b.degree if j is None else j
-    s = as_vector(s)
     g = b.tensors[0].entries.copy()
     if j >= 2:
         g += b.tensors[1].entries @ s

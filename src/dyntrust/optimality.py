@@ -14,13 +14,12 @@ accuracies until the outcome is sufficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
 
-from .model import (DerivativeBundle, Vector, as_vector, make_bundle,
-                    model_gradient, taylor_decrement)
+from .model import DerivativeBundle, Vector, model_gradient, taylor_decrement
 from .oracle import EvalLedger, InexactOracle
 from .verify import VerifyOutcome, verify
 
@@ -38,36 +37,20 @@ class AccuracyLedger:
 
     zetas: np.ndarray
     gamma_zeta: float
-    kappa_zeta: float
     i_zeta: int = 0
-    exact_orders: frozenset = field(default_factory=frozenset)
 
     @classmethod
-    def fresh(cls, q: int, zeta0, gamma_zeta: float, kappa_zeta: float,
-              exact_orders=()) -> "AccuracyLedger":
-        if not 0 < gamma_zeta < 1:
-            raise ValueError("gamma_zeta must lie in (0, 1)")
-        if kappa_zeta <= 0:
-            raise ValueError("kappa_zeta must be positive")
-        z = np.full(q, float(zeta0)) if np.isscalar(zeta0) else np.asarray(zeta0, dtype=float).copy()
-        if z.size != q:
-            raise ValueError("need one initial accuracy per order")
-        exact = frozenset(exact_orders)
-        for i in range(1, q + 1):
-            if i in exact:
-                z[i - 1] = 0.0
-            elif not 0 < z[i - 1] <= kappa_zeta:
-                raise ValueError("initial accuracies must lie in (0, kappa_zeta]")
-        return cls(zetas=z, gamma_zeta=gamma_zeta, kappa_zeta=kappa_zeta,
-                   exact_orders=exact)
+    def fresh(cls, cfg, exact_orders=()) -> "AccuracyLedger":
+        """The initial accuracies of a validated :class:`TrConfig`; orders in
+        ``exact_orders`` start (and stay) at zero."""
+        z = np.array([0.0 if i in exact_orders else z0
+                      for i, z0 in enumerate(cfg.zeta0, start=1)])
+        return cls(zetas=z, gamma_zeta=cfg.gamma_zeta)
 
     def tighten(self, j: int):
         """One geometric tightening of orders 1..j."""
         self.zetas[:j] *= self.gamma_zeta
         self.i_zeta += 1
-
-    def current(self, j: int) -> tuple[float, ...]:
-        return tuple(float(z) for z in self.zetas[:j])
 
 
 class BundleCache:
@@ -76,7 +59,7 @@ class BundleCache:
     required accuracy has tightened since."""
 
     def __init__(self, x):
-        self.x = as_vector(x).copy()
+        self.x = np.array(x, dtype=float)
         self._tensors: dict[int, object] = {}
         self._zeta_at: dict[int, float] = {}
 
@@ -89,7 +72,7 @@ class BundleCache:
                 self._zeta_at[i] = target
         tensors = tuple(self._tensors[i] for i in range(1, j + 1))
         bounds = tuple(self._zeta_at[i] for i in range(1, j + 1))
-        return make_bundle(self.x, tensors, bounds)
+        return DerivativeBundle(self.x, tensors, bounds)
 
 
 def _min_quadratic_on_ball(g: np.ndarray, h_mat: np.ndarray, radius: float,
@@ -212,17 +195,16 @@ def max_decrement(b: DerivativeBundle, j: int, delta: float,
         return d, delta * ng, 1.0
     if j == 2:
         d = _min_quadratic_on_ball(b.tensors[0].entries, b.tensors[1].entries, delta)
-        dt = taylor_decrement(b, d, 2)
-        if dt <= 0.0:
-            return np.zeros(b.dim), 0.0, VARSIGMA_ORDER2
-        return d, dt, VARSIGMA_ORDER2
-    if j == 3:
+        guarantee = VARSIGMA_ORDER2
+    elif j == 3:
         d = _max_cubic_on_ball(b, delta, seed=seed)
-        dt = taylor_decrement(b, d, 3)
-        if dt <= 0.0:
-            return np.zeros(b.dim), 0.0, None
-        return d, dt, None
-    raise ValueError(f"unsupported order {j}")
+        guarantee = None
+    else:
+        raise ValueError(f"unsupported order {j}")
+    dt = taylor_decrement(b, d, j)
+    if dt <= 0.0:
+        return np.zeros(b.dim), 0.0, guarantee
+    return d, dt, guarantee
 
 
 @dataclass(frozen=True)
@@ -250,10 +232,6 @@ def certified_decrement(x, j: int, delta: float, eps_j: float, varsigma: float,
                         seed: int = 0) -> CertifiedDecrement:
     """Compute a near-maximal decrement certified Relative or Absolute,
     tightening derivative accuracies geometrically until certification."""
-    if not 0 < delta <= 1:
-        raise ValueError("delta must lie in (0, 1]")
-    if not 0 < eps_j <= 1:
-        raise ValueError("eps_j must lie in (0, 1]")
     entry_max = float(np.max(acc.zetas[:j])) if j > 0 else 0.0
     target = 0.25 * omega * varsigma * eps_j * delta ** (j - 1) / factorial(j)
     cap = allowed_tightenings(entry_max, target, acc.gamma_zeta) + 2
@@ -262,7 +240,7 @@ def certified_decrement(x, j: int, delta: float, eps_j: float, varsigma: float,
         bundle = cache.ensure(oracle, acc, j, eval_ledger)
         d, dt, guarantee = max_decrement(bundle, j, delta, seed=seed)
         vs = varsigma if guarantee is None else min(varsigma, guarantee)
-        outcome = verify(delta, dt, acc.current(j), 0.5 * vs * eps_j, omega)
+        outcome = verify(delta, dt, acc.zetas[:j], 0.5 * vs * eps_j, omega)
         if outcome.sufficient:
             return CertifiedDecrement(j=j, d=d, dT=dt, outcome=outcome,
                                       varsigma_used=vs, tightenings=tightenings)
@@ -301,4 +279,4 @@ def termination_test(x, delta_k: float, eps, varsigma: float, omega: float,
         threshold = (eps[j - 1] / (1.0 + omega)) * delta_k**j / factorial(j)
         if cert.dT > threshold:
             return ContinueAt(j=j, cert=cert)
-    return Terminated(x=as_vector(x).copy(), delta=delta_k)
+    return Terminated(x=np.array(x, dtype=float), delta=delta_k)

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import SymTensor, Vector, as_vector, sym_tensor
+from .model import SymTensor, Vector, as_vector
 
 POLICIES = ("none", "adversarial", "truncate", "gaussian", "subsample")
 
@@ -44,10 +44,14 @@ class Problem:
     term_model: object | None = None  # subsampled finite-sum support, if any
 
     def exact_f(self, x) -> float:
-        return float(self.fun(as_vector(x)))
+        return float(self.fun(np.asarray(x, dtype=float)))
 
     def exact_deriv(self, x, order: int) -> SymTensor:
-        return self.deriv(as_vector(x), order)
+        return self.deriv(np.asarray(x, dtype=float), order)
+
+
+class NonFiniteEvaluation(ValueError):
+    """The problem returned a non-finite objective value or derivative."""
 
 
 @dataclass(frozen=True)
@@ -161,23 +165,24 @@ class InexactOracle:
     def eval_f(self, x, abs_acc: float, ledger: EvalLedger | None = None) -> float:
         if abs_acc <= 0:
             raise ValueError("requested accuracy must be positive")
-        x = as_vector(x)
         work = 1.0
         if self.policy == "subsample":
             value, work = self.problem.term_model.estimate_f(x, abs_acc)
         else:
-            exact = self.problem.exact_f(x)
-            value = exact
-            if self.policy == "adversarial":
-                sign = 1.0 if self.rng.random() < 0.5 else -1.0
-                value = exact + NOISE_FRACTION * abs_acc * sign
-            elif self.policy == "truncate":
-                h = _decimal_grid(2.0 * abs_acc)
-                value = round(exact / h) * h
-            elif self.policy == "gaussian":
-                noise = self.rng.normal(0.0, abs_acc / 3.0)
-                value = exact + float(np.clip(noise, -NOISE_FRACTION * abs_acc,
-                                              NOISE_FRACTION * abs_acc))
+            value = self.problem.exact_f(x)
+        if not math.isfinite(value):
+            raise NonFiniteEvaluation(
+                f"objective value {value} at x = {np.asarray(x).tolist()} is not finite")
+        if self.policy == "adversarial":
+            sign = 1.0 if self.rng.random() < 0.5 else -1.0
+            value = value + NOISE_FRACTION * abs_acc * sign
+        elif self.policy == "truncate":
+            h = _decimal_grid(2.0 * abs_acc)
+            value = round(value / h) * h
+        elif self.policy == "gaussian":
+            noise = self.rng.normal(0.0, abs_acc / 3.0)
+            value = value + float(np.clip(noise, -NOISE_FRACTION * abs_acc,
+                                          NOISE_FRACTION * abs_acc))
         if ledger is not None:
             ledger.record("f", 0, abs_acc, work)
         return float(value)
@@ -187,7 +192,6 @@ class InexactOracle:
             raise ValueError("requested accuracy must be nonnegative")
         if not 1 <= order <= 3:
             raise ValueError(f"unsupported derivative order {order}")
-        x = as_vector(x)
         work = 1.0
         if order in self.exact_orders or zeta == 0.0:
             tensor = self.problem.exact_deriv(x, order)
@@ -195,21 +199,24 @@ class InexactOracle:
             tensor, work = self.problem.term_model.estimate_deriv(x, order, zeta)
         else:
             tensor = self.problem.exact_deriv(x, order)
+            # rank-one bumps and rounding keep symmetry and shape: no sym_tensor
             if self.policy == "adversarial":
                 u = self.rng.standard_normal(self.dim)
                 u /= np.linalg.norm(u)
-                tensor = sym_tensor(tensor.entries + _rank_one(order, u, NOISE_FRACTION * zeta),
-                                    already_symmetric=True)
+                tensor = SymTensor(tensor.entries + _rank_one(order, u, NOISE_FRACTION * zeta),
+                                   order, tensor.dim)
             elif self.policy == "truncate":
                 h = _decimal_grid(2.0 * zeta / self.dim ** (order / 2.0))
-                tensor = sym_tensor(np.round(tensor.entries / h) * h, already_symmetric=True)
+                tensor = SymTensor(np.round(tensor.entries / h) * h, order, tensor.dim)
             elif self.policy == "gaussian":
                 u = self.rng.standard_normal(self.dim)
                 u /= np.linalg.norm(u)
                 mag = float(np.clip(self.rng.normal(0.0, zeta / 3.0),
                                     -NOISE_FRACTION * zeta, NOISE_FRACTION * zeta))
-                tensor = sym_tensor(tensor.entries + _rank_one(order, u, mag),
-                                    already_symmetric=True)
+                tensor = SymTensor(tensor.entries + _rank_one(order, u, mag), order, tensor.dim)
+        if not np.isfinite(tensor.entries).all():
+            raise NonFiniteEvaluation(
+                f"order-{order} derivative at x = {np.asarray(x).tolist()} is not finite")
         if ledger is not None:
             ledger.record("deriv", order, zeta, work)
         return tensor

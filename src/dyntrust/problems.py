@@ -170,7 +170,7 @@ class LogisticTermModel:
         return int(np.searchsorted(-suffix, -acc, side="left"))
 
     def estimate_f(self, x, acc: float):
-        x = as_vector(x)
+        x = np.asarray(x, dtype=float)
         ranges = self._value_ranges(float(np.linalg.norm(x)))
         half = (ranges[:, 1] - ranges[:, 0]) / 2.0
         k = self._select_prefix(half, acc)
@@ -183,7 +183,7 @@ class LogisticTermModel:
         return value, k / self.m
 
     def estimate_deriv(self, x, order: int, zeta: float):
-        x = as_vector(x)
+        x = np.asarray(x, dtype=float)
         n = x.size
         a_norm = np.linalg.norm(self.a, axis=1)
         c = a_norm * float(np.linalg.norm(x))

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (DerivativeBundle, make_bundle, model_gradient, operator_norm,
-                    taylor_decrement, taylor_decrement_many)
+from .model import (DerivativeBundle, SymTensor, make_bundle, model_gradient,
+                    operator_norm, taylor_decrement)
 from .oracle import Problem
 
 MAX_REFERENCE_DIM = 5
@@ -112,7 +112,7 @@ def _arc_max(b: DerivativeBundle, j: int, d: np.ndarray, t_hat: np.ndarray,
     for _ in range(zooms + 1):
         thetas = np.linspace(lo, hi, 33)
         pts = r * (np.cos(thetas)[:, None] * d_hat + np.sin(thetas)[:, None] * t_hat)
-        vals = taylor_decrement_many(b, pts, j)
+        vals = taylor_decrement(b, pts, j)
         k = int(np.argmax(vals))
         best_theta = thetas[k]
         width = (hi - lo) / 16.0
@@ -145,7 +145,7 @@ def max_decrement_reference(b: DerivativeBundle, j: int, delta: float,
     axes = delta * np.concatenate([np.eye(n), -np.eye(n)])
     pts = np.concatenate([interior, sphere, axes, np.zeros((1, n))])
 
-    vals = taylor_decrement_many(b, pts, j)
+    vals = taylor_decrement(b, pts, j)
     order = np.argsort(-vals)
     best = float(vals[order[0]])
     for idx in order[: spec.polish_starts]:
@@ -210,15 +210,7 @@ def lipschitz_estimate(problem: Problem, box, order: int, n_samples: int = 1500,
         gap = np.linalg.norm(x - y)
         if gap < 1e-12:
             continue
-        tx = problem.exact_deriv(x, order)
-        ty = problem.exact_deriv(y, order)
-        diff = tx.entries - ty.entries
-        if order == 1:
-            num = float(np.linalg.norm(diff))
-        elif order == 2:
-            num = float(np.max(np.abs(np.linalg.eigvalsh(diff))))
-        else:
-            from .model import sym_tensor
-            num = operator_norm(sym_tensor(diff, already_symmetric=True), seed=seed)
+        diff = problem.exact_deriv(x, order).entries - problem.exact_deriv(y, order).entries
+        num = operator_norm(SymTensor(diff, order, n), seed=seed)
         best = max(best, num / gap)
     return inflation * best

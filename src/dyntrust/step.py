@@ -36,15 +36,6 @@ class StepResult:
     absolute_events: int       # should stay 0; warned about if not
 
 
-def step_solver(bundle, j: int, radius: float, seed: int = 0) -> Vector:
-    """Trial step over the full radius: same machinery as the optimality
-    solver (steepest direction / ball quadratic / multi-start cubic)."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    d, _, _ = max_decrement(bundle, j, radius, seed=seed)
-    return d
-
-
 def compute_step(x, radius: float, vartheta: float, cert: CertifiedDecrement,
                  eps_j: float, omega: float, oracle: InexactOracle,
                  acc: AccuracyLedger, cache: BundleCache,
@@ -79,7 +70,7 @@ def compute_step(x, radius: float, vartheta: float, cert: CertifiedDecrement,
     while True:
         bundle = cache.ensure(oracle, acc, j, eval_ledger)
         dt_fallback = taylor_decrement(bundle, cert.d, j)
-        s_try = step_solver(bundle, j, radius, seed=seed)
+        s_try, _, _ = max_decrement(bundle, j, radius, seed=seed)
         dt_try = taylor_decrement(bundle, s_try, j)
         if dt_try >= dt_fallback:
             s, dt_s = s_try, dt_try
@@ -93,7 +84,7 @@ def compute_step(x, radius: float, vartheta: float, cert: CertifiedDecrement,
         xi = eps_j / (4.0 * (1.0 + omega)) * (vartheta / max(vartheta, s_norm)) ** j
         min_xi = min(min_xi, xi)
         zeta_before = float(np.max(acc.zetas[:j]))
-        outcome = verify(s_norm, dt_s, acc.current(j), xi, omega)
+        outcome = verify(s_norm, dt_s, acc.zetas[:j], xi, omega)
         if outcome is VerifyOutcome.RELATIVE:
             return StepResult(s=s, dT=dt_s, outcome=outcome, tighten_count=tighten,
                               dT_fallback=dt_fallback, zeta_entry_max=zeta_entry,

@@ -166,7 +166,7 @@ def test_criterion_2_certified_decrement_soundness():
         eps_j = float(rng.choice([1e-2, 1e-3]))
         omega = 0.02
         oracle = InexactOracle(problem, policy="adversarial", seed=trial)
-        acc = AccuracyLedger.fresh(j, 0.1, gamma_zeta=0.1, kappa_zeta=0.1)
+        acc = AccuracyLedger.fresh(TrConfig.with_defaults((eps_j,) * j))
         cert = certified_decrement(x, j, delta, eps_j, 0.99, omega, oracle, acc,
                                    BundleCache(x), EvalLedger())
         phi = _reference_phi(problem, x, j, delta)

@@ -26,6 +26,13 @@ def test_config_violations_name_the_constraint(overrides, fragment):
     assert fragment.lower() in str(err.value).lower()
 
 
+def test_config_rejects_initial_accuracy_above_kappa():
+    # AccuracyLedger.fresh trusts the config, so the config owns this check
+    for zeta0 in (0.5, (0.05, 0.5)):
+        with pytest.raises(ConfigError, match="zeta0"):
+            TrConfig.with_defaults((1e-3, 1e-3), zeta0=zeta0, gamma_zeta=0.5)
+
+
 def test_config_rejects_bad_eps():
     with pytest.raises(ConfigError):
         TrConfig.with_defaults((1.5,))

@@ -4,6 +4,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from dyntrust.driver import TrConfig
 from dyntrust.model import make_bundle, sym_tensor
 from dyntrust.optimality import (AccuracyLedger, BundleCache, ContinueAt,
                                  Terminated, allowed_tightenings,
@@ -17,7 +18,8 @@ from dyntrust.verify import VerifyOutcome
 
 def fresh_state(problem, q, x, policy="none", seed=0, zeta0=0.1):
     oracle = InexactOracle(problem, policy=policy, seed=seed)
-    acc = AccuracyLedger.fresh(q, zeta0, gamma_zeta=0.1, kappa_zeta=max(zeta0, 0.1))
+    acc = AccuracyLedger.fresh(TrConfig.with_defaults(
+        (1e-3,) * q, zeta0=zeta0, kappa_zeta=max(zeta0, 0.1)))
     cache = BundleCache(x)
     return oracle, acc, cache, EvalLedger()
 
@@ -218,7 +220,7 @@ def test_finite_tightening_invariant():
 
 
 def test_accuracy_ledger_tighten_and_exact_orders():
-    acc = AccuracyLedger.fresh(3, 0.1, gamma_zeta=0.5, kappa_zeta=0.1,
+    acc = AccuracyLedger.fresh(TrConfig.with_defaults((1e-3,) * 3, gamma_zeta=0.5),
                                exact_orders=(2,))
     assert acc.zetas[1] == 0.0
     acc.tighten(3)
@@ -226,5 +228,3 @@ def test_accuracy_ledger_tighten_and_exact_orders():
     np.testing.assert_allclose(acc.zetas, [0.05, 0.0, 0.05])
     acc.tighten(1)
     np.testing.assert_allclose(acc.zetas, [0.025, 0.0, 0.05])
-    with pytest.raises(ValueError):
-        AccuracyLedger.fresh(2, 0.5, gamma_zeta=0.5, kappa_zeta=0.1)

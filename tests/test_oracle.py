@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from dyntrust.model import operator_norm, sym_tensor
-from dyntrust.oracle import EvalLedger, InexactOracle, finite_diff_check
+from dyntrust.driver import TrConfig, run
+from dyntrust.model import SymTensor, operator_norm, sym_tensor
+from dyntrust.oracle import (EvalLedger, InexactOracle, NonFiniteEvaluation,
+                             Problem, finite_diff_check)
 from dyntrust.problems import make_problem
 
 POLICIES = ("none", "adversarial", "truncate", "gaussian")
@@ -194,3 +198,49 @@ def test_subsample_oracle_honesty():
     o.eval_f(x, 1e-1, l1)
     o.eval_f(x, 1e-6, l2)
     assert l1.entries[0].work <= l2.entries[0].work
+
+
+def test_nonfinite_objective_stops_the_run():
+    # A NaN objective used to make rho NaN, which fails both acceptance
+    # tests: every step counted as unsuccessful while the radius still grew,
+    # and the run spun until the iteration cap.
+    calls = []
+
+    def fun(x):
+        calls.append(x.copy())
+        return math.nan if x[0] > 0.8 else float((x[0] - 2.0) ** 2 + x[1] ** 2)
+
+    def deriv(x, order):
+        return sym_tensor(2.0 * (x - [2.0, 0.0]) if order == 1 else 2.0 * np.eye(2),
+                          already_symmetric=True)
+
+    p = Problem(name="nan_beyond_0.8", dim=2, fun=fun, deriv=deriv, f_low=0.0,
+                x0=np.array([0.9, 0.0]))
+    oracle = InexactOracle(p, policy="none")
+    ledger = EvalLedger()
+    with pytest.raises(NonFiniteEvaluation, match=r"nan at x = \[0\.9, 0\.0\]"):
+        oracle.eval_f(p.x0, 1e-3, ledger)
+    assert ledger.n_f == 0
+    calls.clear()
+    with pytest.raises(NonFiniteEvaluation):
+        run(oracle, TrConfig.with_defaults((1e-3,), max_iterations=20000))
+    assert len(calls) == 1  # the first objective evaluation raises
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_nonfinite_derivative_is_refused(policy):
+    # SymTensor itself trusts its fields, so the oracle checks what the
+    # problem returns: unchecked, a NaN gradient gives a NaN decrement that
+    # certifies as absolute, and the run reports an approximate minimizer.
+    def deriv(x, order):
+        if order == 1:
+            return SymTensor(np.array([math.nan, 0.0]) if x[0] < 0.5 else 2.0 * x, 1, 2)
+        return SymTensor(2.0 * np.eye(2), 2, 2)
+
+    p = Problem(name="nan_grad_below_0.5", dim=2, fun=lambda x: float(x @ x),
+                deriv=deriv, f_low=0.0, x0=np.array([0.9, 0.0]))
+    oracle = InexactOracle(p, policy=policy, seed=0)
+    with pytest.raises(NonFiniteEvaluation, match=r"order-1 derivative at x = \[0\.2, 0\.0\]"):
+        oracle.eval_deriv(np.array([0.2, 0.0]), 1, 1e-3)
+    with pytest.raises(NonFiniteEvaluation):
+        run(oracle, TrConfig.with_defaults((1e-3,), max_iterations=2000))

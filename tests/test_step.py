@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
 
+from dyntrust.driver import TrConfig
 from dyntrust.model import make_bundle, sym_tensor, taylor_decrement
 from dyntrust.optimality import (AccuracyLedger, BundleCache, CertifiedDecrement,
-                                 certified_decrement)
+                                 certified_decrement, max_decrement)
 from dyntrust.oracle import EvalLedger, InexactOracle
 from dyntrust.problems import make_problem
 from dyntrust.reference import max_decrement_reference
-from dyntrust.step import compute_step, step_solver
+from dyntrust.step import compute_step
 from dyntrust.verify import VerifyOutcome
 
 
 def state(problem, q, x, policy="none", seed=0, zeta0=0.1):
     oracle = InexactOracle(problem, policy=policy, seed=seed)
-    acc = AccuracyLedger.fresh(q, zeta0, gamma_zeta=0.1, kappa_zeta=max(zeta0, 0.1))
+    acc = AccuracyLedger.fresh(TrConfig.with_defaults(
+        (1e-3,) * q, zeta0=zeta0, kappa_zeta=max(zeta0, 0.1)))
     return oracle, acc, BundleCache(x), EvalLedger()
 
 
@@ -35,19 +37,25 @@ def test_pass_through_when_radius_small():
     assert len(ledger) == before  # zero oracle traffic
 
 
-def test_step_solver_order1_scaled_steepest_descent():
+# compute_step takes its trial step from max_decrement over the full radius,
+# which may exceed the optimality radius cap of 1
+
+
+def test_trial_step_order1_scaled_steepest_descent():
     b = make_bundle(np.zeros(2), [sym_tensor(np.array([1.0, 0.0]))])
-    np.testing.assert_allclose(step_solver(b, 1, 3.0), [-3.0, 0.0])
+    s, dt, _ = max_decrement(b, 1, 3.0)
+    np.testing.assert_allclose(s, [-3.0, 0.0])
+    assert dt == pytest.approx(3.0)
 
 
-def test_step_solver_order2_hard_case_radius2():
+def test_trial_step_order2_hard_case_radius2():
     b = make_bundle(np.zeros(2), [sym_tensor(np.zeros(2)),
                                   sym_tensor(np.diag([-2.0, 1.0]))])
-    s = step_solver(b, 2, 2.0)
+    s, dt, _ = max_decrement(b, 2, 2.0)
     assert np.linalg.norm(s) == pytest.approx(2.0, rel=1e-9)
     assert abs(s[0]) == pytest.approx(2.0, rel=1e-9)
     ref = max_decrement_reference(b, 2, 2.0)
-    assert taylor_decrement(b, s, 2) == pytest.approx(ref, rel=1e-8)
+    assert dt == taylor_decrement(b, s, 2) == pytest.approx(ref, rel=1e-8)
 
 
 def test_step_grows_decrement_with_radius():
