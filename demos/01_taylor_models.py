@@ -10,7 +10,7 @@ closed-form budget.
 import numpy as np
 
 from dyntrust import make_bundle, sym_tensor, taylor_decrement, taylor_value
-from dyntrust.model import decrement_error_bound
+from dyntrust.verify import error_budget
 
 # f(x) = x^2 around x = 1: gradient 2, second derivative 2
 bundle = make_bundle([1.0], [sym_tensor([2.0]), sym_tensor(np.array([[2.0]]))])
@@ -41,5 +41,5 @@ for scale in (0.1, 0.5, 1.0, 2.0):
     step = scale * rng.standard_normal(n)
     step /= np.linalg.norm(step) / scale
     gap = abs(taylor_decrement(noisy, step, 3) - taylor_decrement(exact, step, 3))
-    budget = decrement_error_bound(zetas, float(np.linalg.norm(step)))
+    budget = error_budget(float(np.linalg.norm(step)), zetas)
     print(f"{scale:8.2f}   {gap:14.3e}   {budget:15.3e}")

@@ -27,7 +27,7 @@ for label, x in (("far from the minimizer", np.array([2.0, -1.0])),
     # initial accuracy zeta0 = 0.1, tightened by gamma_zeta = 0.1 per round
     acc = AccuracyLedger.fresh(TrConfig.with_defaults((1e-3,)))
     ledger = EvalLedger()
-    cert = certified_decrement(x, 1, 0.5, 1e-3, 0.99, 0.02, oracle, acc,
+    cert = certified_decrement(1, 0.5, 1e-3, 0.99, 0.02, oracle, acc,
                                BundleCache(x), ledger)
     print(f"\n{label}:")
     print(f"  outcome {cert.outcome.value}, decrement {cert.dT:.3e}, "

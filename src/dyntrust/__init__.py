@@ -17,8 +17,7 @@ from .model import (DerivativeBundle, SymTensor, make_bundle, model_gradient,
                     operator_norm, sym_tensor, taylor_decrement, taylor_value,
                     tensor_apply)
 from .optimality import (AccuracyLedger, BundleCache, CertifiedDecrement,
-                         ContinueAt, Terminated, certified_decrement,
-                         max_decrement, termination_test)
+                         certified_decrement, max_decrement, termination_test)
 from .oracle import (EvalLedger, FdReport, InexactOracle, NonFiniteEvaluation,
                      Problem, finite_diff_check)
 from .problems import list_problems, make_problem
@@ -30,10 +29,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyLedger", "AuditReport", "BoundConstants", "BundleCache",
-    "CertifiedDecrement", "ConfigError", "ContinueAt", "DerivativeBundle",
+    "CertifiedDecrement", "ConfigError", "DerivativeBundle",
     "EvalLedger", "FdReport", "GridSpec", "InexactOracle", "IterationRecord",
     "NonFiniteEvaluation", "Problem", "RunResult", "RunSpec", "StepResult",
-    "SymTensor", "Terminated", "TrConfig", "VerifyOutcome", "certified_decrement", "check_history",
+    "SymTensor", "TrConfig", "VerifyOutcome", "certified_decrement", "check_history",
     "check_verify_guarantees", "compute_bounds", "compute_step",
     "cost_savings_report", "eps_scaling_study", "execute_run",
     "finite_diff_check", "lipschitz_estimate", "list_problems", "make_bundle",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import BoundConstants, compute_bounds
 from .model import Vector, as_vector, operator_norm
-from .optimality import AccuracyLedger, BundleCache, Terminated, allowed_tightenings, termination_test
+from .optimality import AccuracyLedger, BundleCache, allowed_tightenings, termination_test
 from .oracle import EvalLedger, InexactOracle, Problem
 from .step import compute_step
 
@@ -107,7 +107,7 @@ class TrConfig:
         return cls(eps=eps, **derived)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IterationRecord:
     """Per-iteration trace used by the auditors and the CSV sink."""
 
@@ -130,8 +130,8 @@ class IterationRecord:
     n_d2: int
     n_d3: int
     step_norm: float
-    x: tuple
-    x_trial: tuple
+    x: Vector        # read-only: the previous accepted x_trial, or the start point
+    x_trial: Vector  # read-only
 
 
 @dataclass
@@ -168,10 +168,11 @@ def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
     x = as_vector(x0 if x0 is not None else oracle.problem.x0).copy()
     if x.size != oracle.dim:
         raise ConfigError("start point dimension does not match the problem")
+    x.flags.writeable = False
+    x_start = x
     acc = AccuracyLedger.fresh(cfg, oracle.exact_orders)
     ledger = EvalLedger()
     cache = BundleCache(x)
-    x_start = x.copy()
     f_bar = None
     f_bar_acc = math.inf
     pending = None
@@ -183,22 +184,22 @@ def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
     for k in range(cfg.max_iterations):
         delta_k = min(delta_tr, cfg.vartheta)
         if pending is None:
-            outcome = termination_test(x, delta_k, cfg.eps, cfg.varsigma, cfg.omega,
-                                       oracle, acc, cache, ledger, seed=cfg.seed)
-            if isinstance(outcome, Terminated):
+            cert = termination_test(delta_k, cfg.eps, cfg.varsigma, cfg.omega,
+                                    oracle, acc, cache, ledger, seed=cfg.seed)
+            if cert is None:
                 terminated = True
                 delta_eps = delta_k
                 break
-            j, cert = outcome.j, outcome.cert
         else:
-            j, cert = pending
-            pending = None
+            cert, pending = pending, None
+        j = cert.j
 
-        sres = compute_step(x, delta_tr, cfg.vartheta, cert, cfg.eps[j - 1],
+        sres = compute_step(delta_tr, cfg.vartheta, cert, cfg.eps[j - 1],
                             cfg.omega, oracle, acc, cache, ledger, seed=cfg.seed)
 
         acc_req = cfg.omega * sres.dT
         x_trial = x + sres.s
+        x_trial.flags.writeable = False
         f_bar_new = oracle.eval_f(x_trial, acc_req, ledger)
         recomputed = False
         if f_bar is None or f_bar_acc > acc_req:
@@ -222,7 +223,7 @@ def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
             step2_absolute=sres.absolute_events, f_recomputed=recomputed,
             n_f=ledger.n_f, n_d1=ledger.n_deriv(1), n_d2=ledger.n_deriv(2),
             n_d3=ledger.n_deriv(3), step_norm=float(np.linalg.norm(sres.s)),
-            x=tuple(float(v) for v in x), x_trial=tuple(float(v) for v in x_trial))
+            x=x, x_trial=x_trial)
         history.append(rec)
         if sink is not None:
             sink(rec)
@@ -233,7 +234,7 @@ def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
             f_bar = f_bar_new
             f_bar_acc = acc_req
         elif delta_next >= cfg.vartheta:
-            pending = (j, cert)
+            pending = cert
         delta_tr = delta_next
 
     if not terminated:
@@ -270,16 +271,9 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def trajectory_box(result: RunResult, pad: float = 0.5):
-    pts = [np.array(r.x) for r in result.history] + [np.asarray(result.x_eps)]
-    pts = np.array(pts)
-    return pts.min(axis=0) - pad, pts.max(axis=0) + pad
-
-
-def resolve_lipschitz(problem: Problem, result: RunResult, q: int,
-                      seed: int = 0) -> float:
+def resolve_lipschitz(problem: Problem, result: RunResult, q: int) -> float:
     """max(1, L_1..L_q): exact constants when the problem declares them,
-    otherwise sampled over the trajectory box with a safety inflation."""
+    otherwise sampled over the padded iterate box with a safety inflation."""
     from .reference import lipschitz_estimate
     ls = []
     declared = problem.lipschitz or ()
@@ -289,22 +283,20 @@ def resolve_lipschitz(problem: Problem, result: RunResult, q: int,
             ls.append(float(declared[order - 1]))
         else:
             if box is None:
-                box = trajectory_box(result)
+                pts = np.array([r.x for r in result.history] + [result.x_eps])
+                box = pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5
             # order-3 norms need power iteration per sample; keep that cheap
             n_samples = 1500 if order < 3 else 300
-            ls.append(lipschitz_estimate(problem, box, order, seed=seed,
-                                         n_samples=n_samples))
+            ls.append(lipschitz_estimate(problem, box, order, n_samples=n_samples))
     return max(1.0, max(ls))
 
 
-def bounds_for_run(result: RunResult, problem: Problem,
-                   L_f: float | None = None) -> tuple[BoundConstants, float]:
+def bounds_for_run(result: RunResult, problem: Problem) -> tuple[BoundConstants, float]:
     """Worst-case constants for a finished run, estimating the Lipschitz
     bound over the trajectory when the problem does not declare one."""
     cfg = result.cfg
-    if L_f is None:
-        L_f = resolve_lipschitz(problem, result, cfg.q)
-    x0 = np.asarray(result.x0)
+    L_f = resolve_lipschitz(problem, result, cfg.q)
+    x0 = result.x0
     g0 = max(operator_norm(problem.exact_deriv(x0, i)) for i in range(1, cfg.q + 1))
     bc = compute_bounds(cfg, L_f=L_f, f0=problem.exact_f(x0), f_low=problem.f_low,
                         grad_norms_at_x0=g0, zeta_at_x0=max(cfg.zeta0))
@@ -312,11 +304,11 @@ def bounds_for_run(result: RunResult, problem: Problem,
 
 
 _REL_SLACK = 1.0 + 1e-9
+_PHI_SLACK = 1e-8  # absolute slack on the termination-soundness measures
 
 
-def check_history(result: RunResult, problem: Problem, L_f: float | None = None,
-                  check_termination: bool = True, grid=None,
-                  phi_slack: float = 1e-8) -> AuditReport:
+def check_history(result: RunResult, problem: Problem,
+                  check_termination: bool = True) -> AuditReport:
     """Replay a finished run against exact values and the worst-case bounds.
 
     Checks, per run: the exact decrease floor on successful iterations, the
@@ -329,23 +321,35 @@ def check_history(result: RunResult, problem: Problem, L_f: float | None = None,
     cfg = result.cfg
     q = cfg.q
     eps_min = min(cfg.eps)
-    x0 = np.asarray(result.x0)
-    bc, L_f = bounds_for_run(result, problem, L_f)
+    bc, L_f = bounds_for_run(result, problem)
     checks: dict[str, CheckResult] = {}
     hist = result.history
     n_success = result.n_success
+    f0 = problem.exact_f(result.x0)
 
-    # (a) exact decrease floor on successful iterations
+    # One replay against exact values, one f call per trial point: each x is
+    # the last accepted x_trial (or x0), so f(x) is carried forward.
+    # (a) exact decrease floor on successful iterations; (j) accuracy contracts.
     floor = (cfg.eta1 - 2 * cfg.omega) * bc.kappa_delta ** (q + 1) * eps_min ** (q + 1) / factorial(q)
     worst = math.inf
     bad = 0
+    acc_bad = 0
+    worst_gap = 0.0
+    f_x = f0
     for r in hist:
-        if not r.successful:
-            continue
-        dec = problem.exact_f(np.array(r.x)) - problem.exact_f(np.array(r.x_trial))
-        worst = min(worst, dec)
-        if dec * _REL_SLACK < floor:
-            bad += 1
+        f_trial = problem.exact_f(r.x_trial)
+        budget = cfg.omega * r.dT_s
+        gap_old = abs(r.f_bar_old - f_x)
+        gap_new = abs(r.f_bar_new - f_trial)
+        worst_gap = max(worst_gap, gap_old - budget, gap_new - budget)
+        if gap_old > budget * _REL_SLACK or gap_new > budget * _REL_SLACK:
+            acc_bad += 1
+        if r.successful:
+            dec = f_x - f_trial
+            worst = min(worst, dec)
+            if dec * _REL_SLACK < floor:
+                bad += 1
+            f_x = f_trial
     checks["decrease_floor"] = CheckResult(
         bad == 0, f"min exact decrease {worst:.3e} vs floor {floor:.3e} ({bad} violations)")
 
@@ -365,7 +369,7 @@ def check_history(result: RunResult, problem: Problem, L_f: float | None = None,
         f"{len(hist)} iterations vs bound {iter_bound:.2f}")
 
     # (d) successful-iteration bound
-    s_bound = bc.kappa_s * (problem.exact_f(x0) - problem.f_low) / eps_min ** (q + 1)
+    s_bound = bc.kappa_s * (f0 - problem.f_low) / eps_min ** (q + 1)
     checks["success_bound"] = CheckResult(
         n_success <= s_bound + 1e-9, f"{n_success} successes vs bound {s_bound:.2f}")
 
@@ -415,16 +419,7 @@ def check_history(result: RunResult, problem: Problem, L_f: float | None = None,
     checks["step_tighten_cap"] = CheckResult(
         cap_bad == 0, f"{cap_bad} iterations exceeded the step tightening cap")
 
-    # (j) objective accuracy contracts, replayed against exact values
-    acc_bad = 0
-    worst_gap = 0.0
-    for r in hist:
-        budget = cfg.omega * r.dT_s
-        gap_old = abs(r.f_bar_old - problem.exact_f(np.array(r.x)))
-        gap_new = abs(r.f_bar_new - problem.exact_f(np.array(r.x_trial)))
-        worst_gap = max(worst_gap, gap_old - budget, gap_new - budget)
-        if gap_old > budget * _REL_SLACK or gap_new > budget * _REL_SLACK:
-            acc_bad += 1
+    # (j) objective accuracy contracts, from the replay above
     checks["f_accuracy_contract"] = CheckResult(
         acc_bad == 0,
         f"{acc_bad} iterations broke the objective accuracy contract "
@@ -436,14 +431,14 @@ def check_history(result: RunResult, problem: Problem, L_f: float | None = None,
         ok = True
         details = []
         for j in range(1, min(q, 2) + 1):
-            phi = phi_reference(problem, result.x_eps, j, result.delta_eps, grid)
+            phi = phi_reference(problem, result.x_eps, j, result.delta_eps)
             bound = cfg.eps[j - 1] * result.delta_eps**j / factorial(j)
             details.append(f"phi_{j}={phi:.3e}<=~{bound:.3e}")
-            if phi > bound + phi_slack:
+            if phi > bound + _PHI_SLACK:
                 ok = False
         gnorm = float(np.linalg.norm(problem.exact_deriv(result.x_eps, 1).entries))
         details.append(f"|grad|={gnorm:.3e}")
-        if gnorm > cfg.eps[0] + phi_slack:
+        if gnorm > cfg.eps[0] + _PHI_SLACK:
             ok = False
         checks["termination_soundness"] = CheckResult(ok, ", ".join(details))
 

@@ -50,7 +50,9 @@ def _fmt(col: str, value) -> str:
 
 def _parse(col: str, text: str):
     if col in _VEC_COLS:
-        return tuple(float(t) for t in text.split(";")) if text else ()
+        v = np.array([float(t) for t in text.split(";")])
+        v.flags.writeable = False
+        return v
     if col in _BOOL_COLS:
         return text == "1"
     if col in _INT_COLS:

@@ -27,6 +27,10 @@ Vector = np.ndarray
 MAX_ORDER = 3
 
 
+class NonFiniteEvaluation(ValueError):
+    """A non-finite objective value or derivative tensor."""
+
+
 def as_vector(x) -> Vector:
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.ndim != 1 or v.size == 0:
@@ -49,7 +53,7 @@ class SymTensor:
 def sym_tensor(entries, already_symmetric: bool = False) -> SymTensor:
     """Build a :class:`SymTensor` from finite order-1..3 data with equal
     sides, averaging it over all index permutations unless promised
-    symmetric."""
+    symmetric.  Non-finite data raises :class:`NonFiniteEvaluation`."""
     arr = np.atleast_1d(np.asarray(entries, dtype=float))
     order, dim = arr.ndim, arr.shape[0]
     if not 1 <= order <= MAX_ORDER:
@@ -57,7 +61,7 @@ def sym_tensor(entries, already_symmetric: bool = False) -> SymTensor:
     if arr.shape != (dim,) * order:
         raise ValueError(f"entries shape {arr.shape} != {(dim,) * order}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("tensor entries must be finite")
+        raise NonFiniteEvaluation(f"order-{order} tensor entries are not finite")
     if not already_symmetric and order > 1:
         perms = list(itertools.permutations(range(order)))
         arr = sum(np.transpose(arr, p) for p in perms) / len(perms)
@@ -154,13 +158,6 @@ def model_gradient(b: DerivativeBundle, s, j: int | None = None) -> Vector:
     if j >= 3:
         g += 0.5 * np.einsum("abc,b,c->a", b.tensors[2].entries, s, s)
     return g
-
-
-def decrement_error_bound(error_bounds, s_norm: float) -> float:
-    """Worst-case |decrement(inexact) - decrement(exact)| when the order-i
-    tensors differ by at most error_bounds[i-1] in operator norm:
-    sum_i zeta_i ||s||^i / i!."""
-    return sum(z * s_norm**i / factorial(i) for i, z in enumerate(error_bounds, start=1))
 
 
 def operator_norm(t: SymTensor, seed: int = 0, starts: int = 12, iters: int = 120) -> float:

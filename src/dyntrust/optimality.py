@@ -59,7 +59,7 @@ class BundleCache:
     required accuracy has tightened since."""
 
     def __init__(self, x):
-        self.x = np.array(x, dtype=float)
+        self.x = np.asarray(x, dtype=float)
         self._tensors: dict[int, object] = {}
         self._zeta_at: dict[int, float] = {}
 
@@ -226,12 +226,13 @@ def allowed_tightenings(entry_max: float, target: float, gamma_zeta: float) -> i
     return math.ceil(math.log(entry_max / target) / math.log(1.0 / gamma_zeta))
 
 
-def certified_decrement(x, j: int, delta: float, eps_j: float, varsigma: float,
+def certified_decrement(j: int, delta: float, eps_j: float, varsigma: float,
                         omega: float, oracle: InexactOracle, acc: AccuracyLedger,
                         cache: BundleCache, eval_ledger: EvalLedger | None = None,
                         seed: int = 0) -> CertifiedDecrement:
-    """Compute a near-maximal decrement certified Relative or Absolute,
-    tightening derivative accuracies geometrically until certification."""
+    """Compute a near-maximal decrement at the cached iterate certified
+    Relative or Absolute, tightening derivative accuracies geometrically
+    until certification."""
     entry_max = float(np.max(acc.zetas[:j])) if j > 0 else 0.0
     target = 0.25 * omega * varsigma * eps_j * delta ** (j - 1) / factorial(j)
     cap = allowed_tightenings(entry_max, target, acc.gamma_zeta) + 2
@@ -252,31 +253,17 @@ def certified_decrement(x, j: int, delta: float, eps_j: float, varsigma: float,
                 "guaranteed tightening budget (implementation bug)")
 
 
-@dataclass(frozen=True)
-class Terminated:
-    """All orders certified small enough: x is the approximate minimizer."""
-
-    x: Vector
-    delta: float
-
-
-@dataclass(frozen=True)
-class ContinueAt:
-    """Order j shows a decrement above the termination threshold."""
-
-    j: int
-    cert: CertifiedDecrement
-
-
-def termination_test(x, delta_k: float, eps, varsigma: float, omega: float,
+def termination_test(delta_k: float, eps, varsigma: float, omega: float,
                      oracle: InexactOracle, acc: AccuracyLedger, cache: BundleCache,
-                     eval_ledger: EvalLedger | None = None, seed: int = 0):
-    """Orders 1..q in turn: certify a decrement and stop at the first one
-    exceeding its threshold; otherwise declare x an approximate minimizer."""
+                     eval_ledger: EvalLedger | None = None,
+                     seed: int = 0) -> CertifiedDecrement | None:
+    """Orders 1..q in turn at the cached iterate: return the first certified
+    decrement exceeding its threshold, or None when the iterate is an
+    approximate minimizer."""
     for j in range(1, len(eps) + 1):
-        cert = certified_decrement(x, j, delta_k, eps[j - 1], varsigma, omega,
+        cert = certified_decrement(j, delta_k, eps[j - 1], varsigma, omega,
                                    oracle, acc, cache, eval_ledger, seed=seed)
         threshold = (eps[j - 1] / (1.0 + omega)) * delta_k**j / factorial(j)
         if cert.dT > threshold:
-            return ContinueAt(j=j, cert=cert)
-    return Terminated(x=np.array(x, dtype=float), delta=delta_k)
+            return cert
+    return None

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import SymTensor, Vector, as_vector
+from .model import NonFiniteEvaluation, SymTensor, Vector, as_vector
 
 POLICIES = ("none", "adversarial", "truncate", "gaussian", "subsample")
 
@@ -48,10 +48,6 @@ class Problem:
 
     def exact_deriv(self, x, order: int) -> SymTensor:
         return self.deriv(np.asarray(x, dtype=float), order)
-
-
-class NonFiniteEvaluation(ValueError):
-    """The problem returned a non-finite objective value or derivative."""
 
 
 @dataclass(frozen=True)
@@ -192,13 +188,20 @@ class InexactOracle:
             raise ValueError("requested accuracy must be nonnegative")
         if not 1 <= order <= 3:
             raise ValueError(f"unsupported derivative order {order}")
+        exact = order in self.exact_orders or zeta == 0.0
         work = 1.0
-        if order in self.exact_orders or zeta == 0.0:
-            tensor = self.problem.exact_deriv(x, order)
-        elif self.policy == "subsample":
-            tensor, work = self.problem.term_model.estimate_deriv(x, order, zeta)
-        else:
-            tensor = self.problem.exact_deriv(x, order)
+        try:
+            if self.policy == "subsample" and not exact:
+                tensor, work = self.problem.term_model.estimate_deriv(x, order, zeta)
+            else:
+                tensor = self.problem.exact_deriv(x, order)
+            finite = bool(np.isfinite(tensor.entries).all())
+        except NonFiniteEvaluation:  # sym_tensor refused the problem's data
+            finite = False
+        if not finite:
+            raise NonFiniteEvaluation(
+                f"order-{order} derivative at x = {np.asarray(x).tolist()} is not finite")
+        if not exact:
             # rank-one bumps and rounding keep symmetry and shape: no sym_tensor
             if self.policy == "adversarial":
                 u = self.rng.standard_normal(self.dim)
@@ -214,9 +217,6 @@ class InexactOracle:
                 mag = float(np.clip(self.rng.normal(0.0, zeta / 3.0),
                                     -NOISE_FRACTION * zeta, NOISE_FRACTION * zeta))
                 tensor = SymTensor(tensor.entries + _rank_one(order, u, mag), order, tensor.dim)
-        if not np.isfinite(tensor.entries).all():
-            raise NonFiniteEvaluation(
-                f"order-{order} derivative at x = {np.asarray(x).tolist()} is not finite")
         if ledger is not None:
             ledger.record("deriv", order, zeta, work)
         return tensor

@@ -18,6 +18,7 @@ from .model import (DerivativeBundle, SymTensor, make_bundle, model_gradient,
 from .oracle import Problem
 
 MAX_REFERENCE_DIM = 5
+LIPSCHITZ_INFLATION = 1.5  # safety factor on sampled Lipschitz constants
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,6 @@ class GridSpec:
     polish_starts: int = 10       # best samples promoted to local polish
     polish_rounds: int = 12       # chord + arc maximizations per polished start
     seed: int = 0
-    radius: float | None = None   # default ball radius when delta is omitted
 
     def __post_init__(self):
         if self.resolution < 16:
@@ -195,9 +195,9 @@ def phi_reference(problem: Problem, x, j: int, delta: float,
 
 
 def lipschitz_estimate(problem: Problem, box, order: int, n_samples: int = 1500,
-                       seed: int = 0, inflation: float = 1.5) -> float:
+                       seed: int = 0) -> float:
     """Sampled Lipschitz constant of the order-j derivative over a box,
-    inflated by a safety factor.  Audit support only."""
+    inflated by ``LIPSCHITZ_INFLATION``.  Audit support only."""
     lo, hi = (np.asarray(side, dtype=float) for side in box)
     if lo.shape != hi.shape or np.any(hi < lo):
         raise ValueError("box must be (lower, upper) with lower <= upper")
@@ -213,4 +213,4 @@ def lipschitz_estimate(problem: Problem, box, order: int, n_samples: int = 1500,
         diff = problem.exact_deriv(x, order).entries - problem.exact_deriv(y, order).entries
         num = operator_norm(SymTensor(diff, order, n), seed=seed)
         best = max(best, num / gap)
-    return inflation * best
+    return LIPSCHITZ_INFLATION * best

@@ -36,11 +36,12 @@ class StepResult:
     absolute_events: int       # should stay 0; warned about if not
 
 
-def compute_step(x, radius: float, vartheta: float, cert: CertifiedDecrement,
+def compute_step(radius: float, vartheta: float, cert: CertifiedDecrement,
                  eps_j: float, omega: float, oracle: InexactOracle,
                  acc: AccuracyLedger, cache: BundleCache,
                  eval_ledger: EvalLedger | None = None, seed: int = 0) -> StepResult:
-    """Compute the iteration's step within the trust-region ``radius``.
+    """Compute the iteration's step from the cached iterate within the
+    trust-region ``radius``.
 
     Pass-through when radius <= vartheta (the certified displacement *is*
     the step).  Otherwise iterate: recompute the trial step under the current

@@ -167,7 +167,7 @@ def test_criterion_2_certified_decrement_soundness():
         omega = 0.02
         oracle = InexactOracle(problem, policy="adversarial", seed=trial)
         acc = AccuracyLedger.fresh(TrConfig.with_defaults((eps_j,) * j))
-        cert = certified_decrement(x, j, delta, eps_j, 0.99, omega, oracle, acc,
+        cert = certified_decrement(j, delta, eps_j, 0.99, omega, oracle, acc,
                                    BundleCache(x), EvalLedger())
         phi = _reference_phi(problem, x, j, delta)
         if cert.outcome is VerifyOutcome.ABSOLUTE:

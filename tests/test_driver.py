@@ -1,8 +1,11 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dyntrust.driver import ConfigError, TrConfig, check_history, run
-from dyntrust.oracle import InexactOracle
+from dyntrust.oracle import InexactOracle, Problem
 from dyntrust.problems import make_problem
 from dyntrust.reference import phi_reference
 
@@ -252,3 +255,53 @@ def test_run_third_order_step_engaged():
     assert any(r.j == 3 for r in res.history)
     # the run must have escaped to the genuine minimizer at -1
     assert res.x_eps[0] == pytest.approx(-1.0, abs=0.05)
+
+
+def test_records_hold_each_point_once_read_only():
+    p = make_problem("rosenbrock")
+    res = run(InexactOracle(p, policy="adversarial", seed=2), TrConfig.with_defaults((1e-2,)))
+    assert res.n_success > 0 and res.n_success < res.n_iterations
+    current = res.x0
+    for r in res.history:
+        assert r.x is current  # the previous accepted x_trial, or the start point
+        for arr in (r.x, r.x_trial):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        if r.successful:
+            current = r.x_trial
+    np.testing.assert_array_equal(res.x_eps, current)
+
+
+def test_audit_evaluates_the_objective_once_per_trial_point():
+    base = make_problem("rosenbrock")
+    calls = []
+
+    def fun(x):
+        calls.append(1)
+        return base.fun(x)
+
+    p = Problem(name="counted_rosenbrock", dim=2, fun=fun, deriv=base.deriv,
+                f_low=base.f_low, x0=base.x0, lipschitz=base.lipschitz)
+    res = run(InexactOracle(p, policy="adversarial", seed=1), TrConfig.with_defaults((1e-2,)))
+    calls.clear()
+    report = check_history(res, p)
+    assert report.ok, report.violations
+    assert 0 < len(calls) <= res.n_iterations + 3
+
+
+def test_retained_memory_per_iteration_is_bounded():
+    # Each record keeps its trial point once; x aliases the previous one.
+    p = make_problem("quadratic", dim=100, cond=1e4)
+    oracle = InexactOracle(p, policy="adversarial", seed=1)
+    cfg = TrConfig.with_defaults((1e-4,), max_iterations=2000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = run(oracle, cfg)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert res.n_iterations == 2000
+    assert retained / res.n_iterations < 2500

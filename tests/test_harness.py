@@ -6,9 +6,9 @@ import pytest
 
 from dyntrust.cli import EXIT_AUDIT, EXIT_CAP, EXIT_CONFIG, EXIT_OK, main
 from dyntrust.driver import ConfigError
-from dyntrust.harness import (RunSpec, cost_savings_report, eps_scaling_study,
-                              execute_run, parse_config_file, parse_eps_grid,
-                              read_history_csv, write_history_csv)
+from dyntrust.harness import (CSV_COLUMNS, RunSpec, cost_savings_report,
+                              eps_scaling_study, execute_run, parse_config_file,
+                              parse_eps_grid, read_history_csv, write_history_csv)
 
 
 def test_csv_round_trip(tmp_path):
@@ -18,7 +18,14 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "hist.csv"
     write_history_csv(path, result.history)
     parsed = read_history_csv(path)
-    assert parsed == result.history
+    assert len(parsed) == len(result.history) > 0
+    for got, want in zip(parsed, result.history):
+        for name in CSV_COLUMNS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert type(a) is type(b), name
+            np.testing.assert_array_equal(a, b, strict=True, err_msg=name)
+        # vectors come back as read-only arrays, like the run's own records
+        assert not got.x.flags.writeable and not got.x_trial.flags.writeable
 
 
 def test_runspec_validation_diagnostics():

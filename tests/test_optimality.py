@@ -6,8 +6,7 @@ import pytest
 
 from dyntrust.driver import TrConfig
 from dyntrust.model import make_bundle, sym_tensor
-from dyntrust.optimality import (AccuracyLedger, BundleCache, ContinueAt,
-                                 Terminated, allowed_tightenings,
+from dyntrust.optimality import (AccuracyLedger, BundleCache, allowed_tightenings,
                                  certified_decrement, max_decrement,
                                  termination_test)
 from dyntrust.oracle import EvalLedger, InexactOracle
@@ -94,7 +93,7 @@ def test_certified_decrement_exact_oracle_first_pass():
     p = make_problem("quadratic", dim=2, cond=4)
     x = np.array([1.0, 1.0])
     oracle, acc, cache, ledger = fresh_state(p, 1, x, zeta0=1e-12)
-    cert = certified_decrement(x, 1, 0.5, 1e-3, 0.99, 0.02, oracle, acc, cache, ledger)
+    cert = certified_decrement(1, 0.5, 1e-3, 0.99, 0.02, oracle, acc, cache, ledger)
     assert cert.tightenings == 0
     assert cert.outcome is VerifyOutcome.RELATIVE
     assert ledger.n_deriv(1) == 1
@@ -108,7 +107,7 @@ def test_certified_decrement_predicted_tightening_count():
     omega, varsigma, eps_j, delta = 0.02, 0.99, 1e-3, 0.5
     zeta0, gamma = 0.1, 0.1
     oracle, acc, cache, ledger = fresh_state(p, 1, x, zeta0=zeta0)
-    cert = certified_decrement(x, 1, delta, eps_j, varsigma, omega, oracle, acc,
+    cert = certified_decrement(1, delta, eps_j, varsigma, omega, oracle, acc,
                                cache, ledger)
     assert cert.outcome is VerifyOutcome.ABSOLUTE
     xi = 0.5 * varsigma * eps_j
@@ -127,7 +126,7 @@ def test_certified_absolute_implies_small_reference_phi():
     eps_j, delta, omega = 1e-2, 0.5, 0.02
     for j in (1, 2):
         oracle, acc, cache, ledger = fresh_state(p, 2, x, policy="adversarial")
-        cert = certified_decrement(x, j, delta, eps_j, 0.99, omega, oracle, acc,
+        cert = certified_decrement(j, delta, eps_j, 0.99, omega, oracle, acc,
                                    cache, ledger)
         assert cert.outcome is VerifyOutcome.ABSOLUTE
         phi = phi_reference(p, x, j, delta)
@@ -140,7 +139,7 @@ def test_certified_relative_two_sided_bound():
     x = np.array([2.0, -1.0])
     omega = 0.02
     oracle, acc, cache, ledger = fresh_state(p, 1, x, policy="adversarial")
-    cert = certified_decrement(x, 1, 0.5, 1e-3, 0.99, omega, oracle, acc, cache, ledger)
+    cert = certified_decrement(1, 0.5, 1e-3, 0.99, omega, oracle, acc, cache, ledger)
     assert cert.outcome is VerifyOutcome.RELATIVE
     phi = phi_reference(p, x, 1, 0.5)
     assert (1 - omega) * cert.dT <= phi + 1e-6
@@ -151,7 +150,7 @@ def test_certified_decrement_never_calls_eval_f():
     p = make_problem("rosenbrock")
     x = np.array([-1.2, 1.0])
     oracle, acc, cache, ledger = fresh_state(p, 2, x, policy="adversarial")
-    certified_decrement(x, 2, 0.5, 1e-3, 0.99, 0.02, oracle, acc, cache, ledger)
+    certified_decrement(2, 0.5, 1e-3, 0.99, 0.02, oracle, acc, cache, ledger)
     assert ledger.n_f == 0
 
 
@@ -172,19 +171,19 @@ def test_termination_test_continue_order1():
     x = np.array([0.6, -0.8])  # gradient norm exactly 1
     omega = 0.01
     oracle, acc, cache, ledger = fresh_state(p, 1, x, zeta0=1e-10)
-    out = termination_test(x, 0.5, (1e-3,), 0.99, omega, oracle, acc, cache, ledger)
-    assert isinstance(out, ContinueAt) and out.j == 1
-    assert out.cert.dT == pytest.approx(0.5)
-    assert out.cert.dT > (1e-3 / (1 + omega)) * 0.5
+    cert = termination_test(0.5, (1e-3,), 0.99, omega, oracle, acc, cache, ledger)
+    assert cert.j == 1
+    assert cert.dT == pytest.approx(0.5)
+    assert cert.dT > (1e-3 / (1 + omega)) * 0.5
 
 
 def test_termination_test_terminated_at_minimizer():
     p = make_problem("quadratic", dim=3, cond=5)
     x = np.zeros(3)
     oracle, acc, cache, ledger = fresh_state(p, 2, x, zeta0=1e-12)
-    out = termination_test(x, 0.5, (1e-3, 1e-3), 0.99, 0.02, oracle, acc, cache, ledger)
-    assert isinstance(out, Terminated)
-    np.testing.assert_array_equal(out.x, x)
+    assert termination_test(0.5, (1e-3, 1e-3), 0.99, 0.02, oracle, acc, cache,
+                            ledger) is None
+    assert ledger.n_deriv(1) == 1 and ledger.n_deriv(2) == 1
 
 
 def test_termination_test_saddle_continues_at_order2():
@@ -192,11 +191,11 @@ def test_termination_test_saddle_continues_at_order2():
     x = np.zeros(2)
     omega = 0.02
     oracle, acc, cache, ledger = fresh_state(p, 2, x, zeta0=1e-10)
-    out = termination_test(x, 0.1, (1e-2, 1e-2), 0.99, omega, oracle, acc, cache, ledger)
-    assert isinstance(out, ContinueAt) and out.j == 2
+    cert = termination_test(0.1, (1e-2, 1e-2), 0.99, omega, oracle, acc, cache, ledger)
+    assert cert.j == 2
     # the quadratic decrement at the saddle is delta^2 along the escape axis
-    assert out.cert.dT == pytest.approx(0.01, rel=1e-8)
-    assert out.cert.dT > (1e-2 / (1 + omega)) * 0.01 / 2
+    assert cert.dT == pytest.approx(0.01, rel=1e-8)
+    assert cert.dT > (1e-2 / (1 + omega)) * 0.01 / 2
 
 
 def test_finite_tightening_invariant():
@@ -211,7 +210,7 @@ def test_finite_tightening_invariant():
         oracle, acc, cache, ledger = fresh_state(p, 2, x, policy="adversarial",
                                                  seed=trial)
         for j in (1, 2):
-            cert = certified_decrement(x, j, delta, eps_j, varsigma, omega,
+            cert = certified_decrement(j, delta, eps_j, varsigma, omega,
                                        oracle, acc, cache, ledger)
             cap = math.ceil(math.log(
                 (omega * varsigma * eps_j * delta ** (j - 1)) / (4 * factorial(j) * kappa)

@@ -244,3 +244,21 @@ def test_nonfinite_derivative_is_refused(policy):
         oracle.eval_deriv(np.array([0.2, 0.0]), 1, 1e-3)
     with pytest.raises(NonFiniteEvaluation):
         run(oracle, TrConfig.with_defaults((1e-3,), max_iterations=2000))
+
+
+def test_nonfinite_derivative_built_with_sym_tensor_names_order_and_point():
+    # Registered problems build their derivatives with sym_tensor, which
+    # refuses non-finite data before the oracle sees the tensor; the oracle
+    # still reports the order and the point.
+    def deriv(x, order):
+        if order == 1:
+            return sym_tensor(np.array([math.nan, 0.0]) if x[0] < 0.5 else 2.0 * x)
+        return sym_tensor(2.0 * np.eye(2))
+
+    p = Problem(name="nan_grad_below_0.5", dim=2, fun=lambda x: float(x @ x),
+                deriv=deriv, f_low=0.0, x0=np.array([0.9, 0.0]))
+    oracle = InexactOracle(p, policy="none")
+    with pytest.raises(NonFiniteEvaluation, match=r"order-1 derivative at x = \[0\.2, 0\.0\]"):
+        oracle.eval_deriv(np.array([0.2, 0.0]), 1, 1e-3)
+    with pytest.raises(NonFiniteEvaluation, match=r"order-1 derivative at x = \["):
+        run(oracle, TrConfig.with_defaults((1e-3,), max_iterations=2000))

@@ -1,25 +1,33 @@
-"""The bench tracer (``perfbench/spans.py``) wraps library functions and
-methods by name.  Every name it lists must exist, or a rename in ``src``
-silently breaks ``perfbench/run.py --trace 1``."""
+"""The benchmark (``perfbench/``) reaches into the library by name: the
+tracer (``spans.py``) wraps functions and methods, and the worker
+(``worker.py``) reads run results and audit reports.  Both files are loaded
+unchanged here, so a rename or an API change in ``src`` fails in tier-1
+instead of silently breaking ``perfbench/run.py``."""
 
+import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    saved = list(sys.path)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved  # the worker puts src/ and perfbench/ on the path
     return module
 
 
-spans = _load_spans()
+spans = _load("spans")
 
 
 @pytest.mark.parametrize("mod,name", [(m, f) for m, f, *_ in spans.FUNCTIONS + spans.COUNTED])
@@ -45,3 +53,17 @@ def test_traced_run_checks_its_start_point_once():
     assert result.terminated
     assert summary["solve.driver.run.calls"] == 1
     assert summary["solve.model.as_vector.calls"] == 1
+
+
+def test_worker_pass_reads_every_result_attribute():
+    worker = _load("worker")
+    cases = worker.WORKLOADS["audit_corpus"][:2]
+    out = worker.run_pass(cases, 0)
+    assert out["failures"] == []
+    assert out["iterations"] > 0 and out["evals_f"] > 0 and out["evals_deriv"] > 0
+    assert len(out["fingerprints"]) == len(cases)
+    for case, fp in zip(cases, out["fingerprints"]):
+        assert len(fp) == len(worker.FINGERPRINT_FIELDS)
+        assert all(type(v) is int and v >= 0 for v in fp[:-1])
+        x_eps = ast.literal_eval(fp[-1])
+        assert len(x_eps) == case.params["dim"] and all(type(v) is float for v in x_eps)

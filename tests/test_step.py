@@ -19,18 +19,17 @@ def state(problem, q, x, policy="none", seed=0, zeta0=0.1):
     return oracle, acc, BundleCache(x), EvalLedger()
 
 
-def certified(problem, x, j, delta, eps_j, omega, oracle, acc, cache, ledger):
-    return certified_decrement(x, j, delta, eps_j, 0.99, omega, oracle, acc,
-                               cache, ledger)
+def certified(j, delta, eps_j, omega, oracle, acc, cache, ledger):
+    return certified_decrement(j, delta, eps_j, 0.99, omega, oracle, acc, cache, ledger)
 
 
 def test_pass_through_when_radius_small():
     p = make_problem("quadratic", dim=2, cond=3)
     x = np.array([1.0, -1.0])
     oracle, acc, cache, ledger = state(p, 1, x, zeta0=1e-10)
-    cert = certified(p, x, 1, 0.05, 1e-3, 0.02, oracle, acc, cache, ledger)
+    cert = certified(1, 0.05, 1e-3, 0.02, oracle, acc, cache, ledger)
     before = len(ledger)
-    res = compute_step(x, 0.05, 0.1, cert, 1e-3, 0.02, oracle, acc, cache, ledger)
+    res = compute_step(0.05, 0.1, cert, 1e-3, 0.02, oracle, acc, cache, ledger)
     np.testing.assert_array_equal(res.s, cert.d)
     assert res.dT == cert.dT
     assert res.tighten_count == 0
@@ -62,8 +61,8 @@ def test_step_grows_decrement_with_radius():
     p = make_problem("quadratic", dim=2, cond=6)
     x = np.array([2.0, 1.5])
     oracle, acc, cache, ledger = state(p, 2, x, zeta0=1e-10)
-    cert = certified(p, x, 2, 1.0, 1e-3, 0.02, oracle, acc, cache, ledger)
-    res = compute_step(x, 2.0, 1.0, cert, 1e-3, 0.02, oracle, acc, cache, ledger)
+    cert = certified(2, 1.0, 1e-3, 0.02, oracle, acc, cache, ledger)
+    res = compute_step(2.0, 1.0, cert, 1e-3, 0.02, oracle, acc, cache, ledger)
     assert res.outcome is VerifyOutcome.RELATIVE
     assert res.dT >= cert.dT
     assert res.dT >= res.dT_fallback
@@ -87,7 +86,7 @@ def test_degenerate_model_falls_back_to_certificate():
     dt_d = taylor_decrement(bundle, cert_d, 1)
     fake = CertifiedDecrement(j=1, d=cert_d, dT=dt_d, outcome=VerifyOutcome.RELATIVE,
                               varsigma_used=0.99, tightenings=0)
-    res = compute_step(x, 0.5, 0.5, fake, 1e-3, 0.02, oracle, acc, cache, ledger)
+    res = compute_step(0.5, 0.5, fake, 1e-3, 0.02, oracle, acc, cache, ledger)
     # pass-through branch: radius == vartheta
     np.testing.assert_array_equal(res.s, cert_d)
 
@@ -97,8 +96,8 @@ def test_adversarial_tightens_until_relative():
     x = np.array([-0.5, 0.2])
     omega = 0.02
     oracle, acc, cache, ledger = state(p, 1, x, policy="adversarial", zeta0=0.1)
-    cert = certified(p, x, 1, 0.5, 1e-3, omega, oracle, acc, cache, ledger)
-    res = compute_step(x, 4.0, 0.5, cert, 1e-3, omega, oracle, acc, cache, ledger)
+    cert = certified(1, 0.5, 1e-3, omega, oracle, acc, cache, ledger)
+    res = compute_step(4.0, 0.5, cert, 1e-3, omega, oracle, acc, cache, ledger)
     assert res.outcome is VerifyOutcome.RELATIVE
     assert res.absolute_events == 0
     # realized decrement error against exact tensors honors the certificate
@@ -115,9 +114,9 @@ def test_xi_floor_invariant():
     for trial in range(10):
         x = rng.standard_normal(2) * 3
         oracle, acc, cache, ledger = state(p, 1, x, policy="adversarial", seed=trial)
-        cert = certified(p, x, 1, vartheta, eps_j, omega, oracle, acc, cache, ledger)
+        cert = certified(1, vartheta, eps_j, omega, oracle, acc, cache, ledger)
         radius = float(rng.uniform(0.6, 5.0))
-        res = compute_step(x, radius, vartheta, cert, eps_j, omega, oracle, acc,
+        res = compute_step(radius, vartheta, cert, eps_j, omega, oracle, acc,
                            cache, ledger)
         floor = eps_j / (4 * (1 + omega)) * (vartheta / max(1.0, delta_max)) ** 1
         assert res.min_xi >= floor
