@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, frexp
 
 import numpy as np
 
@@ -160,36 +160,18 @@ def model_gradient(b: DerivativeBundle, s, j: int | None = None) -> Vector:
     return g
 
 
-def operator_norm(t: SymTensor, seed: int = 0, starts: int = 12, iters: int = 120) -> float:
-    """Operator norm of a symmetric tensor.
+def operator_norm(t: SymTensor) -> float:
+    """Operator norm of a symmetric tensor, or a certified upper bound on it.
 
     Exact for orders 1 and 2 (Euclidean / spectral norm).  For order 3 the
-    value is a multi-start power-iteration estimate of max_{|u|=1} |T[u]^3|
-    (a lower bound, in practice tight at desk scale).
+    exact max_{|u|=1} |T[u]^3| is NP-hard in general; the Frobenius norm
+    bounds it from above (Cauchy-Schwarz), which is what the audit bounds
+    need.
     """
-    if t.order == 1:
-        return float(np.linalg.norm(t.entries))
     if t.order == 2:
         return float(np.max(np.abs(np.linalg.eigvalsh(t.entries))))
-    rng = np.random.default_rng(seed)
-    n = t.dim
-    e = t.entries
-    best = 0.0
-    starts_list = [np.eye(n)[i] for i in range(n)]
-    starts_list += [rng.standard_normal(n) for _ in range(max(starts - n, 2))]
-    for u0 in starts_list:
-        u = u0 / np.linalg.norm(u0)
-        for _ in range(iters):
-            w = np.einsum("abc,b,c->a", e, u, u)
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                break
-            # Sign flip keeps the iteration ascending for negative eigenpairs.
-            val = float(u @ w)
-            u_next = w / nw if val >= 0 else -w / nw
-            if np.linalg.norm(u_next - u) < 1e-14:
-                u = u_next
-                break
-            u = u_next
-        best = max(best, abs(float(np.einsum("abc,a,b,c->", e, u, u, u))))
-    return best
+    # Scaling by a power of two is exact: the result equals norm(entries) bit
+    # for bit unless squaring the entries would underflow (a zero "bound" for
+    # entries below ~1e-154) or overflow.
+    k = frexp(float(np.abs(t.entries).max()))[1]
+    return float(np.ldexp(np.linalg.norm(np.ldexp(t.entries, -k)), k))

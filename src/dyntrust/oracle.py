@@ -50,7 +50,7 @@ class Problem:
         return self.deriv(np.asarray(x, dtype=float), order)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerEntry:
     kind: str          # "f" or "deriv"
     order: int         # 0 for objective values

@@ -211,6 +211,6 @@ def lipschitz_estimate(problem: Problem, box, order: int, n_samples: int = 1500,
         if gap < 1e-12:
             continue
         diff = problem.exact_deriv(x, order).entries - problem.exact_deriv(y, order).entries
-        num = operator_norm(SymTensor(diff, order, n), seed=seed)
+        num = operator_norm(SymTensor(diff, order, n))
         best = max(best, num / gap)
     return LIPSCHITZ_INFLATION * best

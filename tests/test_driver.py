@@ -220,6 +220,26 @@ def test_run_order3_smoke():
     assert gnorm <= 1e-1 + 1e-8
 
 
+def test_audit_order3_checks_termination_at_every_order():
+    p = make_problem("quartic", dim=3)
+    res = run(InexactOracle(p, policy="adversarial", seed=0), TrConfig.with_defaults((1e-2,) * 3))
+    assert res.terminated
+    report = check_history(res, p)
+    assert report.ok, report.violations
+    assert "phi_3=" in report.checks["termination_soundness"].detail
+
+
+def test_audit_accuracy_floor_skips_exact_orders():
+    # exact orders request zeta = 0 by design; the floor covers the rest
+    p = make_problem("quadratic", dim=2, cond=10)
+    o = InexactOracle(p, policy="adversarial", seed=0, exact_orders=(1,))
+    res = run(o, TrConfig.with_defaults((1e-3,)))
+    assert res.terminated
+    report = check_history(res, p)
+    assert report.checks["zeta_floor"].ok, report.checks["zeta_floor"].detail
+    assert report.ok, report.violations
+
+
 def test_bounds_for_run_helper():
     from dyntrust.driver import bounds_for_run
     p = make_problem("quadratic", dim=2, cond=10)

@@ -53,7 +53,7 @@ def random_problem(rng):
 def test_random_admissible_configurations(batch):
     rng = np.random.default_rng(1000 + batch)
     for trial in range(30):
-        q = int(rng.integers(1, 3))
+        q = int(rng.integers(1, 4))
         cfg = random_config(rng, q)
         problem = random_problem(rng)
         policy = POLICIES[int(rng.integers(0, len(POLICIES)))]

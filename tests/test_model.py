@@ -171,7 +171,7 @@ def test_bundle_validation():
 
 # property tests: the model identities must hold for arbitrary bundles
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -201,3 +201,14 @@ def test_zero_step_property(data, n, degree):
     tensors = [sym_tensor(t) for t in data.draw(_bundle_strategy(n, degree))]
     b = make_bundle(np.zeros(n), tensors)
     assert taylor_decrement(b, np.zeros(n), degree) == 0.0
+
+
+@given(data=st.data(), n=st.integers(1, 6))
+@settings(max_examples=100, deadline=None)
+def test_order3_norm_bounds_every_unit_contraction(data, n):
+    # the Frobenius norm is an upper bound on max_{|u|=1} |T[u]^3|
+    t = sym_tensor(data.draw(arrays(float, (n,) * 3, elements=st.floats(-10, 10))))
+    u = data.draw(arrays(float, n, elements=st.floats(-1, 1)))
+    assume(np.linalg.norm(u) > 1e-3)
+    u = u / np.linalg.norm(u)
+    assert operator_norm(t) * (1 + 1e-12) >= abs(tensor_apply(t, u))

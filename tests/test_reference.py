@@ -64,6 +64,13 @@ def test_lipschitz_quadratic_gradient():
     assert raw >= 0.95 * cond
 
 
+def test_lipschitz_quartic_third_derivative():
+    # T3(x) - T3(y) = 6 diag(x - y), whose Frobenius norm is 6 |x - y|
+    p = make_problem("quartic", dim=10)
+    box = (-np.ones(10), np.ones(10))
+    assert lipschitz_estimate(p, box, 3) == pytest.approx(1.5 * 6.0, rel=1e-12)
+
+
 def test_lipschitz_quadratic_hessian_is_zero():
     p = make_problem("quadratic", dim=3, cond=5)
     box = (-np.ones(3), np.ones(3))
