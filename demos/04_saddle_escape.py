@@ -9,7 +9,7 @@ negative-curvature direction down into one of the wells at (0, +-1).
 
 import numpy as np
 
-from dyntrust import GridSpec, InexactOracle, TrConfig, make_problem, phi_reference, run
+from dyntrust import InexactOracle, TrConfig, make_problem, phi_reference, run
 
 problem = make_problem("saddle_well")
 x0 = np.array([1e-3, 1e-4])
@@ -24,7 +24,7 @@ print(f"terminated after {result.n_iterations} iterations at {np.round(result.x_
 print(f"objective: {problem.exact_f(result.x_eps):.6f} (wells sit at -0.5)")
 
 for j in (1, 2):
-    phi = phi_reference(problem, result.x_eps, j, result.delta_eps, GridSpec())
+    phi = phi_reference(problem, result.x_eps, j, result.delta_eps)
     bound = result.cfg.eps[j - 1] * result.delta_eps**j / (1 if j == 1 else 2)
     print(f"order-{j} measure at the final point: {phi:.3e} "
           f"(termination requires <= {bound:.3e})")

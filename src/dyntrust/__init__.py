@@ -18,24 +18,23 @@ from .model import (DerivativeBundle, SymTensor, make_bundle, model_gradient,
                     tensor_apply)
 from .optimality import (AccuracyLedger, BundleCache, CertifiedDecrement,
                          certified_decrement, max_decrement, termination_test)
-from .oracle import (EvalLedger, FdReport, InexactOracle, NonFiniteEvaluation,
-                     Problem, finite_diff_check)
+from .oracle import EvalLedger, InexactOracle, NonFiniteEvaluation, Problem
 from .problems import list_problems, make_problem
-from .reference import GridSpec, lipschitz_estimate, phi_reference
+from .reference import lipschitz_estimate, phi_reference
 from .step import StepResult, compute_step
-from .verify import VerifyOutcome, check_verify_guarantees, verify
+from .verify import VerifyOutcome, verify
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyLedger", "AuditReport", "BoundConstants", "BundleCache",
     "CertifiedDecrement", "ConfigError", "DerivativeBundle",
-    "EvalLedger", "FdReport", "GridSpec", "InexactOracle", "IterationRecord",
+    "EvalLedger", "InexactOracle", "IterationRecord",
     "NonFiniteEvaluation", "Problem", "RunResult", "RunSpec", "StepResult",
     "SymTensor", "TrConfig", "VerifyOutcome", "certified_decrement", "check_history",
-    "check_verify_guarantees", "compute_bounds", "compute_step",
+    "compute_bounds", "compute_step",
     "cost_savings_report", "eps_scaling_study", "execute_run",
-    "finite_diff_check", "lipschitz_estimate", "list_problems", "make_bundle",
+    "lipschitz_estimate", "list_problems", "make_bundle",
     "make_problem", "max_decrement", "model_gradient", "operator_norm",
     "phi_reference", "read_history_csv", "run", "sym_tensor",
     "taylor_decrement", "taylor_value", "tensor_apply", "termination_test",

@@ -24,7 +24,7 @@ from .oracle import EvalLedger, InexactOracle
 from .verify import VerifyOutcome, verify
 
 # Fraction of the global order-2 ball maximum the secular solver is
-# guaranteed to deliver (its 1e-10 radius tolerance folded in).
+# guaranteed to deliver (its relative 1e-10 radius tolerance folded in).
 VARSIGMA_ORDER2 = 1.0 - 1e-8
 
 _SECULAR_TOL = 1e-10
@@ -122,7 +122,7 @@ def _min_quadratic_on_ball(g: np.ndarray, h_mat: np.ndarray, radius: float,
     lam = hi
     for _ in range(200):
         nd = dnorm(lam)
-        if abs(nd - radius) <= tol * max(1.0, radius):
+        if abs(nd - radius) <= tol * radius:
             break
         if nd > radius:
             lo = lam
@@ -134,7 +134,9 @@ def _min_quadratic_on_ball(g: np.ndarray, h_mat: np.ndarray, radius: float,
         else:
             cand = 0.5 * (lo + hi)
         lam = cand if lo < cand < hi else 0.5 * (lo + hi)
-    return -(evecs @ (b_eff / (evals + lam)))
+    d = -(evecs @ (b_eff / (evals + lam)))
+    nd = float(np.linalg.norm(d))
+    return d * (radius / nd) if nd > radius else d
 
 
 def _max_cubic_on_ball(b: DerivativeBundle, radius: float, seed: int = 0,

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import NonFiniteEvaluation, SymTensor, Vector, as_vector
+from .model import NonFiniteEvaluation, SymTensor, Vector
 
 POLICIES = ("none", "adversarial", "truncate", "gaussian", "subsample")
 
@@ -220,39 +220,3 @@ class InexactOracle:
         if ledger is not None:
             ledger.record("deriv", order, zeta, work)
         return tensor
-
-
-@dataclass
-class FdReport:
-    """Deviations between exact derivatives and central finite differences."""
-
-    grad_dev: float
-    hess_dev: float
-    h: float
-
-
-def finite_diff_check(problem: Problem, x, h: float = 1e-4) -> FdReport:
-    """Validate a problem's order-1/2 derivatives against central differences."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = as_vector(x)
-    n = x.size
-    f = problem.exact_f
-    grad_fd = np.zeros(n)
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = h
-        grad_fd[a] = (f(x + e) - f(x - e)) / (2 * h)
-    grad_dev = float(np.max(np.abs(grad_fd - problem.exact_deriv(x, 1).entries)))
-
-    hess_fd = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            ea = np.zeros(n)
-            eb = np.zeros(n)
-            ea[a] = h
-            eb[b] = h
-            hess_fd[a, b] = (f(x + ea + eb) - f(x + ea - eb)
-                             - f(x - ea + eb) + f(x - ea - eb)) / (4 * h * h)
-    hess_dev = float(np.max(np.abs(hess_fd - problem.exact_deriv(x, 2).entries)))
-    return FdReport(grad_dev=grad_dev, hess_dev=hess_dev, h=h)

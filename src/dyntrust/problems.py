@@ -69,24 +69,6 @@ def rosenbrock() -> Problem:
                    x0=np.array([-1.2, 1.0]))
 
 
-def saddle() -> Problem:
-    """Pure saddle x^2 - y^2: unbounded below, for fixed-point tests only."""
-
-    def fun(x):
-        return float(x[0] ** 2 - x[1] ** 2)
-
-    def deriv(x, order):
-        if order == 1:
-            return sym_tensor(np.array([2 * x[0], -2 * x[1]]), already_symmetric=True)
-        if order == 2:
-            return sym_tensor(np.diag([2.0, -2.0]), already_symmetric=True)
-        return _zeros(2, order)
-
-    # f_low is a placeholder valid on the desk-scale test domain only.
-    return Problem(name="saddle", dim=2, fun=fun, deriv=deriv, f_low=-1e6,
-                   x0=np.array([0.05, 0.01]))
-
-
 def saddle_well() -> Problem:
     """Bounded saddle x^2 - y^2 + y^4/2: saddle at 0, minima at (0, +-1)."""
 
@@ -262,7 +244,6 @@ def finite_sum_logistic(dim: int = 4, terms: int = 64, lam: float = 0.1,
 REGISTRY = {
     "quadratic": quadratic,
     "rosenbrock": rosenbrock,
-    "saddle": saddle,
     "saddle_well": saddle_well,
     "quartic": quartic,
     "finite_sum_logistic": finite_sum_logistic,

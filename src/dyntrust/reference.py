@@ -1,15 +1,24 @@
-"""Independent brute-force oracles for test-time verification.
+"""Independent optimality references for test-time verification.
 
-These deliberately avoid the production subproblem solvers: the optimality
-measure is recomputed by dense ball sampling followed by an exact
-line-search polish (the model restricted to a line is a cubic, so each line
-maximization is closed form).  Values are lower bounds on the true measure;
-the polish makes the gap negligible at desk scale.
+These avoid the production subproblem solvers.  ``max_decrement_reference``
+picks its method by order j:
+
+* j = 1: delta |g|, exact.
+* j = 2: the trust-region dual bound.  With (w, V) = eigh(H) and b = V'g,
+  psi(lam) = 1/2 sum_i b_i^2 / (w_i + lam) + lam delta^2 / 2 bounds the ball
+  maximum from above for every lam >= max(0, -w_min), and by strong duality
+  (the S-lemma) its minimum equals it.  The minimum is found by a bracket
+  search on this convex function, so the value is certified up to rounding,
+  at any n.
+* j = 3: dense ball sampling followed by an exact line/arc polish (the model
+  restricted to a line is a cubic, so each line maximization is closed
+  form), for n <= ``MAX_REFERENCE_DIM``.  A sampled lower bound: a value
+  above a bound is a definite failure, one below it is evidence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -17,63 +26,75 @@ from .model import (DerivativeBundle, SymTensor, make_bundle, model_gradient,
                     operator_norm, taylor_decrement)
 from .oracle import Problem
 
-MAX_REFERENCE_DIM = 5
+MAX_REFERENCE_DIM = 5  # the order-3 sampler's dimension limit
 LIPSCHITZ_INFLATION = 1.5  # safety factor on sampled Lipschitz constants
 
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Sampling/polish budget for the brute-force optimality measure."""
-
-    resolution: int = 24          # per-dimension sampling density
-    polish_starts: int = 10       # best samples promoted to local polish
-    polish_rounds: int = 12       # chord + arc maximizations per polished start
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.resolution < 16:
-            raise ValueError("resolution must be at least 16")
+# Order-3 sampling/polish budget.
+_RESOLUTION = 24        # per-dimension sampling density
+_POLISH_STARTS = 10     # best samples promoted to local polish
+_POLISH_ROUNDS = 12     # chord + arc maximizations per polished start
+_SEED = 0
 
 
-def _poly_coeffs_along_line(b: DerivativeBundle, j: int, d: np.ndarray,
+def _dual_bound(g: np.ndarray, h_mat: np.ndarray, delta: float) -> float:
+    """min over lam >= lam_low of psi(lam): the order-2 ball maximum."""
+    w, v = np.linalg.eigh(h_mat)
+    b = v.T @ g
+    lam_low = max(0.0, -float(w[0]))
+    keep = b != 0.0  # terms with b_i = 0 count as zero, even where w_i + lam = 0
+    b2, w = b[keep] ** 2, w[keep]
+
+    def psi(lam: float) -> float:
+        den = w + lam
+        if np.any(den <= 0.0):
+            return math.inf
+        return 0.5 * float(np.sum(b2 / den)) + 0.5 * lam * delta * delta
+
+    # psi is convex, and psi' = (delta^2 - sum_i b_i^2 / (w_i + lam)^2) / 2 is
+    # >= 0 from lam_low + |b|/delta on.  Every lam in the bracket gives an
+    # upper bound, so bisecting on the sign of psi' needs no safeguard.
+    lo, hi = lam_low, lam_low + math.sqrt(float(np.sum(b2))) / delta
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if float(np.sum(b2 / (w + mid) ** 2)) > delta * delta:
+            lo = mid
+        else:
+            hi = mid
+    return min(psi(lo), psi(hi))  # psi(lam_low) may be inf
+
+
+def _poly_coeffs_along_line(b: DerivativeBundle, d: np.ndarray,
                             u: np.ndarray) -> np.ndarray:
-    """Coefficients c[0..3] of t -> decrement(d + t u) for the degree-j model."""
-    c = np.zeros(4)
-    t1 = b.tensors[0].entries
-    c[0] -= float(t1 @ d)
-    c[1] -= float(t1 @ u)
-    if j >= 2:
-        t2 = b.tensors[1].entries
-        c[0] -= 0.5 * float(d @ (t2 @ d))
-        c[1] -= float(d @ (t2 @ u))
-        c[2] -= 0.5 * float(u @ (t2 @ u))
-    if j >= 3:
-        t3 = b.tensors[2].entries
-        ddd = float(np.einsum("abc,a,b,c->", t3, d, d, d))
-        ddu = float(np.einsum("abc,a,b,c->", t3, d, d, u))
-        duu = float(np.einsum("abc,a,b,c->", t3, d, u, u))
-        uuu = float(np.einsum("abc,a,b,c->", t3, u, u, u))
-        c[0] -= ddd / 6.0
-        c[1] -= 0.5 * ddu
-        c[2] -= 0.5 * duu
-        c[3] -= uuu / 6.0
-    return c
+    """Coefficients c[0..3] of t -> decrement(d + t u) for the cubic model."""
+    t1, t2, t3 = (t.entries for t in b.tensors)
+    ddd = float(np.einsum("abc,a,b,c->", t3, d, d, d))
+    ddu = float(np.einsum("abc,a,b,c->", t3, d, d, u))
+    duu = float(np.einsum("abc,a,b,c->", t3, d, u, u))
+    uuu = float(np.einsum("abc,a,b,c->", t3, u, u, u))
+    return np.array([
+        -float(t1 @ d) - 0.5 * float(d @ (t2 @ d)) - ddd / 6.0,
+        -float(t1 @ u) - float(d @ (t2 @ u)) - 0.5 * ddu,
+        -0.5 * float(u @ (t2 @ u)) - 0.5 * duu,
+        -uuu / 6.0,
+    ])
 
 
-def _line_max(b: DerivativeBundle, j: int, d: np.ndarray, u: np.ndarray,
+def _line_max(b: DerivativeBundle, d: np.ndarray, u: np.ndarray,
               delta: float) -> tuple[np.ndarray, float]:
     """Exact maximization of the decrement along d + t u inside the ball."""
     uu = float(u @ u)
     if uu == 0.0:
-        return d, taylor_decrement(b, d, j)
+        return d, taylor_decrement(b, d, 3)
     du = float(d @ u)
     dd = float(d @ d)
     disc = du * du - uu * (dd - delta * delta)
     if disc < 0:
-        return d, taylor_decrement(b, d, j)
+        return d, taylor_decrement(b, d, 3)
     root = np.sqrt(disc)
     t_lo, t_hi = (-du - root) / uu, (-du + root) / uu
-    c = _poly_coeffs_along_line(b, j, d, u)
+    c = _poly_coeffs_along_line(b, d, u)
     cands = [t_lo, t_hi, 0.0]
     # stationary points of the cubic c0 + c1 t + c2 t^2 + c3 t^3
     a3, a2, a1 = 3 * c[3], 2 * c[2], c[1]
@@ -94,48 +115,40 @@ def _line_max(b: DerivativeBundle, j: int, d: np.ndarray, u: np.ndarray,
     return d + best_t * u, best_v
 
 
-def _arc_max(b: DerivativeBundle, j: int, d: np.ndarray, t_hat: np.ndarray,
+def _arc_max(b: DerivativeBundle, d: np.ndarray, t_hat: np.ndarray,
              zooms: int = 6) -> tuple[np.ndarray, float]:
     """Maximize the decrement on the circle of radius |d| in span(d, t_hat):
     coarse angular grid, then vectorized zooming around the best angle."""
     r = float(np.linalg.norm(d))
     if r < 1e-15:
-        return d, taylor_decrement(b, d, j)
+        return d, taylor_decrement(b, d, 3)
     d_hat = d / r
     t_hat = t_hat - (t_hat @ d_hat) * d_hat
     nt = float(np.linalg.norm(t_hat))
     if nt < 1e-15:
-        return d, taylor_decrement(b, d, j)
+        return d, taylor_decrement(b, d, 3)
     t_hat /= nt
     lo, hi = -np.pi, np.pi
     best_theta = 0.0
     for _ in range(zooms + 1):
         thetas = np.linspace(lo, hi, 33)
         pts = r * (np.cos(thetas)[:, None] * d_hat + np.sin(thetas)[:, None] * t_hat)
-        vals = taylor_decrement(b, pts, j)
+        vals = taylor_decrement(b, pts, 3)
         k = int(np.argmax(vals))
         best_theta = thetas[k]
         width = (hi - lo) / 16.0
         lo, hi = best_theta - width, best_theta + width
     out = r * (np.cos(best_theta) * d_hat + np.sin(best_theta) * t_hat)
-    return out, taylor_decrement(b, out, j)
+    return out, taylor_decrement(b, out, 3)
 
 
-def max_decrement_reference(b: DerivativeBundle, j: int, delta: float,
-                            spec: GridSpec | None = None) -> float:
-    """Brute-force maximum of the degree-j decrement over the delta-ball."""
-    spec = spec or GridSpec()
+def _sampled_cubic_max(b: DerivativeBundle, delta: float) -> float:
+    """Sampled maximum of the degree-3 decrement over the delta-ball."""
     n = b.dim
     if n > MAX_REFERENCE_DIM:
-        raise ValueError(f"reference oracle limited to dim <= {MAX_REFERENCE_DIM}")
-    if not 1 <= j <= 3:
-        raise ValueError("reference oracle supports degrees 1..3")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    rng = np.random.default_rng(spec.seed)
-    n_samples = min(spec.resolution ** n, 40000)
-    # One RNG stream, consumed in a fixed order: raising the resolution only
-    # extends the sample set, so the sampled maximum is monotone in it.
+        raise ValueError(f"order-3 reference limited to dim <= {MAX_REFERENCE_DIM}")
+    rng = np.random.default_rng(_SEED)
+    n_samples = min(_RESOLUTION ** n, 40000)
     dirs = rng.standard_normal((n_samples, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = delta * rng.random(n_samples) ** (1.0 / n)
@@ -145,38 +158,51 @@ def max_decrement_reference(b: DerivativeBundle, j: int, delta: float,
     axes = delta * np.concatenate([np.eye(n), -np.eye(n)])
     pts = np.concatenate([interior, sphere, axes, np.zeros((1, n))])
 
-    vals = taylor_decrement(b, pts, j)
+    vals = taylor_decrement(b, pts, 3)
     order = np.argsort(-vals)
     best = float(vals[order[0]])
-    for idx in order[: spec.polish_starts]:
+    h2, t3 = b.tensors[1].entries, b.tensors[2].entries
+    for idx in order[:_POLISH_STARTS]:
         d = pts[idx].copy()
         v = float(vals[idx])
-        for round_ in range(spec.polish_rounds):
-            g = -model_gradient(b, d, j)  # ascent direction for the decrement
+        for round_ in range(_POLISH_ROUNDS):
+            g = -model_gradient(b, d, 3)  # ascent direction for the decrement
             ng = np.linalg.norm(g)
             u = g / ng if ng > 0 else rng.standard_normal(n)
-            d, v = _line_max(b, j, d, u, delta)
-            if j >= 2:
-                # chord through the local Newton point: one-shot for
-                # interior quadratic maxima
-                h_m = b.tensors[1].entries
-                if j >= 3:
-                    h_m = h_m + np.einsum("abc,c->ab", b.tensors[2].entries, d)
-                try:
-                    u_n = np.linalg.solve(h_m, -model_gradient(b, d, j))
-                    if np.all(np.isfinite(u_n)) and np.linalg.norm(u_n) > 0:
-                        d, v = _line_max(b, j, d, u_n, delta)
-                except np.linalg.LinAlgError:
-                    pass
+            d, v = _line_max(b, d, u, delta)
+            # chord through the local Newton point: one-shot for interior
+            # quadratic maxima
+            try:
+                u_n = np.linalg.solve(h2 + np.einsum("abc,c->ab", t3, d),
+                                      -model_gradient(b, d, 3))
+                if np.all(np.isfinite(u_n)) and np.linalg.norm(u_n) > 0:
+                    d, v = _line_max(b, d, u_n, delta)
+            except np.linalg.LinAlgError:
+                pass
             # boundary maxima: chords cannot slide along the sphere, so
             # search the great circle toward the tangential gradient
-            g = -model_gradient(b, d, j)
-            d, v = _arc_max(b, j, d, g if np.linalg.norm(g) > 0
+            g = -model_gradient(b, d, 3)
+            d, v = _arc_max(b, d, g if np.linalg.norm(g) > 0
                             else rng.standard_normal(n))
             if round_ % 5 == 4:
-                d, v = _line_max(b, j, d, rng.standard_normal(n), delta)
+                d, v = _line_max(b, d, rng.standard_normal(n), delta)
         best = max(best, v)
     return best
+
+
+def max_decrement_reference(b: DerivativeBundle, j: int, delta: float) -> float:
+    """Maximum of the degree-j decrement over the delta-ball: exact at j = 1,
+    the dual bound at j = 2, a sampled lower bound at j = 3."""
+    if not 1 <= j <= 3:
+        raise ValueError("reference oracle supports degrees 1..3")
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    g = b.tensors[0].entries
+    if j == 1:
+        return delta * float(np.linalg.norm(g))
+    if j == 2:
+        return _dual_bound(g, b.tensors[1].entries, delta)
+    return _sampled_cubic_max(b, delta)
 
 
 def exact_bundle(problem: Problem, x, j: int) -> DerivativeBundle:
@@ -184,14 +210,10 @@ def exact_bundle(problem: Problem, x, j: int) -> DerivativeBundle:
     return make_bundle(x, tensors, (0.0,) * j)
 
 
-def phi_reference(problem: Problem, x, j: int, delta: float,
-                  spec: GridSpec | None = None) -> float:
-    """Largest decrease of the exact degree-j model within the delta-ball.
-
-    Brute force (sampling + polish); a lower bound on the true measure with
-    empirically negligible gap at default resolution for j <= 2.
-    """
-    return max_decrement_reference(exact_bundle(problem, x, j), j, delta, spec)
+def phi_reference(problem: Problem, x, j: int, delta: float) -> float:
+    """Largest decrease of the exact degree-j model within the delta-ball:
+    certified at j <= 2 for any n, sampled at j = 3 for n <= 5."""
+    return max_decrement_reference(exact_bundle(problem, x, j), j, delta)
 
 
 def lipschitz_estimate(problem: Problem, box, order: int, n_samples: int = 1500,

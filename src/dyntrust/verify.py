@@ -9,13 +9,8 @@ loop in the optimizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from math import factorial
-
-import numpy as np
-
-from .model import DerivativeBundle, taylor_decrement
 
 
 class VerifyOutcome(Enum):
@@ -62,61 +57,3 @@ def verify(delta: float, decrement: float, zetas, xi: float, omega: float) -> Ve
     if budget <= omega * xi * delta**r / factorial(r):
         return VerifyOutcome.ABSOLUTE
     return VerifyOutcome.INSUFFICIENT
-
-
-@dataclass
-class VerifyCheckReport:
-    """Sampled audit of the guarantees implied by a verify outcome."""
-
-    outcome: VerifyOutcome
-    n_samples: int
-    violations: list = field(default_factory=list)
-    max_abs_gap: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_verify_guarantees(exact: DerivativeBundle, inexact: DerivativeBundle,
-                            delta: float, v, omega: float, xi: float,
-                            n_samples: int = 100, seed: int = 0,
-                            fp_slack: float = 1e-12) -> VerifyCheckReport:
-    """Test-support oracle: sample displacements w with |w| <= delta and check
-    the certification guarantees against the exact bundle.
-
-    The inexact bundle's tensors must genuinely be within its error_bounds of
-    the exact ones (the caller constructs them that way); zetas are taken from
-    ``inexact.error_bounds``.
-    """
-    r = inexact.degree
-    zetas = inexact.error_bounds
-    dt_v = taylor_decrement(inexact, v, r)
-    outcome = verify(delta, dt_v, zetas, xi, omega)
-    rng = np.random.default_rng(seed)
-    n = inexact.dim
-
-    report = VerifyCheckReport(outcome=outcome, n_samples=n_samples)
-    budget = error_budget(delta, zetas)
-    guaranteed = budget <= omega * xi * delta**r / factorial(r)
-    if guaranteed and not outcome.sufficient:
-        report.violations.append("insufficient despite full-budget guarantee")
-
-    scale = 1.0 + fp_slack
-    for _ in range(n_samples):
-        w = rng.standard_normal(n)
-        w *= delta * rng.random() ** (1.0 / n) / np.linalg.norm(w)
-        gap = abs(taylor_decrement(inexact, w, r) - taylor_decrement(exact, w, r))
-        report.max_abs_gap = max(report.max_abs_gap, gap)
-        if outcome is VerifyOutcome.ABSOLUTE:
-            bound = xi * delta**r / factorial(r)
-            if max(dt_v, gap) > bound * scale + fp_slack:
-                report.violations.append(
-                    f"absolute bound broken: max({dt_v:.3e}, {gap:.3e}) > {bound:.3e}")
-        elif outcome is VerifyOutcome.RELATIVE:
-            if dt_v <= 0:
-                report.violations.append("relative outcome with nonpositive decrement")
-            if gap > omega * dt_v * scale + fp_slack:
-                report.violations.append(
-                    f"relative bound broken: {gap:.3e} > {omega * dt_v:.3e}")
-    return report

@@ -77,8 +77,8 @@ def test_cli_config_error_exit_code(tmp_path):
 
 
 def test_cli_cap_exhaustion_exit_code(tmp_path):
-    code = main(["run", "--problem", "saddle", "--eps", "1e-3,1e-3",
-                 "--max-iterations", "40", "--out-dir", str(tmp_path)])
+    code = main(["run", "--problem", "saddle_well", "--eps", "1e-3,1e-3",
+                 "--max-iterations", "20", "--out-dir", str(tmp_path)])
     assert code == EXIT_CAP
 
 
@@ -91,6 +91,25 @@ def test_cli_audit_success(tmp_path):
     summary = json.loads((tmp_path / summary_file).read_text())
     assert summary["audit_ok"] is True
     assert "bounds" in summary
+
+
+def test_cli_audit_checks_termination_at_any_dimension(tmp_path, capsys):
+    # orders 1-2 are certified for any n
+    code = main(["audit", "--problem", "quadratic", "--dim", "8", "--cond", "10",
+                 "--eps", "1e-3", "--out-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "[PASS] termination_soundness: phi_1=" in out
+
+
+def test_cli_audit_names_skipped_order3_reference(tmp_path, capsys):
+    # the sampled order-3 reference stops at n = 5; the audit says so
+    code = main(["audit", "--problem", "quartic", "--dim", "6",
+                 "--eps", "1e-1,1e-1,1e-1", "--out-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    line = next(s for s in out.splitlines() if "termination_soundness" in s)
+    assert "phi_2=" in line and "phi_3 skipped (n=6 > 5)" in line
 
 
 def test_cli_sweep(tmp_path):

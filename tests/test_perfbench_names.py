@@ -57,7 +57,9 @@ def test_traced_run_checks_its_start_point_once():
 
 def test_worker_pass_reads_every_result_attribute():
     worker = _load("worker")
-    cases = worker.WORKLOADS["audit_corpus"][:2]
+    # one order3 case too: an audit verdict the reference flips fails here
+    cases = worker.WORKLOADS["audit_corpus"][:2] + worker.WORKLOADS["order3"][:1]
+    assert cases[-1].q == 3 and cases[-1].check_termination
     out = worker.run_pass(cases, 0)
     assert out["failures"] == []
     assert out["iterations"] > 0 and out["evals_f"] > 0 and out["evals_deriv"] > 0

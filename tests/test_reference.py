@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dyntrust.model import make_bundle, sym_tensor
-from dyntrust.reference import (GridSpec, exact_bundle, lipschitz_estimate,
+from dyntrust.model import make_bundle, sym_tensor, taylor_decrement
+from dyntrust.reference import (exact_bundle, lipschitz_estimate,
                                 max_decrement_reference, phi_reference)
 from dyntrust.problems import make_problem
 
@@ -19,8 +19,31 @@ def test_phi_order1_closed_form():
 
 
 def test_phi_order2_saddle_at_origin():
-    p = make_problem("saddle")
-    assert phi_reference(p, np.zeros(2), 2, 1.0) == pytest.approx(1.0, abs=1e-8)
+    # hard case: zero gradient, negative curvature -2, escape along y
+    p = make_problem("saddle_well")
+    assert phi_reference(p, np.zeros(2), 2, 1.0) == 1.0
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 50])
+def test_phi_order2_bounds_every_ball_point(n):
+    # the dual bound is an upper bound on the decrement anywhere in the ball,
+    # hard cases (gradient orthogonal to the bottom eigenvector) included
+    rng = np.random.default_rng(n)
+    for trial in range(4):
+        g = rng.standard_normal(n)
+        h = rng.standard_normal((n, n))
+        h = h + h.T
+        if trial % 2:
+            _, v = np.linalg.eigh(h)
+            g = g - v[:, 0] * (v[:, 0] @ g)
+        b = make_bundle(np.zeros(n), [sym_tensor(g), sym_tensor(h)])
+        delta = float(rng.uniform(0.05, 2.0))
+        ref = max_decrement_reference(b, 2, delta)
+        pts = rng.standard_normal((1000, n))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        pts[100:] *= rng.random((900, 1)) ** (1.0 / n)  # the first 100 on the sphere
+        pts *= delta
+        assert np.max(taylor_decrement(b, pts, 2)) <= ref * (1 + 1e-12)
 
 
 def test_phi_zero_at_quadratic_minimizer():
@@ -34,17 +57,15 @@ def test_monotone_in_delta_and_resolution():
     x = np.array([-0.7, 0.4])
     vals = [phi_reference(p, x, 2, d) for d in (0.2, 0.4, 0.8)]
     assert vals[0] <= vals[1] + 1e-9 and vals[1] <= vals[2] + 1e-9
-    lo = phi_reference(p, x, 2, 0.5, GridSpec(resolution=16, seed=3))
-    hi = phi_reference(p, x, 2, 0.5, GridSpec(resolution=32, seed=3))
-    assert lo <= hi + 1e-9
 
 
 def test_cost_guards():
+    # only the order-3 sampler has a dimension limit
+    ones = [sym_tensor(np.ones((6,) * i)) for i in (1, 2, 3)]
+    b = make_bundle(np.zeros(6), ones)
+    assert max_decrement_reference(b, 2, 0.5) > 0
     with pytest.raises(ValueError):
-        GridSpec(resolution=8)
-    b = make_bundle(np.zeros(6), [sym_tensor(np.ones(6))])
-    with pytest.raises(ValueError):
-        max_decrement_reference(b, 1, 0.5)
+        max_decrement_reference(b, 3, 0.5)
 
 
 def test_exact_bundle_roundtrip():
