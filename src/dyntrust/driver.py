@@ -255,6 +255,8 @@ class AuditReport:
     checks: dict
     bounds: BoundConstants
     lipschitz_used: float
+    # (L_j, source) for j = 1..q; the source is "declared" or "sampled (...)"
+    lipschitz_orders: tuple = ()
 
     @property
     def ok(self) -> bool:
@@ -268,34 +270,44 @@ class AuditReport:
         lines = []
         for name, c in self.checks.items():
             lines.append(f"[{'PASS' if c.ok else 'FAIL'}] {name}: {c.detail}")
+        if self.lipschitz_orders:
+            per_order = ", ".join(f"L_{j}={v:.4g} {source}"
+                                  for j, (v, source) in enumerate(self.lipschitz_orders, 1))
+            lines.append(f"L_f = max(1, L_j) = {self.lipschitz_used:.4g}: {per_order}")
         return "\n".join(lines)
 
 
-def resolve_lipschitz(problem: Problem, result: RunResult, q: int) -> float:
-    """max(1, L_1..L_q): exact constants when the problem declares them,
-    otherwise sampled over the padded iterate box with a safety inflation."""
-    from .reference import lipschitz_estimate
-    ls = []
+def resolve_lipschitz(problem: Problem, result: RunResult, q: int) -> tuple:
+    """(L_j, source) for j = 1..q: the exact constant when the problem
+    declares it, otherwise sampled over the padded iterate box with a safety
+    inflation."""
+    from .reference import LIPSCHITZ_INFLATION, LIPSCHITZ_PAIRS, lipschitz_estimate
+    sampled = f"sampled ({LIPSCHITZ_PAIRS:,} pairs x {LIPSCHITZ_INFLATION:g})"
+    out = []
     declared = problem.lipschitz or ()
     box = None
     for order in range(1, q + 1):
         if len(declared) >= order and declared[order - 1] is not None:
-            ls.append(float(declared[order - 1]))
+            out.append((float(declared[order - 1]), "declared"))
         else:
             if box is None:
                 pts = np.array([r.x for r in result.history] + [result.x_eps])
                 box = pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5
-            ls.append(lipschitz_estimate(problem, box, order))
-    return max(1.0, max(ls))
+            out.append((lipschitz_estimate(problem, box, order), sampled))
+    return tuple(out)
 
 
-def bounds_for_run(result: RunResult, problem: Problem) -> tuple[BoundConstants, float]:
-    """Worst-case constants for a finished run, estimating the Lipschitz
-    bound over the trajectory when the problem does not declare one."""
+def bounds_for_run(result: RunResult, problem: Problem,
+                   lipschitz: tuple | None = None) -> tuple[BoundConstants, float]:
+    """Worst-case constants for a finished run and L_f = max(1, L_1..L_q),
+    resolving the per-order constants (:func:`resolve_lipschitz`) unless
+    they are given."""
     cfg = result.cfg
-    L_f = resolve_lipschitz(problem, result, cfg.q)
+    if lipschitz is None:
+        lipschitz = resolve_lipschitz(problem, result, cfg.q)
+    L_f = max(1.0, *(v for v, _ in lipschitz))
     x0 = result.x0
-    g0 = max(operator_norm(problem.exact_deriv(x0, i)) for i in range(1, cfg.q + 1))
+    g0 = max(operator_norm(problem.exact_deriv(x0, i).entries, i) for i in range(1, cfg.q + 1))
     bc = compute_bounds(cfg, L_f=L_f, f0=problem.exact_f(x0), f_low=problem.f_low,
                         grad_norms_at_x0=g0, zeta_at_x0=max(cfg.zeta0))
     return bc, L_f
@@ -319,7 +331,8 @@ def check_history(result: RunResult, problem: Problem,
     cfg = result.cfg
     q = cfg.q
     eps_min = min(cfg.eps)
-    bc, L_f = bounds_for_run(result, problem)
+    lipschitz = resolve_lipschitz(problem, result, q)
+    bc, L_f = bounds_for_run(result, problem, lipschitz)
     checks: dict[str, CheckResult] = {}
     hist = result.history
     n_success = result.n_success
@@ -450,4 +463,5 @@ def check_history(result: RunResult, problem: Problem,
             ok = False
         checks["termination_soundness"] = CheckResult(ok, ", ".join(details))
 
-    return AuditReport(checks=checks, bounds=bc, lipschitz_used=L_f)
+    return AuditReport(checks=checks, bounds=bc, lipschitz_used=L_f,
+                       lipschitz_orders=lipschitz)

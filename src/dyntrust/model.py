@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial, frexp
+from math import factorial
 
 import numpy as np
 
@@ -160,18 +160,28 @@ def model_gradient(b: DerivativeBundle, s, j: int | None = None) -> Vector:
     return g
 
 
-def operator_norm(t: SymTensor) -> float:
+def operator_norm(entries, order: int):
     """Operator norm of a symmetric tensor, or a certified upper bound on it.
 
-    Exact for orders 1 and 2 (Euclidean / spectral norm).  For order 3 the
-    exact max_{|u|=1} |T[u]^3| is NP-hard in general; the Frobenius norm
-    bounds it from above (Cauchy-Schwarz), which is what the audit bounds
-    need.
+    ``entries`` is one order-``order`` tensor (n,)*order, giving a float, or
+    a stack of them with leading batch axes, giving an array of norms; a
+    single tensor is a stack of one.  Exact for orders 1 and 2 (Euclidean /
+    spectral norm).  For order 3 the exact max_{|u|=1} |T[u]^3| is NP-hard in
+    general; the Frobenius norm bounds it from above (Cauchy-Schwarz), which
+    is what the audit bounds need.
     """
-    if t.order == 2:
-        return float(np.max(np.abs(np.linalg.eigvalsh(t.entries))))
-    # Scaling by a power of two is exact: the result equals norm(entries) bit
-    # for bit unless squaring the entries would underflow (a zero "bound" for
-    # entries below ~1e-154) or overflow.
-    k = frexp(float(np.abs(t.entries).max()))[1]
-    return float(np.ldexp(np.linalg.norm(np.ldexp(t.entries, -k)), k))
+    e = np.asarray(entries, dtype=float)
+    batch = e.shape[:e.ndim - order]
+    stack = e.reshape((-1,) + e.shape[e.ndim - order:])
+    if order == 2:
+        norms = np.abs(np.linalg.eigvalsh(stack)).max(axis=-1)
+    else:
+        # Scaling by a power of two is exact: each norm equals norm(entries)
+        # bit for bit unless squaring the entries would underflow (a zero
+        # "bound" for entries below ~1e-154) or overflow.  The stacked dot
+        # sends every row through the dot a lone norm() uses.
+        flat = stack.reshape(len(stack), -1)
+        k = np.frexp(np.abs(flat).max(axis=1))[1]
+        flat = np.ldexp(flat, -k[:, None])
+        norms = np.ldexp(np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0]), k)
+    return float(norms[0]) if not batch else norms.reshape(batch)

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import NonFiniteEvaluation, SymTensor, Vector
+from .model import NonFiniteEvaluation, SymTensor, Vector, sym_tensor
 
 POLICIES = ("none", "adversarial", "truncate", "gaussian", "subsample")
 
@@ -29,15 +29,19 @@ NOISE_FRACTION = 0.99
 class Problem:
     """An exactly evaluable test problem with certified metadata.
 
-    ``fun`` and ``deriv`` are the ground truth the oracles corrupt; ``f_low``
-    is a global lower bound on the objective; ``lipschitz[i-1]``, when known,
-    is a Lipschitz constant for the order-i derivative.
+    ``fun`` and ``deriv`` are the ground truth the oracles corrupt.
+    ``deriv(x, order)`` takes points ``x`` of shape (..., n) and returns the
+    symmetric order-``order`` derivative array of shape
+    ``x.shape[:-1] + (n,) * order``: one point (n,) or a stack (m, n) of
+    them, through the same code.  ``f_low`` is a global lower bound on the
+    objective; ``lipschitz[i-1]``, when known, is a Lipschitz constant for
+    the order-i derivative.
     """
 
     name: str
     dim: int
     fun: Callable[[Vector], float]
-    deriv: Callable[[Vector, int], SymTensor]
+    deriv: Callable[[np.ndarray, int], np.ndarray]
     f_low: float
     x0: Vector
     lipschitz: tuple | None = None
@@ -47,7 +51,14 @@ class Problem:
         return float(self.fun(np.asarray(x, dtype=float)))
 
     def exact_deriv(self, x, order: int) -> SymTensor:
-        return self.deriv(np.asarray(x, dtype=float), order)
+        """The derivative at one point, validated where it enters: non-finite
+        data raises :class:`NonFiniteEvaluation` naming the order and x."""
+        x = np.asarray(x, dtype=float)
+        try:
+            return sym_tensor(self.deriv(x, order), already_symmetric=True)
+        except NonFiniteEvaluation:
+            raise NonFiniteEvaluation(
+                f"order-{order} derivative at x = {x.tolist()} is not finite") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,17 +201,10 @@ class InexactOracle:
             raise ValueError(f"unsupported derivative order {order}")
         exact = order in self.exact_orders or zeta == 0.0
         work = 1.0
-        try:
-            if self.policy == "subsample" and not exact:
-                tensor, work = self.problem.term_model.estimate_deriv(x, order, zeta)
-            else:
-                tensor = self.problem.exact_deriv(x, order)
-            finite = bool(np.isfinite(tensor.entries).all())
-        except NonFiniteEvaluation:  # sym_tensor refused the problem's data
-            finite = False
-        if not finite:
-            raise NonFiniteEvaluation(
-                f"order-{order} derivative at x = {np.asarray(x).tolist()} is not finite")
+        if self.policy == "subsample" and not exact:
+            tensor, work = self.problem.term_model.estimate_deriv(x, order, zeta)
+        else:
+            tensor = self.problem.exact_deriv(x, order)
         if not exact:
             # rank-one bumps and rounding keep symmetry and shape: no sym_tensor
             if self.policy == "adversarial":

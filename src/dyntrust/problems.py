@@ -11,12 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SymTensor, as_vector, sym_tensor
+from .model import as_vector, sym_tensor
 from .oracle import Problem
 
 
-def _zeros(n: int, order: int) -> SymTensor:
-    return sym_tensor(np.zeros((n,) * order), already_symmetric=True)
+def _coords(x):
+    """The coordinates of points x (..., n): numpy scalars for one point, so
+    a lone point keeps scalar arithmetic (scalar ``**`` also rounds apart
+    from array ``**``), and arrays over the stack otherwise."""
+    return [x[..., i][()] for i in range(x.shape[-1])]
 
 
 def quadratic(dim: int = 2, cond: float = 10.0, x0=None) -> Problem:
@@ -31,10 +34,10 @@ def quadratic(dim: int = 2, cond: float = 10.0, x0=None) -> Problem:
 
     def deriv(x, order):
         if order == 1:
-            return sym_tensor(a_mat @ x, already_symmetric=True)
+            return (a_mat @ x[..., None])[..., 0]
         if order == 2:
-            return sym_tensor(a_mat, already_symmetric=True)
-        return _zeros(dim, order)
+            return np.broadcast_to(a_mat, x.shape[:-1] + a_mat.shape)
+        return np.zeros(x.shape[:-1] + (dim,) * order)
 
     start = np.ones(dim) if x0 is None else as_vector(x0)
     return Problem(name=f"quadratic(dim={dim},cond={cond:g})", dim=dim, fun=fun,
@@ -49,21 +52,19 @@ def rosenbrock() -> Problem:
         return float((1 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2)
 
     def deriv(x, order):
-        u, v = x
+        u, v = _coords(x)
+        out = np.zeros(x.shape[:-1] + (2,) * order)
         if order == 1:
-            return sym_tensor(np.array([
-                -2 * (1 - u) - 400 * u * (v - u * u),
-                200 * (v - u * u),
-            ]), already_symmetric=True)
-        if order == 2:
-            return sym_tensor(np.array([
-                [2 - 400 * v + 1200 * u * u, -400 * u],
-                [-400 * u, 200.0],
-            ]), already_symmetric=True)
-        t = np.zeros((2, 2, 2))
-        t[0, 0, 0] = 2400 * u
-        t[0, 0, 1] = t[0, 1, 0] = t[1, 0, 0] = -400.0
-        return sym_tensor(t, already_symmetric=True)
+            out[..., 0] = -2 * (1 - u) - 400 * u * (v - u * u)
+            out[..., 1] = 200 * (v - u * u)
+        elif order == 2:
+            out[..., 0, 0] = 2 - 400 * v + 1200 * u * u
+            out[..., 0, 1] = out[..., 1, 0] = -400 * u
+            out[..., 1, 1] = 200.0
+        else:
+            out[..., 0, 0, 0] = 2400 * u
+            out[..., 0, 0, 1] = out[..., 0, 1, 0] = out[..., 1, 0, 0] = -400.0
+        return out
 
     return Problem(name="rosenbrock", dim=2, fun=fun, deriv=deriv, f_low=0.0,
                    x0=np.array([-1.2, 1.0]))
@@ -76,15 +77,17 @@ def saddle_well() -> Problem:
         return float(x[0] ** 2 - x[1] ** 2 + 0.5 * x[1] ** 4)
 
     def deriv(x, order):
+        u, v = _coords(x)
+        out = np.zeros(x.shape[:-1] + (2,) * order)
         if order == 1:
-            return sym_tensor(np.array([2 * x[0], -2 * x[1] + 2 * x[1] ** 3]),
-                              already_symmetric=True)
-        if order == 2:
-            return sym_tensor(np.diag([2.0, -2.0 + 6.0 * x[1] ** 2]),
-                              already_symmetric=True)
-        t = np.zeros((2, 2, 2))
-        t[1, 1, 1] = 12.0 * x[1]
-        return sym_tensor(t, already_symmetric=True)
+            out[..., 0] = 2 * u
+            out[..., 1] = -2 * v + 2 * v ** 3
+        elif order == 2:
+            out[..., 0, 0] = 2.0
+            out[..., 1, 1] = -2.0 + 6.0 * v ** 2
+        else:
+            out[..., 1, 1, 1] = 12.0 * v
+        return out
 
     return Problem(name="saddle_well", dim=2, fun=fun, deriv=deriv, f_low=-0.5,
                    x0=np.array([0.1, 0.01]))
@@ -92,19 +95,20 @@ def saddle_well() -> Problem:
 
 def quartic(dim: int = 3) -> Problem:
     """Separable double well sum_i (x_i^4/4 - x_i^2/2); nonconvex, f_low = -n/4."""
+    diag = np.arange(dim)
 
     def fun(x):
         return float(np.sum(0.25 * x ** 4 - 0.5 * x ** 2))
 
     def deriv(x, order):
         if order == 1:
-            return sym_tensor(x ** 3 - x, already_symmetric=True)
+            return x ** 3 - x
+        out = np.zeros(x.shape[:-1] + (dim,) * order)
         if order == 2:
-            return sym_tensor(np.diag(3.0 * x ** 2 - 1.0), already_symmetric=True)
-        t = np.zeros((dim,) * 3)
-        for i in range(dim):
-            t[i, i, i] = 6.0 * x[i]
-        return sym_tensor(t, already_symmetric=True)
+            out[..., diag, diag] = 3.0 * x ** 2 - 1.0
+        else:
+            out[..., diag, diag, diag] = 6.0 * x
+        return out
 
     return Problem(name=f"quartic(dim={dim})", dim=dim, fun=fun, deriv=deriv,
                    f_low=-dim / 4.0, x0=0.5 * np.ones(dim))
@@ -224,17 +228,15 @@ def finite_sum_logistic(dim: int = 4, terms: int = 64, lam: float = 0.1,
         return float(np.mean(_softplus(a @ x + b)) + 0.5 * lam * float(x @ x))
 
     def deriv(x, order):
-        t = a @ x + b
-        s = _sigmoid(t)
+        # stacked products: each point goes through the gemv a lone one uses
+        s = _sigmoid((a @ x[..., None])[..., 0] + b)
         if order == 1:
-            return sym_tensor(s @ a / terms + lam * x, already_symmetric=True)
+            return (s[..., None, :] @ a)[..., 0, :] / terms + lam * x
         if order == 2:
             w = s * (1 - s)
-            h = np.einsum("t,ta,tb->ab", w, a, a) / terms + lam * np.eye(dim)
-            return sym_tensor(h, already_symmetric=True)
+            return np.einsum("...t,ta,tb->...ab", w, a, a) / terms + lam * np.eye(dim)
         w = s * (1 - s) * (1 - 2 * s)
-        return sym_tensor(np.einsum("t,ta,tb,tc->abc", w, a, a, a) / terms,
-                          already_symmetric=True)
+        return np.einsum("...t,ta,tb,tc->...abc", w, a, a, a) / terms
 
     return Problem(name=f"finite_sum_logistic(dim={dim},m={terms})", dim=dim,
                    fun=fun, deriv=deriv, f_low=0.0, x0=np.zeros(dim),

@@ -22,12 +22,14 @@ import math
 
 import numpy as np
 
-from .model import (DerivativeBundle, SymTensor, make_bundle, model_gradient,
-                    operator_norm, taylor_decrement)
+from .model import (DerivativeBundle, NonFiniteEvaluation, make_bundle,
+                    model_gradient, operator_norm, taylor_decrement)
 from .oracle import Problem
 
 MAX_REFERENCE_DIM = 5  # the order-3 sampler's dimension limit
+LIPSCHITZ_PAIRS = 1500  # sampled pairs per Lipschitz estimate
 LIPSCHITZ_INFLATION = 1.5  # safety factor on sampled Lipschitz constants
+_LIPSCHITZ_CHUNK = 64  # pairs per stacked deriv call; bounds peak memory
 
 # Order-3 sampling/polish budget.
 _RESOLUTION = 24        # per-dimension sampling density
@@ -216,23 +218,37 @@ def phi_reference(problem: Problem, x, j: int, delta: float) -> float:
     return max_decrement_reference(exact_bundle(problem, x, j), j, delta)
 
 
-def lipschitz_estimate(problem: Problem, box, order: int, n_samples: int = 1500,
-                       seed: int = 0) -> float:
+def lipschitz_estimate(problem: Problem, box, order: int,
+                       n_samples: int = LIPSCHITZ_PAIRS, seed: int = 0) -> float:
     """Sampled Lipschitz constant of the order-j derivative over a box,
-    inflated by ``LIPSCHITZ_INFLATION``.  Audit support only."""
+    inflated by ``LIPSCHITZ_INFLATION``.  Audit support only.
+
+    Pairs are drawn and evaluated ``_LIPSCHITZ_CHUNK`` at a time through the
+    problem's stacked ``deriv``; the random stream is the per-pair x-then-y
+    draw of a one-pair-at-a-time loop.  Non-finite derivative data raises
+    :class:`NonFiniteEvaluation` naming the order and the first such point.
+    """
     lo, hi = (np.asarray(side, dtype=float) for side in box)
     if lo.shape != hi.shape or np.any(hi < lo):
         raise ValueError("box must be (lower, upper) with lower <= upper")
     rng = np.random.default_rng(seed)
     n = lo.size
     best = 0.0
-    for _ in range(n_samples):
-        x = lo + (hi - lo) * rng.random(n)
-        y = lo + (hi - lo) * rng.random(n)
-        gap = np.linalg.norm(x - y)
-        if gap < 1e-12:
-            continue
-        diff = problem.exact_deriv(x, order).entries - problem.exact_deriv(y, order).entries
-        num = operator_norm(SymTensor(diff, order, n))
-        best = max(best, num / gap)
+    for start in range(0, n_samples, _LIPSCHITZ_CHUNK):
+        pts = lo + (hi - lo) * rng.random((min(_LIPSCHITZ_CHUNK, n_samples - start), 2, n))
+        d = np.asarray(problem.deriv(pts, order), dtype=float)
+        shape = pts.shape[:-1] + (n,) * order
+        if d.shape != shape:
+            raise ValueError(f"{problem.name}: deriv of points {pts.shape} has shape "
+                             f"{d.shape}, expected {shape}")
+        bad = ~np.isfinite(d.reshape(2 * len(pts), -1)).all(axis=1)
+        if bad.any():
+            x = pts.reshape(-1, n)[np.argmax(bad)]
+            raise NonFiniteEvaluation(
+                f"order-{order} derivative at x = {x.tolist()} is not finite")
+        gap = operator_norm(pts[:, 0] - pts[:, 1], 1)  # |x - y|
+        keep = gap >= 1e-12
+        if keep.any():
+            num = operator_norm(d[keep, 0] - d[keep, 1], order)
+            best = max(best, float(np.max(num / gap[keep])))
     return LIPSCHITZ_INFLATION * best

@@ -166,6 +166,27 @@ def test_audit_rosenbrock_boxed_lipschitz():
     assert report.ok, report.violations
 
 
+def test_audit_summary_names_each_lipschitz_source():
+    # declared constants are exact; sampled ones are a heuristic and say so
+    p = make_problem("quadratic", dim=2, cond=30)
+    res = run(InexactOracle(p, policy="none", seed=0), TrConfig.with_defaults((1e-2, 1e-2)))
+    report = check_history(res, p)
+    assert report.lipschitz_orders == ((30.0, "declared"), (0.0, "declared"))
+    assert report.summary().splitlines()[-1] == (
+        "L_f = max(1, L_j) = 30: L_1=30 declared, L_2=0 declared")
+
+    p = make_problem("rosenbrock")
+    res = run(InexactOracle(p, policy="none", seed=0), TrConfig.with_defaults((1e-2, 1e-2)))
+    report = check_history(res, p)
+    assert type(report.lipschitz_used) is float
+    (l1, s1), (l2, s2) = report.lipschitz_orders
+    assert s1 == s2 == "sampled (1,500 pairs x 1.5)"
+    assert report.lipschitz_used == max(1.0, l1, l2)
+    assert report.summary().splitlines()[-1] == (
+        f"L_f = max(1, L_j) = {max(l1, l2):.4g}: L_1={l1:.4g} sampled (1,500 pairs x 1.5), "
+        f"L_2={l2:.4g} sampled (1,500 pairs x 1.5)")
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_audit_adversarial_seeds(seed):
     p = make_problem("quadratic", dim=3, cond=12)
@@ -264,19 +285,18 @@ def test_bounds_for_run_helper():
 def test_run_third_order_step_engaged():
     # degenerate stationary point: zero gradient, zero curvature, live third
     # derivative; only an order-3 step can leave it
-    from dyntrust.model import sym_tensor
     from dyntrust.oracle import Problem
 
     def fun(x):
         return float(x[0] ** 4 / 4 + x[0] ** 3 / 3)
 
     def deriv(x, order):
-        u = x[0]
+        u = x[..., 0]
         if order == 1:
-            return sym_tensor(np.array([u**3 + u**2]), already_symmetric=True)
+            return (u**3 + u**2)[..., None]
         if order == 2:
-            return sym_tensor(np.array([[3 * u**2 + 2 * u]]), already_symmetric=True)
-        return sym_tensor(np.array([[[6 * u + 2]]]), already_symmetric=True)
+            return (3 * u**2 + 2 * u)[..., None, None]
+        return (6 * u + 2)[..., None, None, None]
 
     p = Problem(name="degenerate_cubic", dim=1, fun=fun, deriv=deriv,
                 f_low=-1 / 12, x0=np.zeros(1))

@@ -146,16 +146,34 @@ def test_model_gradient_matches_finite_difference():
         assert g[a] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 4, 10])
+def test_operator_norm_stack_equals_single_tensors(n, order):
+    # a single tensor is a stack of one: every row of a stack, with any
+    # batch shape, gives the single-tensor value bit for bit
+    rng = np.random.default_rng(n * 10 + order)
+    raw = rng.standard_normal((12,) + (n,) * order) * 10.0 ** rng.uniform(
+        -100, 100, (12,) + (1,) * order)
+    stack = np.array([sym_tensor(t).entries for t in raw])
+    norms = operator_norm(stack, order)
+    assert norms.shape == (12,)
+    np.testing.assert_array_equal(operator_norm(stack.reshape((3, 4) + stack.shape[1:]), order),
+                                  norms.reshape(3, 4))
+    singles = [operator_norm(t, order) for t in stack]
+    assert all(type(v) is float for v in singles)
+    np.testing.assert_array_equal(norms, singles)
+
+
 def test_operator_norm_orders():
     g = sym_tensor(np.array([3.0, 4.0]))
-    assert operator_norm(g) == pytest.approx(5.0)
+    assert operator_norm(g.entries, 1) == pytest.approx(5.0)
     h = sym_tensor(np.diag([-7.0, 2.0]))
-    assert operator_norm(h) == pytest.approx(7.0)
+    assert operator_norm(h.entries, 2) == pytest.approx(7.0)
     # rank-one symmetric cubic: norm equals the coefficient
     u = np.array([1.0, 2.0, -1.0])
     u /= np.linalg.norm(u)
     t = sym_tensor(2.5 * np.einsum("a,b,c->abc", u, u, u), already_symmetric=True)
-    assert operator_norm(t) == pytest.approx(2.5, rel=1e-8)
+    assert operator_norm(t.entries, 3) == pytest.approx(2.5, rel=1e-8)
 
 
 def test_bundle_validation():
@@ -211,4 +229,4 @@ def test_order3_norm_bounds_every_unit_contraction(data, n):
     u = data.draw(arrays(float, n, elements=st.floats(-1, 1)))
     assume(np.linalg.norm(u) > 1e-3)
     u = u / np.linalg.norm(u)
-    assert operator_norm(t) * (1 + 1e-12) >= abs(tensor_apply(t, u))
+    assert operator_norm(t.entries, 3) * (1 + 1e-12) >= abs(tensor_apply(t, u))

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from dyntrust.driver import TrConfig, run
-from dyntrust.model import SymTensor, operator_norm, sym_tensor
+from dyntrust.model import operator_norm, sym_tensor
 from dyntrust.oracle import EvalLedger, InexactOracle, NonFiniteEvaluation, Problem
-from dyntrust.problems import make_problem
+from dyntrust.problems import REGISTRY, make_problem
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from checkers import finite_diff_check
 
@@ -14,8 +17,7 @@ POLICIES = ("none", "adversarial", "truncate", "gaussian")
 
 
 def realized_tensor_error(problem, tensor, x, order):
-    diff = tensor.entries - problem.exact_deriv(x, order).entries
-    return operator_norm(sym_tensor(diff, already_symmetric=True))
+    return operator_norm(tensor.entries - problem.exact_deriv(x, order).entries, order)
 
 
 def test_policy_none_is_exact():
@@ -134,11 +136,8 @@ def test_finite_diff_rosenbrock_hessian():
 
 
 def test_finite_diff_constant_function():
-    from dyntrust.oracle import Problem
-    from dyntrust.model import sym_tensor as st
-
     def deriv(x, order):
-        return st(np.zeros((2,) * order), already_symmetric=True)
+        return np.zeros(x.shape[:-1] + (2,) * order)
 
     p = Problem(name="const", dim=2, fun=lambda x: 3.0, deriv=deriv, f_low=3.0,
                 x0=np.zeros(2))
@@ -169,6 +168,33 @@ def test_problem_derivatives_consistent(name, params):
     lhs = (p.exact_deriv(x + h * v, 2).entries - p.exact_deriv(x - h * v, 2).entries) / (2 * h)
     rhs = np.einsum("abc,c->ab", p.exact_deriv(x, 3).entries, v)
     assert np.max(np.abs(lhs - rhs)) <= 1e-4 * max(1.0, np.max(np.abs(rhs)))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_stacked_deriv_equals_single_points(name, order, data):
+    # deriv maps (..., n) to x.shape[:-1] + (n,) * order through one code
+    # path; each row of a stack equals the lone-point value bit for bit
+    p = make_problem(name)
+    m = data.draw(st.integers(1, 6))
+    x = data.draw(arrays(float, (m, p.dim), elements=st.floats(-3, 3)))
+    stack = p.deriv(x, order)
+    assert stack.shape == (m,) + (p.dim,) * order
+    np.testing.assert_array_equal(p.deriv(x.reshape(m, 1, p.dim), order)[:, 0], stack)
+    for row, point in zip(stack, x):
+        single = p.exact_deriv(point, order).entries
+        if name == "saddle_well" and order == 1:
+            # The one exception is y**3: numpy-scalar pow for a lone point,
+            # the array power loop for a stack.  They round apart by up to
+            # 1 ulp, which -2y + 2y**3 carries into the result.
+            y = point[1]
+            np.testing.assert_array_max_ulp(np.array([y]) ** 3, np.array([y ** 3]), 1)
+            assert row[0] == single[0]
+            assert abs(row[1] - single[1]) <= np.spacing(2 * abs(y) ** 3) + np.spacing(abs(single[1]))
+        else:
+            np.testing.assert_array_equal(row, single, strict=True)
 
 
 def test_problem_lower_bound_on_samples():
@@ -212,8 +238,9 @@ def test_nonfinite_objective_stops_the_run():
         return math.nan if x[0] > 0.8 else float((x[0] - 2.0) ** 2 + x[1] ** 2)
 
     def deriv(x, order):
-        return sym_tensor(2.0 * (x - [2.0, 0.0]) if order == 1 else 2.0 * np.eye(2),
-                          already_symmetric=True)
+        if order == 1:
+            return 2.0 * (x - [2.0, 0.0])
+        return np.broadcast_to(2.0 * np.eye(2), x.shape[:-1] + (2, 2))
 
     p = Problem(name="nan_beyond_0.8", dim=2, fun=fun, deriv=deriv, f_low=0.0,
                 x0=np.array([0.9, 0.0]))
@@ -230,13 +257,13 @@ def test_nonfinite_objective_stops_the_run():
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_nonfinite_derivative_is_refused(policy):
-    # SymTensor itself trusts its fields, so the oracle checks what the
-    # problem returns: unchecked, a NaN gradient gives a NaN decrement that
-    # certifies as absolute, and the run reports an approximate minimizer.
+    # Problem.exact_deriv checks the array the problem returns: unchecked, a
+    # NaN gradient gives a NaN decrement that certifies as absolute, and the
+    # run reports an approximate minimizer.
     def deriv(x, order):
         if order == 1:
-            return SymTensor(np.array([math.nan, 0.0]) if x[0] < 0.5 else 2.0 * x, 1, 2)
-        return SymTensor(2.0 * np.eye(2), 2, 2)
+            return np.where(x[..., :1] < 0.5, [math.nan, 0.0], 2.0 * x)
+        return np.broadcast_to(2.0 * np.eye(2), x.shape[:-1] + (2, 2))
 
     p = Problem(name="nan_grad_below_0.5", dim=2, fun=lambda x: float(x @ x),
                 deriv=deriv, f_low=0.0, x0=np.array([0.9, 0.0]))
@@ -248,13 +275,13 @@ def test_nonfinite_derivative_is_refused(policy):
 
 
 def test_nonfinite_derivative_built_with_sym_tensor_names_order_and_point():
-    # Registered problems build their derivatives with sym_tensor, which
-    # refuses non-finite data before the oracle sees the tensor; the oracle
-    # still reports the order and the point.
+    # A problem that checks its own data with sym_tensor refuses non-finite
+    # data before the oracle sees it; the error still names the order and
+    # the point.
     def deriv(x, order):
         if order == 1:
-            return sym_tensor(np.array([math.nan, 0.0]) if x[0] < 0.5 else 2.0 * x)
-        return sym_tensor(2.0 * np.eye(2))
+            return sym_tensor(np.array([math.nan, 0.0]) if x[0] < 0.5 else 2.0 * x).entries
+        return sym_tensor(2.0 * np.eye(2)).entries
 
     p = Problem(name="nan_grad_below_0.5", dim=2, fun=lambda x: float(x @ x),
                 deriv=deriv, f_low=0.0, x0=np.array([0.9, 0.0]))

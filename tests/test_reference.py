@@ -1,7 +1,12 @@
+import dataclasses
+import math
+import re
+
 import numpy as np
 import pytest
 
-from dyntrust.model import make_bundle, sym_tensor, taylor_decrement
+from dyntrust.model import NonFiniteEvaluation, make_bundle, sym_tensor, taylor_decrement
+from dyntrust.oracle import Problem
 from dyntrust.reference import (exact_bundle, lipschitz_estimate,
                                 max_decrement_reference, phi_reference)
 from dyntrust.problems import make_problem
@@ -104,3 +109,86 @@ def test_lipschitz_rosenbrock_stable_across_seeds():
     vals = [lipschitz_estimate(p, box, 2, n_samples=800, seed=s) for s in range(4)]
     assert all(v > 0 for v in vals)
     assert (max(vals) - min(vals)) / max(vals) <= 0.2
+
+
+# Estimates (seed 0, 1,500 pairs) of the sampler that evaluated one point per
+# deriv call; the chunked sampler draws the same stream and must agree.
+_PINNED_BOXES = {
+    "rosenbrock": ({}, [-1.5, -0.5], [1.5, 2.0]),
+    "saddle_well": ({}, [-0.6, -1.6], [0.6, 1.6]),
+    "quartic3": ({"dim": 3}, [-1.5] * 3, [1.5] * 3),
+    "quartic10": ({"dim": 10}, [-1.5] * 10, [1.5] * 10),
+    "finite_sum_logistic": ({"dim": 4, "terms": 64}, [-1.0] * 4, [1.0] * 4),
+}
+_PINNED = [
+    ("rosenbrock", 1, 2712.237359887622),
+    ("rosenbrock", 2, 4248.401943779193),
+    ("rosenbrock", 3, 3599.9968009089334),
+    ("saddle_well", 1, 17.862823892757127),
+    ("saddle_well", 2, 26.501416254804695),
+    ("saddle_well", 3, 17.999998825278823),
+    ("quartic3", 1, 6.919076064856319),
+    ("quartic3", 2, 12.213152232158748),
+    ("quartic3", 3, 9.000000000000005),
+    ("quartic10", 1, 2.2571807393916603),
+    ("quartic10", 2, 5.258641992071867),
+    ("quartic10", 3, 9.000000000000004),
+    ("finite_sum_logistic", 1, 0.5257968405349926),
+    ("finite_sum_logistic", 2, 0.2114561377287797),
+    ("finite_sum_logistic", 3, 1.0574854037147285),
+]
+
+
+@pytest.mark.parametrize("key,order,expected", _PINNED)
+def test_lipschitz_matches_pointwise_sampler(key, order, expected):
+    params, lo, hi = _PINNED_BOXES[key]
+    p = make_problem(key.rstrip("0123456789"), **params)
+    est = lipschitz_estimate(p, (np.array(lo), np.array(hi)), order)
+    assert type(est) is float
+    assert est == expected
+
+
+def test_lipschitz_calls_deriv_once_per_chunk():
+    base = make_problem("rosenbrock")
+    shapes = []
+
+    def deriv(x, order):
+        shapes.append(x.shape)
+        return base.deriv(x, order)
+
+    p = dataclasses.replace(base, deriv=deriv)
+    box = (np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
+    for order in (1, 2, 3):
+        shapes.clear()
+        lipschitz_estimate(p, box, order)
+        assert len(shapes) <= 2 * math.ceil(1500 / 64)  # 3,000 one-point calls before
+        assert sum(math.prod(s[:-1]) for s in shapes) == 2 * 1500
+
+
+def test_lipschitz_nonfinite_derivative_names_order_and_point():
+    # the gradient is NaN left of x_0 = 0; the error names the first such
+    # point in draw order (each pair draws x, then y)
+    def deriv(x, order):
+        g = 2.0 * x
+        return np.where(x[..., :1] < 0.0, math.nan, g) if order == 1 else g
+
+    p = Problem(name="nan_left_of_0", dim=2, fun=lambda x: float(x @ x), deriv=deriv,
+                f_low=0.0, x0=np.ones(2))
+    lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+    pts = lo + (hi - lo) * np.random.default_rng(0).random((1500 * 2, 2))
+    first = pts[np.argmax(pts[:, 0] < 0.0)]
+    with pytest.raises(NonFiniteEvaluation,
+                       match=re.escape(f"order-1 derivative at x = {first.tolist()}")):
+        lipschitz_estimate(p, (lo, hi), 1)
+
+
+def test_lipschitz_refuses_a_deriv_without_stack_support():
+    # a deriv written for one point only (x[0], x[1]) gets the wrong shape
+    # from a stack; the sampler says so instead of broadcasting it
+    p = Problem(name="one_point_only", dim=2, fun=lambda x: float(x @ x),
+                deriv=lambda x, order: 2.0 * np.array([x[0], x[1]]), f_low=0.0,
+                x0=np.ones(2))
+    assert p.exact_deriv(np.ones(2), 1).entries.tolist() == [2.0, 2.0]
+    with pytest.raises(ValueError, match=r"one_point_only: deriv of points \(64, 2, 2\) "
+                                         r"has shape \(2, 2, 2\), expected \(64, 2, 2\)"):
+        lipschitz_estimate(p, (-np.ones(2), np.ones(2)), 1)
