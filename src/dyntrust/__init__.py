@@ -16,8 +16,9 @@ from .harness import (RunSpec, cost_savings_report, eps_scaling_study,
 from .model import (DerivativeBundle, SymTensor, make_bundle, model_gradient,
                     operator_norm, sym_tensor, taylor_decrement, taylor_value,
                     tensor_apply)
-from .optimality import (AccuracyLedger, BundleCache, CertifiedDecrement,
-                         certified_decrement, max_decrement, termination_test)
+from .optimality import (AccuracyLedger, BundleCache, CertificationError,
+                         CertifiedDecrement, certified_decrement, max_decrement,
+                         termination_test)
 from .oracle import EvalLedger, InexactOracle, NonFiniteEvaluation, Problem
 from .problems import list_problems, make_problem
 from .reference import lipschitz_estimate, phi_reference
@@ -28,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyLedger", "AuditReport", "BoundConstants", "BundleCache",
-    "CertifiedDecrement", "ConfigError", "DerivativeBundle",
+    "CertificationError", "CertifiedDecrement", "ConfigError", "DerivativeBundle",
     "EvalLedger", "InexactOracle", "IterationRecord",
     "NonFiniteEvaluation", "Problem", "RunResult", "RunSpec", "StepResult",
     "SymTensor", "TrConfig", "VerifyOutcome", "certified_decrement", "check_history",

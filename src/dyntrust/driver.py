@@ -19,7 +19,8 @@ import numpy as np
 
 from .bounds import BoundConstants, compute_bounds
 from .model import Vector, as_vector, operator_norm
-from .optimality import AccuracyLedger, BundleCache, allowed_tightenings, termination_test
+from .optimality import (AccuracyLedger, BundleCache, CertificationError,
+                         allowed_tightenings, termination_test)
 from .oracle import EvalLedger, InexactOracle, Problem
 from .step import compute_step
 
@@ -160,6 +161,9 @@ def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
     certified decrement falls under its termination threshold (or the safety
     cap trips, which is reported, not raised).
 
+    A broken certification guarantee raises :class:`CertificationError`
+    naming the iteration.
+
     After a rejected step the certified optimality displacement is reused
     (skipping the termination test) exactly when the shrunken radius still
     reaches the optimality-radius cap ``vartheta``, which keeps the
@@ -183,19 +187,22 @@ def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
 
     for k in range(cfg.max_iterations):
         delta_k = min(delta_tr, cfg.vartheta)
-        if pending is None:
-            cert = termination_test(delta_k, cfg.eps, cfg.varsigma, cfg.omega,
-                                    oracle, acc, cache, ledger, seed=cfg.seed)
-            if cert is None:
-                terminated = True
-                delta_eps = delta_k
-                break
-        else:
-            cert, pending = pending, None
-        j = cert.j
+        try:
+            if pending is None:
+                cert = termination_test(delta_k, cfg.eps, cfg.varsigma, cfg.omega,
+                                        oracle, acc, cache, ledger, seed=cfg.seed)
+                if cert is None:
+                    terminated = True
+                    delta_eps = delta_k
+                    break
+            else:
+                cert, pending = pending, None
+            j = cert.j
 
-        sres = compute_step(delta_tr, cfg.vartheta, cert, cfg.eps[j - 1],
-                            cfg.omega, oracle, acc, cache, ledger, seed=cfg.seed)
+            sres = compute_step(delta_tr, cfg.vartheta, cert, cfg.eps[j - 1],
+                                cfg.omega, oracle, acc, cache, ledger, seed=cfg.seed)
+        except CertificationError as exc:
+            raise CertificationError(exc.reason, exc.j, exc.radius, exc.x, k) from None
 
         acc_req = cfg.omega * sres.dT
         x_trial = x + sres.s

@@ -150,14 +150,24 @@ def taylor_value(b: DerivativeBundle, f0: float, s, j: int | None = None) -> flo
 
 
 def model_gradient(b: DerivativeBundle, s, j: int | None = None) -> Vector:
-    """Gradient (in s) of the degree-j model: T_1 + T_2 s + (1/2) T_3[s,s,.]."""
+    """Gradient (in s) of the degree-j model: T_1 + T_2 s + (1/2) T_3[s,s,.].
+
+    ``s`` is one point (n,), giving a vector, or rows (m, n), giving one
+    gradient per row.
+    """
     j = b.degree if j is None else j
-    g = b.tensors[0].entries.copy()
-    if j >= 2:
-        g += b.tensors[1].entries @ s
+    s = np.asarray(s, dtype=float)
+    rows = np.atleast_2d(s)
+    t1 = b.tensors[0].entries
+    if j == 1:
+        g = np.repeat(t1[None, :], len(rows), axis=0)
+    else:
+        # As in tensor_apply: the stacked T_2 product is one gemv per row,
+        # the call T_2 @ s makes, so rows equal single points bit for bit.
+        g = t1 + (b.tensors[1].entries @ rows[:, :, None])[:, :, 0]
     if j >= 3:
-        g += 0.5 * np.einsum("abc,b,c->a", b.tensors[2].entries, s, s)
-    return g
+        g += 0.5 * np.einsum("abc,pb,pc->pa", b.tensors[2].entries, rows, rows)
+    return g[0] if s.ndim == 1 else g
 
 
 def operator_norm(entries, order: int):

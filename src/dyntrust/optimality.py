@@ -3,12 +3,15 @@
 ``max_decrement`` maximizes the degree-j model decrement over a ball:
 order 1 in closed form, order 2 globally via a safeguarded secular-equation
 solver on the eigendecomposition (hard case included), order 3 by seeded
-multi-start projected gradient ascent (heuristic, no certificate).
+multi-start projected gradient ascent (heuristic, no certificate).  The
+order-3 starts advance together as one (starts, n) array, and the result
+equals, bit for bit, that of running the ascents one start at a time.
 
 ``certified_decrement`` wraps the solver in the tighten-until-certified loop:
 evaluate derivatives at the current absolute accuracies, maximize, certify
 via :func:`~dyntrust.verify.verify`, and geometrically tighten the
-accuracies until the outcome is sufficient.
+accuracies until the outcome is sufficient.  A loop that outruns the
+tightening budget its theory guarantees raises :class:`CertificationError`.
 """
 
 from __future__ import annotations
@@ -28,6 +31,20 @@ from .verify import VerifyOutcome, verify
 VARSIGMA_ORDER2 = 1.0 - 1e-8
 
 _SECULAR_TOL = 1e-10
+_ASCENT_ROUNDS = 200
+
+
+class CertificationError(RuntimeError):
+    """A certification loop broke a guarantee the theory gives it (an
+    implementation bug), named with the order ``j``, the radius, the point
+    ``x`` and, once ``run`` re-raises it, the iteration ``k``."""
+
+    def __init__(self, reason: str, j: int, radius: float, x, k: int | None = None):
+        self.reason, self.j, self.radius, self.k = reason, j, radius, k
+        self.x = np.array(x, dtype=float)
+        at = "" if k is None else f"iteration {k}, "
+        super().__init__(f"{reason} (implementation bug): {at}order {j}, "
+                         f"radius {radius!r}, x = {self.x.tolist()}")
 
 
 @dataclass
@@ -139,41 +156,47 @@ def _min_quadratic_on_ball(g: np.ndarray, h_mat: np.ndarray, radius: float,
     return d * (radius / nd) if nd > radius else d
 
 
-def _max_cubic_on_ball(b: DerivativeBundle, radius: float, seed: int = 0,
-                       max_iter: int = 200) -> np.ndarray:
-    """Multi-start projected gradient ascent for the degree-3 decrement."""
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, through the dot a lone ``norm`` uses."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def _max_cubic_on_ball(b: DerivativeBundle, radius: float, seed: int = 0) -> np.ndarray:
+    """Multi-start projected gradient ascent for the degree-3 decrement.
+
+    The 2n + 8 starts (the signed scaled axes, then 8 seeded random points on
+    the sphere) advance together as one (starts, n) array; each row follows
+    its own step rule and leaves the active set when it stops, so every row
+    ends where a one-at-a-time ascent from its start would.  Returns the
+    first start with the largest positive decrement, or zeros.
+    """
     n = b.dim
     rng = np.random.default_rng(seed)
-    starts = [radius * e for e in np.eye(n)] + [-radius * e for e in np.eye(n)]
-    for _ in range(8):
-        u = rng.standard_normal(n)
-        starts.append(radius * u / np.linalg.norm(u))
-
-    def project(d):
-        nd = np.linalg.norm(d)
-        return d if nd <= radius else d * (radius / nd)
-
-    best_d = np.zeros(n)
-    best_v = 0.0
-    for d0 in starts:
-        d = d0.copy()
-        val = taylor_decrement(b, d, 3)
-        step = 0.5 * radius
-        for _ in range(max_iter):
-            g = -model_gradient(b, d, 3)
-            ng = float(np.linalg.norm(g))
-            if ng < 1e-15 or step < 1e-15:
-                break
-            cand = project(d + step * g / ng)
-            cand_val = taylor_decrement(b, cand, 3)
-            if cand_val > val + 1e-16:
-                d, val = cand, cand_val
-                step = min(step * 1.3, radius)
-            else:
-                step *= 0.5
-        if val > best_v:
-            best_d, best_v = d, val
-    return best_d
+    u = rng.standard_normal((8, n))
+    d = np.concatenate([radius * np.eye(n), -radius * np.eye(n),
+                        radius * u / _row_norms(u)[:, None]])
+    val = taylor_decrement(b, d, 3)
+    step = np.full(len(d), 0.5 * radius)
+    active = np.arange(len(d))
+    for _ in range(_ASCENT_ROUNDS):
+        g = -model_gradient(b, d[active], 3)
+        ng = _row_norms(g)
+        going = (ng >= 1e-15) & (step[active] >= 1e-15)
+        active, g, ng = active[going], g[going], ng[going]
+        if not active.size:
+            break
+        cand = d[active] + step[active, None] * g / ng[:, None]
+        nc = _row_norms(cand)
+        over = nc > radius
+        cand[over] *= (radius / nc[over])[:, None]
+        cand_val = taylor_decrement(b, cand, 3)
+        up = cand_val > val[active] + 1e-16
+        took = active[up]
+        d[took], val[took] = cand[up], cand_val[up]
+        step[took] = np.minimum(step[took] * 1.3, radius)
+        step[active[~up]] *= 0.5
+    best = int(np.argmax(val))
+    return d[best] if val[best] > 0.0 else np.zeros(n)
 
 
 def max_decrement(b: DerivativeBundle, j: int, delta: float,
@@ -250,9 +273,9 @@ def certified_decrement(j: int, delta: float, eps_j: float, varsigma: float,
         acc.tighten(j)
         tightenings += 1
         if tightenings > cap:
-            raise RuntimeError(
+            raise CertificationError(
                 "accuracy certification failed to terminate within its "
-                "guaranteed tightening budget (implementation bug)")
+                "guaranteed tightening budget", j, delta, cache.x)
 
 
 def termination_test(delta_k: float, eps, varsigma: float, omega: float,

@@ -18,8 +18,8 @@ from math import factorial
 import numpy as np
 
 from .model import Vector, taylor_decrement
-from .optimality import (AccuracyLedger, BundleCache, CertifiedDecrement,
-                         allowed_tightenings, max_decrement)
+from .optimality import (AccuracyLedger, BundleCache, CertificationError,
+                         CertifiedDecrement, allowed_tightenings, max_decrement)
 from .oracle import EvalLedger, InexactOracle
 from .verify import VerifyOutcome, verify
 
@@ -55,9 +55,10 @@ def compute_step(radius: float, vartheta: float, cert: CertifiedDecrement,
     zeta_entry = float(np.max(acc.zetas[:j]))
     if radius <= vartheta:
         if cert.outcome is not VerifyOutcome.RELATIVE:
-            raise RuntimeError(
+            raise CertificationError(
                 "pass-through step requires a relatively-certified displacement; "
-                "an absolute certificate here contradicts the termination test")
+                "an absolute certificate here contradicts the termination test",
+                j, radius, cache.x)
         return StepResult(s=cert.d.copy(), dT=cert.dT, outcome=cert.outcome,
                           tighten_count=0, dT_fallback=cert.dT,
                           zeta_entry_max=zeta_entry, min_xi=math.inf,
@@ -78,9 +79,9 @@ def compute_step(radius: float, vartheta: float, cert: CertifiedDecrement,
         else:
             s, dt_s = cert.d.copy(), dt_fallback
         if dt_s <= 0.0:
-            raise RuntimeError(
+            raise CertificationError(
                 "step decrement collapsed to zero after a non-terminating "
-                "optimality test (implementation bug)")
+                "optimality test", j, radius, cache.x)
         s_norm = float(np.linalg.norm(s))
         xi = eps_j / (4.0 * (1.0 + omega)) * (vartheta / max(vartheta, s_norm)) ** j
         min_xi = min(min_xi, xi)
@@ -91,9 +92,9 @@ def compute_step(radius: float, vartheta: float, cert: CertifiedDecrement,
                               dT_fallback=dt_fallback, zeta_entry_max=zeta_entry,
                               min_xi=min_xi, absolute_events=absolutes)
         if zeta_before <= stop_level:
-            raise RuntimeError(
+            raise CertificationError(
                 "step certification not relative although accuracies passed "
-                "the guaranteed level (implementation bug)")
+                "the guaranteed level", j, radius, cache.x)
         if outcome is VerifyOutcome.ABSOLUTE:
             # Theoretically excluded; numerically conceivable at boundaries.
             absolutes += 1
@@ -102,6 +103,6 @@ def compute_step(radius: float, vartheta: float, cert: CertifiedDecrement,
         acc.tighten(j)
         tighten += 1
         if tighten > cap:
-            raise RuntimeError(
+            raise CertificationError(
                 "step certification failed to terminate within its guaranteed "
-                "tightening budget (implementation bug)")
+                "tightening budget", j, radius, cache.x)

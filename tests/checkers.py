@@ -1,13 +1,15 @@
-"""Sampled checkers that tests use as independent references: central
-finite differences against a problem's exact derivatives, and the
-guarantees a ``verify`` outcome implies, checked at sampled displacements."""
+"""Checkers that tests use as independent references: central finite
+differences against a problem's exact derivatives, the guarantees a
+``verify`` outcome implies, checked at sampled displacements, and the
+one-start-at-a-time order-3 ascent the batched solver must reproduce."""
 
 from dataclasses import dataclass, field
 from math import factorial
 
 import numpy as np
 
-from dyntrust.model import DerivativeBundle, as_vector, taylor_decrement
+from dyntrust.model import (DerivativeBundle, as_vector, model_gradient,
+                            taylor_decrement)
 from dyntrust.oracle import Problem
 from dyntrust.verify import VerifyOutcome, error_budget, verify
 
@@ -104,3 +106,42 @@ def check_verify_guarantees(exact: DerivativeBundle, inexact: DerivativeBundle,
                 report.violations.append(
                     f"relative bound broken: {gap:.3e} > {omega * dt_v:.3e}")
     return report
+
+
+def sequential_max_cubic_on_ball(b: DerivativeBundle, radius: float, seed: int = 0,
+                                 max_iter: int = 200) -> np.ndarray:
+    """Multi-start projected gradient ascent for the degree-3 decrement, one
+    start at a time: the reference ``optimality._max_cubic_on_ball`` must
+    match bit for bit."""
+    n = b.dim
+    rng = np.random.default_rng(seed)
+    starts = [radius * e for e in np.eye(n)] + [-radius * e for e in np.eye(n)]
+    for _ in range(8):
+        u = rng.standard_normal(n)
+        starts.append(radius * u / np.linalg.norm(u))
+
+    def project(d):
+        nd = np.linalg.norm(d)
+        return d if nd <= radius else d * (radius / nd)
+
+    best_d = np.zeros(n)
+    best_v = 0.0
+    for d0 in starts:
+        d = d0.copy()
+        val = taylor_decrement(b, d, 3)
+        step = 0.5 * radius
+        for _ in range(max_iter):
+            g = -model_gradient(b, d, 3)
+            ng = float(np.linalg.norm(g))
+            if ng < 1e-15 or step < 1e-15:
+                break
+            cand = project(d + step * g / ng)
+            cand_val = taylor_decrement(b, cand, 3)
+            if cand_val > val + 1e-16:
+                d, val = cand, cand_val
+                step = min(step * 1.3, radius)
+            else:
+                step *= 0.5
+        if val > best_v:
+            best_d, best_v = d, val
+    return best_d

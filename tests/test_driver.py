@@ -4,10 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dyntrust import optimality
 from dyntrust.driver import ConfigError, TrConfig, check_history, run
+from dyntrust.optimality import CertificationError
 from dyntrust.oracle import InexactOracle, Problem
 from dyntrust.problems import make_problem
 from dyntrust.reference import phi_reference
+from dyntrust.verify import VerifyOutcome
 
 
 @pytest.mark.parametrize("overrides,fragment", [
@@ -84,6 +87,29 @@ def test_cap_exhaustion_reported_not_raised():
     res = run(o, TrConfig.with_defaults((1e-6,), max_iterations=5))
     assert not res.terminated
     assert res.n_iterations == 5
+
+
+def test_certification_trap_names_the_iteration(monkeypatch):
+    # certification works for 10 calls, then never again
+    calls = []
+
+    def verify_then_fail(*args):
+        calls.append(args)
+        if len(calls) > 10:
+            return VerifyOutcome.INSUFFICIENT
+        return real_verify(*args)
+
+    real_verify = optimality.verify
+    monkeypatch.setattr(optimality, "verify", verify_then_fail)
+    records = []
+    o = InexactOracle(make_problem("rosenbrock"), policy="adversarial", seed=0)
+    with pytest.raises(CertificationError) as err:
+        run(o, TrConfig.with_defaults((1e-3,)), sink=records.append)
+    e = err.value
+    assert e.k == len(records) > 0 and e.j == 1
+    np.testing.assert_array_equal(e.x, records[-1].x_trial if records[-1].successful
+                                  else records[-1].x)
+    assert f"(implementation bug): iteration {e.k}, order 1, radius " in str(e)
 
 
 def test_first_f_evaluation_happens_after_first_derivative():

@@ -65,18 +65,24 @@ def test_tensor_apply_dimension_mismatch():
                                       (10, 3), (100, 2)])
 def test_batch_rows_equal_single_points(n, degree):
     # The optimizer contracts one point at a time and the reference measure
-    # whole batches; a batch row must reproduce the single-point value bit
-    # for bit, at the sizes the bench workloads use (n up to 100).
+    # and the order-3 ascent whole batches; a batch row must reproduce the
+    # single-point value bit for bit, at the sizes the bench workloads use
+    # (n up to 100).
     rng = np.random.default_rng(10 * n + degree)
     b = random_bundle(rng, n, degree)
     pts = rng.standard_normal((1000, n)) * rng.random((1000, 1))
     for j in range(1, degree + 1):
         applied = tensor_apply(b.tensors[j - 1], pts)
         decrements = taylor_decrement(b, pts, j)
+        gradients = model_gradient(b, pts, j)
         assert applied.shape == decrements.shape == (len(pts),)
-        for p, a, d in zip(pts, applied, decrements):
+        assert gradients.shape == pts.shape
+        for p, a, d, g in zip(pts, applied, decrements, gradients):
             assert a == tensor_apply(b.tensors[j - 1], p)
             assert d == taylor_decrement(b, p, j)
+            single = model_gradient(b, p, j)
+            assert single.shape == (n,)
+            assert np.array_equal(g, single)
 
 
 def test_taylor_decrement_zero_step():

@@ -4,15 +4,18 @@ from math import factorial
 import numpy as np
 import pytest
 
+from dyntrust import optimality
 from dyntrust.driver import TrConfig
 from dyntrust.model import make_bundle, sym_tensor
 from dyntrust.optimality import (VARSIGMA_ORDER2, AccuracyLedger, BundleCache,
-                                 allowed_tightenings, certified_decrement,
-                                 max_decrement, termination_test)
+                                 CertificationError, allowed_tightenings,
+                                 certified_decrement, max_decrement, termination_test)
 from dyntrust.oracle import EvalLedger, InexactOracle
 from dyntrust.problems import make_problem
 from dyntrust.reference import max_decrement_reference, phi_reference
 from dyntrust.verify import VerifyOutcome
+
+from checkers import sequential_max_cubic_on_ball
 
 REL_SLACK = 1.0 + 1e-9  # rounding in the reference and the certified decrement
 
@@ -106,6 +109,35 @@ def test_max_decrement_order3_dominates_quadratic_solution():
         assert dt3 >= 0.5 * ref - 1e-9  # heuristic, but not far off the sampler
 
 
+def cubic_bundle(rng, n, t3_scale=1.0):
+    return make_bundle(rng.standard_normal(n),
+                       [sym_tensor(rng.standard_normal(n)),
+                        sym_tensor(rng.standard_normal((n, n))),
+                        sym_tensor(t3_scale * rng.standard_normal((n, n, n)))])
+
+
+@pytest.mark.parametrize("n,seed,t3_scale",
+                         [(n, seed, 1.0) for n in (1, 2, 3, 4, 10) for seed in range(3)]
+                         + [(3, 1, 0.0)])
+def test_order3_batched_ascent_equals_one_start_at_a_time(n, seed, t3_scale):
+    b = cubic_bundle(np.random.default_rng(100 * seed + n), n, t3_scale)
+    for delta in (1e-6, 1e-2, 0.5, 1.0):
+        d, _, _ = max_decrement(b, 3, delta, seed=seed)
+        assert np.array_equal(d, sequential_max_cubic_on_ball(b, delta, seed=seed))
+
+
+def test_order3_ascent_without_a_positive_start_returns_zeros():
+    # no gradient, positive definite Hessian, small cubic term: every
+    # nonzero step in the ball increases the model
+    rng = np.random.default_rng(8)
+    b = make_bundle(np.zeros(3), [sym_tensor(np.zeros(3)), sym_tensor(np.eye(3)),
+                                  sym_tensor(0.1 * rng.standard_normal((3, 3, 3)))])
+    d, dt, _ = max_decrement(b, 3, 0.1)
+    assert dt == 0.0
+    assert np.array_equal(d, np.zeros(3))
+    assert np.array_equal(sequential_max_cubic_on_ball(b, 0.1), np.zeros(3))
+
+
 def test_certified_decrement_exact_oracle_first_pass():
     p = make_problem("quadratic", dim=2, cond=4)
     x = np.array([1.0, 1.0])
@@ -134,6 +166,23 @@ def test_certified_decrement_predicted_tightening_count():
     bound = allowed_tightenings(zeta0, 0.25 * omega * varsigma * eps_j * delta**0 / 1,
                                 gamma) + 1
     assert cert.tightenings <= bound
+
+
+def test_certification_budget_trap_names_order_radius_and_point(monkeypatch):
+    p = make_problem("quadratic", dim=2, cond=4)
+    x = np.array([1.0, -0.5])
+    omega, varsigma, eps_j, delta = 0.02, 0.99, 1e-3, 0.5
+    oracle, acc, cache, ledger = fresh_state(p, 2, x, zeta0=0.1)
+    monkeypatch.setattr(optimality, "verify", lambda *a: VerifyOutcome.INSUFFICIENT)
+    with pytest.raises(CertificationError, match="guaranteed tightening budget") as err:
+        certified_decrement(2, delta, eps_j, varsigma, omega, oracle, acc, cache, ledger)
+    e = err.value
+    assert isinstance(e, RuntimeError)
+    assert (e.j, e.radius, e.k) == (2, delta, None)
+    np.testing.assert_array_equal(e.x, x)
+    assert str(e).endswith("(implementation bug): order 2, radius 0.5, x = [1.0, -0.5]")
+    target = 0.25 * omega * varsigma * eps_j * delta / 2
+    assert acc.i_zeta == allowed_tightenings(0.1, target, acc.gamma_zeta) + 3
 
 
 def test_certified_absolute_implies_small_reference_phi():

@@ -69,3 +69,12 @@ def test_worker_pass_reads_every_result_attribute():
         assert all(type(v) is int and v >= 0 for v in fp[:-1])
         x_eps = ast.literal_eval(fp[-1])
         assert len(x_eps) == case.params["dim"] and all(type(v) is float for v in x_eps)
+
+
+def test_order3_pass_reproduces_the_recorded_fingerprints():
+    # iterations, evaluation counts, i_zeta and x_eps of every order-3 case
+    # at seed 0 equal the copy the benchmark recorded
+    worker = _load("worker")
+    out = worker.run_pass(worker.WORKLOADS["order3"], 0)
+    assert out["failures"] == []
+    assert out["fingerprints"] == worker.recorded_fingerprints("order3", 0)

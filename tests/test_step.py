@@ -3,7 +3,9 @@ import pytest
 
 from dyntrust.driver import TrConfig
 from dyntrust.model import make_bundle, sym_tensor, taylor_decrement
-from dyntrust.optimality import (AccuracyLedger, BundleCache, CertifiedDecrement,
+from dyntrust import step
+from dyntrust.optimality import (AccuracyLedger, BundleCache, CertificationError,
+                                 CertifiedDecrement, allowed_tightenings,
                                  certified_decrement, max_decrement)
 from dyntrust.oracle import EvalLedger, InexactOracle
 from dyntrust.problems import make_problem
@@ -121,3 +123,65 @@ def test_xi_floor_invariant():
         floor = eps_j / (4 * (1 + omega)) * (vartheta / max(1.0, delta_max)) ** 1
         assert res.min_xi >= floor
         assert res.dT >= res.dT_fallback  # bit-level dominance on every return
+
+
+def never_certified(*args):
+    return VerifyOutcome.INSUFFICIENT
+
+
+class NoShrinkLedger(AccuracyLedger):
+    """Counts its tightenings but never lowers an accuracy."""
+
+    def tighten(self, j):
+        self.i_zeta += 1
+
+
+def trial_step_state(ledger_cls=AccuracyLedger):
+    p = make_problem("quadratic", dim=2, cond=6)
+    x = np.array([2.0, 1.5])
+    oracle, acc, cache, ledger = state(p, 1, x, zeta0=1e-10)
+    cert = certified(1, 0.5, 1e-3, 0.02, oracle, acc, cache, ledger)
+    acc = ledger_cls(zetas=np.array([0.1]), gamma_zeta=acc.gamma_zeta)
+    return cert, oracle, acc, cache, ledger
+
+
+def test_step_never_relative_trips_the_guaranteed_level_trap(monkeypatch):
+    cert, oracle, acc, cache, ledger = trial_step_state()
+    monkeypatch.setattr(step, "verify", never_certified)
+    with pytest.raises(CertificationError, match="passed the guaranteed level") as err:
+        compute_step(2.0, 0.5, cert, 1e-3, 0.02, oracle, acc, cache, ledger)
+    e = err.value
+    assert (e.j, e.radius, e.k) == (1, 2.0, None)
+    np.testing.assert_array_equal(e.x, [2.0, 1.5])
+    assert "order 1, radius 2.0, x = [2.0, 1.5]" in str(e)
+    stop_level = 0.02 * 1e-3 / (8.0 * 1.02)
+    assert acc.i_zeta == allowed_tightenings(0.1, stop_level, acc.gamma_zeta)
+
+
+def test_step_that_cannot_tighten_trips_the_budget_trap(monkeypatch):
+    cert, oracle, acc, cache, ledger = trial_step_state(NoShrinkLedger)
+    monkeypatch.setattr(step, "verify", never_certified)
+    with pytest.raises(CertificationError, match="step certification failed to terminate "
+                       r"within its guaranteed tightening budget \(implementation bug\)"):
+        compute_step(2.0, 0.5, cert, 1e-3, 0.02, oracle, acc, cache, ledger)
+    stop_level = 0.02 * 1e-3 / (8.0 * 1.02)
+    assert acc.i_zeta == allowed_tightenings(0.1, stop_level, acc.gamma_zeta) + 3
+
+
+def test_absolute_certificate_cannot_pass_through():
+    cert, oracle, acc, cache, ledger = trial_step_state()
+    absolute = CertifiedDecrement(j=1, d=cert.d, dT=cert.dT, outcome=VerifyOutcome.ABSOLUTE,
+                                  varsigma_used=0.99, tightenings=0)
+    with pytest.raises(CertificationError, match="relatively-certified displacement"):
+        compute_step(0.5, 0.5, absolute, 1e-3, 0.02, oracle, acc, cache, ledger)
+
+
+def test_zero_step_decrement_is_trapped():
+    # at the minimizer every step decreases the linear model by zero
+    oracle, acc, cache, ledger = state(make_problem("quadratic", dim=2, cond=2),
+                                       1, np.zeros(2), zeta0=1e-10)
+    zero = CertifiedDecrement(j=1, d=np.zeros(2), dT=0.0, outcome=VerifyOutcome.RELATIVE,
+                              varsigma_used=0.99, tightenings=0)
+    with pytest.raises(CertificationError, match="collapsed to zero") as err:
+        compute_step(2.0, 0.5, zero, 1e-3, 0.02, oracle, acc, cache, ledger)
+    assert err.value.radius == 2.0
