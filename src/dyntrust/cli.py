@@ -58,6 +58,13 @@ def _add_common(parser: argparse.ArgumentParser):
         parser.add_argument(f"--{name}", dest=f"prob_{name}", type=typ, default=None)
 
 
+def _floats(text, flag: str) -> tuple:
+    try:
+        return tuple(float(t) for t in str(text).split(","))
+    except ValueError:
+        raise ConfigError(f"{flag} expects comma-separated numbers, got {text!r}") from None
+
+
 def _spec_from_args(args) -> RunSpec:
     file_vals = parse_config_file(args.config) if args.config else {}
 
@@ -70,7 +77,7 @@ def _spec_from_args(args) -> RunSpec:
         return default
 
     eps_text = args.eps if args.eps is not None else file_vals.get("eps", "1e-3")
-    eps = tuple(float(t) for t in str(eps_text).split(","))
+    eps = _floats(eps_text, "--eps")
     q = pick("q", int)
     if q is not None:
         if len(eps) == 1:
@@ -94,7 +101,7 @@ def _spec_from_args(args) -> RunSpec:
     seed = pick("seed", int, 0)
     policy = args.policy if args.policy is not None else file_vals.get("policy", "adversarial")
     x0_text = args.x0 if args.x0 is not None else file_vals.get("x0")
-    x0 = tuple(float(t) for t in str(x0_text).split(",")) if x0_text else None
+    x0 = _floats(x0_text, "--x0") if x0_text else None
     return RunSpec(problem=problem, problem_params=params, eps=eps, policy=policy,
                    seed=seed, cfg_overrides=overrides, x0=x0, out_dir=args.out_dir,
                    tag=args.tag)

@@ -101,7 +101,8 @@ class TrConfig:
         eta1 = overrides.get("eta1", 0.05)
         eta2 = overrides.get("eta2", 0.9)
         derived = {
-            "vartheta": max(min(eps), 0.5),
+            # an empty eps gets a placeholder, for __post_init__ to name q=0
+            "vartheta": max(min(eps, default=0.5), 0.5),
             "omega": 0.9 * min(0.5 * eta1, 0.25 * (1 - eta2)),
         }
         derived.update(overrides)
@@ -169,7 +170,10 @@ def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
     reaches the optimality-radius cap ``vartheta``, which keeps the
     optimality radius unchanged; any other outcome reruns the test.
     """
-    x = as_vector(x0 if x0 is not None else oracle.problem.x0).copy()
+    x = np.asarray(x0 if x0 is not None else oracle.problem.x0, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ConfigError(f"start point x0 = {x.tolist()} is not finite")
+    x = as_vector(x).copy()
     if x.size != oracle.dim:
         raise ConfigError("start point dimension does not match the problem")
     x.flags.writeable = False

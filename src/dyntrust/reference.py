@@ -13,7 +13,10 @@ picks its method by order j:
 * j = 3: dense ball sampling followed by an exact line/arc polish (the model
   restricted to a line is a cubic, so each line maximization is closed
   form), for n <= ``MAX_REFERENCE_DIM``.  A sampled lower bound: a value
-  above a bound is a definite failure, one below it is evidence.
+  above a bound is a definite failure, one below it is evidence.  The
+  samples are scored in bounded chunks, and the polish starts advance
+  together as one (starts, n) array; ``tests/checkers.py`` keeps the
+  one-start-at-a-time polish it matches to rounding.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 import numpy as np
 
 from .model import (DerivativeBundle, NonFiniteEvaluation, make_bundle,
-                    model_gradient, operator_norm, taylor_decrement)
+                    model_gradient, operator_norm)
 from .oracle import Problem
 
 MAX_REFERENCE_DIM = 5  # the order-3 sampler's dimension limit
@@ -36,6 +39,7 @@ _RESOLUTION = 24        # per-dimension sampling density
 _POLISH_STARTS = 10     # best samples promoted to local polish
 _POLISH_ROUNDS = 12     # chord + arc maximizations per polished start
 _SEED = 0
+_SCORE_CHUNK = 4096  # sample rows scored at once; bounds the (rows, n, n) term
 
 
 def _dual_bound(g: np.ndarray, h_mat: np.ndarray, delta: float) -> float:
@@ -67,85 +71,148 @@ def _dual_bound(g: np.ndarray, h_mat: np.ndarray, delta: float) -> float:
     return min(psi(lo), psi(hi))  # psi(lam_low) may be inf
 
 
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[i] @ y[i] per row, through the dot a lone pair of vectors uses."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _rownorm(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(_rowdot(x, x))
+
+
+def _decrements(b: DerivativeBundle, pts: np.ndarray) -> np.ndarray:
+    """Degree-3 decrement at each row of pts (m, n), scored ``_SCORE_CHUNK``
+    rows at a time: the cubic term is one GEMM per chunk, T3[p, ., .] as
+    ``p @ T3.reshape(n, n * n)``, whose (rows, n, n) result the chunk bounds."""
+    t1, t2, t3 = (t.entries for t in b.tensors)
+    n = b.dim
+    t3_flat = t3.reshape(n, n * n)
+    out = np.empty(len(pts))
+    for lo in range(0, len(pts), _SCORE_CHUNK):
+        p = pts[lo:lo + _SCORE_CHUNK]
+        t3p = (p @ t3_flat).reshape(-1, n, n)
+        w = t1 + 0.5 * (p @ t2) + np.einsum("ijk,ik->ij", t3p, p) / 6.0
+        out[lo:lo + _SCORE_CHUNK] = _rowdot(p, w)
+    return -out
+
+
 def _poly_coeffs_along_line(b: DerivativeBundle, d: np.ndarray,
                             u: np.ndarray) -> np.ndarray:
-    """Coefficients c[0..3] of t -> decrement(d + t u) for the cubic model."""
+    """Coefficients c[:, 0..3] of t -> decrement(d + t u) for the cubic
+    model, one row per row of d and u."""
     t1, t2, t3 = (t.entries for t in b.tensors)
-    ddd = float(np.einsum("abc,a,b,c->", t3, d, d, d))
-    ddu = float(np.einsum("abc,a,b,c->", t3, d, d, u))
-    duu = float(np.einsum("abc,a,b,c->", t3, d, u, u))
-    uuu = float(np.einsum("abc,a,b,c->", t3, u, u, u))
-    return np.array([
-        -float(t1 @ d) - 0.5 * float(d @ (t2 @ d)) - ddd / 6.0,
-        -float(t1 @ u) - float(d @ (t2 @ u)) - 0.5 * ddu,
-        -0.5 * float(u @ (t2 @ u)) - 0.5 * duu,
-        -uuu / 6.0,
-    ])
+
+    def cubic(x, y, z):
+        return np.einsum("abc,ia,ib,ic->i", t3, x, y, z)
+
+    t2d, t2u = d @ t2, u @ t2
+    return np.stack([
+        -(d @ t1) - 0.5 * _rowdot(d, t2d) - cubic(d, d, d) / 6.0,
+        -(u @ t1) - _rowdot(u, t2d) - 0.5 * cubic(d, d, u),
+        -0.5 * _rowdot(u, t2u) - 0.5 * cubic(d, u, u),
+        -cubic(u, u, u) / 6.0,
+    ], axis=1)
 
 
 def _line_max(b: DerivativeBundle, d: np.ndarray, u: np.ndarray,
-              delta: float) -> tuple[np.ndarray, float]:
-    """Exact maximization of the decrement along d + t u inside the ball."""
-    uu = float(u @ u)
-    if uu == 0.0:
-        return d, taylor_decrement(b, d, 3)
-    du = float(d @ u)
-    dd = float(d @ d)
+              delta: float) -> np.ndarray:
+    """Exact maximization of the decrement along d + t u inside the ball, per
+    row; a row with u = 0, or whose line misses the ball, keeps d."""
+    uu, du, dd = _rowdot(u, u), _rowdot(d, u), _rowdot(d, d)
     disc = du * du - uu * (dd - delta * delta)
-    if disc < 0:
-        return d, taylor_decrement(b, d, 3)
-    root = np.sqrt(disc)
+    moves = (uu != 0.0) & (disc >= 0.0)
+    d = d.copy()
+    if not moves.any():
+        return d
+    dm, um, uu, du = d[moves], u[moves], uu[moves], du[moves]
+    root = np.sqrt(disc[moves])
     t_lo, t_hi = (-du - root) / uu, (-du + root) / uu
-    c = _poly_coeffs_along_line(b, d, u)
-    cands = [t_lo, t_hi, 0.0]
-    # stationary points of the cubic c0 + c1 t + c2 t^2 + c3 t^3
-    a3, a2, a1 = 3 * c[3], 2 * c[2], c[1]
-    if a3 != 0.0:
-        disc2 = a2 * a2 - 4 * a3 * a1
-        if disc2 >= 0:
-            r = np.sqrt(disc2)
-            cands += [(-a2 - r) / (2 * a3), (-a2 + r) / (2 * a3)]
-    elif a2 != 0.0:
-        cands.append(-a1 / a2)
-    best_t, best_v = 0.0, c[0]
-    for t in cands:
-        if t_lo - 1e-15 <= t <= t_hi + 1e-15:
-            t = min(max(t, t_lo), t_hi)
-            v = c[0] + c[1] * t + c[2] * t * t + c[3] * t ** 3
-            if v > best_v:
-                best_t, best_v = t, v
-    return d + best_t * u, best_v
+    c = _poly_coeffs_along_line(b, dm, um)
+    # stationary points of the cubic c0 + c1 t + c2 t^2 + c3 t^3; NaN marks
+    # a missing one, which the range test below drops
+    a3, a2, a1 = 3 * c[:, 3], 2 * c[:, 2], c[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt(a2 * a2 - 4 * a3 * a1)
+        cubic = a3 != 0.0
+        s_lo = np.where(cubic, (-a2 - r) / (2 * a3), np.where(a2 != 0.0, -a1 / a2, np.nan))
+        s_hi = np.where(cubic, (-a2 + r) / (2 * a3), np.nan)
+    cands = np.stack([t_lo, t_hi, np.zeros_like(t_lo), s_lo, s_hi], axis=1)
+    inside = (cands >= t_lo[:, None] - 1e-15) & (cands <= t_hi[:, None] + 1e-15)
+    t = np.clip(cands, t_lo[:, None], t_hi[:, None])
+    v = c[:, :1] + c[:, 1:2] * t + c[:, 2:3] * t * t + c[:, 3:] * t ** 3
+    # t = 0 with value c0 leads; argmax keeps the first strict improvement
+    t = np.concatenate([np.zeros((len(t), 1)), t], axis=1)
+    v = np.concatenate([c[:, :1], np.where(inside, v, -np.inf)], axis=1)
+    best_t = t[np.arange(len(t)), np.argmax(v, axis=1)]
+    d[moves] = dm + best_t[:, None] * um
+    return d
 
 
 def _arc_max(b: DerivativeBundle, d: np.ndarray, t_hat: np.ndarray,
-             zooms: int = 6) -> tuple[np.ndarray, float]:
-    """Maximize the decrement on the circle of radius |d| in span(d, t_hat):
-    coarse angular grid, then vectorized zooming around the best angle."""
-    r = float(np.linalg.norm(d))
-    if r < 1e-15:
-        return d, taylor_decrement(b, d, 3)
-    d_hat = d / r
-    t_hat = t_hat - (t_hat @ d_hat) * d_hat
-    nt = float(np.linalg.norm(t_hat))
-    if nt < 1e-15:
-        return d, taylor_decrement(b, d, 3)
-    t_hat /= nt
-    lo, hi = -np.pi, np.pi
-    best_theta = 0.0
+             zooms: int = 6) -> np.ndarray:
+    """Maximize the decrement on the circle of radius |d| in span(d, t_hat),
+    per row: coarse angular grid, then zooming around the best angle.  A row
+    with |d| or the part of t_hat tangent to it below 1e-15 keeps d."""
+    out = d.copy()
+    r = _rownorm(d)
+    rows = np.flatnonzero(r >= 1e-15)
+    r = r[rows, None]
+    d_hat = d[rows] / r
+    t_hat = t_hat[rows]
+    t_hat = t_hat - _rowdot(t_hat, d_hat)[:, None] * d_hat
+    nt = _rownorm(t_hat)
+    keep = nt >= 1e-15
+    if not keep.any():
+        return out
+    rows, r, d_hat = rows[keep], r[keep], d_hat[keep]
+    t_hat = t_hat[keep] / nt[keep, None]
+    lo, hi = np.full(len(rows), -np.pi), np.full(len(rows), np.pi)
     for _ in range(zooms + 1):
-        thetas = np.linspace(lo, hi, 33)
-        pts = r * (np.cos(thetas)[:, None] * d_hat + np.sin(thetas)[:, None] * t_hat)
-        vals = taylor_decrement(b, pts, 3)
-        k = int(np.argmax(vals))
-        best_theta = thetas[k]
+        thetas = np.linspace(lo, hi, 33, axis=1)
+        pts = r[:, :, None] * (np.cos(thetas)[:, :, None] * d_hat[:, None, :]
+                               + np.sin(thetas)[:, :, None] * t_hat[:, None, :])
+        vals = _decrements(b, pts.reshape(-1, b.dim)).reshape(thetas.shape)
+        best_theta = thetas[np.arange(len(rows)), np.argmax(vals, axis=1)]
         width = (hi - lo) / 16.0
         lo, hi = best_theta - width, best_theta + width
-    out = r * (np.cos(best_theta) * d_hat + np.sin(best_theta) * t_hat)
-    return out, taylor_decrement(b, out, 3)
+    out[rows] = r * (np.cos(best_theta)[:, None] * d_hat + np.sin(best_theta)[:, None] * t_hat)
+    return out
+
+
+def _newton_dirs(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solutions of the stacked systems a[i] x = rhs[i]; a row whose matrix is
+    singular is NaN, since one singular matrix fails a stacked solve."""
+    try:
+        return np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.full_like(rhs, np.nan)
+        for i in range(len(a)):
+            try:
+                out[i] = np.linalg.solve(a[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _nonzero_or_random(g: np.ndarray, rng: np.random.Generator, unit: bool) -> np.ndarray:
+    """Rows of g (scaled to unit length if ``unit``), a zero row replaced by
+    a fresh standard normal draw."""
+    ng = _rownorm(g)
+    zero = ~(ng > 0)
+    u = g / np.where(zero, 1.0, ng)[:, None] if unit else g.copy()
+    if zero.any():
+        u[zero] = rng.standard_normal((int(zero.sum()), g.shape[1]))
+    return u
 
 
 def _sampled_cubic_max(b: DerivativeBundle, delta: float) -> float:
-    """Sampled maximum of the degree-3 decrement over the delta-ball."""
+    """Sampled maximum of the degree-3 decrement over the delta-ball.
+
+    The ``_POLISH_STARTS`` best samples are polished together as one
+    (starts, n) array.  The random lines of rounds 4 and 9 are drawn start by
+    start, so the stream is that of a one-start-at-a-time polish unless a
+    zero gradient draws a fallback direction.
+    """
     n = b.dim
     if n > MAX_REFERENCE_DIM:
         raise ValueError(f"order-3 reference limited to dim <= {MAX_REFERENCE_DIM}")
@@ -160,36 +227,26 @@ def _sampled_cubic_max(b: DerivativeBundle, delta: float) -> float:
     axes = delta * np.concatenate([np.eye(n), -np.eye(n)])
     pts = np.concatenate([interior, sphere, axes, np.zeros((1, n))])
 
-    vals = taylor_decrement(b, pts, 3)
+    vals = _decrements(b, pts)
     order = np.argsort(-vals)
     best = float(vals[order[0]])
     h2, t3 = b.tensors[1].entries, b.tensors[2].entries
-    for idx in order[:_POLISH_STARTS]:
-        d = pts[idx].copy()
-        v = float(vals[idx])
-        for round_ in range(_POLISH_ROUNDS):
-            g = -model_gradient(b, d, 3)  # ascent direction for the decrement
-            ng = np.linalg.norm(g)
-            u = g / ng if ng > 0 else rng.standard_normal(n)
-            d, v = _line_max(b, d, u, delta)
-            # chord through the local Newton point: one-shot for interior
-            # quadratic maxima
-            try:
-                u_n = np.linalg.solve(h2 + np.einsum("abc,c->ab", t3, d),
-                                      -model_gradient(b, d, 3))
-                if np.all(np.isfinite(u_n)) and np.linalg.norm(u_n) > 0:
-                    d, v = _line_max(b, d, u_n, delta)
-            except np.linalg.LinAlgError:
-                pass
-            # boundary maxima: chords cannot slide along the sphere, so
-            # search the great circle toward the tangential gradient
-            g = -model_gradient(b, d, 3)
-            d, v = _arc_max(b, d, g if np.linalg.norm(g) > 0
-                            else rng.standard_normal(n))
-            if round_ % 5 == 4:
-                d, v = _line_max(b, d, rng.standard_normal(n), delta)
-        best = max(best, v)
-    return best
+    d = pts[order[:_POLISH_STARTS]]
+    lines = rng.standard_normal((len(d), _POLISH_ROUNDS // 5, n))
+    for round_ in range(_POLISH_ROUNDS):
+        # line search along the ascent direction of the decrement
+        d = _line_max(b, d, _nonzero_or_random(-model_gradient(b, d, 3), rng, True), delta)
+        # chord through the local Newton point: one-shot for interior
+        # quadratic maxima
+        u_n = _newton_dirs(h2 + np.einsum("abc,ic->iab", t3, d), -model_gradient(b, d, 3))
+        chord = np.all(np.isfinite(u_n), axis=1) & (_rownorm(u_n) > 0)
+        d[chord] = _line_max(b, d[chord], u_n[chord], delta)
+        # boundary maxima: chords cannot slide along the sphere, so
+        # search the great circle toward the tangential gradient
+        d = _arc_max(b, d, _nonzero_or_random(-model_gradient(b, d, 3), rng, False))
+        if round_ % 5 == 4:
+            d = _line_max(b, d, lines[:, round_ // 5], delta)
+    return max(best, float(np.max(_decrements(b, d))))
 
 
 def max_decrement_reference(b: DerivativeBundle, j: int, delta: float) -> float:

@@ -1,7 +1,8 @@
 """Checkers that tests use as independent references: central finite
 differences against a problem's exact derivatives, the guarantees a
 ``verify`` outcome implies, checked at sampled displacements, and the
-one-start-at-a-time order-3 ascent the batched solver must reproduce."""
+one-start-at-a-time forms of the batched order-3 ascent and order-3
+reference sampler."""
 
 from dataclasses import dataclass, field
 from math import factorial
@@ -11,6 +12,8 @@ import numpy as np
 from dyntrust.model import (DerivativeBundle, as_vector, model_gradient,
                             taylor_decrement)
 from dyntrust.oracle import Problem
+from dyntrust.reference import (_POLISH_ROUNDS, _POLISH_STARTS, _RESOLUTION, _SEED,
+                                MAX_REFERENCE_DIM)
 from dyntrust.verify import VerifyOutcome, error_budget, verify
 
 
@@ -145,3 +148,130 @@ def sequential_max_cubic_on_ball(b: DerivativeBundle, radius: float, seed: int =
         if val > best_v:
             best_d, best_v = d, val
     return best_d
+
+
+def _poly_coeffs_along_line(b: DerivativeBundle, d: np.ndarray,
+                            u: np.ndarray) -> np.ndarray:
+    """Coefficients c[0..3] of t -> decrement(d + t u) for the cubic model."""
+    t1, t2, t3 = (t.entries for t in b.tensors)
+    ddd = float(np.einsum("abc,a,b,c->", t3, d, d, d))
+    ddu = float(np.einsum("abc,a,b,c->", t3, d, d, u))
+    duu = float(np.einsum("abc,a,b,c->", t3, d, u, u))
+    uuu = float(np.einsum("abc,a,b,c->", t3, u, u, u))
+    return np.array([
+        -float(t1 @ d) - 0.5 * float(d @ (t2 @ d)) - ddd / 6.0,
+        -float(t1 @ u) - float(d @ (t2 @ u)) - 0.5 * ddu,
+        -0.5 * float(u @ (t2 @ u)) - 0.5 * duu,
+        -uuu / 6.0,
+    ])
+
+
+def _line_max(b: DerivativeBundle, d: np.ndarray, u: np.ndarray,
+              delta: float) -> tuple[np.ndarray, float]:
+    """Exact maximization of the decrement along d + t u inside the ball."""
+    uu = float(u @ u)
+    if uu == 0.0:
+        return d, taylor_decrement(b, d, 3)
+    du = float(d @ u)
+    dd = float(d @ d)
+    disc = du * du - uu * (dd - delta * delta)
+    if disc < 0:
+        return d, taylor_decrement(b, d, 3)
+    root = np.sqrt(disc)
+    t_lo, t_hi = (-du - root) / uu, (-du + root) / uu
+    c = _poly_coeffs_along_line(b, d, u)
+    cands = [t_lo, t_hi, 0.0]
+    # stationary points of the cubic c0 + c1 t + c2 t^2 + c3 t^3
+    a3, a2, a1 = 3 * c[3], 2 * c[2], c[1]
+    if a3 != 0.0:
+        disc2 = a2 * a2 - 4 * a3 * a1
+        if disc2 >= 0:
+            r = np.sqrt(disc2)
+            cands += [(-a2 - r) / (2 * a3), (-a2 + r) / (2 * a3)]
+    elif a2 != 0.0:
+        cands.append(-a1 / a2)
+    best_t, best_v = 0.0, c[0]
+    for t in cands:
+        if t_lo - 1e-15 <= t <= t_hi + 1e-15:
+            t = min(max(t, t_lo), t_hi)
+            v = c[0] + c[1] * t + c[2] * t * t + c[3] * t ** 3
+            if v > best_v:
+                best_t, best_v = t, v
+    return d + best_t * u, best_v
+
+
+def _arc_max(b: DerivativeBundle, d: np.ndarray, t_hat: np.ndarray,
+             zooms: int = 6) -> tuple[np.ndarray, float]:
+    """Maximize the decrement on the circle of radius |d| in span(d, t_hat):
+    coarse angular grid, then vectorized zooming around the best angle."""
+    r = float(np.linalg.norm(d))
+    if r < 1e-15:
+        return d, taylor_decrement(b, d, 3)
+    d_hat = d / r
+    t_hat = t_hat - (t_hat @ d_hat) * d_hat
+    nt = float(np.linalg.norm(t_hat))
+    if nt < 1e-15:
+        return d, taylor_decrement(b, d, 3)
+    t_hat /= nt
+    lo, hi = -np.pi, np.pi
+    best_theta = 0.0
+    for _ in range(zooms + 1):
+        thetas = np.linspace(lo, hi, 33)
+        pts = r * (np.cos(thetas)[:, None] * d_hat + np.sin(thetas)[:, None] * t_hat)
+        vals = taylor_decrement(b, pts, 3)
+        k = int(np.argmax(vals))
+        best_theta = thetas[k]
+        width = (hi - lo) / 16.0
+        lo, hi = best_theta - width, best_theta + width
+    out = r * (np.cos(best_theta) * d_hat + np.sin(best_theta) * t_hat)
+    return out, taylor_decrement(b, out, 3)
+
+
+def sequential_sampled_cubic_max(b: DerivativeBundle, delta: float) -> float:
+    """Sampled maximum of the degree-3 decrement over the delta-ball, one
+    polish start at a time: the batched ``reference._sampled_cubic_max``
+    must agree to rounding."""
+    n = b.dim
+    if n > MAX_REFERENCE_DIM:
+        raise ValueError(f"order-3 reference limited to dim <= {MAX_REFERENCE_DIM}")
+    rng = np.random.default_rng(_SEED)
+    n_samples = min(_RESOLUTION ** n, 40000)
+    dirs = rng.standard_normal((n_samples, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = delta * rng.random(n_samples) ** (1.0 / n)
+    interior = dirs * radii[:, None]
+    sphere = rng.standard_normal((n_samples, n))
+    sphere = delta * sphere / np.linalg.norm(sphere, axis=1, keepdims=True)
+    axes = delta * np.concatenate([np.eye(n), -np.eye(n)])
+    pts = np.concatenate([interior, sphere, axes, np.zeros((1, n))])
+
+    vals = taylor_decrement(b, pts, 3)
+    order = np.argsort(-vals)
+    best = float(vals[order[0]])
+    h2, t3 = b.tensors[1].entries, b.tensors[2].entries
+    for idx in order[:_POLISH_STARTS]:
+        d = pts[idx].copy()
+        v = float(vals[idx])
+        for round_ in range(_POLISH_ROUNDS):
+            g = -model_gradient(b, d, 3)  # ascent direction for the decrement
+            ng = np.linalg.norm(g)
+            u = g / ng if ng > 0 else rng.standard_normal(n)
+            d, v = _line_max(b, d, u, delta)
+            # chord through the local Newton point: one-shot for interior
+            # quadratic maxima
+            try:
+                u_n = np.linalg.solve(h2 + np.einsum("abc,c->ab", t3, d),
+                                      -model_gradient(b, d, 3))
+                if np.all(np.isfinite(u_n)) and np.linalg.norm(u_n) > 0:
+                    d, v = _line_max(b, d, u_n, delta)
+            except np.linalg.LinAlgError:
+                pass
+            # boundary maxima: chords cannot slide along the sphere, so
+            # search the great circle toward the tangential gradient
+            g = -model_gradient(b, d, 3)
+            d, v = _arc_max(b, d, g if np.linalg.norm(g) > 0
+                            else rng.standard_normal(n))
+            if round_ % 5 == 4:
+                d, v = _line_max(b, d, rng.standard_normal(n), delta)
+        best = max(best, v)
+    return best

@@ -46,6 +46,17 @@ def test_config_rejects_bad_eps():
         TrConfig.with_defaults((1e-3,) * 4)  # order above the dense-tensor cap
 
 
+def test_config_names_an_empty_eps():
+    with pytest.raises(ConfigError, match=r"criticality order q=0 outside the supported 1\.\.3"):
+        TrConfig.with_defaults(())
+
+
+def test_run_names_a_non_finite_start_point():
+    o = InexactOracle(make_problem("rosenbrock"), policy="none", seed=0)
+    with pytest.raises(ConfigError, match=r"start point x0 = \[1\.0, nan\] is not finite"):
+        run(o, TrConfig.with_defaults((1e-2,)), x0=np.array([1.0, np.nan]))
+
+
 def test_config_defaults_satisfy_constraints():
     cfg = TrConfig.with_defaults((1e-3, 1e-3))
     assert cfg.q == 2

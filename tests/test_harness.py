@@ -77,6 +77,18 @@ def test_cli_config_error_exit_code(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--q", "0"], "criticality order q=0 outside the supported 1..3"),
+    (["--eps", "abc"], "--eps expects comma-separated numbers, got 'abc'"),
+    (["--eps", "1e-3,,1e-3"], "--eps expects comma-separated numbers, got '1e-3,,1e-3'"),
+    (["--x0", "1,nan"], "start point x0 = [1.0, nan] is not finite"),
+], ids=["q0", "eps_word", "eps_empty_field", "x0_nan"])
+def test_cli_malformed_numbers_are_config_errors(tmp_path, capsys, flags, message):
+    code = main(["run", "--problem", "rosenbrock", *flags, "--out-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
 def test_cli_cap_exhaustion_exit_code(tmp_path):
     code = main(["run", "--problem", "saddle_well", "--eps", "1e-3,1e-3",
                  "--max-iterations", "20", "--out-dir", str(tmp_path)])

@@ -1,15 +1,19 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dyntrust.model import NonFiniteEvaluation, make_bundle, sym_tensor, taylor_decrement
 from dyntrust.oracle import Problem
-from dyntrust.reference import (exact_bundle, lipschitz_estimate,
+from dyntrust.reference import (_arc_max, _line_max, _newton_dirs, _sampled_cubic_max,
+                                exact_bundle, lipschitz_estimate,
                                 max_decrement_reference, phi_reference)
 from dyntrust.problems import make_problem
+
+from checkers import sequential_sampled_cubic_max
 
 
 def test_phi_order1_closed_form():
@@ -192,3 +196,113 @@ def test_lipschitz_refuses_a_deriv_without_stack_support():
     with pytest.raises(ValueError, match=r"one_point_only: deriv of points \(64, 2, 2\) "
                                          r"has shape \(2, 2, 2\), expected \(64, 2, 2\)"):
         lipschitz_estimate(p, (-np.ones(2), np.ones(2)), 1)
+
+
+def cubic_bundle(g, h, t3):
+    n = len(g)
+    return make_bundle(np.zeros(n), [sym_tensor(g), sym_tensor(h), sym_tensor(t3)])
+
+
+def random_cubic_bundle(rng, n):
+    return cubic_bundle(rng.standard_normal(n), rng.standard_normal((n, n)),
+                        rng.uniform(0.0, 1.0) * rng.standard_normal((n, n, n)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_batched_sampler_agrees_with_one_start_at_a_time(n):
+    # 100 bundles per dimension, radii 1e-8..3 (log-uniform), T3 scales 0..1:
+    # the batched polish reorders no arithmetic that decides a step, so it
+    # lands within rounding of the sequential one and never below it
+    rng = np.random.default_rng(900 + n)
+    for _ in range(100):
+        b = random_cubic_bundle(rng, n)
+        delta = float(10.0 ** rng.uniform(-8.0, math.log10(3.0)))
+        ref = sequential_sampled_cubic_max(b, delta)
+        assert ref > 0.0
+        assert abs(_sampled_cubic_max(b, delta) - ref) <= 1e-12 * ref
+
+
+def test_sampler_with_every_newton_system_singular():
+    # H = 0 and T3 = 0: every chord's matrix is zero, so every row skips it,
+    # and the gradient line alone reaches the maximum delta |g| (to the
+    # rounding of the line's end points on the sphere)
+    g = np.array([3.0, -4.0, 12.0])
+    b = cubic_bundle(g, np.zeros((3, 3)), np.zeros((3, 3, 3)))
+    val = _sampled_cubic_max(b, 0.25)
+    assert val == pytest.approx(0.25 * 13.0, rel=1e-12)
+    assert abs(val - sequential_sampled_cubic_max(b, 0.25)) <= 1e-12 * val
+
+
+def test_newton_dirs_skips_only_the_singular_row():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((4, 3, 3))
+    a[2] = np.outer(a[2, 0], [1.0, 2.0, 3.0])  # rank one
+    a[2, :, 2] = 0.0  # and an exactly zero column: LAPACK's pivot is 0
+    rhs = rng.standard_normal((4, 3))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(a, rhs[:, :, None])
+    u = _newton_dirs(a, rhs)
+    assert np.isnan(u[2]).all()
+    for i in (0, 1, 3):
+        assert np.array_equal(u[i], np.linalg.solve(a[i], rhs[i]))
+
+
+def test_line_and_arc_rows_that_cannot_move_keep_d():
+    b = random_cubic_bundle(np.random.default_rng(4), 2)
+    d = np.array([[0.5, 0.0], [2.0, 2.0], [0.1, 0.0], [0.3, 0.4]])
+    u = np.array([[0.0, 0.0],   # u = 0
+                  [0.0, 1.0],   # the line x = 2 misses the unit ball
+                  [1.0, 0.0],
+                  [0.3, 0.4]])
+    out = _line_max(b, d, u, 1.0)
+    assert np.array_equal(out[:2], d[:2])
+    assert not np.array_equal(out[2], d[2])
+    t = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.6, 0.8]])
+    d = np.array([[0.0, 0.0],   # |d| = 0
+                  [0.3, 0.4],   # t_hat = 0
+                  [0.3, 0.4],
+                  [0.3, 0.4]])  # t_hat along d: no tangent part
+    out = _arc_max(b, d, t)
+    assert np.array_equal(out[[0, 1, 3]], d[[0, 1, 3]])
+    assert np.linalg.norm(out[2]) == pytest.approx(0.5, rel=1e-14)
+
+
+def test_sampler_polishes_a_start_with_zero_gradient():
+    # T1 = 0 and H positive definite: in the small ball the origin scores
+    # highest, polishes from a zero gradient (a random fallback direction)
+    # and no point beats it; in the large one the cubic term wins at the
+    # sphere, and the batched value still matches.
+    rng = np.random.default_rng(8)
+    b = cubic_bundle(np.zeros(3), np.eye(3), 0.1 * rng.standard_normal((3, 3, 3)))
+    assert _sampled_cubic_max(b, 0.1) == 0.0 == sequential_sampled_cubic_max(b, 0.1)
+    val = _sampled_cubic_max(b, 40.0)
+    assert val > 0.0
+    assert abs(val - sequential_sampled_cubic_max(b, 40.0)) <= 1e-12 * val
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sampler_in_one_dimension_is_exact(seed):
+    # the maximum of a cubic on [-delta, delta] is at an end or a stationary point
+    rng = np.random.default_rng(seed)
+    g, h, t = rng.standard_normal(3)
+    b = cubic_bundle(np.array([g]), np.array([[h]]), np.array([[[t]]]))
+    delta = float(rng.uniform(0.1, 3.0))
+    cands = [delta, -delta] + [r.real for r in np.roots([t / 2.0, h, g])
+                                if r.imag == 0.0 and abs(r.real) <= delta]
+    exact = max(-(g * s + h * s * s / 2.0 + t * s ** 3 / 6.0) for s in cands)
+    val = _sampled_cubic_max(b, delta)
+    assert val == pytest.approx(exact, rel=1e-12)
+    assert abs(val - sequential_sampled_cubic_max(b, delta)) <= 1e-12 * val
+
+
+def test_sampler_scores_samples_in_bounded_chunks():
+    # an (m, n, n) cubic term over all 80,011 samples at n = 5 would be
+    # 80,011 * 25 doubles, 15 MiB, on its own
+    b = random_cubic_bundle(np.random.default_rng(5), 5)
+    tracemalloc.start()
+    try:
+        _sampled_cubic_max(b, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 * 2**20
