@@ -15,7 +15,7 @@ oracle = InexactOracle(problem, policy="adversarial", seed=3)
 cfg = TrConfig.with_defaults((1e-3, 1e-3))
 
 result = run(oracle, cfg)
-gnorm = np.linalg.norm(problem.exact_deriv(result.x_eps, 1).entries)
+gnorm = np.linalg.norm(problem.exact_deriv(result.x_eps, 1))
 print(f"terminated: {result.terminated} after {result.n_iterations} iterations "
       f"({result.n_success} successful)")
 print(f"final point {np.round(result.x_eps, 6)}, exact gradient norm {gnorm:.2e}")

@@ -14,7 +14,7 @@ from dyntrust import InexactOracle, TrConfig, make_problem, phi_reference, run
 problem = make_problem("saddle_well")
 x0 = np.array([1e-3, 1e-4])
 
-g0 = np.linalg.norm(problem.exact_deriv(x0, 1).entries)
+g0 = np.linalg.norm(problem.exact_deriv(x0, 1))
 print(f"start {x0}, gradient norm {g0:.1e} (already first-order flat)")
 
 oracle = InexactOracle(problem, policy="adversarial", seed=0)

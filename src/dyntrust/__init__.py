@@ -13,9 +13,8 @@ from .driver import (AuditReport, ConfigError, IterationRecord, RunResult,
 from .harness import (RunSpec, cost_savings_report, eps_scaling_study,
                       execute_run, read_history_csv, write_history_csv,
                       write_summary_json)
-from .model import (DerivativeBundle, SymTensor, make_bundle, model_gradient,
-                    operator_norm, sym_tensor, taylor_decrement, taylor_value,
-                    tensor_apply)
+from .model import (make_bundle, model_gradient, operator_norm, sym_tensor,
+                    taylor_decrement, taylor_value, tensor_apply)
 from .optimality import (AccuracyLedger, BundleCache, CertificationError,
                          CertifiedDecrement, certified_decrement, max_decrement,
                          termination_test)
@@ -29,10 +28,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyLedger", "AuditReport", "BoundConstants", "BundleCache",
-    "CertificationError", "CertifiedDecrement", "ConfigError", "DerivativeBundle",
+    "CertificationError", "CertifiedDecrement", "ConfigError",
     "EvalLedger", "InexactOracle", "IterationRecord",
     "NonFiniteEvaluation", "Problem", "RunResult", "RunSpec", "StepResult",
-    "SymTensor", "TrConfig", "VerifyOutcome", "certified_decrement", "check_history",
+    "TrConfig", "VerifyOutcome", "certified_decrement", "check_history",
     "compute_bounds", "compute_step",
     "cost_savings_report", "eps_scaling_study", "execute_run",
     "lipschitz_estimate", "list_problems", "make_bundle",

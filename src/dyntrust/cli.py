@@ -15,7 +15,7 @@ import sys
 from .driver import ConfigError, check_history
 from .harness import (RunSpec, cost_savings_report, eps_scaling_study,
                       execute_run, parse_config_file, parse_eps_grid,
-                      seed_sweep, summary_dict, sweep_rows_table,
+                      parse_number, seed_sweep, summary_dict, sweep_rows_table,
                       write_summary_json, write_sweep_csv)
 from .oracle import COST_MODELS, POLICIES
 from .problems import list_problems
@@ -73,7 +73,7 @@ def _spec_from_args(args) -> RunSpec:
         if flag is not None:
             return flag
         if key in file_vals:
-            return cast(file_vals[key])
+            return parse_number(file_vals[key], cast, key)
         return default
 
     eps_text = args.eps if args.eps is not None else file_vals.get("eps", "1e-3")
@@ -94,7 +94,7 @@ def _spec_from_args(args) -> RunSpec:
     for name, typ in _PROBLEM_FLAGS.items():
         val = getattr(args, f"prob_{name}", None)
         if val is None and name in file_vals:
-            val = typ(file_vals[name])
+            val = parse_number(file_vals[name], typ, name)
         if val is not None:
             params[name] = val
     problem = args.problem if args.problem is not None else file_vals.get("problem", "quadratic")

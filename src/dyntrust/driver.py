@@ -318,7 +318,7 @@ def bounds_for_run(result: RunResult, problem: Problem,
         lipschitz = resolve_lipschitz(problem, result, cfg.q)
     L_f = max(1.0, *(v for v, _ in lipschitz))
     x0 = result.x0
-    g0 = max(operator_norm(problem.exact_deriv(x0, i).entries, i) for i in range(1, cfg.q + 1))
+    g0 = max(operator_norm(problem.exact_deriv(x0, i), i) for i in range(1, cfg.q + 1))
     bc = compute_bounds(cfg, L_f=L_f, f0=problem.exact_f(x0), f_low=problem.f_low,
                         grad_norms_at_x0=g0, zeta_at_x0=max(cfg.zeta0))
     return bc, L_f
@@ -468,7 +468,7 @@ def check_history(result: RunResult, problem: Problem,
             details.append(f"phi_{j}={phi:.3e}<={bound:.3e} {kind}")
             if phi > bound * _REL_SLACK:
                 ok = False
-        gnorm = float(np.linalg.norm(problem.exact_deriv(result.x_eps, 1).entries))
+        gnorm = float(np.linalg.norm(problem.exact_deriv(result.x_eps, 1)))
         details.append(f"|grad|={gnorm:.3e}")
         if gnorm > cfg.eps[0] * _REL_SLACK:
             ok = False

@@ -336,6 +336,16 @@ def parse_config_file(path) -> dict:
     return out
 
 
+def parse_number(text, cast, key: str):
+    """``cast(text)``; a value it cannot parse raises :class:`ConfigError`
+    naming ``key``."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise ConfigError(f"{key} expects {'an integer' if cast is int else 'a number'}, "
+                          f"got {text!r}") from None
+
+
 def parse_eps_grid(text: str) -> list[float]:
     """Grids come as comma lists ('1e-1,3e-2,...') or decade ranges
     ('1e-1..1e-4', optionally ':N' for N log-spaced points)."""
@@ -343,12 +353,12 @@ def parse_eps_grid(text: str) -> list[float]:
     if ".." in text:
         span, _, count = text.partition(":")
         lo_s, _, hi_s = span.partition("..")
-        a, b = float(lo_s), float(hi_s)
+        a, b = (parse_number(t, float, "--eps-grid") for t in (lo_s, hi_s))
         if count:
-            n = int(count)
+            n = parse_number(count, int, "--eps-grid point count")
         else:
             n = int(round(abs(math.log10(a / b)))) + 1
         if n < 2:
             raise ConfigError("grid range needs at least 2 points")
         return list(np.geomspace(a, b, n))
-    return [float(t) for t in text.split(",") if t.strip()]
+    return [parse_number(t, float, "--eps-grid") for t in text.split(",") if t.strip()]

@@ -9,17 +9,23 @@ where T_i[s]^i is the i-fold contraction of the order-i tensor with the
 displacement s.  The quantity the optimization loop actually consumes is the
 model *decrement* m(0) - m(s), which is independent of f0.  Everything here
 is plain dense numpy; tensors are desk-scale (order <= 3, small dimension).
+
+An order-i tensor on R^n is a float array of shape (n,) * i: its order is
+``ndim`` and its dimension ``shape[0]``.  A bundle is the tuple
+(T_1, ..., T_j) of the tensors at one point: its degree is ``len(b)`` and
+its dimension ``b[0].size``.  :func:`sym_tensor` and :func:`make_bundle`
+validate data from outside the library; internal code trusts its arrays.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
 
 Vector = np.ndarray
+Bundle = tuple[np.ndarray, ...]  # (T_1, ..., T_j)
 
 # Highest derivative order the dense tensor format supports.  Dense order-4
 # tensors are impractical and unneeded at desk scale; configurations asking
@@ -40,20 +46,10 @@ def as_vector(x) -> Vector:
     return v
 
 
-@dataclass(frozen=True, eq=False)
-class SymTensor:
-    """Dense symmetric tensor holding order-``order`` derivative data on R^n;
-    :func:`sym_tensor` validates, the dataclass trusts its fields."""
-
-    entries: np.ndarray
-    order: int
-    dim: int
-
-
-def sym_tensor(entries, already_symmetric: bool = False) -> SymTensor:
-    """Build a :class:`SymTensor` from finite order-1..3 data with equal
-    sides, averaging it over all index permutations unless promised
-    symmetric.  Non-finite data raises :class:`NonFiniteEvaluation`."""
+def sym_tensor(entries, already_symmetric: bool = False) -> np.ndarray:
+    """The float array of finite order-1..3 data with equal sides, averaged
+    over all index permutations unless promised symmetric.  Non-finite data
+    raises :class:`NonFiniteEvaluation`."""
     arr = np.atleast_1d(np.asarray(entries, dtype=float))
     order, dim = arr.ndim, arr.shape[0]
     if not 1 <= order <= MAX_ORDER:
@@ -65,10 +61,20 @@ def sym_tensor(entries, already_symmetric: bool = False) -> SymTensor:
     if not already_symmetric and order > 1:
         perms = list(itertools.permutations(range(order)))
         arr = sum(np.transpose(arr, p) for p in perms) / len(perms)
-    return SymTensor(entries=arr, order=order, dim=dim)
+    return arr
 
 
-def tensor_apply(t: SymTensor, s):
+def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[i] @ y[i] per row, through the dot a lone pair of vectors uses."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, through the dot a lone ``norm`` uses."""
+    return np.sqrt(row_dots(v, v))
+
+
+def tensor_apply(t: np.ndarray, s):
     """i-linear form of the tensor applied to (s, ..., s), without the 1/i!.
 
     ``s`` is one point (n,), giving a float, or rows (m, n), giving an
@@ -76,97 +82,70 @@ def tensor_apply(t: SymTensor, s):
     """
     s = np.asarray(s, dtype=float)
     rows = np.atleast_2d(s)
-    e = t.entries
     # Stacked products send every row through the BLAS call a lone point
-    # uses (dot, and gemv for e @ s), so batch rows equal single-point values
-    # bit for bit; ``rows @ e`` would switch to gemv/gemm and round apart.
-    if t.order == 1:
-        v = (rows[:, None, :] @ e)[:, 0]
-    elif t.order == 2:
-        v = (rows[:, None, :] @ (e @ rows[:, :, None]))[:, 0, 0]
+    # uses (dot, and gemv for t @ s), so batch rows equal single-point values
+    # bit for bit; ``rows @ t`` would switch to gemv/gemm and round apart.
+    if t.ndim == 1:
+        v = (rows[:, None, :] @ t)[:, 0]
+    elif t.ndim == 2:
+        v = (rows[:, None, :] @ (t @ rows[:, :, None]))[:, 0, 0]
     else:
-        v = np.einsum("abc,pa,pb,pc->p", e, rows, rows, rows)
+        v = np.einsum("abc,pa,pb,pc->p", t, rows, rows, rows)
     return float(v[0]) if s.ndim == 1 else v
 
 
-@dataclass(frozen=True, eq=False)
-class DerivativeBundle:
-    """Point-local derivative tensors of orders 1..degree with certified
-    absolute operator-norm error bounds; :func:`make_bundle` validates, the
-    dataclass trusts its fields."""
-
-    x: Vector
-    tensors: tuple[SymTensor, ...]
-    error_bounds: tuple[float, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.tensors)
-
-    @property
-    def dim(self) -> int:
-        return self.x.size
-
-
-def make_bundle(x, tensors, error_bounds=None) -> DerivativeBundle:
-    """Validated :class:`DerivativeBundle`; error bounds default to zero."""
-    x = as_vector(x)
-    tensors = tuple(tensors)
-    if error_bounds is None:
-        error_bounds = (0.0,) * len(tensors)
-    bounds = tuple(float(b) for b in error_bounds)
-    if len(tensors) != len(bounds):
-        raise ValueError("one error bound per tensor required")
-    if not tensors:
+def make_bundle(tensors) -> Bundle:
+    """The validated bundle (T_1, ..., T_j): slot i holds a finite order-i
+    tensor, and all tensors share one dimension."""
+    bundle = tuple(sym_tensor(t, already_symmetric=True) for t in tensors)
+    if not bundle:
         raise ValueError("bundle needs at least the order-1 tensor")
-    for i, t in enumerate(tensors, start=1):
-        if t.order != i:
-            raise ValueError(f"tensor at slot {i} has order {t.order}")
-        if t.dim != x.size:
-            raise ValueError("tensor dimension does not match the point")
-    if any(b < 0 for b in bounds):
-        raise ValueError("error bounds must be nonnegative")
-    return DerivativeBundle(x=x, tensors=tensors, error_bounds=bounds)
+    for i, t in enumerate(bundle, start=1):
+        if t.ndim != i:
+            raise ValueError(f"tensor at slot {i} has order {t.ndim}")
+        if t.shape[0] != bundle[0].size:
+            raise ValueError("tensors of one bundle must share one dimension")
+    return bundle
 
 
-def taylor_decrement(b: DerivativeBundle, s, j: int | None = None):
+def taylor_decrement(b: Bundle, s, j: int | None = None):
     """Model decrement m(0) - m(s) of the degree-j model; independent of f0.
 
     ``s`` is one point (n,), giving a float, or rows (m, n), giving an
     array of m values.
     """
-    j = b.degree if j is None else j
-    if j > b.degree:
-        raise ValueError(f"requested degree {j} exceeds bundle degree {b.degree}")
+    j = len(b) if j is None else j
+    if j > len(b):
+        raise ValueError(f"requested degree {j} exceeds bundle degree {len(b)}")
     total = 0.0
     for i in range(1, j + 1):
-        total += tensor_apply(b.tensors[i - 1], s) / factorial(i)
+        total += tensor_apply(b[i - 1], s) / factorial(i)
     return -total
 
 
-def taylor_value(b: DerivativeBundle, f0: float, s, j: int | None = None) -> float:
+def taylor_value(b: Bundle, f0: float, s, j: int | None = None) -> float:
     """Degree-j model value f0 + sum_i T_i[s]^i / i!."""
     return f0 - taylor_decrement(b, s, j)
 
 
-def model_gradient(b: DerivativeBundle, s, j: int | None = None) -> Vector:
+def model_gradient(b: Bundle, s, j: int | None = None) -> Vector:
     """Gradient (in s) of the degree-j model: T_1 + T_2 s + (1/2) T_3[s,s,.].
 
     ``s`` is one point (n,), giving a vector, or rows (m, n), giving one
     gradient per row.
     """
-    j = b.degree if j is None else j
+    j = len(b) if j is None else j
     s = np.asarray(s, dtype=float)
     rows = np.atleast_2d(s)
-    t1 = b.tensors[0].entries
+    t1 = b[0]
     if j == 1:
         g = np.repeat(t1[None, :], len(rows), axis=0)
     else:
         # As in tensor_apply: the stacked T_2 product is one gemv per row,
         # the call T_2 @ s makes, so rows equal single points bit for bit.
-        g = t1 + (b.tensors[1].entries @ rows[:, :, None])[:, :, 0]
+        g = t1 + (b[1] @ rows[:, :, None])[:, :, 0]
     if j >= 3:
-        g += 0.5 * np.einsum("abc,pb,pc->pa", b.tensors[2].entries, rows, rows)
+        g += 0.5 * np.einsum("abc,pb,pc->pa", b[2], rows, rows)
     return g[0] if s.ndim == 1 else g
 
 
@@ -193,5 +172,5 @@ def operator_norm(entries, order: int):
         flat = stack.reshape(len(stack), -1)
         k = np.frexp(np.abs(flat).max(axis=1))[1]
         flat = np.ldexp(flat, -k[:, None])
-        norms = np.ldexp(np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0]), k)
+        norms = np.ldexp(np.sqrt(row_dots(flat, flat)), k)
     return float(norms[0]) if not batch else norms.reshape(batch)

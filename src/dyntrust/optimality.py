@@ -22,7 +22,7 @@ from math import factorial
 
 import numpy as np
 
-from .model import DerivativeBundle, Vector, model_gradient, taylor_decrement
+from .model import Bundle, Vector, model_gradient, row_norms, taylor_decrement
 from .oracle import EvalLedger, InexactOracle
 from .verify import VerifyOutcome, verify
 
@@ -77,19 +77,17 @@ class BundleCache:
 
     def __init__(self, x):
         self.x = np.asarray(x, dtype=float)
-        self._tensors: dict[int, object] = {}
+        self._tensors: dict[int, np.ndarray] = {}
         self._zeta_at: dict[int, float] = {}
 
     def ensure(self, oracle: InexactOracle, acc: AccuracyLedger, j: int,
-               eval_ledger: EvalLedger | None = None) -> DerivativeBundle:
+               eval_ledger: EvalLedger | None = None) -> Bundle:
         for i in range(1, j + 1):
             target = float(acc.zetas[i - 1])
             if i not in self._tensors or self._zeta_at[i] > target:
                 self._tensors[i] = oracle.eval_deriv(self.x, i, target, eval_ledger)
                 self._zeta_at[i] = target
-        tensors = tuple(self._tensors[i] for i in range(1, j + 1))
-        bounds = tuple(self._zeta_at[i] for i in range(1, j + 1))
-        return DerivativeBundle(self.x, tensors, bounds)
+        return tuple(self._tensors[i] for i in range(1, j + 1))
 
 
 def _min_quadratic_on_ball(g: np.ndarray, h_mat: np.ndarray, radius: float,
@@ -156,12 +154,7 @@ def _min_quadratic_on_ball(g: np.ndarray, h_mat: np.ndarray, radius: float,
     return d * (radius / nd) if nd > radius else d
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, through the dot a lone ``norm`` uses."""
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-
-
-def _max_cubic_on_ball(b: DerivativeBundle, radius: float, seed: int = 0) -> np.ndarray:
+def _max_cubic_on_ball(b: Bundle, radius: float, seed: int = 0) -> np.ndarray:
     """Multi-start projected gradient ascent for the degree-3 decrement.
 
     The 2n + 8 starts (the signed scaled axes, then 8 seeded random points on
@@ -170,23 +163,23 @@ def _max_cubic_on_ball(b: DerivativeBundle, radius: float, seed: int = 0) -> np.
     ends where a one-at-a-time ascent from its start would.  Returns the
     first start with the largest positive decrement, or zeros.
     """
-    n = b.dim
+    n = b[0].size
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((8, n))
     d = np.concatenate([radius * np.eye(n), -radius * np.eye(n),
-                        radius * u / _row_norms(u)[:, None]])
+                        radius * u / row_norms(u)[:, None]])
     val = taylor_decrement(b, d, 3)
     step = np.full(len(d), 0.5 * radius)
     active = np.arange(len(d))
     for _ in range(_ASCENT_ROUNDS):
         g = -model_gradient(b, d[active], 3)
-        ng = _row_norms(g)
+        ng = row_norms(g)
         going = (ng >= 1e-15) & (step[active] >= 1e-15)
         active, g, ng = active[going], g[going], ng[going]
         if not active.size:
             break
         cand = d[active] + step[active, None] * g / ng[:, None]
-        nc = _row_norms(cand)
+        nc = row_norms(cand)
         over = nc > radius
         cand[over] *= (radius / nc[over])[:, None]
         cand_val = taylor_decrement(b, cand, 3)
@@ -199,7 +192,7 @@ def _max_cubic_on_ball(b: DerivativeBundle, radius: float, seed: int = 0) -> np.
     return d[best] if val[best] > 0.0 else np.zeros(n)
 
 
-def max_decrement(b: DerivativeBundle, j: int, delta: float,
+def max_decrement(b: Bundle, j: int, delta: float,
                   seed: int = 0) -> tuple[Vector, float, float | None]:
     """Near-maximal degree-j decrement over the delta-ball.
 
@@ -207,19 +200,19 @@ def max_decrement(b: DerivativeBundle, j: int, delta: float,
     the guaranteed fraction of the ball optimum (None for order 3, where the
     multi-start search carries no certificate).
     """
-    if j > b.degree:
+    if j > len(b):
         raise ValueError("bundle does not carry derivatives up to the requested order")
     if delta <= 0:
         raise ValueError("delta must be positive")
     if j == 1:
-        g = b.tensors[0].entries
+        g = b[0]
         ng = float(np.linalg.norm(g))
         if ng == 0.0:
-            return np.zeros(b.dim), 0.0, 1.0
+            return np.zeros(g.size), 0.0, 1.0
         d = -delta * g / ng
         return d, delta * ng, 1.0
     if j == 2:
-        d = _min_quadratic_on_ball(b.tensors[0].entries, b.tensors[1].entries, delta)
+        d = _min_quadratic_on_ball(b[0], b[1], delta)
         guarantee = VARSIGMA_ORDER2
     elif j == 3:
         d = _max_cubic_on_ball(b, delta, seed=seed)
@@ -228,7 +221,7 @@ def max_decrement(b: DerivativeBundle, j: int, delta: float,
         raise ValueError(f"unsupported order {j}")
     dt = taylor_decrement(b, d, j)
     if dt <= 0.0:
-        return np.zeros(b.dim), 0.0, guarantee
+        return np.zeros(b[0].size), 0.0, guarantee
     return d, dt, guarantee
 
 

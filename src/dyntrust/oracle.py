@@ -3,9 +3,10 @@
 The contract: objective values and derivative tensors can be requested to any
 absolute accuracy chosen *before* the call.  ``eval_f(x, a)`` returns a value
 within ``a`` of the true objective; ``eval_deriv(x, i, z)`` returns an order-i
-tensor within ``z`` of the true derivative in operator norm.  Where the error
-comes from is configurable (corruption policies); the bound always holds, and
-every call is logged in an :class:`EvalLedger`.
+tensor, a plain array of shape (n,) * i, within ``z`` of the true derivative
+in operator norm.  Where the error comes from is configurable (corruption
+policies); the bound always holds, and every call is logged in an
+:class:`EvalLedger`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import NonFiniteEvaluation, SymTensor, Vector, sym_tensor
+from .model import NonFiniteEvaluation, Vector, sym_tensor
 
 POLICIES = ("none", "adversarial", "truncate", "gaussian", "subsample")
 
@@ -50,7 +51,7 @@ class Problem:
     def exact_f(self, x) -> float:
         return float(self.fun(np.asarray(x, dtype=float)))
 
-    def exact_deriv(self, x, order: int) -> SymTensor:
+    def exact_deriv(self, x, order: int) -> np.ndarray:
         """The derivative at one point, validated where it enters: non-finite
         data raises :class:`NonFiniteEvaluation` naming the order and x."""
         x = np.asarray(x, dtype=float)
@@ -194,7 +195,7 @@ class InexactOracle:
             ledger.record("f", 0, abs_acc, work)
         return float(value)
 
-    def eval_deriv(self, x, order: int, zeta: float, ledger: EvalLedger | None = None) -> SymTensor:
+    def eval_deriv(self, x, order: int, zeta: float, ledger: EvalLedger | None = None) -> np.ndarray:
         if zeta < 0:
             raise ValueError("requested accuracy must be nonnegative")
         if not 1 <= order <= 3:
@@ -210,17 +211,16 @@ class InexactOracle:
             if self.policy == "adversarial":
                 u = self.rng.standard_normal(self.dim)
                 u /= np.linalg.norm(u)
-                tensor = SymTensor(tensor.entries + _rank_one(order, u, NOISE_FRACTION * zeta),
-                                   order, tensor.dim)
+                tensor = tensor + _rank_one(order, u, NOISE_FRACTION * zeta)
             elif self.policy == "truncate":
                 h = _decimal_grid(2.0 * zeta / self.dim ** (order / 2.0))
-                tensor = SymTensor(np.round(tensor.entries / h) * h, order, tensor.dim)
+                tensor = np.round(tensor / h) * h
             elif self.policy == "gaussian":
                 u = self.rng.standard_normal(self.dim)
                 u /= np.linalg.norm(u)
                 mag = float(np.clip(self.rng.normal(0.0, zeta / 3.0),
                                     -NOISE_FRACTION * zeta, NOISE_FRACTION * zeta))
-                tensor = SymTensor(tensor.entries + _rank_one(order, u, mag), order, tensor.dim)
+                tensor = tensor + _rank_one(order, u, mag)
         if ledger is not None:
             ledger.record("deriv", order, zeta, work)
         return tensor

@@ -25,8 +25,8 @@ import math
 
 import numpy as np
 
-from .model import (DerivativeBundle, NonFiniteEvaluation, make_bundle,
-                    model_gradient, operator_norm)
+from .model import (Bundle, NonFiniteEvaluation, model_gradient, operator_norm,
+                    row_dots, row_norms)
 from .oracle import Problem
 
 MAX_REFERENCE_DIM = 5  # the order-3 sampler's dimension limit
@@ -71,54 +71,43 @@ def _dual_bound(g: np.ndarray, h_mat: np.ndarray, delta: float) -> float:
     return min(psi(lo), psi(hi))  # psi(lam_low) may be inf
 
 
-def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x[i] @ y[i] per row, through the dot a lone pair of vectors uses."""
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
-
-
-def _rownorm(x: np.ndarray) -> np.ndarray:
-    return np.sqrt(_rowdot(x, x))
-
-
-def _decrements(b: DerivativeBundle, pts: np.ndarray) -> np.ndarray:
+def _decrements(b: Bundle, pts: np.ndarray) -> np.ndarray:
     """Degree-3 decrement at each row of pts (m, n), scored ``_SCORE_CHUNK``
     rows at a time: the cubic term is one GEMM per chunk, T3[p, ., .] as
     ``p @ T3.reshape(n, n * n)``, whose (rows, n, n) result the chunk bounds."""
-    t1, t2, t3 = (t.entries for t in b.tensors)
-    n = b.dim
+    t1, t2, t3 = b
+    n = t1.size
     t3_flat = t3.reshape(n, n * n)
     out = np.empty(len(pts))
     for lo in range(0, len(pts), _SCORE_CHUNK):
         p = pts[lo:lo + _SCORE_CHUNK]
         t3p = (p @ t3_flat).reshape(-1, n, n)
         w = t1 + 0.5 * (p @ t2) + np.einsum("ijk,ik->ij", t3p, p) / 6.0
-        out[lo:lo + _SCORE_CHUNK] = _rowdot(p, w)
+        out[lo:lo + _SCORE_CHUNK] = row_dots(p, w)
     return -out
 
 
-def _poly_coeffs_along_line(b: DerivativeBundle, d: np.ndarray,
-                            u: np.ndarray) -> np.ndarray:
+def _poly_coeffs_along_line(b: Bundle, d: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Coefficients c[:, 0..3] of t -> decrement(d + t u) for the cubic
     model, one row per row of d and u."""
-    t1, t2, t3 = (t.entries for t in b.tensors)
+    t1, t2, t3 = b
 
     def cubic(x, y, z):
         return np.einsum("abc,ia,ib,ic->i", t3, x, y, z)
 
     t2d, t2u = d @ t2, u @ t2
     return np.stack([
-        -(d @ t1) - 0.5 * _rowdot(d, t2d) - cubic(d, d, d) / 6.0,
-        -(u @ t1) - _rowdot(u, t2d) - 0.5 * cubic(d, d, u),
-        -0.5 * _rowdot(u, t2u) - 0.5 * cubic(d, u, u),
+        -(d @ t1) - 0.5 * row_dots(d, t2d) - cubic(d, d, d) / 6.0,
+        -(u @ t1) - row_dots(u, t2d) - 0.5 * cubic(d, d, u),
+        -0.5 * row_dots(u, t2u) - 0.5 * cubic(d, u, u),
         -cubic(u, u, u) / 6.0,
     ], axis=1)
 
 
-def _line_max(b: DerivativeBundle, d: np.ndarray, u: np.ndarray,
-              delta: float) -> np.ndarray:
+def _line_max(b: Bundle, d: np.ndarray, u: np.ndarray, delta: float) -> np.ndarray:
     """Exact maximization of the decrement along d + t u inside the ball, per
     row; a row with u = 0, or whose line misses the ball, keeps d."""
-    uu, du, dd = _rowdot(u, u), _rowdot(d, u), _rowdot(d, d)
+    uu, du, dd = row_dots(u, u), row_dots(d, u), row_dots(d, d)
     disc = du * du - uu * (dd - delta * delta)
     moves = (uu != 0.0) & (disc >= 0.0)
     d = d.copy()
@@ -148,19 +137,19 @@ def _line_max(b: DerivativeBundle, d: np.ndarray, u: np.ndarray,
     return d
 
 
-def _arc_max(b: DerivativeBundle, d: np.ndarray, t_hat: np.ndarray,
+def _arc_max(b: Bundle, d: np.ndarray, t_hat: np.ndarray,
              zooms: int = 6) -> np.ndarray:
     """Maximize the decrement on the circle of radius |d| in span(d, t_hat),
     per row: coarse angular grid, then zooming around the best angle.  A row
     with |d| or the part of t_hat tangent to it below 1e-15 keeps d."""
     out = d.copy()
-    r = _rownorm(d)
+    r = row_norms(d)
     rows = np.flatnonzero(r >= 1e-15)
     r = r[rows, None]
     d_hat = d[rows] / r
     t_hat = t_hat[rows]
-    t_hat = t_hat - _rowdot(t_hat, d_hat)[:, None] * d_hat
-    nt = _rownorm(t_hat)
+    t_hat = t_hat - row_dots(t_hat, d_hat)[:, None] * d_hat
+    nt = row_norms(t_hat)
     keep = nt >= 1e-15
     if not keep.any():
         return out
@@ -171,7 +160,7 @@ def _arc_max(b: DerivativeBundle, d: np.ndarray, t_hat: np.ndarray,
         thetas = np.linspace(lo, hi, 33, axis=1)
         pts = r[:, :, None] * (np.cos(thetas)[:, :, None] * d_hat[:, None, :]
                                + np.sin(thetas)[:, :, None] * t_hat[:, None, :])
-        vals = _decrements(b, pts.reshape(-1, b.dim)).reshape(thetas.shape)
+        vals = _decrements(b, pts.reshape(-1, d.shape[1])).reshape(thetas.shape)
         best_theta = thetas[np.arange(len(rows)), np.argmax(vals, axis=1)]
         width = (hi - lo) / 16.0
         lo, hi = best_theta - width, best_theta + width
@@ -197,7 +186,7 @@ def _newton_dirs(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _nonzero_or_random(g: np.ndarray, rng: np.random.Generator, unit: bool) -> np.ndarray:
     """Rows of g (scaled to unit length if ``unit``), a zero row replaced by
     a fresh standard normal draw."""
-    ng = _rownorm(g)
+    ng = row_norms(g)
     zero = ~(ng > 0)
     u = g / np.where(zero, 1.0, ng)[:, None] if unit else g.copy()
     if zero.any():
@@ -205,7 +194,7 @@ def _nonzero_or_random(g: np.ndarray, rng: np.random.Generator, unit: bool) -> n
     return u
 
 
-def _sampled_cubic_max(b: DerivativeBundle, delta: float) -> float:
+def _sampled_cubic_max(b: Bundle, delta: float) -> float:
     """Sampled maximum of the degree-3 decrement over the delta-ball.
 
     The ``_POLISH_STARTS`` best samples are polished together as one
@@ -213,7 +202,7 @@ def _sampled_cubic_max(b: DerivativeBundle, delta: float) -> float:
     start, so the stream is that of a one-start-at-a-time polish unless a
     zero gradient draws a fallback direction.
     """
-    n = b.dim
+    n = b[0].size
     if n > MAX_REFERENCE_DIM:
         raise ValueError(f"order-3 reference limited to dim <= {MAX_REFERENCE_DIM}")
     rng = np.random.default_rng(_SEED)
@@ -230,7 +219,7 @@ def _sampled_cubic_max(b: DerivativeBundle, delta: float) -> float:
     vals = _decrements(b, pts)
     order = np.argsort(-vals)
     best = float(vals[order[0]])
-    h2, t3 = b.tensors[1].entries, b.tensors[2].entries
+    _, h2, t3 = b
     d = pts[order[:_POLISH_STARTS]]
     lines = rng.standard_normal((len(d), _POLISH_ROUNDS // 5, n))
     for round_ in range(_POLISH_ROUNDS):
@@ -239,40 +228,40 @@ def _sampled_cubic_max(b: DerivativeBundle, delta: float) -> float:
         # chord through the local Newton point: one-shot for interior
         # quadratic maxima
         u_n = _newton_dirs(h2 + np.einsum("abc,ic->iab", t3, d), -model_gradient(b, d, 3))
-        chord = np.all(np.isfinite(u_n), axis=1) & (_rownorm(u_n) > 0)
+        chord = np.all(np.isfinite(u_n), axis=1) & (row_norms(u_n) > 0)
         d[chord] = _line_max(b, d[chord], u_n[chord], delta)
         # boundary maxima: chords cannot slide along the sphere, so
         # search the great circle toward the tangential gradient
         d = _arc_max(b, d, _nonzero_or_random(-model_gradient(b, d, 3), rng, False))
         if round_ % 5 == 4:
             d = _line_max(b, d, lines[:, round_ // 5], delta)
+        # a line end point can round outward, and the arc keeps |d|: pull
+        # every point back into the ball so the drift cannot build up
+        nd = row_norms(d)
+        over = nd > delta
+        d[over] *= (delta / nd[over])[:, None]
     return max(best, float(np.max(_decrements(b, d))))
 
 
-def max_decrement_reference(b: DerivativeBundle, j: int, delta: float) -> float:
+def max_decrement_reference(b: Bundle, j: int, delta: float) -> float:
     """Maximum of the degree-j decrement over the delta-ball: exact at j = 1,
     the dual bound at j = 2, a sampled lower bound at j = 3."""
     if not 1 <= j <= 3:
         raise ValueError("reference oracle supports degrees 1..3")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    g = b.tensors[0].entries
     if j == 1:
-        return delta * float(np.linalg.norm(g))
+        return delta * float(np.linalg.norm(b[0]))
     if j == 2:
-        return _dual_bound(g, b.tensors[1].entries, delta)
+        return _dual_bound(b[0], b[1], delta)
     return _sampled_cubic_max(b, delta)
-
-
-def exact_bundle(problem: Problem, x, j: int) -> DerivativeBundle:
-    tensors = [problem.exact_deriv(x, i) for i in range(1, j + 1)]
-    return make_bundle(x, tensors, (0.0,) * j)
 
 
 def phi_reference(problem: Problem, x, j: int, delta: float) -> float:
     """Largest decrease of the exact degree-j model within the delta-ball:
     certified at j <= 2 for any n, sampled at j = 3 for n <= 5."""
-    return max_decrement_reference(exact_bundle(problem, x, j), j, delta)
+    b = tuple(problem.exact_deriv(x, i) for i in range(1, j + 1))
+    return max_decrement_reference(b, j, delta)
 
 
 def lipschitz_estimate(problem: Problem, box, order: int,

@@ -9,8 +9,7 @@ from math import factorial
 
 import numpy as np
 
-from dyntrust.model import (DerivativeBundle, as_vector, model_gradient,
-                            taylor_decrement)
+from dyntrust.model import Bundle, as_vector, model_gradient, taylor_decrement
 from dyntrust.oracle import Problem
 from dyntrust.reference import (_POLISH_ROUNDS, _POLISH_STARTS, _RESOLUTION, _SEED,
                                 MAX_REFERENCE_DIM)
@@ -38,7 +37,7 @@ def finite_diff_check(problem: Problem, x, h: float = 1e-4) -> FdReport:
         e = np.zeros(n)
         e[a] = h
         grad_fd[a] = (f(x + e) - f(x - e)) / (2 * h)
-    grad_dev = float(np.max(np.abs(grad_fd - problem.exact_deriv(x, 1).entries)))
+    grad_dev = float(np.max(np.abs(grad_fd - problem.exact_deriv(x, 1))))
 
     hess_fd = np.zeros((n, n))
     for a in range(n):
@@ -49,7 +48,7 @@ def finite_diff_check(problem: Problem, x, h: float = 1e-4) -> FdReport:
             eb[b] = h
             hess_fd[a, b] = (f(x + ea + eb) - f(x + ea - eb)
                              - f(x - ea + eb) + f(x - ea - eb)) / (4 * h * h)
-    hess_dev = float(np.max(np.abs(hess_fd - problem.exact_deriv(x, 2).entries)))
+    hess_dev = float(np.max(np.abs(hess_fd - problem.exact_deriv(x, 2))))
     return FdReport(grad_dev=grad_dev, hess_dev=hess_dev, h=h)
 
 
@@ -67,23 +66,20 @@ class VerifyCheckReport:
         return not self.violations
 
 
-def check_verify_guarantees(exact: DerivativeBundle, inexact: DerivativeBundle,
-                            delta: float, v, omega: float, xi: float,
-                            n_samples: int = 100, seed: int = 0,
-                            fp_slack: float = 1e-12) -> VerifyCheckReport:
+def check_verify_guarantees(exact: Bundle, inexact: Bundle, zetas, delta: float,
+                            v, omega: float, xi: float, n_samples: int = 100,
+                            seed: int = 0, fp_slack: float = 1e-12) -> VerifyCheckReport:
     """Test-support oracle: sample displacements w with |w| <= delta and check
     the certification guarantees against the exact bundle.
 
-    The inexact bundle's tensors must genuinely be within its error_bounds of
-    the exact ones (the caller constructs them that way); zetas are taken from
-    ``inexact.error_bounds``.
+    Each inexact tensor must genuinely be within its entry of ``zetas`` of
+    the exact one in operator norm (the caller constructs them that way).
     """
-    r = inexact.degree
-    zetas = inexact.error_bounds
+    r = len(inexact)
     dt_v = taylor_decrement(inexact, v, r)
     outcome = verify(delta, dt_v, zetas, xi, omega)
     rng = np.random.default_rng(seed)
-    n = inexact.dim
+    n = inexact[0].size
 
     report = VerifyCheckReport(outcome=outcome, n_samples=n_samples)
     budget = error_budget(delta, zetas)
@@ -111,12 +107,12 @@ def check_verify_guarantees(exact: DerivativeBundle, inexact: DerivativeBundle,
     return report
 
 
-def sequential_max_cubic_on_ball(b: DerivativeBundle, radius: float, seed: int = 0,
+def sequential_max_cubic_on_ball(b: Bundle, radius: float, seed: int = 0,
                                  max_iter: int = 200) -> np.ndarray:
     """Multi-start projected gradient ascent for the degree-3 decrement, one
     start at a time: the reference ``optimality._max_cubic_on_ball`` must
     match bit for bit."""
-    n = b.dim
+    n = b[0].size
     rng = np.random.default_rng(seed)
     starts = [radius * e for e in np.eye(n)] + [-radius * e for e in np.eye(n)]
     for _ in range(8):
@@ -150,10 +146,10 @@ def sequential_max_cubic_on_ball(b: DerivativeBundle, radius: float, seed: int =
     return best_d
 
 
-def _poly_coeffs_along_line(b: DerivativeBundle, d: np.ndarray,
+def _poly_coeffs_along_line(b: Bundle, d: np.ndarray,
                             u: np.ndarray) -> np.ndarray:
     """Coefficients c[0..3] of t -> decrement(d + t u) for the cubic model."""
-    t1, t2, t3 = (t.entries for t in b.tensors)
+    t1, t2, t3 = b
     ddd = float(np.einsum("abc,a,b,c->", t3, d, d, d))
     ddu = float(np.einsum("abc,a,b,c->", t3, d, d, u))
     duu = float(np.einsum("abc,a,b,c->", t3, d, u, u))
@@ -166,7 +162,7 @@ def _poly_coeffs_along_line(b: DerivativeBundle, d: np.ndarray,
     ])
 
 
-def _line_max(b: DerivativeBundle, d: np.ndarray, u: np.ndarray,
+def _line_max(b: Bundle, d: np.ndarray, u: np.ndarray,
               delta: float) -> tuple[np.ndarray, float]:
     """Exact maximization of the decrement along d + t u inside the ball."""
     uu = float(u @ u)
@@ -200,7 +196,7 @@ def _line_max(b: DerivativeBundle, d: np.ndarray, u: np.ndarray,
     return d + best_t * u, best_v
 
 
-def _arc_max(b: DerivativeBundle, d: np.ndarray, t_hat: np.ndarray,
+def _arc_max(b: Bundle, d: np.ndarray, t_hat: np.ndarray,
              zooms: int = 6) -> tuple[np.ndarray, float]:
     """Maximize the decrement on the circle of radius |d| in span(d, t_hat):
     coarse angular grid, then vectorized zooming around the best angle."""
@@ -227,11 +223,11 @@ def _arc_max(b: DerivativeBundle, d: np.ndarray, t_hat: np.ndarray,
     return out, taylor_decrement(b, out, 3)
 
 
-def sequential_sampled_cubic_max(b: DerivativeBundle, delta: float) -> float:
+def sequential_sampled_cubic_max(b: Bundle, delta: float) -> float:
     """Sampled maximum of the degree-3 decrement over the delta-ball, one
     polish start at a time: the batched ``reference._sampled_cubic_max``
     must agree to rounding."""
-    n = b.dim
+    n = b[0].size
     if n > MAX_REFERENCE_DIM:
         raise ValueError(f"order-3 reference limited to dim <= {MAX_REFERENCE_DIM}")
     rng = np.random.default_rng(_SEED)
@@ -248,7 +244,7 @@ def sequential_sampled_cubic_max(b: DerivativeBundle, delta: float) -> float:
     vals = taylor_decrement(b, pts, 3)
     order = np.argsort(-vals)
     best = float(vals[order[0]])
-    h2, t3 = b.tensors[1].entries, b.tensors[2].entries
+    _, h2, t3 = b
     for idx in order[:_POLISH_STARTS]:
         d = pts[idx].copy()
         v = float(vals[idx])
@@ -273,5 +269,9 @@ def sequential_sampled_cubic_max(b: DerivativeBundle, delta: float) -> float:
                             else rng.standard_normal(n))
             if round_ % 5 == 4:
                 d, v = _line_max(b, d, rng.standard_normal(n), delta)
+            nd = np.linalg.norm(d)
+            if nd > delta:  # back into the ball, as the batched sampler does
+                d = d * (delta / nd)
+                v = taylor_decrement(b, d, 3)
         best = max(best, v)
     return best

@@ -101,22 +101,22 @@ def _verify_instance(rng):
         for _ in range(i - 1):
             p = np.multiply.outer(p, u)
         inexact_tensors.append(
-            sym_tensor(t.entries + rng.uniform(0, 0.999) * zetas[i - 1] * p,
+            sym_tensor(t + rng.uniform(0, 0.999) * zetas[i - 1] * p,
                        already_symmetric=True))
-    x = rng.standard_normal(n)
-    exact = make_bundle(x, exact_tensors)
-    inexact = make_bundle(x, inexact_tensors, zetas)
+    rng.standard_normal(n)  # a base point, drawn to keep the instance stream
+    exact = make_bundle(exact_tensors)
+    inexact = make_bundle(inexact_tensors)
     if rng.random() < 0.3:
         v = np.zeros(n)
     else:
-        g = inexact_tensors[0].entries
+        g = inexact_tensors[0]
         scale = rng.uniform(1e-3, 1.0)
         v = -scale * delta * g / max(np.linalg.norm(g), 1e-12)
         if taylor_decrement(inexact, v, r) < 0:
             v = np.zeros(n)
     omega = float(rng.uniform(0.01, 1.0))
     xi = float(10.0 ** rng.uniform(-3, 1))
-    return exact, inexact, delta, v, omega, xi
+    return exact, inexact, zetas, delta, v, omega, xi
 
 
 def test_criterion_1_verify_guarantee_suite():
@@ -125,8 +125,8 @@ def test_criterion_1_verify_guarantee_suite():
     outcomes = {o: 0 for o in VerifyOutcome}
     violations = []
     for trial in range(200):
-        exact, inexact, delta, v, omega, xi = _verify_instance(rng)
-        rep = check_verify_guarantees(exact, inexact, delta, v, omega, xi,
+        exact, inexact, zetas, delta, v, omega, xi = _verify_instance(rng)
+        rep = check_verify_guarantees(exact, inexact, zetas, delta, v, omega, xi,
                                       n_samples=100, seed=trial)
         outcomes[rep.outcome] += 1
         violations.extend(rep.violations)

@@ -68,5 +68,5 @@ def test_random_admissible_configurations(batch):
             assert abs(r.f_bar_old - problem.exact_f(np.array(r.x))) <= budget
             assert abs(r.f_bar_new - problem.exact_f(np.array(r.x_trial))) <= budget
         # the final point is genuinely first-order small
-        gnorm = np.linalg.norm(problem.exact_deriv(result.x_eps, 1).entries)
+        gnorm = np.linalg.norm(problem.exact_deriv(result.x_eps, 1))
         assert gnorm <= cfg.eps[0] + 1e-8

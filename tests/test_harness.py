@@ -89,6 +89,34 @@ def test_cli_malformed_numbers_are_config_errors(tmp_path, capsys, flags, messag
     assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
+@pytest.mark.parametrize("line,message", [
+    ("Delta0 = abc", "Delta0 expects a number, got 'abc'"),
+    ("max_iterations = 1e3", "max_iterations expects an integer, got '1e3'"),
+    ("seed = x", "seed expects an integer, got 'x'"),
+    ("q = two", "q expects an integer, got 'two'"),
+    ("dim = 2.5", "dim expects an integer, got '2.5'"),
+    ("cond = ten", "cond expects a number, got 'ten'"),
+], ids=["cfg_float", "cfg_int", "seed", "q", "problem_int", "problem_float"])
+def test_cli_malformed_config_file_values_are_config_errors(tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"problem = quadratic\n{line}\n")
+    code = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("grid,message", [
+    ("1e-1,abc", "--eps-grid expects a number, got 'abc'"),
+    ("1e-1..x", "--eps-grid expects a number, got 'x'"),
+    ("1e-1..1e-3:many", "--eps-grid point count expects an integer, got 'many'"),
+], ids=["list_entry", "range_end", "range_count"])
+def test_cli_malformed_eps_grid_is_a_config_error(tmp_path, capsys, grid, message):
+    code = main(["sweep", "--problem", "quadratic", "--eps-grid", grid,
+                 "--out-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
 def test_cli_cap_exhaustion_exit_code(tmp_path):
     code = main(["run", "--problem", "saddle_well", "--eps", "1e-3,1e-3",
                  "--max-iterations", "20", "--out-dir", str(tmp_path)])

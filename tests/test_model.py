@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from dyntrust.model import (make_bundle, model_gradient, operator_norm, sym_tensor,
-                            taylor_decrement, taylor_value, tensor_apply)
+from dyntrust.model import (NonFiniteEvaluation, make_bundle, model_gradient,
+                            operator_norm, sym_tensor, taylor_decrement, taylor_value,
+                            tensor_apply)
 from dyntrust.verify import error_budget
 
 
@@ -21,10 +22,10 @@ def naive_contraction(entries: np.ndarray, s: np.ndarray) -> float:
     return total
 
 
-def random_bundle(rng, n, degree, with_errors=False):
+def random_bundle(rng, n, degree):
     tensors = [sym_tensor(rng.standard_normal((n,) * i)) for i in range(1, degree + 1)]
-    bounds = tuple(rng.random() for _ in range(degree)) if with_errors else None
-    return make_bundle(rng.standard_normal(n), tensors, bounds)
+    rng.standard_normal(n)  # a base point, drawn to keep the instance stream
+    return make_bundle(tensors)
 
 
 def test_tensor_apply_linear_form():
@@ -42,7 +43,7 @@ def test_tensor_apply_order3_matches_naive_loop():
     for _ in range(10):
         t = sym_tensor(rng.standard_normal((2, 2, 2)))
         s = rng.standard_normal(2)
-        assert tensor_apply(t, s) == pytest.approx(naive_contraction(t.entries, s), rel=1e-12)
+        assert tensor_apply(t, s) == pytest.approx(naive_contraction(t, s), rel=1e-12)
 
 
 def test_tensor_apply_permutation_symmetry():
@@ -72,13 +73,13 @@ def test_batch_rows_equal_single_points(n, degree):
     b = random_bundle(rng, n, degree)
     pts = rng.standard_normal((1000, n)) * rng.random((1000, 1))
     for j in range(1, degree + 1):
-        applied = tensor_apply(b.tensors[j - 1], pts)
+        applied = tensor_apply(b[j - 1], pts)
         decrements = taylor_decrement(b, pts, j)
         gradients = model_gradient(b, pts, j)
         assert applied.shape == decrements.shape == (len(pts),)
         assert gradients.shape == pts.shape
         for p, a, d, g in zip(pts, applied, decrements, gradients):
-            assert a == tensor_apply(b.tensors[j - 1], p)
+            assert a == tensor_apply(b[j - 1], p)
             assert d == taylor_decrement(b, p, j)
             single = model_gradient(b, p, j)
             assert single.shape == (n,)
@@ -94,7 +95,7 @@ def test_taylor_decrement_zero_step():
 
 def test_taylor_decrement_1d_quadratic():
     # f = x^2 at x = 1: gradient 2, second derivative 2; step -1
-    b = make_bundle([1.0], [sym_tensor([2.0]), sym_tensor(np.array([[2.0]]))])
+    b = make_bundle([sym_tensor([2.0]), sym_tensor(np.array([[2.0]]))])
     assert taylor_decrement(b, [-1.0], 2) == pytest.approx(1.0)
 
 
@@ -103,14 +104,14 @@ def test_taylor_decrement_matches_value_difference():
     for _ in range(20):
         degree = rng.integers(1, 4)
         b = random_bundle(rng, int(rng.integers(1, 5)), int(degree))
-        s = rng.standard_normal(b.dim)
+        s = rng.standard_normal(b[0].size)
         f0 = float(rng.standard_normal())
-        via_values = taylor_value(b, f0, np.zeros(b.dim), degree) - taylor_value(b, f0, s, degree)
+        via_values = taylor_value(b, f0, np.zeros(b[0].size), degree) - taylor_value(b, f0, s, degree)
         assert taylor_decrement(b, s, degree) == pytest.approx(via_values, rel=1e-12, abs=1e-12)
 
 
 def test_taylor_value_trivial_and_quadratic():
-    b = make_bundle([1.0], [sym_tensor([2.0]), sym_tensor(np.array([[2.0]]))])
+    b = make_bundle([sym_tensor([2.0]), sym_tensor(np.array([[2.0]]))])
     assert taylor_value(b, 5.0, [0.0], 2) == 5.0
     assert taylor_value(b, 1.0, [-1.0], 2) == pytest.approx(0.0)
 
@@ -125,15 +126,15 @@ def test_error_propagation_bound():
         base = random_bundle(rng, n, degree)
         zetas = rng.random(degree) * 0.5
         perturbed = []
-        for i, t in enumerate(base.tensors, start=1):
+        for i, t in enumerate(base, start=1):
             u = rng.standard_normal(n)
             u /= np.linalg.norm(u)
             bump = zetas[i - 1] * 0.999
             p = u.copy()
             for _ in range(i - 1):
                 p = np.multiply.outer(p, u)
-            perturbed.append(sym_tensor(t.entries + bump * p, already_symmetric=True))
-        pert = make_bundle(base.x, perturbed, zetas)
+            perturbed.append(sym_tensor(t + bump * p, already_symmetric=True))
+        pert = make_bundle(perturbed)
         s = rng.standard_normal(n) * rng.random() * 2
         gap = abs(taylor_decrement(pert, s, degree) - taylor_decrement(base, s, degree))
         assert gap <= error_budget(float(np.linalg.norm(s)), zetas) * (1 + 1e-12)
@@ -160,7 +161,7 @@ def test_operator_norm_stack_equals_single_tensors(n, order):
     rng = np.random.default_rng(n * 10 + order)
     raw = rng.standard_normal((12,) + (n,) * order) * 10.0 ** rng.uniform(
         -100, 100, (12,) + (1,) * order)
-    stack = np.array([sym_tensor(t).entries for t in raw])
+    stack = np.array([sym_tensor(t) for t in raw])
     norms = operator_norm(stack, order)
     assert norms.shape == (12,)
     np.testing.assert_array_equal(operator_norm(stack.reshape((3, 4) + stack.shape[1:]), order),
@@ -172,25 +173,44 @@ def test_operator_norm_stack_equals_single_tensors(n, order):
 
 def test_operator_norm_orders():
     g = sym_tensor(np.array([3.0, 4.0]))
-    assert operator_norm(g.entries, 1) == pytest.approx(5.0)
+    assert operator_norm(g, 1) == pytest.approx(5.0)
     h = sym_tensor(np.diag([-7.0, 2.0]))
-    assert operator_norm(h.entries, 2) == pytest.approx(7.0)
+    assert operator_norm(h, 2) == pytest.approx(7.0)
     # rank-one symmetric cubic: norm equals the coefficient
     u = np.array([1.0, 2.0, -1.0])
     u /= np.linalg.norm(u)
     t = sym_tensor(2.5 * np.einsum("a,b,c->abc", u, u, u), already_symmetric=True)
-    assert operator_norm(t.entries, 3) == pytest.approx(2.5, rel=1e-8)
+    assert operator_norm(t, 3) == pytest.approx(2.5, rel=1e-8)
 
 
 def test_bundle_validation():
-    with pytest.raises(ValueError):
-        make_bundle([0.0, 0.0], [sym_tensor(np.eye(2))])  # slot 1 must be order 1
-    with pytest.raises(ValueError):
-        make_bundle([0.0], [sym_tensor([1.0])], (-0.1,))
-    b = make_bundle([0.0, 0.0], [sym_tensor([1.0, 2.0]), sym_tensor(np.eye(2))])
-    assert b.degree == 2 and b.dim == 2
+    with pytest.raises(ValueError, match="at least the order-1"):
+        make_bundle([])
+    with pytest.raises(ValueError, match="slot 1 has order 2"):
+        make_bundle([np.eye(2)])
+    with pytest.raises(ValueError, match="slot 2 has order 3"):
+        make_bundle([np.ones(2), np.ones((2, 2, 2))])
+    with pytest.raises(ValueError, match="share one dimension"):
+        make_bundle([np.ones(2), np.eye(3)])
+    with pytest.raises(NonFiniteEvaluation):
+        make_bundle([np.ones(2), np.array([[1.0, np.nan], [np.nan, 1.0]])])
+    b = make_bundle([[1.0, 2.0], np.eye(2)])
+    assert type(b) is tuple and len(b) == 2 and b[0].size == 2
+    assert all(type(t) is np.ndarray and t.dtype == float for t in b)
     with pytest.raises(ValueError):
         taylor_decrement(b, np.zeros(2), 3)
+
+
+def test_sym_tensor_is_a_plain_array():
+    t = sym_tensor([[1.0, 2.0], [0.0, 1.0]])
+    assert type(t) is np.ndarray
+    np.testing.assert_array_equal(t, [[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="order must be in 1..3"):
+        sym_tensor(np.ones((2,) * 4))
+    with pytest.raises(ValueError, match="shape"):
+        sym_tensor(np.ones((2, 3)))
+    with pytest.raises(NonFiniteEvaluation):
+        sym_tensor([1.0, np.inf])
 
 
 # property tests: the model identities must hold for arbitrary bundles
@@ -210,7 +230,7 @@ def _bundle_strategy(n, degree):
 @settings(max_examples=150, deadline=None)
 def test_decrement_value_identity_property(data, n, degree):
     tensors = [sym_tensor(t) for t in data.draw(_bundle_strategy(n, degree))]
-    b = make_bundle(np.zeros(n), tensors)
+    b = make_bundle(tensors)
     s = np.array(data.draw(st.lists(st.floats(-5, 5), min_size=n, max_size=n)))
     f0 = data.draw(st.floats(-100, 100))
     lhs = taylor_value(b, f0, np.zeros(n), degree) - taylor_value(b, f0, s, degree)
@@ -223,7 +243,7 @@ def test_decrement_value_identity_property(data, n, degree):
 @settings(max_examples=60, deadline=None)
 def test_zero_step_property(data, n, degree):
     tensors = [sym_tensor(t) for t in data.draw(_bundle_strategy(n, degree))]
-    b = make_bundle(np.zeros(n), tensors)
+    b = make_bundle(tensors)
     assert taylor_decrement(b, np.zeros(n), degree) == 0.0
 
 
@@ -235,4 +255,4 @@ def test_order3_norm_bounds_every_unit_contraction(data, n):
     u = data.draw(arrays(float, n, elements=st.floats(-1, 1)))
     assume(np.linalg.norm(u) > 1e-3)
     u = u / np.linalg.norm(u)
-    assert operator_norm(t.entries, 3) * (1 + 1e-12) >= abs(tensor_apply(t, u))
+    assert operator_norm(t, 3) * (1 + 1e-12) >= abs(tensor_apply(t, u))

@@ -29,7 +29,7 @@ def fresh_state(problem, q, x, policy="none", seed=0, zeta0=0.1):
 
 
 def test_max_decrement_order1_closed_form():
-    b = make_bundle(np.zeros(2), [sym_tensor(np.array([3.0, 4.0]))])
+    b = make_bundle([sym_tensor(np.array([3.0, 4.0]))])
     d, dt, guar = max_decrement(b, 1, 0.5)
     assert dt == pytest.approx(2.5)
     np.testing.assert_allclose(d, [-0.3, -0.4])
@@ -37,15 +37,15 @@ def test_max_decrement_order1_closed_form():
 
 
 def test_max_decrement_order1_zero_gradient():
-    b = make_bundle(np.zeros(2), [sym_tensor(np.zeros(2))])
+    b = make_bundle([sym_tensor(np.zeros(2))])
     d, dt, _ = max_decrement(b, 1, 0.5)
     assert dt == 0.0
     np.testing.assert_array_equal(d, np.zeros(2))
 
 
 def test_max_decrement_order2_hard_case():
-    b = make_bundle(np.zeros(2), [sym_tensor(np.zeros(2)),
-                                  sym_tensor(np.diag([-2.0, 1.0]))])
+    b = make_bundle([sym_tensor(np.zeros(2)),
+                     sym_tensor(np.diag([-2.0, 1.0]))])
     d, dt, _ = max_decrement(b, 2, 1.0)
     assert dt == pytest.approx(1.0, rel=1e-9)
     assert abs(d[0]) == pytest.approx(1.0, rel=1e-9)
@@ -56,8 +56,8 @@ def test_max_decrement_order2_matches_reference():
     rng = np.random.default_rng(12)
     for _ in range(25):
         n = int(rng.integers(1, 5))
-        b = make_bundle(rng.standard_normal(n),
-                        [sym_tensor(rng.standard_normal(n) * 3),
+        rng.standard_normal(n)  # a base point, drawn to keep the instance stream
+        b = make_bundle([sym_tensor(rng.standard_normal(n) * 3),
                          sym_tensor(rng.standard_normal((n, n)) * 3)])
         delta = float(rng.uniform(0.05, 1.0))
         _, dt, _ = max_decrement(b, 2, delta)
@@ -74,7 +74,7 @@ def test_max_decrement_order2_small_radius_inside_ball(delta):
         n = int(rng.integers(2, 6))
         g = rng.standard_normal(n) * 10 ** rng.uniform(-3, 1)
         h = rng.standard_normal((n, n))
-        b = make_bundle(np.zeros(n), [sym_tensor(g), sym_tensor(h + h.T)])
+        b = make_bundle([sym_tensor(g), sym_tensor(h + h.T)])
         d, dt, _ = max_decrement(b, 2, delta)
         assert VARSIGMA_ORDER2 * max_decrement_reference(b, 2, delta) <= dt
         assert np.linalg.norm(d) <= delta * (1 + 1e-12)
@@ -84,8 +84,8 @@ def test_varsigma_certificate_orders_1_2():
     rng = np.random.default_rng(21)
     for _ in range(20):
         n = int(rng.integers(1, 5))
-        b = make_bundle(rng.standard_normal(n),
-                        [sym_tensor(rng.standard_normal(n)),
+        rng.standard_normal(n)  # a base point, drawn to keep the instance stream
+        b = make_bundle([sym_tensor(rng.standard_normal(n)),
                          sym_tensor(rng.standard_normal((n, n)))])
         delta = float(rng.uniform(0.1, 1.0))
         for j, guar in ((1, 1.0), (2, 1.0 - 1e-8)):
@@ -98,8 +98,8 @@ def test_max_decrement_order3_dominates_quadratic_solution():
     rng = np.random.default_rng(5)
     for _ in range(10):
         n = int(rng.integers(1, 4))
-        b = make_bundle(rng.standard_normal(n),
-                        [sym_tensor(rng.standard_normal(n)),
+        rng.standard_normal(n)  # a base point, drawn to keep the instance stream
+        b = make_bundle([sym_tensor(rng.standard_normal(n)),
                          sym_tensor(rng.standard_normal((n, n))),
                          sym_tensor(0.5 * rng.standard_normal((n, n, n)))])
         delta = float(rng.uniform(0.1, 1.0))
@@ -110,8 +110,8 @@ def test_max_decrement_order3_dominates_quadratic_solution():
 
 
 def cubic_bundle(rng, n, t3_scale=1.0):
-    return make_bundle(rng.standard_normal(n),
-                       [sym_tensor(rng.standard_normal(n)),
+    rng.standard_normal(n)  # a base point, drawn to keep the instance stream
+    return make_bundle([sym_tensor(rng.standard_normal(n)),
                         sym_tensor(rng.standard_normal((n, n))),
                         sym_tensor(t3_scale * rng.standard_normal((n, n, n)))])
 
@@ -130,8 +130,8 @@ def test_order3_ascent_without_a_positive_start_returns_zeros():
     # no gradient, positive definite Hessian, small cubic term: every
     # nonzero step in the ball increases the model
     rng = np.random.default_rng(8)
-    b = make_bundle(np.zeros(3), [sym_tensor(np.zeros(3)), sym_tensor(np.eye(3)),
-                                  sym_tensor(0.1 * rng.standard_normal((3, 3, 3)))])
+    b = make_bundle([sym_tensor(np.zeros(3)), sym_tensor(np.eye(3)),
+                     sym_tensor(0.1 * rng.standard_normal((3, 3, 3)))])
     d, dt, _ = max_decrement(b, 3, 0.1)
     assert dt == 0.0
     assert np.array_equal(d, np.zeros(3))

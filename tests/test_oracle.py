@@ -17,7 +17,7 @@ POLICIES = ("none", "adversarial", "truncate", "gaussian")
 
 
 def realized_tensor_error(problem, tensor, x, order):
-    return operator_norm(tensor.entries - problem.exact_deriv(x, order).entries, order)
+    return operator_norm(tensor - problem.exact_deriv(x, order), order)
 
 
 def test_policy_none_is_exact():
@@ -25,8 +25,8 @@ def test_policy_none_is_exact():
     o = InexactOracle(p, policy="none", seed=0)
     x = np.array([0.3, -0.2])
     assert o.eval_f(x, 1e-6) == p.exact_f(x)
-    np.testing.assert_array_equal(o.eval_deriv(x, 1, 1e-3).entries,
-                                  p.exact_deriv(x, 1).entries)
+    np.testing.assert_array_equal(o.eval_deriv(x, 1, 1e-3),
+                                  p.exact_deriv(x, 1))
 
 
 def test_adversarial_f_error_is_099_times_bound():
@@ -44,7 +44,7 @@ def test_adversarial_gradient_error_within_bound():
     x = np.array([-1.2, 1.0])
     zeta = 1e-3
     g = o.eval_deriv(x, 1, zeta)
-    err = np.linalg.norm(g.entries - p.exact_deriv(x, 1).entries)
+    err = np.linalg.norm(g - p.exact_deriv(x, 1))
     assert err == pytest.approx(0.99 * zeta, rel=1e-9)
     assert err <= zeta
 
@@ -75,6 +75,19 @@ def test_bound_honesty_all_policies(policy):
             assert realized_tensor_error(p, t, x, order) <= zeta * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("policy", POLICIES + ("subsample",))
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_eval_deriv_returns_a_plain_array(policy, order):
+    p = make_problem("finite_sum_logistic", dim=3, terms=16)
+    o = InexactOracle(p, policy=policy, seed=2)
+    x = np.array([0.4, -0.3, 1.1])
+    for zeta in (0.0, 1e-3, 0.5):  # exact, and two inexact accuracies
+        t = o.eval_deriv(x, order, zeta)
+        assert type(t) is np.ndarray and t.dtype == float
+        assert t.shape == (3,) * order
+    assert type(p.exact_deriv(x, order)) is np.ndarray
+
+
 def test_determinism_same_seed_same_values():
     p = make_problem("rosenbrock")
     x = np.array([0.1, 0.4])
@@ -82,7 +95,7 @@ def test_determinism_same_seed_same_values():
     for _ in range(2):
         o = InexactOracle(p, policy="gaussian", seed=123)
         vals = [o.eval_f(x, 1e-3), o.eval_f(x, 1e-4)]
-        vals.append(float(np.sum(o.eval_deriv(x, 2, 1e-3).entries)))
+        vals.append(float(np.sum(o.eval_deriv(x, 2, 1e-3))))
         runs.append(vals)
     assert runs[0] == runs[1]
 
@@ -108,8 +121,8 @@ def test_exact_order_set_returns_exact():
     p = make_problem("rosenbrock")
     o = InexactOracle(p, policy="adversarial", seed=0, exact_orders=(2,))
     x = np.array([0.2, 0.9])
-    np.testing.assert_array_equal(o.eval_deriv(x, 2, 1e-2).entries,
-                                  p.exact_deriv(x, 2).entries)
+    np.testing.assert_array_equal(o.eval_deriv(x, 2, 1e-2),
+                                  p.exact_deriv(x, 2))
     # non-exact orders still corrupted
     g = o.eval_deriv(x, 1, 1e-2)
     assert realized_tensor_error(p, g, x, 1) > 0
@@ -165,8 +178,8 @@ def test_problem_derivatives_consistent(name, params):
     v = rng.standard_normal(p.dim)
     v /= np.linalg.norm(v)
     h = 1e-5
-    lhs = (p.exact_deriv(x + h * v, 2).entries - p.exact_deriv(x - h * v, 2).entries) / (2 * h)
-    rhs = np.einsum("abc,c->ab", p.exact_deriv(x, 3).entries, v)
+    lhs = (p.exact_deriv(x + h * v, 2) - p.exact_deriv(x - h * v, 2)) / (2 * h)
+    rhs = np.einsum("abc,c->ab", p.exact_deriv(x, 3), v)
     assert np.max(np.abs(lhs - rhs)) <= 1e-4 * max(1.0, np.max(np.abs(rhs)))
 
 
@@ -184,7 +197,7 @@ def test_stacked_deriv_equals_single_points(name, order, data):
     assert stack.shape == (m,) + (p.dim,) * order
     np.testing.assert_array_equal(p.deriv(x.reshape(m, 1, p.dim), order)[:, 0], stack)
     for row, point in zip(stack, x):
-        single = p.exact_deriv(point, order).entries
+        single = p.exact_deriv(point, order)
         if name == "saddle_well" and order == 1:
             # The one exception is y**3: numpy-scalar pow for a lone point,
             # the array power loop for a stack.  They round apart by up to
@@ -280,8 +293,8 @@ def test_nonfinite_derivative_built_with_sym_tensor_names_order_and_point():
     # the point.
     def deriv(x, order):
         if order == 1:
-            return sym_tensor(np.array([math.nan, 0.0]) if x[0] < 0.5 else 2.0 * x).entries
-        return sym_tensor(2.0 * np.eye(2)).entries
+            return sym_tensor(np.array([math.nan, 0.0]) if x[0] < 0.5 else 2.0 * x)
+        return sym_tensor(2.0 * np.eye(2))
 
     p = Problem(name="nan_grad_below_0.5", dim=2, fun=lambda x: float(x @ x),
                 deriv=deriv, f_low=0.0, x0=np.array([0.9, 0.0]))

@@ -235,3 +235,12 @@ def test_order3_pass_reproduces_the_recorded_fingerprints(monkeypatch):
     assert out["failures"] == []
     assert out["fingerprints"] == worker.recorded_fingerprints("order3", 0)
     assert audits == ORDER3_SEED0_AUDITS
+
+
+def test_audit_corpus_pass_reproduces_the_recorded_fingerprints():
+    # pins the none, gaussian and truncate perturbation arithmetic, which the
+    # order3 cases (adversarial and subsample only) do not reach
+    worker = _load("worker")
+    out = worker.run_pass(worker.WORKLOADS["audit_corpus"], 0)
+    assert out["failures"] == []
+    assert out["fingerprints"] == worker.recorded_fingerprints("audit_corpus", 0)

@@ -43,15 +43,15 @@ def test_pass_through_when_radius_small():
 
 
 def test_trial_step_order1_scaled_steepest_descent():
-    b = make_bundle(np.zeros(2), [sym_tensor(np.array([1.0, 0.0]))])
+    b = make_bundle([sym_tensor(np.array([1.0, 0.0]))])
     s, dt, _ = max_decrement(b, 1, 3.0)
     np.testing.assert_allclose(s, [-3.0, 0.0])
     assert dt == pytest.approx(3.0)
 
 
 def test_trial_step_order2_hard_case_radius2():
-    b = make_bundle(np.zeros(2), [sym_tensor(np.zeros(2)),
-                                  sym_tensor(np.diag([-2.0, 1.0]))])
+    b = make_bundle([sym_tensor(np.zeros(2)),
+                     sym_tensor(np.diag([-2.0, 1.0]))])
     s, dt, _ = max_decrement(b, 2, 2.0)
     assert np.linalg.norm(s) == pytest.approx(2.0, rel=1e-9)
     assert abs(s[0]) == pytest.approx(2.0, rel=1e-9)
@@ -103,7 +103,7 @@ def test_adversarial_tightens_until_relative():
     assert res.outcome is VerifyOutcome.RELATIVE
     assert res.absolute_events == 0
     # realized decrement error against exact tensors honors the certificate
-    exact = make_bundle(x, [p.exact_deriv(x, 1)])
+    exact = make_bundle([p.exact_deriv(x, 1)])
     gap = abs(res.dT - taylor_decrement(exact, res.s, 1))
     assert gap <= omega * res.dT * (1 + 1e-9)
 

@@ -104,27 +104,27 @@ def _random_instance(rng):
         for _ in range(i - 1):
             p = np.multiply.outer(p, u)
         inexact_tensors.append(
-            sym_tensor(t.entries + rng.uniform(0, 0.999) * zetas[i - 1] * p,
+            sym_tensor(t + rng.uniform(0, 0.999) * zetas[i - 1] * p,
                        already_symmetric=True))
-    x = rng.standard_normal(n)
-    exact = make_bundle(x, exact_tensors)
-    inexact = make_bundle(x, inexact_tensors, zetas)
+    rng.standard_normal(n)  # a base point, drawn to keep the instance stream
+    exact = make_bundle(exact_tensors)
+    inexact = make_bundle(inexact_tensors)
     v = rng.standard_normal(n)
     v *= delta * rng.random() / np.linalg.norm(v)
     omega = float(rng.uniform(0.01, 1.0))
     xi = float(10.0 ** rng.uniform(-3, 1))
-    return exact, inexact, delta, v, omega, xi
+    return exact, inexact, zetas, delta, v, omega, xi
 
 
 def test_guarantees_on_random_instances():
     rng = np.random.default_rng(2024)
     outcomes = {o: 0 for o in VerifyOutcome}
     for trial in range(60):
-        exact, inexact, delta, v, omega, xi = _random_instance(rng)
+        exact, inexact, zetas, delta, v, omega, xi = _random_instance(rng)
         from dyntrust.model import taylor_decrement
-        if taylor_decrement(inexact, v, inexact.degree) < 0:
+        if taylor_decrement(inexact, v, len(inexact)) < 0:
             v = np.zeros_like(v)  # the loop only certifies nonnegative decrements
-        rep = check_verify_guarantees(exact, inexact, delta, v, omega, xi,
+        rep = check_verify_guarantees(exact, inexact, zetas, delta, v, omega, xi,
                                       n_samples=40, seed=trial)
         outcomes[rep.outcome] += 1
         assert rep.ok, rep.violations
@@ -135,17 +135,16 @@ def test_zero_zeta_positive_decrement_is_relative():
     from dyntrust.model import taylor_decrement
     rng = np.random.default_rng(5)
     for trial in range(10):
-        exact, _, delta, _, omega, xi = _random_instance(rng)
-        zero = make_bundle(exact.x, exact.tensors, (0.0,) * exact.degree)
-        g = exact.tensors[0].entries
+        exact, _, _, delta, _, omega, xi = _random_instance(rng)
+        g = exact[0]
         if np.linalg.norm(g) == 0:
             continue
         # short steepest-descent displacement: the linear term dominates,
         # so the decrement is strictly positive
         v = -1e-3 * delta * g / np.linalg.norm(g)
-        assert taylor_decrement(exact, v, exact.degree) > 0
-        rep = check_verify_guarantees(exact, zero, delta, v, omega, xi, n_samples=10,
-                                      seed=trial)
+        assert taylor_decrement(exact, v, len(exact)) > 0
+        rep = check_verify_guarantees(exact, exact, (0.0,) * len(exact), delta, v,
+                                      omega, xi, n_samples=10, seed=trial)
         assert rep.outcome is VerifyOutcome.RELATIVE
         assert rep.ok
 
