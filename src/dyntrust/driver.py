@@ -452,22 +452,30 @@ def check_history(result: RunResult, problem: Problem,
     checks["step_within_radius"] = CheckResult(
         ratio <= 1.0 + 1e-12, f"max |s|/Delta {ratio:.15f}")
 
-    # (l) termination soundness against the reference measure: certified at
-    # j <= 2, sampled at j = 3 where n allows, and named when skipped
+    # (l) termination soundness against the reference measure, certified at
+    # every order and any n: closed form at j <= 2, branch and bound at j = 3
     if check_termination and result.terminated:
-        from .reference import MAX_REFERENCE_DIM, phi_reference
+        from .reference import phi3_decide, phi_reference
         ok = True
         details = []
         for j in range(1, q + 1):
-            if j == 3 and problem.dim > MAX_REFERENCE_DIM:
-                details.append(f"phi_3 skipped (n={problem.dim} > {MAX_REFERENCE_DIM})")
-                continue
-            phi = phi_reference(problem, result.x_eps, j, result.delta_eps)
             bound = cfg.eps[j - 1] * result.delta_eps**j / factorial(j)
-            kind = "certified" if j <= 2 else "sampled"
-            details.append(f"phi_{j}={phi:.3e}<={bound:.3e} {kind}")
-            if phi > bound * _REL_SLACK:
-                ok = False
+            if j <= 2:
+                phi = phi_reference(problem, result.x_eps, j, result.delta_eps)
+                details.append(f"phi_{j}={phi:.3e}<={bound:.3e} certified")
+                ok = ok and phi <= bound * _REL_SLACK
+                continue
+            b = tuple(problem.exact_deriv(result.x_eps, i) for i in (1, 2, 3))
+            dec = phi3_decide(b, result.delta_eps, bound * _REL_SLACK)
+            ok = ok and dec.verdict == "pass"
+            if dec.verdict == "pass":
+                details.append(f"phi_3={dec.value:.3e}<={bound:.3e} certified")
+            elif dec.verdict == "fail":
+                details.append(f"phi_3>={dec.value:.3e}>{bound:.3e} at "
+                               f"s={dec.witness.tolist()}")
+            else:
+                details.append(f"phi_3 undecided: cell budget spent after "
+                               f"{dec.cells:,} cells")
         gnorm = float(np.linalg.norm(problem.exact_deriv(result.x_eps, 1)))
         details.append(f"|grad|={gnorm:.3e}")
         if gnorm > cfg.eps[0] * _REL_SLACK:

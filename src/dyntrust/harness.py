@@ -346,6 +346,14 @@ def parse_number(text, cast, key: str):
                           f"got {text!r}") from None
 
 
+def _grid_entry(text: str) -> float:
+    """One positive, finite ``--eps-grid`` value."""
+    v = parse_number(text, float, "--eps-grid")
+    if not 0 < v < math.inf:
+        raise ConfigError(f"--eps-grid entries must be positive and finite, got {text!r}")
+    return v
+
+
 def parse_eps_grid(text: str) -> list[float]:
     """Grids come as comma lists ('1e-1,3e-2,...') or decade ranges
     ('1e-1..1e-4', optionally ':N' for N log-spaced points)."""
@@ -353,7 +361,7 @@ def parse_eps_grid(text: str) -> list[float]:
     if ".." in text:
         span, _, count = text.partition(":")
         lo_s, _, hi_s = span.partition("..")
-        a, b = (parse_number(t, float, "--eps-grid") for t in (lo_s, hi_s))
+        a, b = _grid_entry(lo_s), _grid_entry(hi_s)
         if count:
             n = parse_number(count, int, "--eps-grid point count")
         else:
@@ -361,4 +369,4 @@ def parse_eps_grid(text: str) -> list[float]:
         if n < 2:
             raise ConfigError("grid range needs at least 2 points")
         return list(np.geomspace(a, b, n))
-    return [parse_number(t, float, "--eps-grid") for t in text.split(",") if t.strip()]
+    return [_grid_entry(t) for t in text.split(",") if t.strip()]

@@ -233,7 +233,6 @@ class CertifiedDecrement:
     d: Vector
     dT: float
     outcome: VerifyOutcome
-    varsigma_used: float
     tightenings: int
 
 
@@ -262,7 +261,7 @@ def certified_decrement(j: int, delta: float, eps_j: float, varsigma: float,
         outcome = verify(delta, dt, acc.zetas[:j], 0.5 * vs * eps_j, omega)
         if outcome.sufficient:
             return CertifiedDecrement(j=j, d=d, dT=dt, outcome=outcome,
-                                      varsigma_used=vs, tightenings=tightenings)
+                                      tightenings=tightenings)
         acc.tighten(j)
         tightenings += 1
         if tightenings > cap:

@@ -3,8 +3,11 @@
 Every sampled configuration satisfies the admissibility constraints by
 construction; each run must terminate, keep every certification loop inside
 its guaranteed tightening budget (the internal bug traps raise otherwise),
-and honor the objective accuracy contracts against exact values.
+honor the objective accuracy contracts against exact values, and stop at an
+approximate minimizer of every order j <= q.
 """
+
+from math import factorial
 
 import numpy as np
 import pytest
@@ -12,6 +15,9 @@ import pytest
 from dyntrust.driver import TrConfig, run
 from dyntrust.oracle import InexactOracle
 from dyntrust.problems import make_problem
+from dyntrust.reference import phi3_decide, phi_reference
+
+REL_SLACK = 1.0 + 1e-9  # rounding in the reference measures
 
 POLICIES = ("adversarial", "gaussian", "truncate", "none")
 
@@ -70,3 +76,14 @@ def test_random_admissible_configurations(batch):
         # the final point is genuinely first-order small
         gnorm = np.linalg.norm(problem.exact_deriv(result.x_eps, 1))
         assert gnorm <= cfg.eps[0] + 1e-8
+        # termination soundness: phi_j(x_eps, delta_eps) <= eps_j delta_eps^j / j!
+        x, delta = result.x_eps, result.delta_eps
+        for j in range(1, q + 1):
+            bound = cfg.eps[j - 1] * delta**j / factorial(j) * REL_SLACK
+            if j <= 2:
+                phi = phi_reference(problem, x, j, delta)
+                assert phi <= bound, (batch, trial, problem.name, j, phi, bound)
+            else:
+                b = tuple(problem.exact_deriv(x, i) for i in (1, 2, 3))
+                dec = phi3_decide(b, delta, bound)
+                assert dec.verdict == "pass", (batch, trial, problem.name, dec)

@@ -109,7 +109,12 @@ def test_cli_malformed_config_file_values_are_config_errors(tmp_path, capsys, li
     ("1e-1,abc", "--eps-grid expects a number, got 'abc'"),
     ("1e-1..x", "--eps-grid expects a number, got 'x'"),
     ("1e-1..1e-3:many", "--eps-grid point count expects an integer, got 'many'"),
-], ids=["list_entry", "range_end", "range_count"])
+    ("0..1e-3", "--eps-grid entries must be positive and finite, got '0'"),
+    ("1e-1..0", "--eps-grid entries must be positive and finite, got '0'"),
+    ("1e-2,-1e-3", "--eps-grid entries must be positive and finite, got '-1e-3'"),
+    ("inf..1e-3", "--eps-grid entries must be positive and finite, got 'inf'"),
+], ids=["list_entry", "range_end", "range_count", "range_zero_lo", "range_zero_hi",
+        "list_negative", "range_inf"])
 def test_cli_malformed_eps_grid_is_a_config_error(tmp_path, capsys, grid, message):
     code = main(["sweep", "--problem", "quadratic", "--eps-grid", grid,
                  "--out-dir", str(tmp_path)])
@@ -155,14 +160,15 @@ def test_cli_audit_prints_where_lipschitz_constants_come_from(tmp_path, capsys):
     assert "L_f = max(1, L_j) = 10: L_1=10 declared\n" in capsys.readouterr().out
 
 
-def test_cli_audit_names_skipped_order3_reference(tmp_path, capsys):
-    # the sampled order-3 reference stops at n = 5; the audit says so
+def test_cli_audit_certifies_order3_at_n6(tmp_path, capsys):
+    # phi_3 is decided by branch and bound at any n
     code = main(["audit", "--problem", "quartic", "--dim", "6",
                  "--eps", "1e-1,1e-1,1e-1", "--out-dir", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == EXIT_OK
     line = next(s for s in out.splitlines() if "termination_soundness" in s)
-    assert "phi_2=" in line and "phi_3 skipped (n=6 > 5)" in line
+    assert line.startswith("[PASS]")
+    assert re.search(r"phi_2=\S+ certified, phi_3=\S+<=2\.083e-03 certified, ", line)
 
 
 def test_cli_sweep(tmp_path):

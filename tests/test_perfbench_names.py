@@ -72,8 +72,7 @@ def test_worker_pass_reads_every_result_attribute():
 
 
 # check_history(...).summary() of every order3 case at seed 0, one list of
-# lines per case, as the order-3 reference produced them before its polish
-# starts were batched
+# lines per case; each phi_3 is the largest cell bound of phi3_decide's pass
 ORDER3_SEED0_AUDITS = [
     [
         "[PASS] decrease_floor: min exact decrease 4.680e-06 vs floor 2.204e-32 (0 violations)",
@@ -90,7 +89,7 @@ ORDER3_SEED0_AUDITS = [
         "[PASS] f_accuracy_contract: 0 iterations broke the objective accuracy contract (worst overshoot 0.000e+00)",
         "[PASS] step_within_radius: max |s|/Delta 1.000000000000000",
         ("[PASS] termination_soundness: phi_1=1.349e-07<=1.563e-04 certified, "
-         "phi_2=1.863e-11<=1.221e-06 certified, phi_3=1.863e-11<=6.358e-09 sampled, "
+         "phi_2=1.863e-11<=1.221e-06 certified, phi_3=1.863e-11<=6.358e-09 certified, "
          "|grad|=8.632e-06"),
         ("L_f = max(1, L_j) = 13.41: L_1=8.649 sampled (1,500 pairs x 1.5), "
          "L_2=13.41 sampled (1,500 pairs x 1.5), L_3=9 sampled (1,500 pairs x 1.5)"),
@@ -110,7 +109,7 @@ ORDER3_SEED0_AUDITS = [
         "[PASS] f_accuracy_contract: 0 iterations broke the objective accuracy contract (worst overshoot 0.000e+00)",
         "[PASS] step_within_radius: max |s|/Delta 1.000000000000000",
         ("[PASS] termination_soundness: phi_1=1.334e-07<=1.563e-04 certified, "
-         "phi_2=1.823e-11<=1.221e-06 certified, phi_3=1.823e-11<=6.358e-09 sampled, "
+         "phi_2=1.823e-11<=1.221e-06 certified, phi_3=1.823e-11<=6.358e-09 certified, "
          "|grad|=8.540e-06"),
         ("L_f = max(1, L_j) = 13.55: L_1=8.846 sampled (1,500 pairs x 1.5), "
          "L_2=13.55 sampled (1,500 pairs x 1.5), L_3=9 sampled (1,500 pairs x 1.5)"),
@@ -130,7 +129,7 @@ ORDER3_SEED0_AUDITS = [
         "[PASS] f_accuracy_contract: 0 iterations broke the objective accuracy contract (worst overshoot 0.000e+00)",
         "[PASS] step_within_radius: max |s|/Delta 1.000000000000000",
         ("[PASS] termination_soundness: phi_1=1.264e-07<=1.563e-04 certified, "
-         "phi_2=1.636e-11<=1.221e-06 certified, phi_3=1.636e-11<=6.358e-09 sampled, "
+         "phi_2=1.636e-11<=1.221e-06 certified, phi_3=1.636e-11<=6.358e-09 certified, "
          "|grad|=8.090e-06"),
         ("L_f = max(1, L_j) = 13.55: L_1=8.847 sampled (1,500 pairs x 1.5), "
          "L_2=13.55 sampled (1,500 pairs x 1.5), L_3=9 sampled (1,500 pairs x 1.5)"),
@@ -150,7 +149,7 @@ ORDER3_SEED0_AUDITS = [
         "[PASS] f_accuracy_contract: 0 iterations broke the objective accuracy contract (worst overshoot 0.000e+00)",
         "[PASS] step_within_radius: max |s|/Delta 1.000000000000000",
         ("[PASS] termination_soundness: phi_1=4.913e-15<=1.953e-06 certified, "
-         "phi_2=8.195e-25<=1.907e-09 certified, phi_3=8.195e-25<=1.242e-12 sampled, "
+         "phi_2=8.195e-25<=1.907e-09 certified, phi_3=1.582e-24<=1.242e-12 certified, "
          "|grad|=2.515e-12"),
         ("L_f = max(1, L_j) = 23.91: L_1=15.3 sampled (1,500 pairs x 1.5), "
          "L_2=23.91 sampled (1,500 pairs x 1.5), L_3=18 sampled (1,500 pairs x 1.5)"),
@@ -170,7 +169,7 @@ ORDER3_SEED0_AUDITS = [
         "[PASS] f_accuracy_contract: 0 iterations broke the objective accuracy contract (worst overshoot 0.000e+00)",
         "[PASS] step_within_radius: max |s|/Delta 1.000000000000000",
         ("[PASS] termination_soundness: phi_1=2.570e-10<=9.766e-07 certified, "
-         "phi_2=1.226e-14<=4.768e-10 certified, phi_3=1.226e-14<=1.552e-13 sampled, "
+         "phi_2=1.226e-14<=4.768e-10 certified, phi_3=1.731e-14<=1.552e-13 certified, "
          "|grad|=2.631e-07"),
         ("L_f = max(1, L_j) = 23.88: L_1=15.26 sampled (1,500 pairs x 1.5), "
          "L_2=23.88 sampled (1,500 pairs x 1.5), L_3=18 sampled (1,500 pairs x 1.5)"),
@@ -207,7 +206,7 @@ ORDER3_SEED0_AUDITS = [
         "[PASS] f_accuracy_contract: 0 iterations broke the objective accuracy contract (worst overshoot 0.000e+00)",
         "[PASS] step_within_radius: max |s|/Delta 1.000000000000000",
         ("[PASS] termination_soundness: phi_1=2.074e-09<=1.563e-05 certified, "
-         "phi_2=3.184e-14<=1.221e-07 certified, phi_3=3.184e-14<=6.358e-10 sampled, "
+         "phi_2=3.184e-14<=1.221e-07 certified, phi_3=4.105e-14<=6.358e-10 certified, "
          "|grad|=1.327e-07"),
         ("L_f = max(1, L_j) = 1.035: L_1=0.5053 sampled (1,500 pairs x 1.5), "
          "L_2=0.2488 sampled (1,500 pairs x 1.5), L_3=1.035 sampled (1,500 pairs x 1.5)"),
@@ -218,7 +217,7 @@ ORDER3_SEED0_AUDITS = [
 def test_order3_pass_reproduces_the_recorded_fingerprints(monkeypatch):
     # iterations, evaluation counts, i_zeta and x_eps of every order-3 case
     # at seed 0 equal the copy the benchmark recorded, and every audit,
-    # phi_3 from the order-3 reference included, reads as recorded above
+    # phi_3 from the order-3 decision included, reads as recorded above
     from dyntrust import driver
 
     worker = _load("worker")

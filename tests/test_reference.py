@@ -1,19 +1,17 @@
 import dataclasses
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from dyntrust import reference
+from dyntrust.driver import TrConfig, check_history, run
 from dyntrust.model import NonFiniteEvaluation, make_bundle, sym_tensor, taylor_decrement
-from dyntrust.oracle import Problem
-from dyntrust.reference import (_arc_max, _line_max, _newton_dirs, _sampled_cubic_max,
-                                lipschitz_estimate, max_decrement_reference,
+from dyntrust.oracle import InexactOracle, Problem
+from dyntrust.reference import (lipschitz_estimate, max_decrement_reference, phi3_decide,
                                 phi_reference)
 from dyntrust.problems import make_problem
-
-from checkers import sequential_sampled_cubic_max
 
 
 def test_phi_order1_closed_form():
@@ -69,12 +67,18 @@ def test_monotone_in_delta_and_resolution():
 
 
 def test_cost_guards():
-    # only the order-3 sampler has a dimension limit
+    # no reference has a dimension limit; the order-3 one is a decision
     ones = [sym_tensor(np.ones((6,) * i)) for i in (1, 2, 3)]
     b = make_bundle(ones)
     assert max_decrement_reference(b, 2, 0.5) > 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="phi3_decide decides degree 3"):
         max_decrement_reference(b, 3, 0.5)
+    # D(s) = -(t + t^2/2 + t^3/6) with t = sum(s) falls in t, so the maximum
+    # is at t = -0.5 sqrt(6), on the sphere
+    t = -0.5 * math.sqrt(6.0)
+    exact = -(t + t * t / 2.0 + t ** 3 / 6.0)
+    assert phi3_decide(b, 0.5, 1.01 * exact).verdict == "pass"
+    assert phi3_decide(b, 0.5, 0.99 * exact).verdict == "fail"
 
 
 def test_phi_reference_reads_the_exact_derivatives():
@@ -83,7 +87,7 @@ def test_phi_reference_reads_the_exact_derivatives():
     x = np.array([0.3, -0.7])
     b = make_bundle([p.exact_deriv(x, i) for i in (1, 2, 3)])
     assert len(b) == 3
-    for j in (1, 2, 3):
+    for j in (1, 2):
         assert phi_reference(p, x, j, 0.4) == max_decrement_reference(b[:j], j, 0.4)
 
 
@@ -210,81 +214,18 @@ def random_cubic_bundle(rng, n):
                         rng.uniform(0.0, 1.0) * rng.standard_normal((n, n, n)))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_batched_sampler_agrees_with_one_start_at_a_time(n):
-    # 100 bundles per dimension, radii 1e-8..3 (log-uniform), T3 scales 0..1:
-    # the batched polish reorders no arithmetic that decides a step, so it
-    # lands within rounding of the sequential one and never below it
-    rng = np.random.default_rng(900 + n)
-    for _ in range(100):
-        b = random_cubic_bundle(rng, n)
-        delta = float(10.0 ** rng.uniform(-8.0, math.log10(3.0)))
-        ref = sequential_sampled_cubic_max(b, delta)
-        assert ref > 0.0
-        assert abs(_sampled_cubic_max(b, delta) - ref) <= 1e-12 * ref
-
-
-def test_sampler_with_every_newton_system_singular():
-    # H = 0 and T3 = 0: every chord's matrix is zero, so every row skips it,
-    # and the gradient line alone reaches the maximum delta |g|.  A line end
-    # point may round outward, but each round pulls the points back into the
-    # ball, so the lower bound exceeds the maximum by a few ulps at most.
-    g = np.array([3.0, -4.0, 12.0])
-    b = cubic_bundle(g, np.zeros((3, 3)), np.zeros((3, 3, 3)))
-    val = _sampled_cubic_max(b, 0.25)
-    assert 3.25 * (1 - 1e-12) <= val <= 3.25 * (1 + 4 * 2**-52)
-    assert abs(val - sequential_sampled_cubic_max(b, 0.25)) <= 1e-12 * val
-
-
-def test_newton_dirs_skips_only_the_singular_row():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((4, 3, 3))
-    a[2] = np.outer(a[2, 0], [1.0, 2.0, 3.0])  # rank one
-    a[2, :, 2] = 0.0  # and an exactly zero column: LAPACK's pivot is 0
-    rhs = rng.standard_normal((4, 3))
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(a, rhs[:, :, None])
-    u = _newton_dirs(a, rhs)
-    assert np.isnan(u[2]).all()
-    for i in (0, 1, 3):
-        assert np.array_equal(u[i], np.linalg.solve(a[i], rhs[i]))
-
-
-def test_line_and_arc_rows_that_cannot_move_keep_d():
-    b = random_cubic_bundle(np.random.default_rng(4), 2)
-    d = np.array([[0.5, 0.0], [2.0, 2.0], [0.1, 0.0], [0.3, 0.4]])
-    u = np.array([[0.0, 0.0],   # u = 0
-                  [0.0, 1.0],   # the line x = 2 misses the unit ball
-                  [1.0, 0.0],
-                  [0.3, 0.4]])
-    out = _line_max(b, d, u, 1.0)
-    assert np.array_equal(out[:2], d[:2])
-    assert not np.array_equal(out[2], d[2])
-    t = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.6, 0.8]])
-    d = np.array([[0.0, 0.0],   # |d| = 0
-                  [0.3, 0.4],   # t_hat = 0
-                  [0.3, 0.4],
-                  [0.3, 0.4]])  # t_hat along d: no tangent part
-    out = _arc_max(b, d, t)
-    assert np.array_equal(out[[0, 1, 3]], d[[0, 1, 3]])
-    assert np.linalg.norm(out[2]) == pytest.approx(0.5, rel=1e-14)
-
-
-def test_sampler_polishes_a_start_with_zero_gradient():
-    # T1 = 0 and H positive definite: in the small ball the origin scores
-    # highest, polishes from a zero gradient (a random fallback direction)
-    # and no point beats it; in the large one the cubic term wins at the
-    # sphere, and the batched value still matches.
-    rng = np.random.default_rng(8)
-    b = cubic_bundle(np.zeros(3), np.eye(3), 0.1 * rng.standard_normal((3, 3, 3)))
-    assert _sampled_cubic_max(b, 0.1) == 0.0 == sequential_sampled_cubic_max(b, 0.1)
-    val = _sampled_cubic_max(b, 40.0)
-    assert val > 0.0
-    assert abs(val - sequential_sampled_cubic_max(b, 40.0)) <= 1e-12 * val
+def assert_sound(b, delta, threshold, dec):
+    """A pass bounds the threshold from below and a fail's witness is a
+    ball point whose decrement is its value, above the threshold."""
+    if dec.verdict == "pass":
+        assert dec.value <= threshold
+    elif dec.verdict == "fail":
+        assert np.linalg.norm(dec.witness) <= delta * (1 + 1e-15)
+        assert taylor_decrement(b, dec.witness) == dec.value > threshold
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_sampler_in_one_dimension_is_exact(seed):
+def test_phi3_in_one_dimension_matches_the_closed_form(seed):
     # the maximum of a cubic on [-delta, delta] is at an end or a stationary point
     rng = np.random.default_rng(seed)
     g, h, t = rng.standard_normal(3)
@@ -293,19 +234,72 @@ def test_sampler_in_one_dimension_is_exact(seed):
     cands = [delta, -delta] + [r.real for r in np.roots([t / 2.0, h, g])
                                 if r.imag == 0.0 and abs(r.real) <= delta]
     exact = max(-(g * s + h * s * s / 2.0 + t * s ** 3 / 6.0) for s in cands)
-    val = _sampled_cubic_max(b, delta)
-    assert val == pytest.approx(exact, rel=1e-12)
-    assert abs(val - sequential_sampled_cubic_max(b, delta)) <= 1e-12 * val
+    for threshold, verdict in ((1.001 * exact, "pass"), (0.999 * exact, "fail")):
+        dec = phi3_decide(b, delta, threshold)
+        assert dec.verdict == verdict
+        assert_sound(b, delta, threshold, dec)
+    assert phi3_decide(b, delta, 1.001 * exact).value >= exact * (1 - 1e-12)
 
 
-def test_sampler_scores_samples_in_bounded_chunks():
-    # an (m, n, n) cubic term over all 80,011 samples at n = 5 would be
-    # 80,011 * 25 doubles, 15 MiB, on its own
-    b = random_cubic_bundle(np.random.default_rng(5), 5)
-    tracemalloc.start()
-    try:
-        _sampled_cubic_max(b, 0.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 15 * 2**20
+def test_phi3_of_a_linear_model_is_delta_times_the_gradient_norm():
+    # H = 0 and T = 0: the maximum delta |g| = 3.25 is certified in one cell
+    g = np.array([3.0, -4.0, 12.0])
+    b = cubic_bundle(g, np.zeros((3, 3)), np.zeros((3, 3, 3)))
+    dec = phi3_decide(b, 0.25, 3.25)
+    assert (dec.verdict, dec.value, dec.cells) == ("pass", 3.25, 1)
+    dec = phi3_decide(b, 0.25, 0.999 * 3.25)
+    assert dec.verdict == "fail"
+    assert_sound(b, 0.25, 0.999 * 3.25, dec)
+
+
+def test_phi3_is_zero_at_a_strict_minimizer_in_one_cell():
+    # T1 = 0 and H = I: in the small ball every nonzero step increases the
+    # model, and the ball cell alone certifies phi_3 = 0
+    rng = np.random.default_rng(8)
+    b = cubic_bundle(np.zeros(3), np.eye(3), 0.1 * rng.standard_normal((3, 3, 3)))
+    dec = phi3_decide(b, 0.1, 0.0)
+    assert (dec.verdict, dec.value, dec.cells) == ("pass", 0.0, 1)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_phi3_pass_bounds_every_ball_point(n, monkeypatch):
+    # a pass value is at least the decrement at every sampled ball point,
+    # sphere points included; a threshold under the sampled maximum fails
+    monkeypatch.setattr(reference, "_CELL_BUDGET", 20_000)
+    rng = np.random.default_rng(300 + n)
+    passes = 0
+    for _ in range(4):
+        b = random_cubic_bundle(rng, n)
+        delta = float(10.0 ** rng.uniform(-3.0, 0.5))
+        pts = rng.standard_normal((2000, n))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        pts[200:] *= rng.random((1800, 1)) ** (1.0 / n)  # the first 200 on the sphere
+        pts *= delta
+        sampled = float(np.max(taylor_decrement(b, pts)))
+        for factor in (0.9, 3.0):
+            dec = phi3_decide(b, delta, factor * sampled)
+            assert_sound(b, delta, factor * sampled, dec)
+            if factor < 1.0:
+                assert dec.verdict == "fail"
+            elif dec.verdict == "pass":
+                passes += 1
+                assert sampled <= dec.value * (1 + 1e-12)
+    assert passes >= 3
+
+
+def test_phi3_undecided_and_fail_fail_the_audit(monkeypatch):
+    # quartic dim 6 needs ~68k cells to certify phi_3; with a budget of 1,000
+    # the audit fails and says the budget ran out
+    p = make_problem("quartic", dim=6)
+    result = run(InexactOracle(p), TrConfig.with_defaults((1e-1,) * 3))
+    assert check_history(result, p).checks["termination_soundness"].ok
+    monkeypatch.setattr(reference, "_CELL_BUDGET", 1000)
+    check = check_history(result, p).checks["termination_soundness"]
+    assert not check.ok
+    assert "phi_3 undecided: cell budget spent after 1,023 cells" in check.detail
+    # away from the minimizer a fail names its witness displacement
+    moved = dataclasses.replace(result, x_eps=result.x_eps + 0.3)
+    check = check_history(moved, p).checks["termination_soundness"]
+    assert not check.ok
+    assert re.search(r"phi_3>=\S+>2\.083e-03 at s=\[-0\.25, 0\.0, 0\.0, 0\.0, 0\.0, 0\.0\]",
+                     check.detail)

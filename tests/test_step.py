@@ -83,11 +83,11 @@ def test_degenerate_model_falls_back_to_certificate():
     oracle, acc, cache, ledger = state(p, 1, x, zeta0=1e-10)
     cert_d = np.array([-0.3, -0.3])
     fake = CertifiedDecrement(j=1, d=cert_d, dT=0.0, outcome=VerifyOutcome.RELATIVE,
-                              varsigma_used=0.99, tightenings=0)
+                              tightenings=0)
     bundle = cache.ensure(oracle, acc, 1, ledger)
     dt_d = taylor_decrement(bundle, cert_d, 1)
     fake = CertifiedDecrement(j=1, d=cert_d, dT=dt_d, outcome=VerifyOutcome.RELATIVE,
-                              varsigma_used=0.99, tightenings=0)
+                              tightenings=0)
     res = compute_step(0.5, 0.5, fake, 1e-3, 0.02, oracle, acc, cache, ledger)
     # pass-through branch: radius == vartheta
     np.testing.assert_array_equal(res.s, cert_d)
@@ -171,7 +171,7 @@ def test_step_that_cannot_tighten_trips_the_budget_trap(monkeypatch):
 def test_absolute_certificate_cannot_pass_through():
     cert, oracle, acc, cache, ledger = trial_step_state()
     absolute = CertifiedDecrement(j=1, d=cert.d, dT=cert.dT, outcome=VerifyOutcome.ABSOLUTE,
-                                  varsigma_used=0.99, tightenings=0)
+                                  tightenings=0)
     with pytest.raises(CertificationError, match="relatively-certified displacement"):
         compute_step(0.5, 0.5, absolute, 1e-3, 0.02, oracle, acc, cache, ledger)
 
@@ -181,7 +181,7 @@ def test_zero_step_decrement_is_trapped():
     oracle, acc, cache, ledger = state(make_problem("quadratic", dim=2, cond=2),
                                        1, np.zeros(2), zeta0=1e-10)
     zero = CertifiedDecrement(j=1, d=np.zeros(2), dT=0.0, outcome=VerifyOutcome.RELATIVE,
-                              varsigma_used=0.99, tightenings=0)
+                              tightenings=0)
     with pytest.raises(CertificationError, match="collapsed to zero") as err:
         compute_step(2.0, 0.5, zero, 1e-3, 0.02, oracle, acc, cache, ledger)
     assert err.value.radius == 2.0
