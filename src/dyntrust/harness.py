@@ -25,37 +25,32 @@ from .problems import make_problem
 
 OUTDIR_ENV = "DYNTRUST_OUTDIR"
 
-CSV_COLUMNS = (
-    "k", "Delta", "delta", "j", "rho", "successful", "dT_s", "f_bar_old",
-    "f_bar_new", "i_zeta", "step2_tightens", "zeta_max_step2_entry",
-    "step2_absolute", "f_recomputed", "n_f", "n_d1", "n_d2", "n_d3",
-    "step_norm", "x", "x_trial",
-)
-
-_INT_COLS = {"k", "j", "i_zeta", "step2_tightens", "step2_absolute",
-             "n_f", "n_d1", "n_d2", "n_d3"}
-_BOOL_COLS = {"successful", "f_recomputed"}
-_VEC_COLS = {"x", "x_trial"}
+# One column per IterationRecord field, in field order; the field's declared
+# type ("int", "bool", "float" or "Vector") says how a cell is written and read.
+_COLUMN_TYPES = {f.name: f.type for f in dataclasses.fields(IterationRecord)}
+CSV_COLUMNS = tuple(_COLUMN_TYPES)
 
 
 def _fmt(col: str, value) -> str:
-    if col in _VEC_COLS:
+    kind = _COLUMN_TYPES[col]
+    if kind == "Vector":
         return ";".join(repr(float(v)) for v in value)
-    if col in _BOOL_COLS:
+    if kind == "bool":
         return "1" if value else "0"
-    if col in _INT_COLS:
+    if kind == "int":
         return str(int(value))
     return repr(float(value))
 
 
 def _parse(col: str, text: str):
-    if col in _VEC_COLS:
+    kind = _COLUMN_TYPES[col]
+    if kind == "Vector":
         v = np.array([float(t) for t in text.split(";")])
         v.flags.writeable = False
         return v
-    if col in _BOOL_COLS:
+    if kind == "bool":
         return text == "1"
-    if col in _INT_COLS:
+    if kind == "int":
         return int(text)
     return float(text)
 

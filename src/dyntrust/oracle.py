@@ -7,6 +7,11 @@ tensor, a plain array of shape (n,) * i, within ``z`` of the true derivative
 in operator norm.  Where the error comes from is configurable (corruption
 policies); the bound always holds, and every call is logged in an
 :class:`EvalLedger`.
+
+Problem output enters the library here only, through ``Problem.exact_f`` and
+``Problem.exact_deriv`` (one point or a stack) and the subsampled estimates,
+and is checked once: finite values, and derivative arrays of exactly the shape
+``x.shape[:-1] + (n,) * order``.  :class:`NonFiniteEvaluation` names the point.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import NonFiniteEvaluation, Vector, sym_tensor
+from .model import NonFiniteEvaluation, Vector
 
 POLICIES = ("none", "adversarial", "truncate", "gaussian", "subsample")
 
@@ -49,17 +54,38 @@ class Problem:
     term_model: object | None = None  # subsampled finite-sum support, if any
 
     def exact_f(self, x) -> float:
-        return float(self.fun(np.asarray(x, dtype=float)))
+        return self._checked_f(x, self.fun(np.asarray(x, dtype=float)))
 
     def exact_deriv(self, x, order: int) -> np.ndarray:
-        """The derivative at one point, validated where it enters: non-finite
-        data raises :class:`NonFiniteEvaluation` naming the order and x."""
+        """The order-``order`` derivative at one point x (n,), or at each
+        point of a stack (..., n), checked where it enters the library."""
         x = np.asarray(x, dtype=float)
         try:
-            return sym_tensor(self.deriv(x, order), already_symmetric=True)
-        except NonFiniteEvaluation:
+            d = self.deriv(x, order)
+        except NonFiniteEvaluation:  # raised by the problem's own checks
             raise NonFiniteEvaluation(
                 f"order-{order} derivative at x = {x.tolist()} is not finite") from None
+        return self._checked_deriv(x, order, d)
+
+    def _checked_f(self, x, value) -> float:
+        value = float(value)
+        if not math.isfinite(value):
+            raise NonFiniteEvaluation(
+                f"objective value {value} at x = {np.asarray(x).tolist()} is not finite")
+        return value
+
+    def _checked_deriv(self, x: np.ndarray, order: int, d) -> np.ndarray:
+        """d as a float array of x.shape[:-1] + (n,) * order finite entries."""
+        d = np.asarray(d, dtype=float)
+        shape = x.shape[:-1] + (self.dim,) * order
+        if d.shape != shape:
+            raise ValueError(f"{self.name}: deriv of points {x.shape} has shape "
+                             f"{d.shape}, expected {shape}")
+        if not np.isfinite(d).all():
+            bad = ~np.isfinite(d.reshape(-1, self.dim ** order)).all(axis=1)
+            x = x.reshape(-1, x.shape[-1])[np.argmax(bad)]  # the first, in stack order
+            raise NonFiniteEvaluation(f"order-{order} derivative at x = {x.tolist()} is not finite")
+        return d
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,11 +202,9 @@ class InexactOracle:
         work = 1.0
         if self.policy == "subsample":
             value, work = self.problem.term_model.estimate_f(x, abs_acc)
+            value = self.problem._checked_f(x, value)
         else:
             value = self.problem.exact_f(x)
-        if not math.isfinite(value):
-            raise NonFiniteEvaluation(
-                f"objective value {value} at x = {np.asarray(x).tolist()} is not finite")
         if self.policy == "adversarial":
             sign = 1.0 if self.rng.random() < 0.5 else -1.0
             value = value + NOISE_FRACTION * abs_acc * sign
@@ -203,11 +227,13 @@ class InexactOracle:
         exact = order in self.exact_orders or zeta == 0.0
         work = 1.0
         if self.policy == "subsample" and not exact:
+            x = np.asarray(x, dtype=float)
             tensor, work = self.problem.term_model.estimate_deriv(x, order, zeta)
+            tensor = self.problem._checked_deriv(x, order, tensor)
         else:
             tensor = self.problem.exact_deriv(x, order)
         if not exact:
-            # rank-one bumps and rounding keep symmetry and shape: no sym_tensor
+            # rank-one bumps and rounding keep symmetry and shape: no re-check
             if self.policy == "adversarial":
                 u = self.rng.standard_normal(self.dim)
                 u /= np.linalg.norm(u)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import as_vector, sym_tensor
+from .model import as_vector
 from .oracle import Problem
 
 
@@ -168,9 +168,7 @@ class LogisticTermModel:
         value += 0.5 * self.lam * float(x @ x)
         return value, k / self.m
 
-    def estimate_deriv(self, x, order: int, zeta: float):
-        x = np.asarray(x, dtype=float)
-        n = x.size
+    def estimate_deriv(self, x: np.ndarray, order: int, zeta: float):
         a_norm = np.linalg.norm(self.a, axis=1)
         c = a_norm * float(np.linalg.norm(x))
         if order == 1:
@@ -200,18 +198,17 @@ class LogisticTermModel:
             approx = (s @ self.a[idx]) / self.m
             if len(rest):
                 approx = approx + (mid[rest] @ self.a[rest]) / self.m
-            tensor = sym_tensor(approx + self.lam * x, already_symmetric=True)
+            tensor = approx + self.lam * x
         elif order == 2:
             w = s * (1 - s)
             approx = np.einsum("t,ta,tb->ab", w, self.a[idx], self.a[idx]) / self.m
             if len(rest):
                 approx = approx + np.einsum(
                     "t,ta,tb->ab", mid[rest], self.a[rest], self.a[rest]) / self.m
-            tensor = sym_tensor(approx + self.lam * np.eye(n), already_symmetric=True)
+            tensor = approx + self.lam * np.eye(x.size)
         else:
             w = s * (1 - s) * (1 - 2 * s)
-            ents = np.einsum("t,ta,tb,tc->abc", w, self.a[idx], self.a[idx], self.a[idx]) / self.m
-            tensor = sym_tensor(ents, already_symmetric=True)
+            tensor = np.einsum("t,ta,tb,tc->abc", w, self.a[idx], self.a[idx], self.a[idx]) / self.m
         return tensor, k / self.m
 
 

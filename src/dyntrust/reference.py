@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Bundle, NonFiniteEvaluation, operator_norm, row_dots, row_norms,
-                    taylor_decrement)
+from .model import Bundle, operator_norm, row_dots, row_norms, taylor_decrement
 from .oracle import Problem
 
 LIPSCHITZ_PAIRS = 1500  # sampled pairs per Lipschitz estimate
@@ -204,10 +203,10 @@ def lipschitz_estimate(problem: Problem, box, order: int,
     """Sampled Lipschitz constant of the order-j derivative over a box,
     inflated by ``LIPSCHITZ_INFLATION``.  Audit support only.
 
-    Pairs are drawn and evaluated ``_LIPSCHITZ_CHUNK`` at a time through the
-    problem's stacked ``deriv``; the random stream is the per-pair x-then-y
-    draw of a one-pair-at-a-time loop.  Non-finite derivative data raises
-    :class:`NonFiniteEvaluation` naming the order and the first such point.
+    Pairs are drawn ``_LIPSCHITZ_CHUNK`` at a time, with the per-pair x-then-y
+    stream of a one-pair-at-a-time loop, and evaluated as one (pairs, 2, n)
+    stack through ``Problem.exact_deriv``, which checks it and names the first
+    non-finite point in draw order.
     """
     lo, hi = (np.asarray(side, dtype=float) for side in box)
     if lo.shape != hi.shape or np.any(hi < lo):
@@ -217,16 +216,7 @@ def lipschitz_estimate(problem: Problem, box, order: int,
     best = 0.0
     for start in range(0, n_samples, _LIPSCHITZ_CHUNK):
         pts = lo + (hi - lo) * rng.random((min(_LIPSCHITZ_CHUNK, n_samples - start), 2, n))
-        d = np.asarray(problem.deriv(pts, order), dtype=float)
-        shape = pts.shape[:-1] + (n,) * order
-        if d.shape != shape:
-            raise ValueError(f"{problem.name}: deriv of points {pts.shape} has shape "
-                             f"{d.shape}, expected {shape}")
-        bad = ~np.isfinite(d.reshape(2 * len(pts), -1)).all(axis=1)
-        if bad.any():
-            x = pts.reshape(-1, n)[np.argmax(bad)]
-            raise NonFiniteEvaluation(
-                f"order-{order} derivative at x = {x.tolist()} is not finite")
+        d = problem.exact_deriv(pts, order)
         gap = operator_norm(pts[:, 0] - pts[:, 1], 1)  # |x - y|
         keep = gap >= 1e-12
         if keep.any():

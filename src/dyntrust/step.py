@@ -10,7 +10,6 @@ decreases the model by less than it.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from math import factorial
@@ -28,11 +27,8 @@ from .verify import VerifyOutcome, verify
 class StepResult:
     s: Vector
     dT: float                  # model decrement of the returned step
-    outcome: VerifyOutcome     # always RELATIVE
     tighten_count: int
-    dT_fallback: float         # decrement of the optimality displacement, same bundle
     zeta_entry_max: float      # max accuracy bound over orders 1..j at entry
-    min_xi: float              # smallest absolute-accuracy argument passed to verify
     absolute_events: int       # should stay 0; warned about if not
 
 
@@ -59,16 +55,13 @@ def compute_step(radius: float, vartheta: float, cert: CertifiedDecrement,
                 "pass-through step requires a relatively-certified displacement; "
                 "an absolute certificate here contradicts the termination test",
                 j, radius, cache.x)
-        return StepResult(s=cert.d.copy(), dT=cert.dT, outcome=cert.outcome,
-                          tighten_count=0, dT_fallback=cert.dT,
-                          zeta_entry_max=zeta_entry, min_xi=math.inf,
-                          absolute_events=0)
+        return StepResult(s=cert.d.copy(), dT=cert.dT, tighten_count=0,
+                          zeta_entry_max=zeta_entry, absolute_events=0)
 
     stop_level = omega * vartheta ** (j - 1) * eps_j / (8.0 * factorial(j) * (1.0 + omega))
     cap = allowed_tightenings(zeta_entry, stop_level, acc.gamma_zeta) + 2
     tighten = 0
     absolutes = 0
-    min_xi = math.inf
     while True:
         bundle = cache.ensure(oracle, acc, j, eval_ledger)
         dt_fallback = taylor_decrement(bundle, cert.d, j)
@@ -84,13 +77,11 @@ def compute_step(radius: float, vartheta: float, cert: CertifiedDecrement,
                 "optimality test", j, radius, cache.x)
         s_norm = float(np.linalg.norm(s))
         xi = eps_j / (4.0 * (1.0 + omega)) * (vartheta / max(vartheta, s_norm)) ** j
-        min_xi = min(min_xi, xi)
         zeta_before = float(np.max(acc.zetas[:j]))
         outcome = verify(s_norm, dt_s, acc.zetas[:j], xi, omega)
         if outcome is VerifyOutcome.RELATIVE:
-            return StepResult(s=s, dT=dt_s, outcome=outcome, tighten_count=tighten,
-                              dT_fallback=dt_fallback, zeta_entry_max=zeta_entry,
-                              min_xi=min_xi, absolute_events=absolutes)
+            return StepResult(s=s, dT=dt_s, tighten_count=tighten,
+                              zeta_entry_max=zeta_entry, absolute_events=absolutes)
         if zeta_before <= stop_level:
             raise CertificationError(
                 "step certification not relative although accuracies passed "

@@ -1,4 +1,7 @@
+import dataclasses
 import gc
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 from dyntrust import optimality
 from dyntrust.driver import ConfigError, TrConfig, check_history, run
 from dyntrust.optimality import CertificationError
-from dyntrust.oracle import InexactOracle, Problem
+from dyntrust.oracle import InexactOracle, NonFiniteEvaluation, Problem
 from dyntrust.problems import make_problem
 from dyntrust.reference import phi_reference
 from dyntrust.verify import VerifyOutcome
@@ -375,6 +378,24 @@ def test_audit_evaluates_the_objective_once_per_trial_point():
     report = check_history(res, p)
     assert report.ok, report.violations
     assert 0 < len(calls) <= res.n_iterations + 3
+
+
+def test_audit_refuses_a_nonfinite_exact_objective():
+    # The audit's exact values go through the same check as the solver's: a
+    # NaN f at a recorded trial point used to fail no comparison, so the
+    # replay counted 0 violations.
+    base = make_problem("finite_sum_logistic", dim=3, terms=32)
+    res = run(InexactOracle(base, policy="subsample"), TrConfig.with_defaults((1e-2,)))
+    target = res.history[len(res.history) // 2].x_trial
+
+    def fun(x):
+        return math.nan if np.array_equal(x, target) else base.fun(x)
+
+    p = dataclasses.replace(base, fun=fun)
+    with pytest.raises(NonFiniteEvaluation,
+                       match=re.escape(f"objective value nan at x = {target.tolist()} "
+                                       "is not finite")):
+        check_history(res, p)
 
 
 def test_retained_memory_per_iteration_is_bounded():

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -268,23 +270,84 @@ def test_nonfinite_objective_stops_the_run():
     assert len(calls) == 1  # the first objective evaluation raises
 
 
-@pytest.mark.parametrize("policy", POLICIES)
+class NanGradientTerms:
+    """A term model whose subsampled gradient is NaN once |x| > 0.05; it
+    records each point where it returned one."""
+
+    def __init__(self, base):
+        self.base = base
+        self.nan_at = []
+
+    def estimate_f(self, x, acc):
+        return self.base.estimate_f(x, acc)
+
+    def estimate_deriv(self, x, order, zeta):
+        tensor, work = self.base.estimate_deriv(x, order, zeta)
+        if order == 1 and np.linalg.norm(x) > 0.05:
+            self.nan_at.append(np.array(x))
+            tensor = np.full_like(tensor, math.nan)
+        return tensor, work
+
+
+@pytest.mark.parametrize("policy", POLICIES + ("subsample",))
 def test_nonfinite_derivative_is_refused(policy):
-    # Problem.exact_deriv checks the array the problem returns: unchecked, a
-    # NaN gradient gives a NaN decrement that certifies as absolute, and the
-    # run reports an approximate minimizer.
+    # Every derivative goes through the check in Problem.exact_deriv, the
+    # subsampled ones too: unchecked, a NaN gradient gives a NaN decrement
+    # that certifies as absolute, and the run reports an approximate
+    # minimizer after one iteration.
     def deriv(x, order):
         if order == 1:
             return np.where(x[..., :1] < 0.5, [math.nan, 0.0], 2.0 * x)
         return np.broadcast_to(2.0 * np.eye(2), x.shape[:-1] + (2, 2))
 
-    p = Problem(name="nan_grad_below_0.5", dim=2, fun=lambda x: float(x @ x),
-                deriv=deriv, f_low=0.0, x0=np.array([0.9, 0.0]))
+    if policy == "subsample":
+        base = make_problem("finite_sum_logistic", dim=3, terms=16)
+        p = dataclasses.replace(base, term_model=NanGradientTerms(base.term_model))
+        bad = np.array([0.2, 0.0, 0.0])
+    else:
+        p = Problem(name="nan_grad_below_0.5", dim=2, fun=lambda x: float(x @ x),
+                    deriv=deriv, f_low=0.0, x0=np.array([0.9, 0.0]))
+        bad = np.array([0.2, 0.0])
     oracle = InexactOracle(p, policy=policy, seed=0)
-    with pytest.raises(NonFiniteEvaluation, match=r"order-1 derivative at x = \[0\.2, 0\.0\]"):
-        oracle.eval_deriv(np.array([0.2, 0.0]), 1, 1e-3)
-    with pytest.raises(NonFiniteEvaluation):
+    with pytest.raises(NonFiniteEvaluation,
+                       match=re.escape(f"order-1 derivative at x = {bad.tolist()}")):
+        oracle.eval_deriv(bad, 1, 1e-3)
+    with pytest.raises(NonFiniteEvaluation, match=r"order-1 derivative at x = \[") as err:
         run(oracle, TrConfig.with_defaults((1e-3,), max_iterations=2000))
+    if policy == "subsample":
+        assert f"x = {p.term_model.nan_at[-1].tolist()} is not finite" in str(err.value)
+
+
+def test_exact_deriv_checks_a_point_or_a_stack():
+    # one checked door: a point (n,) or a stack (..., n) gets its exact
+    # shape and finite entries checked, and the first non-finite point in
+    # stack order is named
+    def deriv(x, order):
+        g = 2.0 * x
+        return np.where(x[..., :1] < 0.0, math.nan, g) if order == 1 else g
+
+    p = Problem(name="nan_left_of_0", dim=2, fun=lambda x: float(x @ x), deriv=deriv,
+                f_low=0.0, x0=np.ones(2))
+    pts = np.random.default_rng(4).uniform(-1.0, 1.0, (64, 2))
+    first = pts[np.argmax(pts[:, 0] < 0.0)]
+    assert pts[0, 0] >= 0.0  # the named point is not simply the first one
+    with pytest.raises(NonFiniteEvaluation,
+                       match=re.escape(f"order-1 derivative at x = {first.tolist()} "
+                                       "is not finite")):
+        p.exact_deriv(pts, 1)
+    with pytest.raises(NonFiniteEvaluation,
+                       match=re.escape(f"order-1 derivative at x = {first.tolist()}")):
+        p.exact_deriv(first, 1)
+    np.testing.assert_array_equal(p.exact_deriv(pts[pts[:, 0] >= 0.0], 1),
+                                  2.0 * pts[pts[:, 0] >= 0.0])
+
+    one_point = Problem(name="one_point_only", dim=2, fun=lambda x: float(x @ x),
+                        deriv=lambda x, order: 2.0 * np.array([x[0], x[1]]), f_low=0.0,
+                        x0=np.ones(2))
+    assert one_point.exact_deriv(np.ones(2), 1).tolist() == [2.0, 2.0]
+    with pytest.raises(ValueError, match=r"one_point_only: deriv of points \(64, 2\) "
+                                         r"has shape \(2, 2\), expected \(64, 2\)"):
+        one_point.exact_deriv(pts, 1)
 
 
 def test_nonfinite_derivative_built_with_sym_tensor_names_order_and_point():

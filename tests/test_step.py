@@ -11,7 +11,7 @@ from dyntrust.oracle import EvalLedger, InexactOracle
 from dyntrust.problems import make_problem
 from dyntrust.reference import max_decrement_reference
 from dyntrust.step import compute_step
-from dyntrust.verify import VerifyOutcome
+from dyntrust.verify import VerifyOutcome, verify
 
 
 def state(problem, q, x, policy="none", seed=0, zeta0=0.1):
@@ -23,6 +23,28 @@ def state(problem, q, x, policy="none", seed=0, zeta0=0.1):
 
 def certified(j, delta, eps_j, omega, oracle, acc, cache, ledger):
     return certified_decrement(j, delta, eps_j, 0.99, omega, oracle, acc, cache, ledger)
+
+
+def spy_on_verify(monkeypatch):
+    """The (xi, outcome) of every verify call compute_step makes."""
+    calls = []
+
+    def spy(s_norm, dt, zetas, xi, omega):
+        outcome = verify(s_norm, dt, zetas, xi, omega)
+        calls.append((xi, outcome))
+        return outcome
+
+    monkeypatch.setattr(step, "verify", spy)
+    return calls
+
+
+def fallback_decrement(cert, oracle, acc, cache, ledger):
+    """The certified displacement's decrement on the bundle the step used:
+    ensure re-evaluates nothing while the accuracies are unchanged."""
+    before = len(ledger)
+    dt = taylor_decrement(cache.ensure(oracle, acc, cert.j, ledger), cert.d, cert.j)
+    assert len(ledger) == before
+    return dt
 
 
 def test_pass_through_when_radius_small():
@@ -59,15 +81,16 @@ def test_trial_step_order2_hard_case_radius2():
     assert dt == taylor_decrement(b, s, 2) == pytest.approx(ref, rel=1e-8)
 
 
-def test_step_grows_decrement_with_radius():
+def test_step_grows_decrement_with_radius(monkeypatch):
     p = make_problem("quadratic", dim=2, cond=6)
     x = np.array([2.0, 1.5])
     oracle, acc, cache, ledger = state(p, 2, x, zeta0=1e-10)
     cert = certified(2, 1.0, 1e-3, 0.02, oracle, acc, cache, ledger)
+    calls = spy_on_verify(monkeypatch)
     res = compute_step(2.0, 1.0, cert, 1e-3, 0.02, oracle, acc, cache, ledger)
-    assert res.outcome is VerifyOutcome.RELATIVE
+    assert calls[-1][1] is VerifyOutcome.RELATIVE
     assert res.dT >= cert.dT
-    assert res.dT >= res.dT_fallback
+    assert res.dT >= fallback_decrement(cert, oracle, acc, cache, ledger)
     assert np.linalg.norm(res.s) <= 2.0 * (1 + 1e-12)
     # global solution over the radius-2 ball
     bundle = cache.ensure(oracle, acc, 2, ledger)
@@ -93,14 +116,15 @@ def test_degenerate_model_falls_back_to_certificate():
     np.testing.assert_array_equal(res.s, cert_d)
 
 
-def test_adversarial_tightens_until_relative():
+def test_adversarial_tightens_until_relative(monkeypatch):
     p = make_problem("rosenbrock")
     x = np.array([-0.5, 0.2])
     omega = 0.02
     oracle, acc, cache, ledger = state(p, 1, x, policy="adversarial", zeta0=0.1)
     cert = certified(1, 0.5, 1e-3, omega, oracle, acc, cache, ledger)
+    calls = spy_on_verify(monkeypatch)
     res = compute_step(4.0, 0.5, cert, 1e-3, omega, oracle, acc, cache, ledger)
-    assert res.outcome is VerifyOutcome.RELATIVE
+    assert calls[-1][1] is VerifyOutcome.RELATIVE
     assert res.absolute_events == 0
     # realized decrement error against exact tensors honors the certificate
     exact = make_bundle([p.exact_deriv(x, 1)])
@@ -108,21 +132,25 @@ def test_adversarial_tightens_until_relative():
     assert gap <= omega * res.dT * (1 + 1e-9)
 
 
-def test_xi_floor_invariant():
+def test_xi_floor_invariant(monkeypatch):
     # the absolute argument passed to verify never falls under the closed form
     p = make_problem("quadratic", dim=2, cond=10)
     omega, eps_j, vartheta, delta_max = 0.02, 1e-3, 0.5, 100.0
+    floor = eps_j / (4 * (1 + omega)) * (vartheta / max(1.0, delta_max)) ** 1
+    calls = spy_on_verify(monkeypatch)
     rng = np.random.default_rng(0)
     for trial in range(10):
         x = rng.standard_normal(2) * 3
         oracle, acc, cache, ledger = state(p, 1, x, policy="adversarial", seed=trial)
         cert = certified(1, vartheta, eps_j, omega, oracle, acc, cache, ledger)
         radius = float(rng.uniform(0.6, 5.0))
+        calls.clear()
         res = compute_step(radius, vartheta, cert, eps_j, omega, oracle, acc,
                            cache, ledger)
-        floor = eps_j / (4 * (1 + omega)) * (vartheta / max(1.0, delta_max)) ** 1
-        assert res.min_xi >= floor
-        assert res.dT >= res.dT_fallback  # bit-level dominance on every return
+        assert calls and calls[-1][1] is VerifyOutcome.RELATIVE
+        assert min(xi for xi, _ in calls) >= floor
+        # bit-level dominance on every return
+        assert res.dT >= fallback_decrement(cert, oracle, acc, cache, ledger)
 
 
 def never_certified(*args):
@@ -136,12 +164,12 @@ class NoShrinkLedger(AccuracyLedger):
         self.i_zeta += 1
 
 
-def trial_step_state(ledger_cls=AccuracyLedger):
+def trial_step_state(ledger_cls=AccuracyLedger, gamma_zeta=None):
     p = make_problem("quadratic", dim=2, cond=6)
     x = np.array([2.0, 1.5])
     oracle, acc, cache, ledger = state(p, 1, x, zeta0=1e-10)
     cert = certified(1, 0.5, 1e-3, 0.02, oracle, acc, cache, ledger)
-    acc = ledger_cls(zetas=np.array([0.1]), gamma_zeta=acc.gamma_zeta)
+    acc = ledger_cls(zetas=np.array([0.1]), gamma_zeta=gamma_zeta or acc.gamma_zeta)
     return cert, oracle, acc, cache, ledger
 
 
@@ -166,6 +194,17 @@ def test_step_that_cannot_tighten_trips_the_budget_trap(monkeypatch):
         compute_step(2.0, 0.5, cert, 1e-3, 0.02, oracle, acc, cache, ledger)
     stop_level = 0.02 * 1e-3 / (8.0 * 1.02)
     assert acc.i_zeta == allowed_tightenings(0.1, stop_level, acc.gamma_zeta) + 3
+
+
+def test_step_with_a_growing_accuracy_trips_the_budget_trap(monkeypatch):
+    # a directly built ledger with gamma_zeta > 1 loosens on every
+    # "tightening", so the guaranteed-level trap never fires and the budget
+    # trap is the loop's only exit
+    cert, oracle, acc, cache, ledger = trial_step_state(gamma_zeta=2.0)
+    monkeypatch.setattr(step, "verify", never_certified)
+    with pytest.raises(CertificationError, match="guaranteed tightening budget"):
+        compute_step(2.0, 0.5, cert, 1e-3, 0.02, oracle, acc, cache, ledger)
+    assert acc.zetas[0] > 0.1
 
 
 def test_absolute_certificate_cannot_pass_through():
