@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import BoundConstants, compute_bounds
-from .model import Vector, as_vector, operator_norm
+from .model import Vector, as_vector, operator_norm, vector_norm
 from .optimality import (AccuracyLedger, BundleCache, CertificationError,
                          allowed_tightenings, termination_test)
 from .oracle import EvalLedger, InexactOracle, Problem
@@ -109,9 +110,8 @@ class TrConfig:
         return cls(eps=eps, **derived)
 
 
-@dataclass(frozen=True, eq=False)
-class IterationRecord:
-    """Per-iteration trace used by the auditors and the CSV sink."""
+class IterationRecord(NamedTuple):
+    """Per-iteration trace: an immutable named tuple, one field per CSV column."""
 
     k: int
     Delta: float
@@ -233,7 +233,7 @@ def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
             step2_tightens=sres.tighten_count, zeta_max_step2_entry=sres.zeta_entry_max,
             step2_absolute=sres.absolute_events, f_recomputed=recomputed,
             n_f=ledger.n_f, n_d1=ledger.n_deriv(1), n_d2=ledger.n_deriv(2),
-            n_d3=ledger.n_deriv(3), step_norm=float(np.linalg.norm(sres.s)),
+            n_d3=ledger.n_deriv(3), step_norm=vector_norm(sres.s),
             x=x, x_trial=x_trial)
         history.append(rec)
         if sink is not None:
@@ -476,7 +476,7 @@ def check_history(result: RunResult, problem: Problem,
             else:
                 details.append(f"phi_3 undecided: cell budget spent after "
                                f"{dec.cells:,} cells")
-        gnorm = float(np.linalg.norm(problem.exact_deriv(result.x_eps, 1)))
+        gnorm = vector_norm(problem.exact_deriv(result.x_eps, 1))
         details.append(f"|grad|={gnorm:.3e}")
         if gnorm > cfg.eps[0] * _REL_SLACK:
             ok = False

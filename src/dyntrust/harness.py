@@ -27,8 +27,9 @@ OUTDIR_ENV = "DYNTRUST_OUTDIR"
 
 # One column per IterationRecord field, in field order; the field's declared
 # type ("int", "bool", "float" or "Vector") says how a cell is written and read.
-_COLUMN_TYPES = {f.name: f.type for f in dataclasses.fields(IterationRecord)}
-CSV_COLUMNS = tuple(_COLUMN_TYPES)
+# NamedTuple keeps each string annotation as a ForwardRef.
+CSV_COLUMNS = IterationRecord._fields
+_COLUMN_TYPES = {c: IterationRecord.__annotations__[c].__forward_arg__ for c in CSV_COLUMNS}
 
 
 def _fmt(col: str, value) -> str:

@@ -20,6 +20,7 @@ validate data from outside the library; internal code trusts its arrays.
 from __future__ import annotations
 
 import itertools
+import math
 from math import factorial
 
 import numpy as np
@@ -62,6 +63,12 @@ def sym_tensor(entries, already_symmetric: bool = False) -> np.ndarray:
         perms = list(itertools.permutations(range(order)))
         arr = sum(np.transpose(arr, p) for p in perms) / len(perms)
     return arr
+
+
+def vector_norm(v: Vector) -> float:
+    """Euclidean norm of a 1-D array, equal to ``np.linalg.norm(v)`` bit for
+    bit (numpy computes sqrt(v.dot(v)) too) at a fraction of its call cost."""
+    return math.sqrt(v.dot(v))
 
 
 def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:

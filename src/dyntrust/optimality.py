@@ -19,10 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import Bundle, Vector, model_gradient, row_norms, taylor_decrement
+from .model import (Bundle, Vector, model_gradient, row_norms, taylor_decrement,
+                    vector_norm)
 from .oracle import EvalLedger, InexactOracle
 from .verify import VerifyOutcome, verify
 
@@ -49,24 +51,26 @@ class CertificationError(RuntimeError):
 
 @dataclass
 class AccuracyLedger:
-    """Current absolute accuracy bounds per derivative order, with the
-    geometric tightening rule and its counter."""
+    """Current absolute accuracy bounds per derivative order (a list of
+    floats), with the geometric tightening rule and its counter."""
 
-    zetas: np.ndarray
+    zetas: list
     gamma_zeta: float
     i_zeta: int = 0
+
+    def __post_init__(self):
+        self.zetas = [float(z) for z in self.zetas]
 
     @classmethod
     def fresh(cls, cfg, exact_orders=()) -> "AccuracyLedger":
         """The initial accuracies of a validated :class:`TrConfig`; orders in
         ``exact_orders`` start (and stay) at zero."""
-        z = np.array([0.0 if i in exact_orders else z0
-                      for i, z0 in enumerate(cfg.zeta0, start=1)])
+        z = [0.0 if i in exact_orders else z0 for i, z0 in enumerate(cfg.zeta0, start=1)]
         return cls(zetas=z, gamma_zeta=cfg.gamma_zeta)
 
     def tighten(self, j: int):
-        """One geometric tightening of orders 1..j."""
-        self.zetas[:j] *= self.gamma_zeta
+        """One geometric tightening of orders 1..j (rounded as an array ``*=``)."""
+        self.zetas[:j] = [z * self.gamma_zeta for z in self.zetas[:j]]
         self.i_zeta += 1
 
 
@@ -83,7 +87,7 @@ class BundleCache:
     def ensure(self, oracle: InexactOracle, acc: AccuracyLedger, j: int,
                eval_ledger: EvalLedger | None = None) -> Bundle:
         for i in range(1, j + 1):
-            target = float(acc.zetas[i - 1])
+            target = acc.zetas[i - 1]
             if i not in self._tensors or self._zeta_at[i] > target:
                 self._tensors[i] = oracle.eval_deriv(self.x, i, target, eval_ledger)
                 self._zeta_at[i] = target
@@ -104,17 +108,17 @@ def _min_quadratic_on_ball(g: np.ndarray, h_mat: np.ndarray, radius: float,
     lam1 = float(evals[0])
     if lam1 > 0:
         d = -(evecs @ (b / evals))
-        if float(np.linalg.norm(d)) <= radius * (1.0 + 1e-14):
+        if vector_norm(d) <= radius * (1.0 + 1e-14):
             return d
     lam_low = max(0.0, -lam1)
-    scale = max(1.0, float(np.linalg.norm(b)), float(np.max(np.abs(evals))))
+    scale = max(1.0, vector_norm(b), float(np.max(np.abs(evals))))
     bottom = (evals - lam1) <= 1e-12 * scale
     b_eff = b.copy()
     if lam1 <= 0 and np.all(np.abs(b[bottom]) <= 1e-12 * scale):
         b_eff[bottom] = 0.0
         shifted = evals + lam_low
         coef = np.divide(b_eff, shifted, out=np.zeros_like(b_eff), where=~bottom)
-        norm_p = float(np.linalg.norm(coef))
+        norm_p = vector_norm(coef)
         if norm_p <= radius:
             p = -(evecs @ coef)
             if lam_low > 0.0:
@@ -126,9 +130,9 @@ def _min_quadratic_on_ball(g: np.ndarray, h_mat: np.ndarray, radius: float,
             return p
 
     def dnorm(lam: float) -> float:
-        return float(np.linalg.norm(b_eff / (evals + lam)))
+        return vector_norm(b_eff / (evals + lam))
 
-    hi = lam_low + max(float(np.linalg.norm(b_eff)) / radius, 1e-8 * scale)
+    hi = lam_low + max(vector_norm(b_eff) / radius, 1e-8 * scale)
     for _ in range(200):
         if dnorm(hi) <= radius:
             break
@@ -144,13 +148,13 @@ def _min_quadratic_on_ball(g: np.ndarray, h_mat: np.ndarray, radius: float,
         else:
             hi = lam
         s3 = float(np.sum(b_eff**2 / (evals + lam) ** 3))
-        if s3 > 0 and np.isfinite(s3):
+        if s3 > 0 and math.isfinite(s3):
             cand = lam - (1.0 / nd - 1.0 / radius) * nd**3 / s3
         else:
             cand = 0.5 * (lo + hi)
         lam = cand if lo < cand < hi else 0.5 * (lo + hi)
     d = -(evecs @ (b_eff / (evals + lam)))
-    nd = float(np.linalg.norm(d))
+    nd = vector_norm(d)
     return d * (radius / nd) if nd > radius else d
 
 
@@ -206,7 +210,7 @@ def max_decrement(b: Bundle, j: int, delta: float,
         raise ValueError("delta must be positive")
     if j == 1:
         g = b[0]
-        ng = float(np.linalg.norm(g))
+        ng = vector_norm(g)
         if ng == 0.0:
             return np.zeros(g.size), 0.0, 1.0
         d = -delta * g / ng
@@ -225,8 +229,7 @@ def max_decrement(b: Bundle, j: int, delta: float,
     return d, dt, guarantee
 
 
-@dataclass(frozen=True)
-class CertifiedDecrement:
+class CertifiedDecrement(NamedTuple):
     """A displacement whose decrement carries a sufficient accuracy outcome."""
 
     j: int
@@ -249,19 +252,20 @@ def certified_decrement(j: int, delta: float, eps_j: float, varsigma: float,
                         seed: int = 0) -> CertifiedDecrement:
     """Compute a near-maximal decrement at the cached iterate certified
     Relative or Absolute, tightening derivative accuracies geometrically
-    until certification."""
-    entry_max = float(np.max(acc.zetas[:j])) if j > 0 else 0.0
-    target = 0.25 * omega * varsigma * eps_j * delta ** (j - 1) / factorial(j)
-    cap = allowed_tightenings(entry_max, target, acc.gamma_zeta) + 2
+    until certification (budgeted from the entry accuracies once it tightens)."""
     tightenings = 0
+    cap = None
     while True:
         bundle = cache.ensure(oracle, acc, j, eval_ledger)
         d, dt, guarantee = max_decrement(bundle, j, delta, seed=seed)
         vs = varsigma if guarantee is None else min(varsigma, guarantee)
-        outcome = verify(delta, dt, acc.zetas[:j], 0.5 * vs * eps_j, omega)
-        if outcome.sufficient:
-            return CertifiedDecrement(j=j, d=d, dT=dt, outcome=outcome,
-                                      tightenings=tightenings)
+        zetas = acc.zetas[:j]
+        outcome = verify(delta, dt, zetas, 0.5 * vs * eps_j, omega)
+        if outcome is not VerifyOutcome.INSUFFICIENT:
+            return CertifiedDecrement(j, d, dt, outcome, tightenings)
+        if cap is None:
+            target = 0.25 * omega * varsigma * eps_j * delta ** (j - 1) / factorial(j)
+            cap = allowed_tightenings(max(zetas), target, acc.gamma_zeta) + 2
         acc.tighten(j)
         tightenings += 1
         if tightenings > cap:

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .model import NonFiniteEvaluation, Vector
+from .model import NonFiniteEvaluation, Vector, vector_norm
 
 POLICIES = ("none", "adversarial", "truncate", "gaussian", "subsample")
 
@@ -81,15 +81,17 @@ class Problem:
         if d.shape != shape:
             raise ValueError(f"{self.name}: deriv of points {x.shape} has shape "
                              f"{d.shape}, expected {shape}")
-        if not np.isfinite(d).all():
+        # a finite sum of squares has finite terms; a strided array, or a sum
+        # that overflows (numpy warns of it), is checked entry by entry
+        flat = d.ravel() if d.flags.c_contiguous else None
+        if (flat is None or not math.isfinite(flat.dot(flat))) and not np.isfinite(d).all():
             bad = ~np.isfinite(d.reshape(-1, self.dim ** order)).all(axis=1)
             x = x.reshape(-1, x.shape[-1])[np.argmax(bad)]  # the first, in stack order
             raise NonFiniteEvaluation(f"order-{order} derivative at x = {x.tolist()} is not finite")
         return d
 
 
-@dataclass(frozen=True, slots=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     kind: str          # "f" or "deriv"
     order: int         # 0 for objective values
     acc: float         # requested absolute accuracy
@@ -197,8 +199,8 @@ class InexactOracle:
         return self.problem.dim
 
     def eval_f(self, x, abs_acc: float, ledger: EvalLedger | None = None) -> float:
-        if abs_acc <= 0:
-            raise ValueError("requested accuracy must be positive")
+        if not 0 < abs_acc < math.inf:  # NaN fails too
+            raise ValueError(f"requested accuracy {abs_acc!r} must be positive and finite")
         work = 1.0
         if self.policy == "subsample":
             value, work = self.problem.term_model.estimate_f(x, abs_acc)
@@ -220,8 +222,8 @@ class InexactOracle:
         return float(value)
 
     def eval_deriv(self, x, order: int, zeta: float, ledger: EvalLedger | None = None) -> np.ndarray:
-        if zeta < 0:
-            raise ValueError("requested accuracy must be nonnegative")
+        if not 0 <= zeta < math.inf:  # NaN fails too
+            raise ValueError(f"requested accuracy {zeta!r} must be nonnegative and finite")
         if not 1 <= order <= 3:
             raise ValueError(f"unsupported derivative order {order}")
         exact = order in self.exact_orders or zeta == 0.0
@@ -236,14 +238,14 @@ class InexactOracle:
             # rank-one bumps and rounding keep symmetry and shape: no re-check
             if self.policy == "adversarial":
                 u = self.rng.standard_normal(self.dim)
-                u /= np.linalg.norm(u)
+                u /= vector_norm(u)
                 tensor = tensor + _rank_one(order, u, NOISE_FRACTION * zeta)
             elif self.policy == "truncate":
                 h = _decimal_grid(2.0 * zeta / self.dim ** (order / 2.0))
                 tensor = np.round(tensor / h) * h
             elif self.policy == "gaussian":
                 u = self.rng.standard_normal(self.dim)
-                u /= np.linalg.norm(u)
+                u /= vector_norm(u)
                 mag = float(np.clip(self.rng.normal(0.0, zeta / 3.0),
                                     -NOISE_FRACTION * zeta, NOISE_FRACTION * zeta))
                 tensor = tensor + _rank_one(order, u, mag)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import as_vector
+from .model import as_vector, vector_norm
 from .oracle import Problem
 
 
@@ -23,18 +23,19 @@ def _coords(x):
 
 
 def quadratic(dim: int = 2, cond: float = 10.0, x0=None) -> Problem:
-    """Convex quadratic 0.5 x'Ax with A = diag(1 .. cond) (geometric)."""
+    """Convex quadratic 0.5 x'Ax with A = diag(1 .. cond) (geometric).  A x is
+    ``diag * x``: the dense product bit for bit, except that -0.0 stays -0.0."""
     if dim < 1 or cond < 1:
         raise ValueError("need dim >= 1 and cond >= 1")
     diag = np.geomspace(1.0, cond, dim) if dim > 1 else np.array([cond])
     a_mat = np.diag(diag)
 
     def fun(x):
-        return 0.5 * float(x @ (a_mat @ x))
+        return 0.5 * float(x @ (diag * x))
 
     def deriv(x, order):
         if order == 1:
-            return (a_mat @ x[..., None])[..., 0]
+            return diag * x
         if order == 2:
             return np.broadcast_to(a_mat, x.shape[:-1] + a_mat.shape)
         return np.zeros(x.shape[:-1] + (dim,) * order)
@@ -157,7 +158,7 @@ class LogisticTermModel:
 
     def estimate_f(self, x, acc: float):
         x = np.asarray(x, dtype=float)
-        ranges = self._value_ranges(float(np.linalg.norm(x)))
+        ranges = self._value_ranges(vector_norm(x))
         half = (ranges[:, 1] - ranges[:, 0]) / 2.0
         k = self._select_prefix(half, acc)
         idx = self.order_by_size[:k]
@@ -170,7 +171,7 @@ class LogisticTermModel:
 
     def estimate_deriv(self, x: np.ndarray, order: int, zeta: float):
         a_norm = np.linalg.norm(self.a, axis=1)
-        c = a_norm * float(np.linalg.norm(x))
+        c = a_norm * vector_norm(x)
         if order == 1:
             lo, hi = _sigmoid(self.b - c), _sigmoid(self.b + c)
             half = (hi - lo) / 2.0 * a_norm / self.m

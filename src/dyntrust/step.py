@@ -11,20 +11,17 @@ decreases the model by less than it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
-import numpy as np
-
-from .model import Vector, taylor_decrement
+from .model import Vector, taylor_decrement, vector_norm
 from .optimality import (AccuracyLedger, BundleCache, CertificationError,
                          CertifiedDecrement, allowed_tightenings, max_decrement)
 from .oracle import EvalLedger, InexactOracle
 from .verify import VerifyOutcome, verify
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     s: Vector
     dT: float                  # model decrement of the returned step
     tighten_count: int
@@ -48,15 +45,14 @@ def compute_step(radius: float, vartheta: float, cert: CertifiedDecrement,
     counted.
     """
     j = cert.j
-    zeta_entry = float(np.max(acc.zetas[:j]))
+    zeta_entry = max(acc.zetas[:j])
     if radius <= vartheta:
         if cert.outcome is not VerifyOutcome.RELATIVE:
             raise CertificationError(
                 "pass-through step requires a relatively-certified displacement; "
                 "an absolute certificate here contradicts the termination test",
                 j, radius, cache.x)
-        return StepResult(s=cert.d.copy(), dT=cert.dT, tighten_count=0,
-                          zeta_entry_max=zeta_entry, absolute_events=0)
+        return StepResult(cert.d.copy(), cert.dT, 0, zeta_entry, 0)
 
     stop_level = omega * vartheta ** (j - 1) * eps_j / (8.0 * factorial(j) * (1.0 + omega))
     cap = allowed_tightenings(zeta_entry, stop_level, acc.gamma_zeta) + 2
@@ -75,14 +71,13 @@ def compute_step(radius: float, vartheta: float, cert: CertifiedDecrement,
             raise CertificationError(
                 "step decrement collapsed to zero after a non-terminating "
                 "optimality test", j, radius, cache.x)
-        s_norm = float(np.linalg.norm(s))
+        s_norm = vector_norm(s)
         xi = eps_j / (4.0 * (1.0 + omega)) * (vartheta / max(vartheta, s_norm)) ** j
-        zeta_before = float(np.max(acc.zetas[:j]))
-        outcome = verify(s_norm, dt_s, acc.zetas[:j], xi, omega)
+        zetas = acc.zetas[:j]
+        outcome = verify(s_norm, dt_s, zetas, xi, omega)
         if outcome is VerifyOutcome.RELATIVE:
-            return StepResult(s=s, dT=dt_s, tighten_count=tighten,
-                              zeta_entry_max=zeta_entry, absolute_events=absolutes)
-        if zeta_before <= stop_level:
+            return StepResult(s, dt_s, tighten, zeta_entry, absolutes)
+        if max(zetas) <= stop_level:
             raise CertificationError(
                 "step certification not relative although accuracies passed "
                 "the guaranteed level", j, radius, cache.x)

@@ -37,20 +37,20 @@ def verify(delta: float, decrement: float, zetas, xi: float, omega: float) -> Ve
     otherwise INSUFFICIENT.  The two tests run in exactly this order and the
     boundary inequalities are non-strict: equality certifies.
     """
-    if delta <= 0:
+    if not delta > 0:  # each test is written so that NaN fails it
         raise ValueError("delta must be positive")
-    if xi <= 0:
+    if not xi > 0:
         raise ValueError("xi must be positive")
-    if decrement < 0:
+    if not decrement >= 0:
         raise ValueError("decrement must be nonnegative")
     if not 0 < omega <= 1:
         raise ValueError("omega must lie in (0, 1]")
-    zetas = [float(z) for z in zetas]
-    if any(z < 0 for z in zetas):
-        raise ValueError("accuracy bounds must be nonnegative")
     r = len(zetas)
     if r == 0:
         raise ValueError("need at least one accuracy bound")
+    for z in zetas:
+        if not z >= 0:
+            raise ValueError("accuracy bounds must be nonnegative")
     budget = error_budget(delta, zetas)
     if decrement > 0 and budget <= omega * decrement:
         return VerifyOutcome.RELATIVE

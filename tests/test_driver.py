@@ -302,14 +302,29 @@ def test_audit_accuracy_floor_skips_exact_orders():
 
 
 def test_audit_flags_a_step_beyond_the_radius():
-    import dataclasses
     p = make_problem("quadratic", dim=2, cond=10)
     res = run(InexactOracle(p, policy="adversarial", seed=0), TrConfig.with_defaults((1e-3,)))
     assert check_history(res, p).checks["step_within_radius"].ok
     rec = res.history[3]
-    res.history[3] = dataclasses.replace(rec, step_norm=rec.Delta * (1 + 1e-10))
+    res.history[3] = rec._replace(step_norm=rec.Delta * (1 + 1e-10))
     check = check_history(res, p).checks["step_within_radius"]
     assert not check.ok, check.detail
+
+
+def test_records_are_immutable():
+    from dyntrust.optimality import CertifiedDecrement
+    from dyntrust.step import StepResult
+
+    res = run(InexactOracle(make_problem("rosenbrock"), policy="adversarial", seed=0),
+              TrConfig.with_defaults((1e-2,)))
+    records = [res.history[0], res.eval_ledger.entries[0],
+               CertifiedDecrement(1, np.ones(2), 1.0, VerifyOutcome.RELATIVE, 0),
+               StepResult(np.ones(2), 1.0, 0, 0.1, 0)]
+    for rec in records:
+        for name in rec._fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, getattr(rec, name))
+    assert not res.history[0].x.flags.writeable
 
 
 def test_bounds_for_run_helper():

@@ -1,11 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from dyntrust.model import (NonFiniteEvaluation, make_bundle, model_gradient,
                             operator_norm, sym_tensor, taylor_decrement, taylor_value,
-                            tensor_apply)
+                            tensor_apply, vector_norm)
 from dyntrust.verify import error_budget
 
 
@@ -256,3 +257,20 @@ def test_order3_norm_bounds_every_unit_contraction(data, n):
     assume(np.linalg.norm(u) > 1e-3)
     u = u / np.linalg.norm(u)
     assert operator_norm(t, 3) * (1 + 1e-12) >= abs(tensor_apply(t, u))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:underflow encountered:RuntimeWarning")
+def test_vector_norm_is_numpy_norm_bit_for_bit():
+    # overflow to inf and underflow to 0 included: both take sqrt(v.dot(v))
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 3, 10, 100):
+        for _ in range(200):
+            v = rng.standard_normal(n) * 10.0 ** rng.uniform(-200, 200)
+            got = vector_norm(v)
+            assert type(got) is float
+            np.testing.assert_array_equal(got, np.linalg.norm(v))
+    # neither rescales: a square above the float range is inf, one below it 0
+    for v, want in (([1e200], math.inf), ([1e-200, 1e-200], 0.0), ([3.0, 4.0], 5.0)):
+        v = np.array(v)
+        assert vector_norm(v) == np.linalg.norm(v) == want

@@ -138,6 +138,66 @@ def test_eval_f_rejects_nonpositive_accuracy():
         o.eval_deriv(np.zeros(2), 4, 1e-3)
 
 
+@pytest.mark.parametrize("policy", POLICIES + ("subsample",))
+def test_nonfinite_accuracy_is_refused(policy):
+    # refused before any evaluation: no ledger entry and no random draw
+    p = make_problem("finite_sum_logistic", dim=3, terms=16)
+    o = InexactOracle(p, policy=policy, seed=3)
+    ledger = EvalLedger()
+    state = o.rng.bit_generator.state
+    x = np.array([0.4, -0.3, 1.1])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            o.eval_f(x, bad, ledger)
+        for order in (1, 2, 3):
+            with pytest.raises(ValueError, match="must be nonnegative and finite"):
+                o.eval_deriv(x, order, bad, ledger)
+    assert len(ledger) == 0
+    assert o.rng.bit_generator.state == state
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_quadratic_gradient_is_the_dense_product():
+    # diag * x equals the dense product A x bit for bit, at any magnitude
+    # (the finiteness check's sum of squares overflows above ~1e154)
+    rng = np.random.default_rng(11)
+    for dim in (1, 2, 7, 100):
+        p = make_problem("quadratic", dim=dim, cond=1e3)
+        a_mat = p.exact_deriv(np.zeros(dim), 2)
+        x = rng.standard_normal((50, dim)) * 10.0 ** rng.uniform(-200, 200, (50, 1))
+        np.testing.assert_array_equal(p.exact_deriv(x, 1), (a_mat @ x[..., None])[..., 0])
+        for point in x[:5]:
+            np.testing.assert_array_equal(p.exact_deriv(point, 1), a_mat @ point)
+
+
+def test_quadratic_gradient_keeps_a_negative_zero():
+    # the one difference from the dense product, whose sum gives +0.0
+    p = make_problem("quadratic", dim=3, cond=10)
+    x = np.array([-0.0, 0.0, -2.0])
+    assert np.signbit(p.exact_deriv(x, 1)).tolist() == [True, False, True]
+    stack = p.exact_deriv(np.stack([x, -x]), 1)
+    assert np.signbit(stack).tolist() == [[True, False, True], [False, True, False]]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_exact_deriv_accepts_entries_whose_sum_of_squares_overflows():
+    # the finiteness check is one dot of the entries; an overflowing sum of
+    # squares (numpy warns about it) is checked entry by entry, not refused
+    def deriv(x, order):
+        t = np.where(x[..., :1] < 0.0, math.nan, 1e200)
+        return np.broadcast_to(t, x.shape[:-1] + (2,) * order).copy()
+
+    p = Problem(name="huge", dim=2, fun=lambda x: 0.0, deriv=deriv, f_low=0.0,
+                x0=np.ones(2))
+    big = p.exact_deriv(np.ones(2), 2)
+    assert np.all(big == 1e200) and not math.isfinite(big.ravel().dot(big.ravel()))
+    pts = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.5], [-2.0, 0.5]])
+    assert p.exact_deriv(pts[:2], 1).tolist() == [[1e200, 1e200]] * 2
+    with pytest.raises(NonFiniteEvaluation,
+                       match=re.escape("order-1 derivative at x = [-1.0, 0.5] is not finite")):
+        p.exact_deriv(pts, 1)
+
+
 def test_finite_diff_quadratic_gradient():
     p = make_problem("quadratic", dim=3, cond=25)
     rep = finite_diff_check(p, np.array([0.4, -0.9, 1.3]), h=1e-4)

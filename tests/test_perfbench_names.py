@@ -243,3 +243,31 @@ def test_audit_corpus_pass_reproduces_the_recorded_fingerprints():
     out = worker.run_pass(worker.WORKLOADS["audit_corpus"], 0)
     assert out["failures"] == []
     assert out["fingerprints"] == worker.recorded_fingerprints("audit_corpus", 0)
+
+
+def test_long_run_pass_reproduces_the_recorded_fingerprints():
+    # pins the orders-1/2 solve loop, whose speed-ups must not move a count
+    # or a final iterate
+    worker = _load("worker")
+    out = worker.run_pass(worker.WORKLOADS["long_run"], 0)
+    recorded = worker.recorded_fingerprints("long_run", 0)
+    assert out["failures"] == []
+    assert len(out["fingerprints"]) == len(recorded) == 6
+    for i, (got, want) in enumerate(zip(out["fingerprints"], recorded)):
+        assert got[:-1] == want[:-1], i  # every count exact
+        if i in (4, 5):
+            # The order-2 solver clips its step to the ball, which moved the
+            # final iterate of these two q=2 cases by 1 ulp after the copy
+            # was recorded; perfbench/fingerprints.json is re-recorded only
+            # with a change to the benchmark itself.
+            np.testing.assert_array_max_ulp(np.array(ast.literal_eval(got[-1])),
+                                            np.array(ast.literal_eval(want[-1])), 1)
+        else:
+            assert got[-1] == want[-1], i
+
+
+def test_wide_n100_pass_reproduces_the_recorded_fingerprints():
+    worker = _load("worker")
+    out = worker.run_pass(worker.WORKLOADS["wide_n100"], 0)
+    assert out["failures"] == []
+    assert out["fingerprints"] == worker.recorded_fingerprints("wide_n100", 0)
