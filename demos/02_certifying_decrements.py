@@ -9,8 +9,8 @@ tightens all derivative accuracies by a fixed factor and re-evaluates.
 
 import numpy as np
 
-from dyntrust import (AccuracyLedger, BundleCache, EvalLedger, InexactOracle,
-                      TrConfig, certified_decrement, make_problem, verify)
+from dyntrust import (AccuracyLedger, InexactOracle, TrConfig, certified_decrement,
+                      make_problem, verify)
 
 print("verify(delta, decrement, zetas, xi, omega):")
 print("  large decrement  ->", verify(1.0, 1.0, (0.01,), 0.5, 0.1).value)
@@ -25,11 +25,9 @@ oracle = InexactOracle(problem, policy="adversarial", seed=0)
 for label, x in (("far from the minimizer", np.array([2.0, -1.0])),
                  ("at the minimizer", np.zeros(2))):
     # initial accuracy zeta0 = 0.1, tightened by gamma_zeta = 0.1 per round
-    acc = AccuracyLedger.fresh(TrConfig.with_defaults((1e-3,)))
-    ledger = EvalLedger()
-    cert = certified_decrement(1, 0.5, 1e-3, 0.99, 0.02, oracle, acc,
-                               BundleCache(x), ledger)
+    acc = AccuracyLedger.fresh(TrConfig.with_defaults((1e-3,)), oracle, x)
+    cert = certified_decrement(1, 0.5, 1e-3, 0.99, 0.02, acc)
     print(f"\n{label}:")
     print(f"  outcome {cert.outcome.value}, decrement {cert.dT:.3e}, "
-          f"tightenings {cert.tightenings}, gradient calls {ledger.n_deriv(1)}")
+          f"tightenings {acc.i_zeta}, gradient calls {acc.ledger.n_deriv(1)}")
     print(f"  final accuracy bound {acc.zetas[0]:.1e}")

@@ -15,9 +15,8 @@ from .harness import (RunSpec, cost_savings_report, eps_scaling_study,
                       write_summary_json)
 from .model import (make_bundle, model_gradient, operator_norm, sym_tensor,
                     taylor_decrement, taylor_value, tensor_apply)
-from .optimality import (AccuracyLedger, BundleCache, CertificationError,
-                         CertifiedDecrement, certified_decrement, max_decrement,
-                         termination_test)
+from .optimality import (AccuracyLedger, CertificationError, CertifiedDecrement,
+                         certified_decrement, max_decrement, termination_test)
 from .oracle import EvalLedger, InexactOracle, NonFiniteEvaluation, Problem
 from .problems import list_problems, make_problem
 from .reference import lipschitz_estimate, phi_reference
@@ -27,7 +26,7 @@ from .verify import VerifyOutcome, verify
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyLedger", "AuditReport", "BoundConstants", "BundleCache",
+    "AccuracyLedger", "AuditReport", "BoundConstants",
     "CertificationError", "CertifiedDecrement", "ConfigError",
     "EvalLedger", "InexactOracle", "IterationRecord",
     "NonFiniteEvaluation", "Problem", "RunResult", "RunSpec", "StepResult",

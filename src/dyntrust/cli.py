@@ -109,7 +109,6 @@ def _spec_from_args(args) -> RunSpec:
 
 def _cmd_run(args) -> int:
     spec = _spec_from_args(args)
-    spec.build_config()  # validate before any work happens
     result, _, _, paths = execute_run(spec, write=True, with_bounds=True)
     print(f"terminated={result.terminated} iterations={result.n_iterations} "
           f"x_eps={[round(float(v), 6) for v in result.x_eps]} "
@@ -121,7 +120,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_audit(args) -> int:
     spec = _spec_from_args(args)
-    spec.build_config()
     result, problem, _, paths = execute_run(spec, write=True)
     if not result.terminated:
         print("run hit the iteration cap; audit skipped")
@@ -172,7 +170,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_compare(args) -> int:
     spec = _spec_from_args(args)
-    spec.build_config()
     report = cost_savings_report(spec, cost_model=args.cost_model)
     print(f"cost model: {report.cost_model}")
     print(f"dynamic   cost: f={report.dynamic_cost_f:.4g} "

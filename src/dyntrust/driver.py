@@ -1,8 +1,8 @@
 """Main trust-region loop with dynamic accuracy, plus the run auditor.
 
 One run owns a single evolving state machine: the iterate, the trust-region
-radius, the accuracy ledger (absolute derivative accuracies with their
-tightening counter), a per-iterate derivative cache, and the objective-value
+radius, the accuracy ledger (derivative accuracies, tightening counter,
+oracle, call log and the tensors at the iterate), and the objective-value
 bookkeeping that decides when an inexact value can be reused.  Each
 iteration appends an :class:`IterationRecord`; :func:`check_history` replays
 a finished run against the exact problem and the closed-form worst-case
@@ -20,8 +20,8 @@ import numpy as np
 
 from .bounds import BoundConstants, compute_bounds
 from .model import Vector, as_vector, operator_norm, vector_norm
-from .optimality import (AccuracyLedger, BundleCache, CertificationError,
-                         allowed_tightenings, termination_test)
+from .optimality import (AccuracyLedger, CertificationError, allowed_tightenings,
+                         termination_test)
 from .oracle import EvalLedger, InexactOracle, Problem
 from .step import compute_step
 
@@ -35,19 +35,21 @@ class TrConfig:
     """All algorithm constants, checked for admissibility at construction.
 
     ``eps`` holds the per-order accuracy targets (length q).  ``zeta0`` is
-    the initial absolute derivative accuracy (scalar or per order).
+    the initial absolute derivative accuracy (scalar or per order).  Unless
+    given, ``vartheta`` is max(min_j eps_j, 0.5) and ``omega`` is
+    0.9 min(eta1/2, (1 - eta2)/4).  ``seed`` seeds the order-3 ascent starts.
     """
 
     eps: tuple
     Delta0: float = 1.0
     Delta_max: float = 100.0
-    vartheta: float = 0.5
+    vartheta: float | None = None
     eta1: float = 0.05
     eta2: float = 0.9
     gamma1: float = 0.25
     gamma2: float = 0.5
     gamma3: float = 2.0
-    omega: float = 0.0225
+    omega: float | None = None
     varsigma: float = 0.99
     gamma_zeta: float = 0.1
     kappa_zeta: float = 0.1
@@ -66,6 +68,8 @@ class TrConfig:
             raise ConfigError(f"criticality order q={len(eps)} outside the supported 1..3")
         if any(not 0 < e < 1 for e in eps):
             raise ConfigError("accuracy targets must satisfy 0 < eps_j < 1")
+        if self.vartheta is None:
+            object.__setattr__(self, "vartheta", max(min(eps), 0.5))
         if not min(eps) <= self.vartheta <= 1:
             raise ConfigError("vartheta must satisfy min_j eps_j <= vartheta <= 1")
         if not 0 < self.Delta0 <= self.Delta_max:
@@ -77,6 +81,8 @@ class TrConfig:
         if not 0 < self.varsigma <= 1:
             raise ConfigError("varsigma must lie in (0, 1]")
         omega_cap = min(0.5 * self.eta1, 0.25 * (1 - self.eta2))
+        if self.omega is None:
+            object.__setattr__(self, "omega", 0.9 * omega_cap)
         if not 0 < self.omega < omega_cap:
             raise ConfigError(
                 f"omega must lie in (0, min[eta1/2, (1-eta2)/4]) = (0, {omega_cap:g})")
@@ -93,21 +99,13 @@ class TrConfig:
             raise ConfigError("initial accuracies must satisfy 0 < zeta0_j <= kappa_zeta")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be at least 1")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @classmethod
     def with_defaults(cls, eps, **overrides) -> "TrConfig":
-        """Conventional defaults; vartheta and omega are derived from the
-        accuracy targets and acceptance thresholds unless given explicitly."""
-        eps = tuple(float(e) for e in (eps if np.iterable(eps) else (eps,)))
-        eta1 = overrides.get("eta1", 0.05)
-        eta2 = overrides.get("eta2", 0.9)
-        derived = {
-            # an empty eps gets a placeholder, for __post_init__ to name q=0
-            "vartheta": max(min(eps, default=0.5), 0.5),
-            "omega": 0.9 * min(0.5 * eta1, 0.25 * (1 - eta2)),
-        }
-        derived.update(overrides)
-        return cls(eps=eps, **derived)
+        """The config for ``eps`` given as a scalar (one order) or per order."""
+        return cls(eps=tuple(eps) if np.iterable(eps) else (eps,), **overrides)
 
 
 class IterationRecord(NamedTuple):
@@ -143,10 +141,13 @@ class RunResult:
     delta_eps: float
     terminated: bool
     history: list
-    eval_ledger: EvalLedger
     acc: AccuracyLedger
     cfg: TrConfig
     problem_name: str
+
+    @property
+    def eval_ledger(self) -> EvalLedger:
+        return self.acc.ledger
 
     @property
     def n_iterations(self) -> int:
@@ -170,23 +171,21 @@ def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
     reaches the optimality-radius cap ``vartheta``, which keeps the
     optimality radius unchanged; any other outcome reruns the test.
     """
-    x = np.asarray(x0 if x0 is not None else oracle.problem.x0, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ConfigError(f"start point x0 = {x.tolist()} is not finite")
-    x = as_vector(x).copy()
+    try:
+        x = as_vector(x0 if x0 is not None else oracle.problem.x0).copy()
+    except ValueError as exc:
+        raise ConfigError(f"start point x0 = {exc}") from None
     if x.size != oracle.dim:
         raise ConfigError("start point dimension does not match the problem")
     x.flags.writeable = False
     x_start = x
-    acc = AccuracyLedger.fresh(cfg, oracle.exact_orders)
-    ledger = EvalLedger()
-    cache = BundleCache(x)
+    acc = AccuracyLedger.fresh(cfg, oracle, x)
+    ledger = acc.ledger
     f_bar = None
     f_bar_acc = math.inf
     pending = None
     history: list[IterationRecord] = []
     terminated = False
-    delta_eps = min(cfg.Delta0, cfg.vartheta)
     delta_tr = cfg.Delta0
 
     for k in range(cfg.max_iterations):
@@ -194,17 +193,16 @@ def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
         try:
             if pending is None:
                 cert = termination_test(delta_k, cfg.eps, cfg.varsigma, cfg.omega,
-                                        oracle, acc, cache, ledger, seed=cfg.seed)
+                                        acc, seed=cfg.seed)
                 if cert is None:
                     terminated = True
-                    delta_eps = delta_k
                     break
             else:
                 cert, pending = pending, None
             j = cert.j
 
             sres = compute_step(delta_tr, cfg.vartheta, cert, cfg.eps[j - 1],
-                                cfg.omega, oracle, acc, cache, ledger, seed=cfg.seed)
+                                cfg.omega, acc, seed=cfg.seed)
         except CertificationError as exc:
             raise CertificationError(exc.reason, exc.j, exc.radius, exc.x, k) from None
 
@@ -241,18 +239,16 @@ def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
 
         if successful:
             x = x_trial
-            cache = BundleCache(x)
+            acc.move_to(x)
             f_bar = f_bar_new
             f_bar_acc = acc_req
         elif delta_next >= cfg.vartheta:
             pending = cert
         delta_tr = delta_next
 
-    if not terminated:
-        delta_eps = min(delta_tr, cfg.vartheta)
-    return RunResult(x0=x_start, x_eps=x.copy(), delta_eps=delta_eps,
-                     terminated=terminated, history=history, eval_ledger=ledger,
-                     acc=acc, cfg=cfg, problem_name=oracle.problem.name)
+    return RunResult(x0=x_start, x_eps=x.copy(), delta_eps=min(delta_tr, cfg.vartheta),
+                     terminated=terminated, history=history, acc=acc, cfg=cfg,
+                     problem_name=oracle.problem.name)
 
 
 @dataclass

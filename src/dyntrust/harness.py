@@ -151,9 +151,9 @@ class RunSpec:
 
 
 def execute_run(spec: RunSpec, write: bool = True, with_bounds: bool = False):
-    """Build, run, optionally write history CSV + summary JSON."""
-    problem = spec.build_problem()
+    """Build the config, the problem and the run; optionally write history CSV + summary JSON."""
     cfg = spec.build_config()
+    problem = spec.build_problem()
     oracle = InexactOracle(problem, policy=spec.policy, seed=spec.seed)
     result = run(oracle, cfg, x0=spec.x0)
     paths = {}
@@ -299,8 +299,7 @@ def cost_savings_report(spec: RunSpec, cost_model: str = "inverse") -> CompareRe
         tight_f = tight_d
 
     fixed_overrides = dict(spec.cfg_overrides)
-    fixed_overrides["zeta0"] = min(tight_d, TrConfig.with_defaults(
-        spec.eps, **spec.cfg_overrides).kappa_zeta)
+    fixed_overrides["zeta0"] = min(tight_d, dyn_result.cfg.kappa_zeta)
     fixed_spec = dataclasses.replace(spec, policy="none", cfg_overrides=fixed_overrides)
     fixed_result, _, _, _ = execute_run(fixed_spec, write=False)
     fl = fixed_result.eval_ledger

@@ -39,11 +39,12 @@ class NonFiniteEvaluation(ValueError):
 
 
 def as_vector(x) -> Vector:
+    """``x`` as a float 1-D point; a ValueError reads "<x> is not ..."."""
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.ndim != 1 or v.size == 0:
-        raise ValueError("expected a nonempty 1-D point")
+        raise ValueError(f"{v.tolist()} is not a nonempty 1-D point")
     if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
+        raise ValueError(f"{v.tolist()} is not finite")
     return v
 
 

@@ -7,8 +7,10 @@ multi-start projected gradient ascent (heuristic, no certificate).  The
 order-3 starts advance together as one (starts, n) array, and the result
 equals, bit for bit, that of running the ascents one start at a time.
 
+An :class:`AccuracyLedger` holds a run's evaluation state: the accuracy
+bounds, the oracle with its call log, and the tensors at the iterate.
 ``certified_decrement`` wraps the solver in the tighten-until-certified loop:
-evaluate derivatives at the current absolute accuracies, maximize, certify
+take the ledger's tensors at its current accuracies, maximize, certify
 via :func:`~dyntrust.verify.verify`, and geometrically tighten the
 accuracies until the outcome is sufficient.  A loop that outruns the
 tightening budget its theory guarantees raises :class:`CertificationError`.
@@ -17,7 +19,6 @@ tightening budget its theory guarantees raises :class:`CertificationError`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import factorial
 from typing import NamedTuple
 
@@ -49,49 +50,52 @@ class CertificationError(RuntimeError):
                          f"radius {radius!r}, x = {self.x.tolist()}")
 
 
-@dataclass
 class AccuracyLedger:
-    """Current absolute accuracy bounds per derivative order (a list of
-    floats), with the geometric tightening rule and its counter."""
+    """A run's evaluation state: the absolute accuracy bounds per derivative
+    order (floats, shrunk only by :meth:`tighten`) with their tightening
+    counter ``i_zeta``, the oracle, its call log ``ledger``, and the
+    derivative tensors at the current iterate ``x``, each evaluated within
+    its order's current bound."""
 
-    zetas: list
-    gamma_zeta: float
-    i_zeta: int = 0
-
-    def __post_init__(self):
-        self.zetas = [float(z) for z in self.zetas]
+    def __init__(self, zetas, gamma_zeta: float, oracle: InexactOracle, x):
+        self.zetas = [float(z) for z in zetas]
+        self.gamma_zeta = gamma_zeta
+        self.i_zeta = 0
+        self.oracle = oracle
+        self.ledger = EvalLedger()
+        self.move_to(x)
 
     @classmethod
-    def fresh(cls, cfg, exact_orders=()) -> "AccuracyLedger":
-        """The initial accuracies of a validated :class:`TrConfig`; orders in
-        ``exact_orders`` start (and stay) at zero."""
-        z = [0.0 if i in exact_orders else z0 for i, z0 in enumerate(cfg.zeta0, start=1)]
-        return cls(zetas=z, gamma_zeta=cfg.gamma_zeta)
+    def fresh(cls, cfg, oracle: InexactOracle, x0) -> "AccuracyLedger":
+        """The initial accuracies of a validated :class:`TrConfig` at ``x0``;
+        the oracle's exact orders start (and stay) at zero."""
+        z = [0.0 if i in oracle.exact_orders else z0 for i, z0 in enumerate(cfg.zeta0, 1)]
+        return cls(z, cfg.gamma_zeta, oracle, x0)
+
+    def move_to(self, x):
+        """Make ``x`` the current iterate, with no tensors evaluated yet."""
+        self.x = x
+        self._tensors = [None] * len(self.zetas)
+
+    def bundle(self, j: int) -> Bundle:
+        """The tensors (T_1, ..., T_j) at ``x``, evaluating the missing orders
+        in ascending order (which fixes the oracle's random stream)."""
+        t = self._tensors
+        for i in range(j):
+            if t[i] is None:
+                t[i] = self.oracle.eval_deriv(self.x, i + 1, self.zetas[i], self.ledger)
+        return tuple(t[:j])
 
     def tighten(self, j: int):
-        """One geometric tightening of orders 1..j (rounded as an array ``*=``)."""
-        self.zetas[:j] = [z * self.gamma_zeta for z in self.zetas[:j]]
+        """One geometric tightening of orders 1..j; an order whose bound
+        decreased drops its tensor, so an exact order (zeta = 0) keeps it."""
+        zetas, t = self.zetas, self._tensors
+        for i in range(j):
+            z = zetas[i] * self.gamma_zeta
+            if z < zetas[i]:
+                t[i] = None
+            zetas[i] = z
         self.i_zeta += 1
-
-
-class BundleCache:
-    """Derivative tensors cached per iterate, keyed by the accuracy at which
-    each order was last evaluated; re-evaluation happens only when the
-    required accuracy has tightened since."""
-
-    def __init__(self, x):
-        self.x = np.asarray(x, dtype=float)
-        self._tensors: dict[int, np.ndarray] = {}
-        self._zeta_at: dict[int, float] = {}
-
-    def ensure(self, oracle: InexactOracle, acc: AccuracyLedger, j: int,
-               eval_ledger: EvalLedger | None = None) -> Bundle:
-        for i in range(1, j + 1):
-            target = acc.zetas[i - 1]
-            if i not in self._tensors or self._zeta_at[i] > target:
-                self._tensors[i] = oracle.eval_deriv(self.x, i, target, eval_ledger)
-                self._zeta_at[i] = target
-        return tuple(self._tensors[i] for i in range(1, j + 1))
 
 
 def _min_quadratic_on_ball(g: np.ndarray, h_mat: np.ndarray, radius: float,
@@ -236,7 +240,6 @@ class CertifiedDecrement(NamedTuple):
     d: Vector
     dT: float
     outcome: VerifyOutcome
-    tightenings: int
 
 
 def allowed_tightenings(entry_max: float, target: float, gamma_zeta: float) -> int:
@@ -247,22 +250,20 @@ def allowed_tightenings(entry_max: float, target: float, gamma_zeta: float) -> i
 
 
 def certified_decrement(j: int, delta: float, eps_j: float, varsigma: float,
-                        omega: float, oracle: InexactOracle, acc: AccuracyLedger,
-                        cache: BundleCache, eval_ledger: EvalLedger | None = None,
+                        omega: float, acc: AccuracyLedger,
                         seed: int = 0) -> CertifiedDecrement:
-    """Compute a near-maximal decrement at the cached iterate certified
+    """Compute a near-maximal decrement at the ledger's iterate certified
     Relative or Absolute, tightening derivative accuracies geometrically
     until certification (budgeted from the entry accuracies once it tightens)."""
     tightenings = 0
     cap = None
     while True:
-        bundle = cache.ensure(oracle, acc, j, eval_ledger)
-        d, dt, guarantee = max_decrement(bundle, j, delta, seed=seed)
+        d, dt, guarantee = max_decrement(acc.bundle(j), j, delta, seed=seed)
         vs = varsigma if guarantee is None else min(varsigma, guarantee)
         zetas = acc.zetas[:j]
         outcome = verify(delta, dt, zetas, 0.5 * vs * eps_j, omega)
         if outcome is not VerifyOutcome.INSUFFICIENT:
-            return CertifiedDecrement(j, d, dt, outcome, tightenings)
+            return CertifiedDecrement(j, d, dt, outcome)
         if cap is None:
             target = 0.25 * omega * varsigma * eps_j * delta ** (j - 1) / factorial(j)
             cap = allowed_tightenings(max(zetas), target, acc.gamma_zeta) + 2
@@ -271,19 +272,17 @@ def certified_decrement(j: int, delta: float, eps_j: float, varsigma: float,
         if tightenings > cap:
             raise CertificationError(
                 "accuracy certification failed to terminate within its "
-                "guaranteed tightening budget", j, delta, cache.x)
+                "guaranteed tightening budget", j, delta, acc.x)
 
 
 def termination_test(delta_k: float, eps, varsigma: float, omega: float,
-                     oracle: InexactOracle, acc: AccuracyLedger, cache: BundleCache,
-                     eval_ledger: EvalLedger | None = None,
-                     seed: int = 0) -> CertifiedDecrement | None:
-    """Orders 1..q in turn at the cached iterate: return the first certified
+                     acc: AccuracyLedger, seed: int = 0) -> CertifiedDecrement | None:
+    """Orders 1..q in turn at the ledger's iterate: return the first certified
     decrement exceeding its threshold, or None when the iterate is an
     approximate minimizer."""
     for j in range(1, len(eps) + 1):
-        cert = certified_decrement(j, delta_k, eps[j - 1], varsigma, omega,
-                                   oracle, acc, cache, eval_ledger, seed=seed)
+        cert = certified_decrement(j, delta_k, eps[j - 1], varsigma, omega, acc,
+                                   seed=seed)
         threshold = (eps[j - 1] / (1.0 + omega)) * delta_k**j / factorial(j)
         if cert.dT > threshold:
             return cert

@@ -120,8 +120,7 @@ class EvalLedger:
 
     def deriv_rounds(self) -> int:
         """Evaluation rounds: the most-often refreshed order dominates."""
-        counts = [self.n_deriv(i) for i in range(1, 4)]
-        return max(counts) if counts else 0
+        return max(self._counts[1], self._counts[2], self._counts[3])
 
     def min_acc(self, kind: str, order: int | None = None) -> float:
         accs = [e.acc for e in self.entries

@@ -22,11 +22,17 @@ def _coords(x):
     return [x[..., i][()] for i in range(x.shape[-1])]
 
 
+def _require(ok: bool, problem: str, param: str, rule: str, value) -> None:
+    """Refuse a factory parameter outside the problem's domain, by name."""
+    if not ok:
+        raise ValueError(f"{problem}: {param} must be {rule}, got {value!r}")
+
+
 def quadratic(dim: int = 2, cond: float = 10.0, x0=None) -> Problem:
     """Convex quadratic 0.5 x'Ax with A = diag(1 .. cond) (geometric).  A x is
     ``diag * x``: the dense product bit for bit, except that -0.0 stays -0.0."""
-    if dim < 1 or cond < 1:
-        raise ValueError("need dim >= 1 and cond >= 1")
+    _require(dim >= 1, "quadratic", "dim", "at least 1", dim)
+    _require(1 <= cond < math.inf, "quadratic", "cond", "finite and at least 1", cond)
     diag = np.geomspace(1.0, cond, dim) if dim > 1 else np.array([cond])
     a_mat = np.diag(diag)
 
@@ -96,6 +102,7 @@ def saddle_well() -> Problem:
 
 def quartic(dim: int = 3) -> Problem:
     """Separable double well sum_i (x_i^4/4 - x_i^2/2); nonconvex, f_low = -n/4."""
+    _require(dim >= 1, "quartic", "dim", "at least 1", dim)
     diag = np.arange(dim)
 
     def fun(x):
@@ -215,7 +222,11 @@ class LogisticTermModel:
 
 def finite_sum_logistic(dim: int = 4, terms: int = 64, lam: float = 0.1,
                         seed: int = 7) -> Problem:
-    """Finite-sum logistic-like objective with deterministic subsampling support."""
+    """Finite-sum logistic-like objective with deterministic subsampling
+    support; ``lam >= 0`` keeps f_low = 0 a lower bound."""
+    for param, value in (("dim", dim), ("terms", terms)):
+        _require(value >= 1, "finite_sum_logistic", param, "at least 1", value)
+    _require(0 <= lam < math.inf, "finite_sum_logistic", "lam", "finite and non-negative", lam)
     rng = np.random.default_rng(seed)
     a = rng.normal(0.0, 1.0, size=(terms, dim)) * rng.uniform(0.2, 1.5, size=(terms, 1))
     b = rng.normal(0.0, 0.5, size=terms)

@@ -15,9 +15,8 @@ from math import factorial
 from typing import NamedTuple
 
 from .model import Vector, taylor_decrement, vector_norm
-from .optimality import (AccuracyLedger, BundleCache, CertificationError,
-                         CertifiedDecrement, allowed_tightenings, max_decrement)
-from .oracle import EvalLedger, InexactOracle
+from .optimality import (AccuracyLedger, CertificationError, CertifiedDecrement,
+                         allowed_tightenings, max_decrement)
 from .verify import VerifyOutcome, verify
 
 
@@ -30,10 +29,9 @@ class StepResult(NamedTuple):
 
 
 def compute_step(radius: float, vartheta: float, cert: CertifiedDecrement,
-                 eps_j: float, omega: float, oracle: InexactOracle,
-                 acc: AccuracyLedger, cache: BundleCache,
-                 eval_ledger: EvalLedger | None = None, seed: int = 0) -> StepResult:
-    """Compute the iteration's step from the cached iterate within the
+                 eps_j: float, omega: float, acc: AccuracyLedger,
+                 seed: int = 0) -> StepResult:
+    """Compute the iteration's step from the ledger's iterate within the
     trust-region ``radius``.
 
     Pass-through when radius <= vartheta (the certified displacement *is*
@@ -51,7 +49,7 @@ def compute_step(radius: float, vartheta: float, cert: CertifiedDecrement,
             raise CertificationError(
                 "pass-through step requires a relatively-certified displacement; "
                 "an absolute certificate here contradicts the termination test",
-                j, radius, cache.x)
+                j, radius, acc.x)
         return StepResult(cert.d.copy(), cert.dT, 0, zeta_entry, 0)
 
     stop_level = omega * vartheta ** (j - 1) * eps_j / (8.0 * factorial(j) * (1.0 + omega))
@@ -59,7 +57,7 @@ def compute_step(radius: float, vartheta: float, cert: CertifiedDecrement,
     tighten = 0
     absolutes = 0
     while True:
-        bundle = cache.ensure(oracle, acc, j, eval_ledger)
+        bundle = acc.bundle(j)
         dt_fallback = taylor_decrement(bundle, cert.d, j)
         s_try, _, _ = max_decrement(bundle, j, radius, seed=seed)
         dt_try = taylor_decrement(bundle, s_try, j)
@@ -70,7 +68,7 @@ def compute_step(radius: float, vartheta: float, cert: CertifiedDecrement,
         if dt_s <= 0.0:
             raise CertificationError(
                 "step decrement collapsed to zero after a non-terminating "
-                "optimality test", j, radius, cache.x)
+                "optimality test", j, radius, acc.x)
         s_norm = vector_norm(s)
         xi = eps_j / (4.0 * (1.0 + omega)) * (vartheta / max(vartheta, s_norm)) ** j
         zetas = acc.zetas[:j]
@@ -80,7 +78,7 @@ def compute_step(radius: float, vartheta: float, cert: CertifiedDecrement,
         if max(zetas) <= stop_level:
             raise CertificationError(
                 "step certification not relative although accuracies passed "
-                "the guaranteed level", j, radius, cache.x)
+                "the guaranteed level", j, radius, acc.x)
         if outcome is VerifyOutcome.ABSOLUTE:
             # Theoretically excluded; numerically conceivable at boundaries.
             absolutes += 1
@@ -91,4 +89,4 @@ def compute_step(radius: float, vartheta: float, cert: CertifiedDecrement,
         if tighten > cap:
             raise CertificationError(
                 "step certification failed to terminate within its guaranteed "
-                "tightening budget", j, radius, cache.x)
+                "tightening budget", j, radius, acc.x)

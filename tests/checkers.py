@@ -1,7 +1,8 @@
 """Checkers that tests use as independent references: central finite
 differences against a problem's exact derivatives, the guarantees a
-``verify`` outcome implies, checked at sampled displacements, and the
-one-start-at-a-time form of the batched order-3 ascent."""
+``verify`` outcome implies, checked at sampled displacements, the
+one-start-at-a-time form of the batched order-3 ascent, and an accuracy
+ledger whose tightenings never lower a bound."""
 
 from dataclasses import dataclass, field
 from math import factorial
@@ -9,6 +10,7 @@ from math import factorial
 import numpy as np
 
 from dyntrust.model import Bundle, as_vector, model_gradient, taylor_decrement
+from dyntrust.optimality import AccuracyLedger
 from dyntrust.oracle import Problem
 from dyntrust.verify import VerifyOutcome, error_budget, verify
 
@@ -141,3 +143,10 @@ def sequential_max_cubic_on_ball(b: Bundle, radius: float, seed: int = 0,
         if val > best_v:
             best_d, best_v = d, val
     return best_d
+
+
+class NoShrinkLedger(AccuracyLedger):
+    """Counts its tightenings but never lowers an accuracy."""
+
+    def tighten(self, j):
+        self.i_zeta += 1

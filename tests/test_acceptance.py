@@ -14,8 +14,8 @@ import pytest
 from dyntrust.driver import TrConfig, check_history, run
 from dyntrust.harness import RunSpec, eps_scaling_study, execute_run
 from dyntrust.model import make_bundle, sym_tensor, taylor_decrement
-from dyntrust.optimality import AccuracyLedger, BundleCache, certified_decrement
-from dyntrust.oracle import EvalLedger, InexactOracle
+from dyntrust.optimality import AccuracyLedger, certified_decrement
+from dyntrust.oracle import InexactOracle
 from dyntrust.problems import make_problem
 from dyntrust.reference import phi_reference
 from dyntrust.verify import VerifyOutcome
@@ -161,9 +161,8 @@ def test_criterion_2_certified_decrement_soundness():
         eps_j = float(rng.choice([1e-2, 1e-3]))
         omega = 0.02
         oracle = InexactOracle(problem, policy="adversarial", seed=trial)
-        acc = AccuracyLedger.fresh(TrConfig.with_defaults((eps_j,) * j))
-        cert = certified_decrement(j, delta, eps_j, 0.99, omega, oracle, acc,
-                                   BundleCache(x), EvalLedger())
+        acc = AccuracyLedger.fresh(TrConfig.with_defaults((eps_j,) * j), oracle, x)
+        cert = certified_decrement(j, delta, eps_j, 0.99, omega, acc)
         phi = phi_reference(problem, x, j, delta)
         if cert.outcome is VerifyOutcome.ABSOLUTE:
             n_abs += 1

@@ -60,11 +60,43 @@ def test_run_names_a_non_finite_start_point():
         run(o, TrConfig.with_defaults((1e-2,)), x0=np.array([1.0, np.nan]))
 
 
+@pytest.mark.parametrize("x0,message", [
+    (np.array([]), "[] is not a nonempty 1-D point"),
+    (np.ones((1, 2)), "[[1.0, 1.0]] is not a nonempty 1-D point"),
+])
+def test_run_refuses_a_malformed_start_point(x0, message):
+    o = InexactOracle(make_problem("rosenbrock"), policy="none", seed=0)
+    with pytest.raises(ConfigError, match=re.escape(f"start point x0 = {message}")):
+        run(o, TrConfig.with_defaults((1e-2,)), x0=x0)
+
+
 def test_config_defaults_satisfy_constraints():
     cfg = TrConfig.with_defaults((1e-3, 1e-3))
     assert cfg.q == 2
     assert cfg.vartheta == 0.5
     assert cfg.omega < min(0.5 * cfg.eta1, 0.25 * (1 - cfg.eta2))
+
+
+@pytest.mark.parametrize("eps", [(1e-3,), (0.7,), (1e-2, 0.6), (1e-3, 1e-3, 0.9)])
+@pytest.mark.parametrize("overrides", [
+    {}, {"eta1": 0.01}, {"eta2": 0.99}, {"eta1": 0.2, "eta2": 0.3},
+    {"vartheta": 0.95}, {"omega": 1e-3}, {"zeta0": 0.05, "seed": 3}])
+def test_plain_config_equals_with_defaults(eps, overrides):
+    assert TrConfig(eps=eps, **overrides) == TrConfig.with_defaults(eps, **overrides)
+
+
+def test_plain_config_derives_vartheta_and_omega():
+    assert TrConfig(eps=(0.7,)).vartheta == 0.7
+    assert TrConfig(eps=(1e-3,), eta1=0.01).omega == 0.9 * min(0.5 * 0.01, 0.25 * 0.1)
+    assert TrConfig.with_defaults(1e-3) == TrConfig(eps=(1e-3,))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", None])
+def test_config_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"seed must be a non-negative integer, got {seed!r}")):
+        TrConfig.with_defaults((1e-3,), seed=seed)
+    assert TrConfig.with_defaults((1e-3,), seed=np.int64(3)).seed == 3
 
 
 def test_run_1d_quadratic_reaches_gradient_target():
@@ -318,7 +350,7 @@ def test_records_are_immutable():
     res = run(InexactOracle(make_problem("rosenbrock"), policy="adversarial", seed=0),
               TrConfig.with_defaults((1e-2,)))
     records = [res.history[0], res.eval_ledger.entries[0],
-               CertifiedDecrement(1, np.ones(2), 1.0, VerifyOutcome.RELATIVE, 0),
+               CertifiedDecrement(1, np.ones(2), 1.0, VerifyOutcome.RELATIVE),
                StepResult(np.ones(2), 1.0, 0, 0.1, 0)]
     for rec in records:
         for name in rec._fields:

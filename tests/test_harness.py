@@ -82,7 +82,10 @@ def test_cli_config_error_exit_code(tmp_path):
     (["--eps", "abc"], "--eps expects comma-separated numbers, got 'abc'"),
     (["--eps", "1e-3,,1e-3"], "--eps expects comma-separated numbers, got '1e-3,,1e-3'"),
     (["--x0", "1,nan"], "start point x0 = [1.0, nan] is not finite"),
-], ids=["q0", "eps_word", "eps_empty_field", "x0_nan"])
+    (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+    (["--problem", "finite_sum_logistic", "--lam", "-1"],
+     "finite_sum_logistic: lam must be finite and non-negative, got -1.0"),
+], ids=["q0", "eps_word", "eps_empty_field", "x0_nan", "seed_negative", "lam_negative"])
 def test_cli_malformed_numbers_are_config_errors(tmp_path, capsys, flags, message):
     code = main(["run", "--problem", "rosenbrock", *flags, "--out-dir", str(tmp_path)])
     assert code == EXIT_CONFIG

@@ -7,25 +7,23 @@ import pytest
 from dyntrust import optimality
 from dyntrust.driver import TrConfig
 from dyntrust.model import make_bundle, sym_tensor
-from dyntrust.optimality import (VARSIGMA_ORDER2, AccuracyLedger, BundleCache,
-                                 CertificationError, allowed_tightenings,
-                                 certified_decrement, max_decrement, termination_test)
-from dyntrust.oracle import EvalLedger, InexactOracle
+from dyntrust.optimality import (VARSIGMA_ORDER2, AccuracyLedger, CertificationError,
+                                 allowed_tightenings, certified_decrement,
+                                 max_decrement, termination_test)
+from dyntrust.oracle import InexactOracle
 from dyntrust.problems import make_problem
 from dyntrust.reference import max_decrement_reference, phi3_decide, phi_reference
 from dyntrust.verify import VerifyOutcome
 
-from checkers import sequential_max_cubic_on_ball
+from checkers import NoShrinkLedger, sequential_max_cubic_on_ball
 
 REL_SLACK = 1.0 + 1e-9  # rounding in the reference and the certified decrement
 
 
-def fresh_state(problem, q, x, policy="none", seed=0, zeta0=0.1):
-    oracle = InexactOracle(problem, policy=policy, seed=seed)
-    acc = AccuracyLedger.fresh(TrConfig.with_defaults(
-        (1e-3,) * q, zeta0=zeta0, kappa_zeta=max(zeta0, 0.1)))
-    cache = BundleCache(x)
-    return oracle, acc, cache, EvalLedger()
+def fresh_state(problem, q, x, policy="none", seed=0, zeta0=0.1, exact_orders=()):
+    oracle = InexactOracle(problem, policy=policy, seed=seed, exact_orders=exact_orders)
+    return AccuracyLedger.fresh(TrConfig.with_defaults(
+        (1e-3,) * q, zeta0=zeta0, kappa_zeta=max(zeta0, 0.1)), oracle, x)
 
 
 def test_max_decrement_order1_closed_form():
@@ -142,11 +140,11 @@ def test_order3_ascent_without_a_positive_start_returns_zeros():
 def test_certified_decrement_exact_oracle_first_pass():
     p = make_problem("quadratic", dim=2, cond=4)
     x = np.array([1.0, 1.0])
-    oracle, acc, cache, ledger = fresh_state(p, 1, x, zeta0=1e-12)
-    cert = certified_decrement(1, 0.5, 1e-3, 0.99, 0.02, oracle, acc, cache, ledger)
-    assert cert.tightenings == 0
+    acc = fresh_state(p, 1, x, zeta0=1e-12)
+    cert = certified_decrement(1, 0.5, 1e-3, 0.99, 0.02, acc)
+    assert acc.i_zeta == 0
     assert cert.outcome is VerifyOutcome.RELATIVE
-    assert ledger.n_deriv(1) == 1
+    assert acc.ledger.n_deriv(1) == 1
 
 
 def test_certified_decrement_predicted_tightening_count():
@@ -156,27 +154,26 @@ def test_certified_decrement_predicted_tightening_count():
     x = np.zeros(2)
     omega, varsigma, eps_j, delta = 0.02, 0.99, 1e-3, 0.5
     zeta0, gamma = 0.1, 0.1
-    oracle, acc, cache, ledger = fresh_state(p, 1, x, zeta0=zeta0)
-    cert = certified_decrement(1, delta, eps_j, varsigma, omega, oracle, acc,
-                               cache, ledger)
+    acc = fresh_state(p, 1, x, zeta0=zeta0)
+    cert = certified_decrement(1, delta, eps_j, varsigma, omega, acc)
     assert cert.outcome is VerifyOutcome.ABSOLUTE
     xi = 0.5 * varsigma * eps_j
     predicted = math.ceil(math.log(zeta0 / (omega * xi)) / math.log(1 / gamma))
-    assert cert.tightenings == predicted
+    assert acc.i_zeta == predicted
     # and never beyond the guaranteed level
     bound = allowed_tightenings(zeta0, 0.25 * omega * varsigma * eps_j * delta**0 / 1,
                                 gamma) + 1
-    assert cert.tightenings <= bound
+    assert acc.i_zeta <= bound
 
 
 def test_certification_budget_trap_names_order_radius_and_point(monkeypatch):
     p = make_problem("quadratic", dim=2, cond=4)
     x = np.array([1.0, -0.5])
     omega, varsigma, eps_j, delta = 0.02, 0.99, 1e-3, 0.5
-    oracle, acc, cache, ledger = fresh_state(p, 2, x, zeta0=0.1)
+    acc = fresh_state(p, 2, x, zeta0=0.1)
     monkeypatch.setattr(optimality, "verify", lambda *a: VerifyOutcome.INSUFFICIENT)
     with pytest.raises(CertificationError, match="guaranteed tightening budget") as err:
-        certified_decrement(2, delta, eps_j, varsigma, omega, oracle, acc, cache, ledger)
+        certified_decrement(2, delta, eps_j, varsigma, omega, acc)
     e = err.value
     assert isinstance(e, RuntimeError)
     assert (e.j, e.radius, e.k) == (2, delta, None)
@@ -192,9 +189,8 @@ def test_certified_absolute_implies_small_reference_phi():
     x = np.zeros(2)
     eps_j, delta, omega = 1e-2, 0.5, 0.02
     for j in (1, 2):
-        oracle, acc, cache, ledger = fresh_state(p, 2, x, policy="adversarial")
-        cert = certified_decrement(j, delta, eps_j, 0.99, omega, oracle, acc,
-                                   cache, ledger)
+        acc = fresh_state(p, 2, x, policy="adversarial")
+        cert = certified_decrement(j, delta, eps_j, 0.99, omega, acc)
         assert cert.outcome is VerifyOutcome.ABSOLUTE
         phi = phi_reference(p, x, j, delta)
         assert phi <= eps_j * delta**j / factorial(j) * REL_SLACK
@@ -205,8 +201,8 @@ def test_certified_relative_two_sided_bound():
     p = make_problem("quadratic", dim=2, cond=4)
     x = np.array([2.0, -1.0])
     omega = 0.02
-    oracle, acc, cache, ledger = fresh_state(p, 1, x, policy="adversarial")
-    cert = certified_decrement(1, 0.5, 1e-3, 0.99, omega, oracle, acc, cache, ledger)
+    acc = fresh_state(p, 1, x, policy="adversarial")
+    cert = certified_decrement(1, 0.5, 1e-3, 0.99, omega, acc)
     assert cert.outcome is VerifyOutcome.RELATIVE
     phi = phi_reference(p, x, 1, 0.5)
     assert (1 - omega) * cert.dT <= phi * REL_SLACK
@@ -216,29 +212,51 @@ def test_certified_relative_two_sided_bound():
 def test_certified_decrement_never_calls_eval_f():
     p = make_problem("rosenbrock")
     x = np.array([-1.2, 1.0])
-    oracle, acc, cache, ledger = fresh_state(p, 2, x, policy="adversarial")
-    certified_decrement(2, 0.5, 1e-3, 0.99, 0.02, oracle, acc, cache, ledger)
-    assert ledger.n_f == 0
+    acc = fresh_state(p, 2, x, policy="adversarial")
+    certified_decrement(2, 0.5, 1e-3, 0.99, 0.02, acc)
+    assert acc.ledger.n_f == 0
+
+
+def deriv_counts(acc):
+    return tuple(acc.ledger.n_deriv(i) for i in (1, 2))
 
 
 def test_cache_reuses_until_tightened():
     p = make_problem("rosenbrock")
     x = np.array([0.5, 0.5])
-    oracle, acc, cache, ledger = fresh_state(p, 2, x, policy="adversarial")
-    cache.ensure(oracle, acc, 2, ledger)
-    cache.ensure(oracle, acc, 2, ledger)
-    assert ledger.n_deriv(1) == 1 and ledger.n_deriv(2) == 1
-    acc.tighten(1)  # only order 1 tightened
-    cache.ensure(oracle, acc, 2, ledger)
-    assert ledger.n_deriv(1) == 2 and ledger.n_deriv(2) == 1
+    acc = fresh_state(p, 2, x, policy="adversarial")
+    b = acc.bundle(2)
+    assert acc.bundle(2)[1] is b[1] and deriv_counts(acc) == (1, 1)
+    acc.tighten(1)  # re-evaluates order 1 only
+    assert acc.bundle(2)[1] is b[1] and deriv_counts(acc) == (2, 1)
+    acc.tighten(2)
+    acc.bundle(2)
+    assert deriv_counts(acc) == (3, 2)
+    acc.move_to(np.array([0.4, 0.6]))  # a new iterate re-evaluates every order
+    acc.bundle(2)
+    assert deriv_counts(acc) == (4, 3)
+
+    # an exact order's bound is 0 and never decreases: it is evaluated once
+    acc = fresh_state(p, 2, x, policy="adversarial", exact_orders=(2,))
+    for _ in range(5):
+        acc.bundle(2)
+        acc.tighten(2)
+    assert acc.zetas[1] == 0.0 and deriv_counts(acc) == (5, 1)
+
+    # a ledger whose tighten leaves the bounds alone keeps its tensors
+    acc = NoShrinkLedger.fresh(TrConfig.with_defaults((1e-3,) * 2),
+                               InexactOracle(p, policy="adversarial"), x)
+    b = acc.bundle(2)
+    acc.tighten(2)
+    assert all(u is v for u, v in zip(acc.bundle(2), b)) and deriv_counts(acc) == (1, 1)
 
 
 def test_termination_test_continue_order1():
     p = make_problem("quadratic", dim=2, cond=1)  # identity Hessian
     x = np.array([0.6, -0.8])  # gradient norm exactly 1
     omega = 0.01
-    oracle, acc, cache, ledger = fresh_state(p, 1, x, zeta0=1e-10)
-    cert = termination_test(0.5, (1e-3,), 0.99, omega, oracle, acc, cache, ledger)
+    acc = fresh_state(p, 1, x, zeta0=1e-10)
+    cert = termination_test(0.5, (1e-3,), 0.99, omega, acc)
     assert cert.j == 1
     assert cert.dT == pytest.approx(0.5)
     assert cert.dT > (1e-3 / (1 + omega)) * 0.5
@@ -247,18 +265,17 @@ def test_termination_test_continue_order1():
 def test_termination_test_terminated_at_minimizer():
     p = make_problem("quadratic", dim=3, cond=5)
     x = np.zeros(3)
-    oracle, acc, cache, ledger = fresh_state(p, 2, x, zeta0=1e-12)
-    assert termination_test(0.5, (1e-3, 1e-3), 0.99, 0.02, oracle, acc, cache,
-                            ledger) is None
-    assert ledger.n_deriv(1) == 1 and ledger.n_deriv(2) == 1
+    acc = fresh_state(p, 2, x, zeta0=1e-12)
+    assert termination_test(0.5, (1e-3, 1e-3), 0.99, 0.02, acc) is None
+    assert deriv_counts(acc) == (1, 1)
 
 
 def test_termination_test_saddle_continues_at_order2():
     p = make_problem("saddle_well")
     x = np.zeros(2)
     omega = 0.02
-    oracle, acc, cache, ledger = fresh_state(p, 2, x, zeta0=1e-10)
-    cert = termination_test(0.1, (1e-2, 1e-2), 0.99, omega, oracle, acc, cache, ledger)
+    acc = fresh_state(p, 2, x, zeta0=1e-10)
+    cert = termination_test(0.1, (1e-2, 1e-2), 0.99, omega, acc)
     assert cert.j == 2
     # the quadratic decrement at the saddle is delta^2 along the escape axis
     assert cert.dT == pytest.approx(0.01, rel=1e-8)
@@ -274,20 +291,20 @@ def test_finite_tightening_invariant():
         delta = float(rng.uniform(0.05, 0.8))
         eps_j = float(10 ** rng.uniform(-4, -1))
         omega, varsigma, gamma, kappa = 0.02, 0.99, 0.1, 0.1
-        oracle, acc, cache, ledger = fresh_state(p, 2, x, policy="adversarial",
-                                                 seed=trial)
+        acc = fresh_state(p, 2, x, policy="adversarial", seed=trial)
         for j in (1, 2):
-            cert = certified_decrement(j, delta, eps_j, varsigma, omega,
-                                       oracle, acc, cache, ledger)
+            before = acc.i_zeta
+            certified_decrement(j, delta, eps_j, varsigma, omega, acc)
             cap = math.ceil(math.log(
                 (omega * varsigma * eps_j * delta ** (j - 1)) / (4 * factorial(j) * kappa)
             ) / math.log(gamma)) + 1
-            assert cert.tightenings <= cap
+            assert acc.i_zeta - before <= cap
 
 
 def test_accuracy_ledger_tighten_and_exact_orders():
+    oracle = InexactOracle(make_problem("rosenbrock"), exact_orders=(2,))
     acc = AccuracyLedger.fresh(TrConfig.with_defaults((1e-3,) * 3, gamma_zeta=0.5),
-                               exact_orders=(2,))
+                               oracle, oracle.problem.x0)
     assert acc.zetas[1] == 0.0
     acc.tighten(3)
     assert acc.i_zeta == 1

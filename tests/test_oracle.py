@@ -281,6 +281,25 @@ def test_problem_lower_bound_on_samples():
             assert p.exact_f(x) >= p.f_low
 
 
+@pytest.mark.parametrize("name,params,param", [
+    ("quadratic", {"dim": 0}, "dim"),
+    ("quadratic", {"cond": 0.5}, "cond"),
+    ("quadratic", {"cond": math.nan}, "cond"),
+    ("quadratic", {"cond": math.inf}, "cond"),
+    ("quartic", {"dim": 0}, "dim"),
+    ("finite_sum_logistic", {"dim": 0}, "dim"),
+    ("finite_sum_logistic", {"terms": 0}, "terms"),
+    ("finite_sum_logistic", {"lam": -1.0}, "lam"),
+    ("finite_sum_logistic", {"lam": math.nan}, "lam"),
+    ("finite_sum_logistic", {"lam": math.inf}, "lam"),
+])
+def test_problem_factories_refuse_parameters_outside_their_domain(name, params, param):
+    value = params[param]
+    with pytest.raises(ValueError, match=re.escape(f"{name}: {param} must be ") +
+                       f".*, got {re.escape(repr(value))}$"):
+        make_problem(name, **params)
+
+
 def test_subsample_oracle_honesty():
     p = make_problem("finite_sum_logistic", dim=3, terms=40)
     o = InexactOracle(p, policy="subsample", seed=0)
