@@ -9,6 +9,7 @@ worst-case constants.
 import numpy as np
 
 from dyntrust import InexactOracle, TrConfig, check_history, make_problem, run
+from dyntrust.oracle import PHASES
 
 problem = make_problem("rosenbrock")
 oracle = InexactOracle(problem, policy="adversarial", seed=3)
@@ -23,10 +24,18 @@ print(f"objective evaluations: {result.eval_ledger.n_f}, "
       f"derivative evaluations: {result.eval_ledger.n_deriv()}, "
       f"accuracy tightenings: {result.acc.i_zeta}")
 
-print("\nfirst iterations:")
+print("\nfirst iterations (rows of the run's trace):")
 print("  k   Delta     j  rho      accepted")
 for rec in result.history[:8]:
     print(f"  {rec.k:<3} {rec.Delta:<9.3g} {rec.j}  {rec.rho:<8.3f} {rec.successful}")
+
+# the trace keeps each field as a typed column; the oracle log is an event
+# table of the same kind, each call tagged with the phase that issued it
+steps = result.history.column("step_norm") / result.history.column("Delta")
+print(f"\nmedian |s|/Delta over {len(steps)} iterations: {np.median(steps):.3f}")
+print("evaluations by phase (objective, order 1, order 2, order 3):")
+for phase, row in zip(PHASES, result.eval_ledger.counts_by_phase().tolist()):
+    print(f"  {phase:<12} {row}")
 
 print("\naudit against exact values and worst-case bounds:")
 print(check_history(result, problem).summary())

@@ -9,10 +9,10 @@ available in closed form and every run can be audited against them.
 
 from .bounds import BoundConstants, compute_bounds
 from .driver import (AuditReport, ConfigError, IterationRecord, RunResult,
-                     TrConfig, check_history, run)
+                     RunTrace, TrConfig, check_history, run)
 from .harness import (RunSpec, cost_savings_report, eps_scaling_study,
-                      execute_run, read_history_csv, write_history_csv,
-                      write_summary_json)
+                      execute_run, read_events_csv, read_history_csv,
+                      write_events_csv, write_history_csv, write_summary_json)
 from .model import (make_bundle, model_gradient, operator_norm, sym_tensor,
                     taylor_decrement, taylor_value, tensor_apply)
 from .optimality import (AccuracyLedger, CertificationError, CertifiedDecrement,
@@ -29,13 +29,14 @@ __all__ = [
     "AccuracyLedger", "AuditReport", "BoundConstants",
     "CertificationError", "CertifiedDecrement", "ConfigError",
     "EvalLedger", "InexactOracle", "IterationRecord",
-    "NonFiniteEvaluation", "Problem", "RunResult", "RunSpec", "StepResult",
+    "NonFiniteEvaluation", "Problem", "RunResult", "RunSpec", "RunTrace",
+    "StepResult",
     "TrConfig", "VerifyOutcome", "certified_decrement", "check_history",
     "compute_bounds", "compute_step",
     "cost_savings_report", "eps_scaling_study", "execute_run",
     "lipschitz_estimate", "list_problems", "make_bundle",
     "make_problem", "max_decrement", "model_gradient", "operator_norm",
-    "phi_reference", "read_history_csv", "run", "sym_tensor",
+    "phi_reference", "read_events_csv", "read_history_csv", "run", "sym_tensor",
     "taylor_decrement", "taylor_value", "tensor_apply", "termination_test",
-    "verify", "write_history_csv", "write_summary_json",
+    "verify", "write_events_csv", "write_history_csv", "write_summary_json",
 ]

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: ``run`` (single run, history CSV + summary JSON), ``sweep``
-(accuracy-grid study with fitted slope), ``audit`` (run + bound audit),
-``compare`` (dynamic vs fixed-accuracy cost).  Exit codes: 0 success,
+Subcommands: ``run`` (single run, history and events CSVs + summary JSON),
+``sweep`` (accuracy-grid study with fitted slope), ``audit`` (run + bound
+audit), ``compare`` (dynamic vs fixed-accuracy cost).  Exit codes: 0 success,
 2 configuration error, 3 iteration cap exhausted, 4 audit violation.
 """
 
@@ -186,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Trust-region minimization with dynamically accurate evaluations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="single run; writes history CSV + summary JSON")
+    p_run = sub.add_parser("run", help="single run; writes history and events CSVs "
+                                       "+ summary JSON")
     _add_common(p_run)
     p_run.set_defaults(func=_cmd_run)
 

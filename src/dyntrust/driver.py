@@ -4,14 +4,17 @@ One run owns a single evolving state machine: the iterate, the trust-region
 radius, the accuracy ledger (derivative accuracies, tightening counter,
 oracle, call log and the tensors at the iterate), and the objective-value
 bookkeeping that decides when an inexact value can be reused.  Each
-iteration appends an :class:`IterationRecord`; :func:`check_history` replays
-a finished run against the exact problem and the closed-form worst-case
-bounds.
+iteration appends one row to the run's :class:`RunTrace`;
+:func:`check_history` replays a finished run against the exact problem and
+the closed-form worst-case bounds.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import factorial
 from typing import NamedTuple
@@ -22,7 +25,8 @@ from .bounds import BoundConstants, compute_bounds
 from .model import Vector, as_vector, operator_norm, vector_norm
 from .optimality import (AccuracyLedger, CertificationError, allowed_tightenings,
                          termination_test)
-from .oracle import EvalLedger, InexactOracle, Problem
+from .oracle import (PHASE_OBJECTIVE, PHASE_STEP, PHASE_TERMINATION, EvalLedger,
+                     InexactOracle, Problem)
 from .step import compute_step
 
 
@@ -88,8 +92,8 @@ class TrConfig:
                 f"omega must lie in (0, min[eta1/2, (1-eta2)/4]) = (0, {omega_cap:g})")
         if not 0 < self.gamma_zeta < 1:
             raise ConfigError("gamma_zeta must lie in (0, 1)")
-        if self.kappa_zeta <= 0:
-            raise ConfigError("kappa_zeta must be positive")
+        if not 0 < self.kappa_zeta < math.inf:  # NaN fails too
+            raise ConfigError(f"kappa_zeta must be positive and finite, got {self.kappa_zeta!r}")
         zeta0 = self.zeta0 if np.iterable(self.zeta0) else (self.zeta0,) * len(eps)
         zeta0 = tuple(float(z) for z in zeta0)
         object.__setattr__(self, "zeta0", zeta0)
@@ -97,8 +101,9 @@ class TrConfig:
             raise ConfigError("zeta0 must be scalar or one value per order")
         if any(not 0 < z <= self.kappa_zeta for z in zeta0):
             raise ConfigError("initial accuracies must satisfy 0 < zeta0_j <= kappa_zeta")
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be at least 1")
+        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
+            raise ConfigError(
+                f"max_iterations must be a positive integer, got {self.max_iterations!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -109,7 +114,8 @@ class TrConfig:
 
 
 class IterationRecord(NamedTuple):
-    """Per-iteration trace: an immutable named tuple, one field per CSV column."""
+    """One iteration of a run: a row of its :class:`RunTrace`, one field per
+    CSV column."""
 
     k: int
     Delta: float
@@ -134,13 +140,111 @@ class IterationRecord(NamedTuple):
     x_trial: Vector  # read-only
 
 
+# The stored scalar fields: all but k (the row index), x (derived) and
+# x_trial (its own block).  NamedTuple keeps each annotation as a ForwardRef.
+_SCALARS = IterationRecord._fields[1:-2]
+_CODES = {"float": ("d", "<f8"), "int": ("q", "<i8"), "bool": ("?", "?")}
+_KINDS = [IterationRecord.__annotations__[f].__forward_arg__ for f in _SCALARS]
+_ROW = struct.Struct("<" + "".join(_CODES[kind][0] for kind in _KINDS))
+_ROW_DTYPE = np.dtype([(f, _CODES[kind][1]) for f, kind in zip(_SCALARS, _KINDS)])
+
+
+class RunTrace(Sequence):
+    """A run's per-iteration table.
+
+    Each iteration's scalar fields are one packed row of a byte array, read
+    as a numpy structured array whose fields are the typed columns
+    (:meth:`column`); the trial points are one float64 block of (k, n) rows
+    (:attr:`x_trial`).  Both are ``array.array`` buffers that grow in place
+    by about 1/16 when full, with no Python object per iteration.  ``x`` is
+    not stored: it is ``x0`` or the ``x_trial`` of the last successful
+    iteration before (:meth:`prev_success`).
+
+    Indexing, slicing and iteration give :class:`IterationRecord` rows whose
+    ``x`` and ``x_trial`` are read-only views.  While a view is alive the
+    trace cannot grow, so only ``run`` and :meth:`from_records` append, and
+    neither makes views.
+    """
+
+    def __init__(self, x0: Vector):
+        self.x0 = x0
+        self._rows = array("B")
+        self._x_trial = array("d")
+
+    def append(self, row: tuple, x_trial: Vector):
+        """Add an iteration: its scalar fields in field order, and its trial point."""
+        self._rows.frombytes(_ROW.pack(*row))
+        self._x_trial.frombytes(x_trial.tobytes())
+
+    @classmethod
+    def from_records(cls, x0: Vector, records) -> "RunTrace":
+        """The trace of ``records``, which must number their rows from 0 and
+        carry the ``x`` the trace derives."""
+        trace = cls(x0)
+        x = x0
+        for rec in records:
+            x_trial = as_vector(rec.x_trial)
+            if (rec.k != len(trace) or x_trial.shape != x0.shape
+                    or not np.array_equal(rec.x, x)):
+                raise ValueError(f"record {rec.k} at row {len(trace)} does not follow "
+                                 "from the rows before it")
+            trace.append(rec[1:-2], x_trial)
+            if rec.successful:
+                x = x_trial
+        return trace
+
+    def __len__(self) -> int:
+        return len(self._rows) // _ROW.size
+
+    def column(self, name: str) -> np.ndarray:
+        """The read-only column of scalar field ``name``."""
+        table = np.frombuffer(self._rows, dtype=_ROW_DTYPE)
+        table.flags.writeable = False
+        return table[name]
+
+    @property
+    def x_trial(self) -> np.ndarray:
+        """The read-only (k, n) block of trial points."""
+        block = np.frombuffer(self._x_trial).reshape(len(self), self.x0.size)
+        block.flags.writeable = False
+        return block
+
+    @property
+    def n_success(self) -> int:
+        return int(np.count_nonzero(self.column("successful")))
+
+    def prev_success(self) -> np.ndarray:
+        """For each row, the last successful row before it (whose x_trial is
+        the row's x), or -1 where x is x0."""
+        succ = self.column("successful")
+        last = np.maximum.accumulate(np.where(succ, np.arange(len(succ)), -1))
+        return np.concatenate(([-1], last))[:len(succ)]
+
+    def __getitem__(self, key):
+        ks = range(len(self))[key]  # a list's index rules
+        if isinstance(ks, range):
+            return list(self._records(ks))
+        return next(self._records((ks,)))
+
+    def __iter__(self):
+        return self._records(range(len(self)))
+
+    def _records(self, ks):
+        src = self.prev_success()
+        x_trial = self.x_trial
+        for k in ks:
+            i = src[k]
+            yield IterationRecord(k, *_ROW.unpack_from(self._rows, k * _ROW.size),
+                                  self.x0 if i < 0 else x_trial[i], x_trial[k])
+
+
 @dataclass
 class RunResult:
     x0: Vector
     x_eps: Vector
     delta_eps: float
     terminated: bool
-    history: list
+    history: RunTrace
     acc: AccuracyLedger
     cfg: TrConfig
     problem_name: str
@@ -155,7 +259,7 @@ class RunResult:
 
     @property
     def n_success(self) -> int:
-        return sum(1 for r in self.history if r.successful)
+        return self.history.n_success
 
 
 def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
@@ -181,10 +285,11 @@ def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
     x_start = x
     acc = AccuracyLedger.fresh(cfg, oracle, x)
     ledger = acc.ledger
+    counts = ledger.counts
     f_bar = None
     f_bar_acc = math.inf
     pending = None
-    history: list[IterationRecord] = []
+    history = RunTrace(x)
     terminated = False
     delta_tr = cfg.Delta0
 
@@ -192,6 +297,7 @@ def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
         delta_k = min(delta_tr, cfg.vartheta)
         try:
             if pending is None:
+                ledger.phase = PHASE_TERMINATION
                 cert = termination_test(delta_k, cfg.eps, cfg.varsigma, cfg.omega,
                                         acc, seed=cfg.seed)
                 if cert is None:
@@ -201,11 +307,13 @@ def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
                 cert, pending = pending, None
             j = cert.j
 
+            ledger.phase = PHASE_STEP
             sres = compute_step(delta_tr, cfg.vartheta, cert, cfg.eps[j - 1],
                                 cfg.omega, acc, seed=cfg.seed)
         except CertificationError as exc:
             raise CertificationError(exc.reason, exc.j, exc.radius, exc.x, k) from None
 
+        ledger.phase = PHASE_OBJECTIVE
         acc_req = cfg.omega * sres.dT
         x_trial = x + sres.s
         x_trial.flags.writeable = False
@@ -225,17 +333,13 @@ def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
         else:
             delta_next = min(cfg.Delta_max, cfg.gamma3 * delta_tr)
 
-        rec = IterationRecord(
-            k=k, Delta=delta_tr, delta=delta_k, j=j, rho=rho, successful=successful,
-            dT_s=sres.dT, f_bar_old=f_bar, f_bar_new=f_bar_new, i_zeta=acc.i_zeta,
-            step2_tightens=sres.tighten_count, zeta_max_step2_entry=sres.zeta_entry_max,
-            step2_absolute=sres.absolute_events, f_recomputed=recomputed,
-            n_f=ledger.n_f, n_d1=ledger.n_deriv(1), n_d2=ledger.n_deriv(2),
-            n_d3=ledger.n_deriv(3), step_norm=vector_norm(sres.s),
-            x=x, x_trial=x_trial)
-        history.append(rec)
+        # the scalar fields of IterationRecord, in field order after k
+        row = (delta_tr, delta_k, j, rho, successful, sres.dT, f_bar, f_bar_new,
+               acc.i_zeta, sres.tighten_count, sres.zeta_entry_max, sres.absolute_events,
+               recomputed, counts[0], counts[1], counts[2], counts[3], vector_norm(sres.s))
+        history.append(row, x_trial)
         if sink is not None:
-            sink(rec)
+            sink(IterationRecord(k, *row, x, x_trial))
 
         if successful:
             x = x_trial
@@ -298,7 +402,10 @@ def resolve_lipschitz(problem: Problem, result: RunResult, q: int) -> tuple:
             out.append((float(declared[order - 1]), "declared"))
         else:
             if box is None:
-                pts = np.array([r.x for r in result.history] + [result.x_eps])
+                # every iterate: x0, each accepted trial point, and x_eps
+                trace = result.history
+                pts = np.vstack((result.x0, trace.x_trial[trace.column("successful")],
+                                 result.x_eps))
                 box = pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5
             out.append((lipschitz_estimate(problem, box, order), sampled))
     return tuple(out)
@@ -341,39 +448,33 @@ def check_history(result: RunResult, problem: Problem,
     lipschitz = resolve_lipschitz(problem, result, q)
     bc, L_f = bounds_for_run(result, problem, lipschitz)
     checks: dict[str, CheckResult] = {}
-    hist = result.history
-    n_success = result.n_success
+    trace = result.history
+    n_iter = len(trace)
+    n_success = trace.n_success
     f0 = problem.exact_f(result.x0)
 
-    # One replay against exact values, one f call per trial point: each x is
-    # the last accepted x_trial (or x0), so f(x) is carried forward.
+    # One replay against exact values, one f call per trial point; f at each
+    # x is f0 or the f of the accepted trial point it is.
     # (a) exact decrease floor on successful iterations; (j) accuracy contracts.
     floor = (cfg.eta1 - 2 * cfg.omega) * bc.kappa_delta ** (q + 1) * eps_min ** (q + 1) / factorial(q)
-    worst = math.inf
-    bad = 0
-    acc_bad = 0
-    worst_gap = 0.0
-    f_x = f0
-    for r in hist:
-        f_trial = problem.exact_f(r.x_trial)
-        budget = cfg.omega * r.dT_s
-        gap_old = abs(r.f_bar_old - f_x)
-        gap_new = abs(r.f_bar_new - f_trial)
-        worst_gap = max(worst_gap, gap_old - budget, gap_new - budget)
-        if gap_old > budget * _REL_SLACK or gap_new > budget * _REL_SLACK:
-            acc_bad += 1
-        if r.successful:
-            dec = f_x - f_trial
-            worst = min(worst, dec)
-            if dec * _REL_SLACK < floor:
-                bad += 1
-            f_x = f_trial
+    f_trial = np.array([problem.exact_f(x) for x in trace.x_trial], dtype=float)
+    src = trace.prev_success()
+    f_x = np.where(src < 0, f0, f_trial[src])
+    budget = cfg.omega * trace.column("dT_s")
+    gap_old = np.abs(trace.column("f_bar_old") - f_x)
+    gap_new = np.abs(trace.column("f_bar_new") - f_trial)
+    worst_gap = float(np.max(np.maximum(gap_old, gap_new) - budget, initial=0.0))
+    acc_bad = int(np.count_nonzero(np.maximum(gap_old, gap_new) > budget * _REL_SLACK))
+    dec = (f_x - f_trial)[trace.column("successful")]
+    worst = float(np.min(dec, initial=math.inf))
+    bad = int(np.count_nonzero(dec * _REL_SLACK < floor))
     checks["decrease_floor"] = CheckResult(
         bad == 0, f"min exact decrease {worst:.3e} vs floor {floor:.3e} ({bad} violations)")
 
     # (b) trust-region radius floor
     radius_floor = bc.kappa_delta * eps_min
-    min_delta = min((r.Delta for r in hist), default=math.inf)
+    deltas = trace.column("Delta")
+    min_delta = float(np.min(deltas, initial=math.inf))
     checks["radius_floor"] = CheckResult(
         min_delta * _REL_SLACK >= radius_floor,
         f"min Delta {min_delta:.3e} vs floor {radius_floor:.3e}")
@@ -383,8 +484,8 @@ def check_history(result: RunResult, problem: Problem,
     iter_bound = (n_success * (1 + math.log(cfg.gamma3) / abs(math.log(cfg.gamma2)))
                   + abs(math.log(delta_min / cfg.Delta0)) / abs(math.log(cfg.gamma2)))
     checks["iteration_bound"] = CheckResult(
-        len(hist) <= iter_bound + 1e-9,
-        f"{len(hist)} iterations vs bound {iter_bound:.2f}")
+        n_iter <= iter_bound + 1e-9,
+        f"{n_iter} iterations vs bound {iter_bound:.2f}")
 
     # (d) successful-iteration bound
     s_bound = bc.kappa_s * (f0 - problem.f_low) / eps_min ** (q + 1)
@@ -422,18 +523,21 @@ def check_history(result: RunResult, problem: Problem,
         f"min requested zeta {min_req:.3e} vs floor {zeta_floor:.3e}")
 
     # (h) no absolute outcomes in the step loop
-    absolutes = sum(r.step2_absolute for r in hist)
+    absolutes = int(trace.column("step2_absolute").sum())
     checks["step_no_absolute"] = CheckResult(
         absolutes == 0, f"{absolutes} absolute outcomes in step certification")
 
-    # (i) step-loop tightenings within the guaranteed cap
-    cap_bad = 0
-    for r in hist:
-        stop_level = (cfg.omega * cfg.vartheta ** (r.j - 1) * cfg.eps[r.j - 1]
-                      / (8 * factorial(r.j) * (1 + cfg.omega)))
-        cap = allowed_tightenings(r.zeta_max_step2_entry, stop_level, cfg.gamma_zeta)
-        if r.step2_tightens > cap:
-            cap_bad += 1
+    # (i) step-loop tightenings within the guaranteed cap, worked out once per
+    # distinct (order, entry accuracy) pair
+    js = trace.column("j").tolist()
+    entry = trace.column("zeta_max_step2_entry").tolist()
+    caps = {}
+    for j, z in set(zip(js, entry)):
+        stop_level = (cfg.omega * cfg.vartheta ** (j - 1) * cfg.eps[j - 1]
+                      / (8 * factorial(j) * (1 + cfg.omega)))
+        caps[j, z] = allowed_tightenings(z, stop_level, cfg.gamma_zeta)
+    cap_bad = sum(t > caps[pair] for pair, t in
+                  zip(zip(js, entry), trace.column("step2_tightens").tolist()))
     checks["step_tighten_cap"] = CheckResult(
         cap_bad == 0, f"{cap_bad} iterations exceeded the step tightening cap")
 
@@ -444,7 +548,7 @@ def check_history(result: RunResult, problem: Problem,
         f"(worst overshoot {worst_gap:.3e})")
 
     # (k) step inside the trust region
-    ratio = max((r.step_norm / r.Delta for r in hist), default=0.0)
+    ratio = float(np.max(trace.column("step_norm") / deltas, initial=0.0))
     checks["step_within_radius"] = CheckResult(
         ratio <= 1.0 + 1e-12, f"max |s|/Delta {ratio:.15f}")
 

@@ -1,9 +1,11 @@
 """Run configuration, CSV/JSON reporting, and the study drivers.
 
-The CSV schema is fixed (one row per iteration, columns below, in order);
-floats are serialized with ``repr`` so parsing a written history reproduces
-it exactly.  Studies: accuracy-target sweeps with a fitted log-log slope of
-evaluation counts, and dynamic-versus-fixed-accuracy cost comparisons.
+The CSV schemas are fixed: the history has one row per iteration (columns
+below, in order), the events file one row per oracle call.  Floats are
+serialized with ``repr``, so reading a written file back reproduces it
+exactly, and writing that again gives the same bytes.  Studies:
+accuracy-target sweeps with a fitted log-log slope of evaluation counts,
+and dynamic-versus-fixed-accuracy cost comparisons.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .driver import (AuditReport, ConfigError, IterationRecord, RunResult,
+from .driver import (AuditReport, ConfigError, IterationRecord, RunResult, RunTrace,
                      TrConfig, bounds_for_run, run)
-from .oracle import COST_MODELS, InexactOracle, Problem
+from .oracle import COST_MODELS, PHASES, EvalLedger, InexactOracle, Problem
 from .problems import make_problem
 
 OUTDIR_ENV = "DYNTRUST_OUTDIR"
@@ -64,22 +66,50 @@ def write_history_csv(path, history) -> None:
             writer.writerow([_fmt(c, getattr(rec, c)) for c in CSV_COLUMNS])
 
 
-def read_history_csv(path) -> list[IterationRecord]:
-    out = []
+def read_history_csv(path) -> RunTrace:
+    """The trace a history CSV holds; its start point is the first row's x."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if tuple(header) != CSV_COLUMNS:
             raise ValueError("unexpected CSV schema")
-        for row in reader:
-            kwargs = {c: _parse(c, t) for c, t in zip(CSV_COLUMNS, row)}
-            out.append(IterationRecord(**kwargs))
-    return out
+        records = [IterationRecord(**{c: _parse(c, t) for c, t in zip(CSV_COLUMNS, row)})
+                   for row in reader]
+    x0 = records[0].x if records else np.empty(0)
+    return RunTrace.from_records(x0, records)
+
+
+EVENT_CSV_COLUMNS = ("order", "acc", "work", "phase")
+
+
+def write_events_csv(path, ledger: EvalLedger) -> None:
+    """One row per oracle call: order (0 = objective), requested accuracy,
+    work and the phase's name."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(EVENT_CSV_COLUMNS)
+        for e in ledger.entries:
+            writer.writerow([e.order, repr(e.acc), repr(e.work), PHASES[e.phase]])
+
+
+def read_events_csv(path) -> EvalLedger:
+    ledger = EvalLedger()
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if tuple(next(reader)) != EVENT_CSV_COLUMNS:
+            raise ValueError("unexpected CSV schema")
+        for order, acc, work, phase in reader:
+            if order not in ("0", "1", "2", "3") or phase not in PHASES:
+                raise ValueError(f"unexpected event row {[order, acc, work, phase]}")
+            ledger.phase = PHASES.index(phase)
+            ledger.record(int(order), float(acc), float(work))
+    return ledger
 
 
 def summary_dict(result: RunResult, audit: AuditReport | None = None,
                  bounds=None, lipschitz: float | None = None) -> dict:
     ledger = result.eval_ledger
+    step_tightens = int(result.history.column("step2_tightens").sum())
     out = {
         "problem": result.problem_name,
         "terminated": result.terminated,
@@ -91,6 +121,12 @@ def summary_dict(result: RunResult, audit: AuditReport | None = None,
         "n_f_evals": ledger.n_f,
         "n_deriv_evals": {i: ledger.n_deriv(i) for i in range(1, 4)},
         "deriv_rounds": ledger.deriv_rounds(),
+        # calls per phase and order (0 = objective); a tightening happens in
+        # the termination test or in the step loop
+        "evals_by_phase": {phase: dict(enumerate(row))
+                           for phase, row in zip(PHASES, ledger.counts_by_phase().tolist())},
+        "tightenings_by_phase": {"termination": result.acc.i_zeta - step_tightens,
+                                 "step": step_tightens},
         "config": dataclasses.asdict(result.cfg),
     }
     if audit is not None:
@@ -151,7 +187,8 @@ class RunSpec:
 
 
 def execute_run(spec: RunSpec, write: bool = True, with_bounds: bool = False):
-    """Build the config, the problem and the run; optionally write history CSV + summary JSON."""
+    """Build the config, the problem and the run; optionally write the history
+    and events CSVs and the summary JSON."""
     cfg = spec.build_config()
     problem = spec.build_problem()
     oracle = InexactOracle(problem, policy=spec.policy, seed=spec.seed)
@@ -161,8 +198,10 @@ def execute_run(spec: RunSpec, write: bool = True, with_bounds: bool = False):
         out = spec.output_dir()
         key = spec.run_key()
         paths["history"] = out / f"{key}_history.csv"
+        paths["events"] = out / f"{key}_events.csv"
         paths["summary"] = out / f"{key}_summary.json"
         write_history_csv(paths["history"], result.history)
+        write_events_csv(paths["events"], result.eval_ledger)
         bounds = lipschitz = None
         if with_bounds and result.history:
             bounds, lipschitz = bounds_for_run(result, problem)

@@ -17,6 +17,8 @@ and is checked once: finite values, and derivative arrays of exactly the shape
 from __future__ import annotations
 
 import math
+import struct
+from array import array
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -91,47 +93,99 @@ class Problem:
         return d
 
 
+# The phases of an iteration that call the oracle, in the order an iteration
+# visits them; the event table stores each call's phase as an index here.
+PHASES = ("termination", "step", "objective")
+PHASE_TERMINATION, PHASE_STEP, PHASE_OBJECTIVE = range(len(PHASES))
+
+
 class LedgerEntry(NamedTuple):
-    kind: str          # "f" or "deriv"
-    order: int         # 0 for objective values
+    """One row of the event table."""
+
+    order: int         # derivative order; 0 for objective values
     acc: float         # requested absolute accuracy
-    work: float = 1.0  # fraction of a full evaluation (subsampling < 1)
+    work: float        # fraction of a full evaluation (subsampling < 1)
+    phase: int         # index into PHASES
+
+    @property
+    def kind(self) -> str:
+        return "deriv" if self.order else "f"
+
+
+# One packed row per oracle call, read back as a numpy structured array
+_EVENT = struct.Struct("<bddb")
+_EVENT_DTYPE = np.dtype([("order", "<i1"), ("acc", "<f8"), ("work", "<f8"),
+                         ("phase", "<i1")])
 
 
 class EvalLedger:
-    """Append-only log of oracle calls with per-call requested accuracies."""
+    """Append-only event table of oracle calls: one row per call holding its
+    order, requested accuracy, work and phase.
+
+    Rows are packed into one byte array, so a call costs 18 bytes and no
+    Python object; :meth:`column` reads one typed column, and ``entries``
+    rebuilds the rows as :class:`LedgerEntry` tuples.
+    ``phase`` is the index into :data:`PHASES` that the next call is logged
+    under; ``run`` sets it before each phase of an iteration.
+    """
 
     def __init__(self):
-        self.entries: list[LedgerEntry] = []
-        self._counts = {"f": 0, 1: 0, 2: 0, 3: 0}
+        self._events = array("B")
+        self.counts = [0, 0, 0, 0]  # calls per order, 0 = objective
+        self.phase = PHASE_TERMINATION
 
-    def record(self, kind: str, order: int, acc: float, work: float = 1.0):
-        self.entries.append(LedgerEntry(kind, order, float(acc), float(work)))
-        self._counts[kind if kind == "f" else order] += 1
+    def record(self, order: int, acc: float, work: float = 1.0):
+        self._events.frombytes(_EVENT.pack(order, acc, work, self.phase))
+        self.counts[order] += 1
+
+    @property
+    def entries(self) -> list[LedgerEntry]:
+        return list(map(LedgerEntry._make, _EVENT.iter_unpack(self._events)))
+
+    def column(self, name: str) -> np.ndarray:
+        """Column ``name`` ("order", "acc", "work" or "phase") in call order:
+        a copy, since the table cannot grow while a view of it is alive."""
+        return np.frombuffer(self._events, dtype=_EVENT_DTYPE)[name].copy()
 
     @property
     def n_f(self) -> int:
-        return self._counts["f"]
+        return self.counts[0]
 
     def n_deriv(self, order: int | None = None) -> int:
         if order is None:
-            return self._counts[1] + self._counts[2] + self._counts[3]
-        return self._counts[order]
+            return self.counts[1] + self.counts[2] + self.counts[3]
+        return self.counts[order]
 
     def deriv_rounds(self) -> int:
         """Evaluation rounds: the most-often refreshed order dominates."""
-        return max(self._counts[1], self._counts[2], self._counts[3])
+        return max(self.counts[1:])
+
+    def _accs(self, kind: str | None, order: int | None = None) -> np.ndarray:
+        """The requested accuracies of the calls of ``kind`` ("f", "deriv",
+        or None for all) and derivative ``order``, in call order."""
+        accs = self.column("acc")
+        if kind is None:
+            return accs
+        orders = self.column("order")
+        if kind == "f":
+            return accs[orders == 0]
+        return accs[orders > 0 if order is None else orders == order]
 
     def min_acc(self, kind: str, order: int | None = None) -> float:
-        accs = [e.acc for e in self.entries
-                if e.kind == kind and (order is None or e.order == order) and e.acc > 0]
-        return min(accs) if accs else math.inf
+        accs = self._accs(kind, order)
+        accs = accs[accs > 0]
+        return float(accs.min()) if accs.size else math.inf
 
     def total_cost(self, cost: Callable[[float], float], kind: str | None = None) -> float:
-        return sum(cost(e.acc) for e in self.entries if kind is None or e.kind == kind)
+        return sum(map(cost, self._accs(kind).tolist()))
+
+    def counts_by_phase(self) -> np.ndarray:
+        """Calls per phase (rows, as in PHASES) and order (columns, 0..3)."""
+        cells = self.column("phase").astype(np.intp) * 4 + self.column("order")
+        return np.bincount(cells, minlength=4 * len(PHASES)).reshape(len(PHASES), 4)
 
     def __len__(self):
-        return len(self.entries)
+        return len(self._events) // _EVENT.size
 
 
 # Reporting-only cost models; they never influence the algorithm.
@@ -217,7 +271,7 @@ class InexactOracle:
             value = value + float(np.clip(noise, -NOISE_FRACTION * abs_acc,
                                           NOISE_FRACTION * abs_acc))
         if ledger is not None:
-            ledger.record("f", 0, abs_acc, work)
+            ledger.record(0, abs_acc, work)
         return float(value)
 
     def eval_deriv(self, x, order: int, zeta: float, ledger: EvalLedger | None = None) -> np.ndarray:
@@ -249,5 +303,5 @@ class InexactOracle:
                                     -NOISE_FRACTION * zeta, NOISE_FRACTION * zeta))
                 tensor = tensor + _rank_one(order, u, mag)
         if ledger is not None:
-            ledger.record("deriv", order, zeta, work)
+            ledger.record(order, zeta, work)
         return tensor

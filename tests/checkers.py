@@ -1,8 +1,9 @@
 """Checkers that tests use as independent references: central finite
 differences against a problem's exact derivatives, the guarantees a
 ``verify`` outcome implies, checked at sampled displacements, the
-one-start-at-a-time form of the batched order-3 ascent, and an accuracy
-ledger whose tightenings never lower a bound."""
+one-start-at-a-time form of the batched order-3 ascent, an accuracy
+ledger whose tightenings never lower a bound, and a field-by-field
+comparison of iteration records."""
 
 from dataclasses import dataclass, field
 from math import factorial
@@ -150,3 +151,11 @@ class NoShrinkLedger(AccuracyLedger):
 
     def tighten(self, j):
         self.i_zeta += 1
+
+
+def assert_records_equal(got, want):
+    """Two IterationRecords hold the same value and type in every field."""
+    for name in want._fields:
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is type(b), name
+        np.testing.assert_array_equal(a, b, strict=True, err_msg=name)

@@ -7,8 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from checkers import assert_records_equal
 from dyntrust import optimality
-from dyntrust.driver import ConfigError, TrConfig, check_history, run
+from dyntrust.driver import ConfigError, RunTrace, TrConfig, check_history, run
 from dyntrust.optimality import CertificationError
 from dyntrust.oracle import InexactOracle, NonFiniteEvaluation, Problem
 from dyntrust.problems import make_problem
@@ -28,6 +29,9 @@ from dyntrust.verify import VerifyOutcome
     ({"gamma_zeta": 1.0}, "gamma_zeta"),
     ({"zeta0": 0.5}, "zeta0"),
     ({"max_iterations": 0}, "max_iterations"),
+    ({"max_iterations": 2.5}, "max_iterations"),
+    ({"kappa_zeta": math.inf}, "kappa_zeta"),
+    ({"kappa_zeta": math.nan}, "kappa_zeta"),
 ])
 def test_config_violations_name_the_constraint(overrides, fragment):
     with pytest.raises(ConfigError) as err:
@@ -286,7 +290,31 @@ def test_sink_receives_every_record():
     o = InexactOracle(p, policy="adversarial", seed=0)
     seen = []
     res = run(o, TrConfig.with_defaults((1e-3,)), sink=seen.append)
-    assert seen == res.history
+    assert len(seen) == len(res.history) > 0
+    for got, want in zip(seen, res.history):
+        assert_records_equal(got, want)
+
+
+def test_run_sets_the_phase_before_each_phase(monkeypatch):
+    from dyntrust import driver
+    from dyntrust.oracle import PHASE_OBJECTIVE, PHASE_STEP, PHASE_TERMINATION
+
+    seen = []
+
+    def spy(fn, phase):
+        def wrapped(*args, **kwargs):
+            seen.append(phase)
+            assert kwargs.get("acc", args[-1]).ledger.phase == phase
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(driver, "termination_test", spy(driver.termination_test, PHASE_TERMINATION))
+    monkeypatch.setattr(driver, "compute_step", spy(driver.compute_step, PHASE_STEP))
+    res = run(InexactOracle(make_problem("rosenbrock"), policy="adversarial", seed=0),
+              TrConfig.with_defaults((1e-2, 1e-2)))
+    assert {PHASE_TERMINATION, PHASE_STEP} <= set(seen)
+    # objective values are logged under the objective phase, and only they are
+    assert all((e.order == 0) == (e.phase == PHASE_OBJECTIVE) for e in res.eval_ledger.entries)
 
 
 def test_run_rosenbrock_tight_q2_all_seeds():
@@ -337,9 +365,10 @@ def test_audit_flags_a_step_beyond_the_radius():
     p = make_problem("quadratic", dim=2, cond=10)
     res = run(InexactOracle(p, policy="adversarial", seed=0), TrConfig.with_defaults((1e-3,)))
     assert check_history(res, p).checks["step_within_radius"].ok
-    rec = res.history[3]
-    res.history[3] = rec._replace(step_norm=rec.Delta * (1 + 1e-10))
-    check = check_history(res, p).checks["step_within_radius"]
+    records = list(res.history)
+    records[3] = records[3]._replace(step_norm=records[3].Delta * (1 + 1e-10))
+    moved = dataclasses.replace(res, history=RunTrace.from_records(res.x0, records))
+    check = check_history(moved, p).checks["step_within_radius"]
     assert not check.ok, check.detail
 
 
@@ -357,6 +386,10 @@ def test_records_are_immutable():
             with pytest.raises(AttributeError):
                 setattr(rec, name, getattr(rec, name))
     assert not res.history[0].x.flags.writeable
+    # the trace's columns and trial-point block are read-only views
+    for arr in (res.history.column("Delta"), res.history.x_trial):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_bounds_for_run_helper():
@@ -399,9 +432,17 @@ def test_records_hold_each_point_once_read_only():
     p = make_problem("rosenbrock")
     res = run(InexactOracle(p, policy="adversarial", seed=2), TrConfig.with_defaults((1e-2,)))
     assert res.n_success > 0 and res.n_success < res.n_iterations
+    block = res.history.x_trial  # one row per iteration
+    assert block.shape == (res.n_iterations, 2)
     current = res.x0
     for r in res.history:
-        assert r.x is current  # the previous accepted x_trial, or the start point
+        # x is the start point itself, or a view of the previous accepted x_trial
+        if current is res.x0:
+            assert r.x is res.x0
+        else:
+            assert np.shares_memory(r.x, block)
+        np.testing.assert_array_equal(r.x, current, strict=True)
+        assert np.shares_memory(r.x_trial, block)
         for arr in (r.x, r.x_trial):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
@@ -446,18 +487,20 @@ def test_audit_refuses_a_nonfinite_exact_objective():
 
 
 def test_retained_memory_per_iteration_is_bounded():
-    # Each record keeps its trial point once; x aliases the previous one.
-    p = make_problem("quadratic", dim=100, cond=1e4)
-    oracle = InexactOracle(p, policy="adversarial", seed=1)
-    cfg = TrConfig.with_defaults((1e-4,), max_iterations=2000)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        res = run(oracle, cfg)
+    # A finished run keeps 8 (n + 64) bytes per iteration at most: its trial
+    # point, its scalar fields and its oracle calls, with no Python object
+    # per iteration or per call.
+    for p in (make_problem("quadratic", dim=100, cond=1e4), make_problem("rosenbrock")):
+        oracle = InexactOracle(p, policy="adversarial", seed=1)
+        cfg = TrConfig.with_defaults((1e-4,), max_iterations=2000)
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert res.n_iterations == 2000
-    assert retained / res.n_iterations < 2500
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = run(oracle, cfg)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert res.n_iterations == 2000
+        assert retained / res.n_iterations <= 8 * (p.dim + 64), (p.name, retained)

@@ -5,11 +5,14 @@ import re
 import numpy as np
 import pytest
 
+from checkers import assert_records_equal
 from dyntrust.cli import EXIT_AUDIT, EXIT_CAP, EXIT_CONFIG, EXIT_OK, main
-from dyntrust.driver import ConfigError
-from dyntrust.harness import (CSV_COLUMNS, RunSpec, cost_savings_report,
-                              eps_scaling_study, execute_run, parse_config_file,
-                              parse_eps_grid, read_history_csv, write_history_csv)
+from dyntrust.driver import ConfigError, RunTrace
+from dyntrust.harness import (RunSpec, cost_savings_report, eps_scaling_study,
+                              execute_run, parse_config_file, parse_eps_grid,
+                              read_events_csv, read_history_csv, write_events_csv,
+                              write_history_csv)
+from dyntrust.oracle import PHASES
 
 
 def test_csv_round_trip(tmp_path):
@@ -19,14 +22,52 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "hist.csv"
     write_history_csv(path, result.history)
     parsed = read_history_csv(path)
+    assert isinstance(parsed, RunTrace)
     assert len(parsed) == len(result.history) > 0
     for got, want in zip(parsed, result.history):
-        for name in CSV_COLUMNS:
-            a, b = getattr(got, name), getattr(want, name)
-            assert type(a) is type(b), name
-            np.testing.assert_array_equal(a, b, strict=True, err_msg=name)
+        assert_records_equal(got, want)
         # vectors come back as read-only arrays, like the run's own records
         assert not got.x.flags.writeable and not got.x_trial.flags.writeable
+    # writing the parsed trace again gives the same bytes
+    again = tmp_path / "again.csv"
+    write_history_csv(again, parsed)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_csv_reader_refuses_rows_that_do_not_follow(tmp_path):
+    # x is derived from the rows before it, so a CSV whose x disagrees with
+    # the previous accepted x_trial, or whose k skips, is not a trace
+    spec = RunSpec(problem="rosenbrock", eps=(1e-2,), policy="adversarial", seed=2)
+    result, _, _, _ = execute_run(spec, write=False)
+    records = list(result.history)
+    bad_x = records[:5] + [records[5]._replace(x=records[5].x + 1.0)]
+    bad_k = records[:5] + [records[6]]
+    for rows in (bad_x, bad_k):
+        path = tmp_path / "bad.csv"
+        write_history_csv(path, rows)
+        with pytest.raises(ValueError, match="does not follow from the rows before it"):
+            read_history_csv(path)
+
+
+def test_events_csv_round_trip(tmp_path):
+    spec = RunSpec(problem="finite_sum_logistic", problem_params={"dim": 3, "terms": 32},
+                   eps=(1e-2, 1e-2), policy="subsample", seed=1)
+    result, _, _, _ = execute_run(spec, write=False)
+    ledger = result.eval_ledger
+    path = tmp_path / "events.csv"
+    write_events_csv(path, ledger)
+    parsed = read_events_csv(path)
+    assert parsed.entries == ledger.entries and len(parsed) > 0
+    assert any(e.work < 1.0 for e in parsed.entries)  # subsampled calls
+    assert {PHASES[e.phase] for e in parsed.entries} >= {"termination", "objective"}
+    assert parsed.counts == ledger.counts
+    again = tmp_path / "again.csv"
+    write_events_csv(again, parsed)
+    assert again.read_bytes() == path.read_bytes()
+    for row in ("-1,0.1,1.0,step", "1,0.1,1.0,audit"):
+        again.write_text(f"order,acc,work,phase\n{row}\n")
+        with pytest.raises(ValueError, match="unexpected event row"):
+            read_events_csv(again)
 
 
 def test_runspec_validation_diagnostics():
@@ -70,6 +111,20 @@ def test_cli_run_writes_outputs(tmp_path):
     summary = json.loads((tmp_path / summary_file).read_text())
     assert summary["terminated"] is True
     assert summary["problem"] == "rosenbrock"
+    # one events row per oracle call, and the per-phase tables add up
+    events = read_events_csv(tmp_path / next(f for f in files if f.endswith("_events.csv")))
+    by_phase = summary["evals_by_phase"]
+    assert list(by_phase) == list(PHASES)
+    assert len(events) == summary["n_f_evals"] + sum(summary["n_deriv_evals"].values())
+    for order in range(4):
+        assert sum(by_phase[p][str(order)] for p in PHASES) == events.counts[order]
+    # objective values come from the objective phase only, derivatives never do
+    assert by_phase["objective"]["0"] == summary["n_f_evals"]
+    assert sum(by_phase["objective"][str(o)] for o in (1, 2, 3)) == 0
+    assert by_phase["termination"]["1"] > 0
+    tightenings = summary["tightenings_by_phase"]
+    assert tightenings["termination"] >= 0 and tightenings["step"] >= 0
+    assert tightenings["termination"] + tightenings["step"] == summary["i_zeta"]
 
 
 def test_cli_config_error_exit_code(tmp_path):
@@ -83,13 +138,23 @@ def test_cli_config_error_exit_code(tmp_path):
     (["--eps", "1e-3,,1e-3"], "--eps expects comma-separated numbers, got '1e-3,,1e-3'"),
     (["--x0", "1,nan"], "start point x0 = [1.0, nan] is not finite"),
     (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+    (["--kappa-zeta", "inf"], "kappa_zeta must be positive and finite, got inf"),
     (["--problem", "finite_sum_logistic", "--lam", "-1"],
      "finite_sum_logistic: lam must be finite and non-negative, got -1.0"),
-], ids=["q0", "eps_word", "eps_empty_field", "x0_nan", "seed_negative", "lam_negative"])
+], ids=["q0", "eps_word", "eps_empty_field", "x0_nan", "seed_negative", "kappa_zeta_inf",
+        "lam_negative"])
 def test_cli_malformed_numbers_are_config_errors(tmp_path, capsys, flags, message):
     code = main(["run", "--problem", "rosenbrock", *flags, "--out-dir", str(tmp_path)])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def test_cli_refuses_a_non_integer_iteration_cap(tmp_path, capsys):
+    # the flag is parsed as an integer before TrConfig sees it
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--max-iterations", "2.5", "--out-dir", str(tmp_path)])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--max-iterations: invalid int value: '2.5'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line,message", [

@@ -119,6 +119,37 @@ def test_ledger_completeness_and_counts():
     assert ledger.min_acc("deriv", 1) == 1e-4
 
 
+def test_event_table_matches_a_plain_list_reference(monkeypatch):
+    # every call the table logs, kept a second time as (order, acc, work,
+    # phase) tuples in a plain list; the table's rows and reductions must
+    # equal the list's, floats bit for bit
+    calls = []
+    record = EvalLedger.record
+
+    def logged(self, order, acc, work=1.0):
+        calls.append((order, float(acc), float(work), self.phase))
+        record(self, order, acc, work)
+
+    monkeypatch.setattr(EvalLedger, "record", logged)
+    p = make_problem("finite_sum_logistic", dim=3, terms=32)
+    res = run(InexactOracle(p, policy="subsample", seed=0), TrConfig.with_defaults((1e-3, 1e-3)))
+    ledger = res.eval_ledger
+    assert [tuple(e) for e in ledger.entries] == calls and len(ledger) == len(calls)
+    assert [e.kind for e in ledger.entries] == ["f" if c[0] == 0 else "deriv" for c in calls]
+    for kind, keep in (("f", lambda o: o == 0), ("deriv", lambda o: o > 0)):
+        accs = [a for o, a, _, _ in calls if keep(o) and a > 0]
+        assert ledger.min_acc(kind) == min(accs)
+        cost = [1.0 / a for o, a, _, _ in calls if keep(o)]
+        assert ledger.total_cost(lambda a: 1.0 / a, kind) == sum(cost)
+    assert ledger.min_acc("deriv", 2) == min(a for o, a, _, _ in calls if o == 2)
+    assert ledger.total_cost(math.log) == sum(math.log(a) for _, a, _, _ in calls)
+    by_phase = np.zeros((3, 4), dtype=int)
+    for o, _, _, phase in calls:
+        by_phase[phase, o] += 1
+    np.testing.assert_array_equal(ledger.counts_by_phase(), by_phase)
+    assert ledger.counts == [sum(c[0] == o for c in calls) for o in range(4)]
+
+
 def test_exact_order_set_returns_exact():
     p = make_problem("rosenbrock")
     o = InexactOracle(p, policy="adversarial", seed=0, exact_orders=(2,))
