@@ -9,13 +9,14 @@ audit), ``compare`` (dynamic vs fixed-accuracy cost).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from .driver import ConfigError, check_history
 from .harness import (RunSpec, cost_savings_report, eps_scaling_study,
                       execute_run, parse_config_file, parse_eps_grid,
-                      parse_number, seed_sweep, summary_dict, sweep_rows_table,
+                      parse_number, seed_sweep, summary_dict,
                       write_summary_json, write_sweep_csv)
 from .oracle import COST_MODELS, POLICIES
 from .problems import list_problems
@@ -155,7 +156,7 @@ def _cmd_sweep(args) -> int:
     write_sweep_csv(csv_path, res.rows)
     summary_path = out / f"sweep_{spec.problem}_q{q}.json"
     with open(summary_path, "w") as fh:
-        json.dump({"rows": sweep_rows_table(res), "slope": res.slope,
+        json.dump({"rows": [dataclasses.asdict(r) for r in res.rows], "slope": res.slope,
                    "slope_limit": res.slope_limit, "passed": res.passed,
                    "excluded_non_terminated": res.excluded}, fh, indent=2)
     print(f"slope={res.slope:.3f} limit={res.slope_limit:.2f} "

@@ -12,12 +12,11 @@ the closed-form worst-case bounds.
 from __future__ import annotations
 
 import math
-import struct
 from array import array
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import factorial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .model import Vector, as_vector, operator_norm, vector_norm
 from .optimality import (AccuracyLedger, CertificationError, allowed_tightenings,
                          termination_test)
 from .oracle import (PHASE_OBJECTIVE, PHASE_STEP, PHASE_TERMINATION, EvalLedger,
-                     InexactOracle, Problem)
+                     InexactOracle, Problem, Table)
 from .step import compute_step
 
 
@@ -113,48 +112,11 @@ class TrConfig:
         return cls(eps=tuple(eps) if np.iterable(eps) else (eps,), **overrides)
 
 
-class IterationRecord(NamedTuple):
-    """One iteration of a run: a row of its :class:`RunTrace`, one field per
-    CSV column."""
-
-    k: int
-    Delta: float
-    delta: float
-    j: int
-    rho: float
-    successful: bool
-    dT_s: float
-    f_bar_old: float
-    f_bar_new: float
-    i_zeta: int
-    step2_tightens: int
-    zeta_max_step2_entry: float
-    step2_absolute: int
-    f_recomputed: bool
-    n_f: int
-    n_d1: int
-    n_d2: int
-    n_d3: int
-    step_norm: float
-    x: Vector        # read-only: the previous accepted x_trial, or the start point
-    x_trial: Vector  # read-only
-
-
-# The stored scalar fields: all but k (the row index), x (derived) and
-# x_trial (its own block).  NamedTuple keeps each annotation as a ForwardRef.
-_SCALARS = IterationRecord._fields[1:-2]
-_CODES = {"float": ("d", "<f8"), "int": ("q", "<i8"), "bool": ("?", "?")}
-_KINDS = [IterationRecord.__annotations__[f].__forward_arg__ for f in _SCALARS]
-_ROW = struct.Struct("<" + "".join(_CODES[kind][0] for kind in _KINDS))
-_ROW_DTYPE = np.dtype([(f, _CODES[kind][1]) for f, kind in zip(_SCALARS, _KINDS)])
-
-
-class RunTrace(Sequence):
+class RunTrace(Table, Sequence):
     """A run's per-iteration table.
 
-    Each iteration's scalar fields are one packed row of a byte array, read
-    as a numpy structured array whose fields are the typed columns
-    (:meth:`column`); the trial points are one float64 block of (k, n) rows
+    Each iteration's scalar fields are one packed row (:meth:`column` reads
+    a typed column); the trial points are one float64 block of (k, n) rows
     (:attr:`x_trial`).  Both are ``array.array`` buffers that grow in place
     by about 1/16 when full, with no Python object per iteration.  ``x`` is
     not stored: it is ``x0`` or the ``x_trial`` of the last successful
@@ -162,45 +124,28 @@ class RunTrace(Sequence):
 
     Indexing, slicing and iteration give :class:`IterationRecord` rows whose
     ``x`` and ``x_trial`` are read-only views.  While a view is alive the
-    trace cannot grow, so only ``run`` and :meth:`from_records` append, and
-    neither makes views.
+    trace cannot grow, so only ``run`` appends, and it makes no views.
     """
 
-    def __init__(self, x0: Vector):
+    FIELDS = [("Delta", "d"), ("delta", "d"), ("j", "q"), ("rho", "d"), ("successful", "?"),
+              ("dT_s", "d"), ("f_bar_old", "d"), ("f_bar_new", "d"), ("i_zeta", "q"),
+              ("step2_tightens", "q"), ("zeta_max_step2_entry", "d"),
+              ("step2_absolute", "q"), ("f_recomputed", "?"), ("n_f", "q"), ("n_d1", "q"),
+              ("n_d2", "q"), ("n_d3", "q"), ("step_norm", "d")]
+
+    def __init__(self, x0: Vector, rows: bytes = b"", x_trial=()):
+        """The trace from ``x0`` holding ``rows`` (the bytes of an array of
+        :attr:`dtype`) and their (k, n) trial points."""
+        super().__init__(rows)
         self.x0 = x0
-        self._rows = array("B")
-        self._x_trial = array("d")
+        self._x_trial = array("d", np.asarray(x_trial, dtype=float).tobytes())
+        if len(self._x_trial) != len(self) * x0.size:
+            raise ValueError("a trace holds one trial point of x0's size per row")
 
     def append(self, row: tuple, x_trial: Vector):
         """Add an iteration: its scalar fields in field order, and its trial point."""
-        self._rows.frombytes(_ROW.pack(*row))
+        self._rows.frombytes(self.row.pack(*row))
         self._x_trial.frombytes(x_trial.tobytes())
-
-    @classmethod
-    def from_records(cls, x0: Vector, records) -> "RunTrace":
-        """The trace of ``records``, which must number their rows from 0 and
-        carry the ``x`` the trace derives."""
-        trace = cls(x0)
-        x = x0
-        for rec in records:
-            x_trial = as_vector(rec.x_trial)
-            if (rec.k != len(trace) or x_trial.shape != x0.shape
-                    or not np.array_equal(rec.x, x)):
-                raise ValueError(f"record {rec.k} at row {len(trace)} does not follow "
-                                 "from the rows before it")
-            trace.append(rec[1:-2], x_trial)
-            if rec.successful:
-                x = x_trial
-        return trace
-
-    def __len__(self) -> int:
-        return len(self._rows) // _ROW.size
-
-    def column(self, name: str) -> np.ndarray:
-        """The read-only column of scalar field ``name``."""
-        table = np.frombuffer(self._rows, dtype=_ROW_DTYPE)
-        table.flags.writeable = False
-        return table[name]
 
     @property
     def x_trial(self) -> np.ndarray:
@@ -208,6 +153,11 @@ class RunTrace(Sequence):
         block = np.frombuffer(self._x_trial).reshape(len(self), self.x0.size)
         block.flags.writeable = False
         return block
+
+    @property
+    def x(self) -> np.ndarray:
+        """The (k, n) block of the points each iteration starts from (a copy)."""
+        return np.vstack((self.x0, self.x_trial))[self.prev_success() + 1]
 
     @property
     def n_success(self) -> int:
@@ -234,8 +184,13 @@ class RunTrace(Sequence):
         x_trial = self.x_trial
         for k in ks:
             i = src[k]
-            yield IterationRecord(k, *_ROW.unpack_from(self._rows, k * _ROW.size),
+            yield IterationRecord(k, *self.row.unpack_from(self._rows, k * self.row.size),
                                   self.x0 if i < 0 else x_trial[i], x_trial[k])
+
+
+# One iteration of a run: its row index k, the trace's scalar fields, the
+# point x it started from and its trial point x_trial (both read-only)
+IterationRecord = namedtuple("IterationRecord", ("k", *RunTrace.dtype.names, "x", "x_trial"))
 
 
 @dataclass
@@ -333,7 +288,7 @@ def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
         else:
             delta_next = min(cfg.Delta_max, cfg.gamma3 * delta_tr)
 
-        # the scalar fields of IterationRecord, in field order after k
+        # the scalar fields of RunTrace, in field order
         row = (delta_tr, delta_k, j, rho, successful, sres.dT, f_bar, f_bar_new,
                acc.i_zeta, sres.tighten_count, sres.zeta_entry_max, sres.absolute_events,
                recomputed, counts[0], counts[1], counts[2], counts[3], vector_norm(sres.s))
@@ -517,7 +472,7 @@ def check_history(result: RunResult, problem: Problem,
         * (bc.kappa_delta * eps_min) ** (j - 1) / factorial(j)
         for j in range(1, q + 1))
     # exact orders request zeta = 0 by design; min_acc skips those requests
-    min_req = result.eval_ledger.min_acc("deriv")
+    min_req = result.eval_ledger.min_acc((1, 2, 3))
     checks["zeta_floor"] = CheckResult(
         min_req * _REL_SLACK >= zeta_floor,
         f"min requested zeta {min_req:.3e} vs floor {zeta_floor:.3e}")

@@ -20,90 +20,98 @@ from pathlib import Path
 
 import numpy as np
 
-from .driver import (AuditReport, ConfigError, IterationRecord, RunResult, RunTrace,
-                     TrConfig, bounds_for_run, run)
+from .driver import (AuditReport, ConfigError, RunResult, RunTrace, TrConfig,
+                     bounds_for_run, run)
 from .oracle import COST_MODELS, PHASES, EvalLedger, InexactOracle, Problem
 from .problems import make_problem
 
 OUTDIR_ENV = "DYNTRUST_OUTDIR"
 
-# One column per IterationRecord field, in field order; the field's declared
-# type ("int", "bool", "float" or "Vector") says how a cell is written and read.
-# NamedTuple keeps each string annotation as a ForwardRef.
-CSV_COLUMNS = IterationRecord._fields
-_COLUMN_TYPES = {c: IterationRecord.__annotations__[c].__forward_arg__ for c in CSV_COLUMNS}
+# k, the trace's scalar fields in order, then the x and x_trial vectors
+CSV_COLUMNS = ("k", *RunTrace.dtype.names, "x", "x_trial")
+EVENT_CSV_COLUMNS = ("order", "acc", "work", "phase")
 
 
-def _fmt(col: str, value) -> str:
-    kind = _COLUMN_TYPES[col]
-    if kind == "Vector":
-        return ";".join(repr(float(v)) for v in value)
-    if kind == "bool":
-        return "1" if value else "0"
-    if kind == "int":
-        return str(int(value))
-    return repr(float(value))
+def _cells(column: np.ndarray) -> list:
+    """The CSV cells of a column: bools as 0/1, numbers as Python ints and
+    floats (written with ``repr``), each row of a (k, n) block ';'-joined."""
+    if column.ndim == 2:
+        return [";".join(map(repr, row)) for row in column.tolist()]
+    return (column.astype(np.uint8) if column.dtype == bool else column).tolist()
 
 
-def _parse(col: str, text: str):
-    kind = _COLUMN_TYPES[col]
-    if kind == "Vector":
-        v = np.array([float(t) for t in text.split(";")])
-        v.flags.writeable = False
-        return v
-    if kind == "bool":
-        return text == "1"
-    if kind == "int":
-        return int(text)
-    return float(text)
-
-
-def write_history_csv(path, history) -> None:
+def _write_csv(path, header, columns) -> None:
+    """One CSV row per entry of the equal-length arrays ``columns``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for rec in history:
-            writer.writerow([_fmt(c, getattr(rec, c)) for c in CSV_COLUMNS])
+        writer.writerow(header)
+        writer.writerows(zip(*map(_cells, columns)))
+
+
+def _floats(text: str) -> list[float]:
+    return [float(t) for t in text.split(";")]
+
+
+def _read_csv(path, header, parsers) -> list[list]:
+    """The columns of a CSV with ``header``, each cell read by its column's
+    parser; a cell it refuses is named by row (from 0) and column."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != header:
+            raise ValueError("unexpected CSV schema")
+        rows = list(reader)
+    columns = [[] for _ in header]
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValueError(f"row {i} has {len(row)} cells, expected {len(header)}")
+        for name, parse, column, text in zip(header, parsers, columns, row):
+            try:
+                column.append(parse(text))
+            except ValueError:
+                raise ValueError(f"row {i}: unexpected {name} cell {text!r}") from None
+    return columns
+
+
+def write_history_csv(path, history: RunTrace) -> None:
+    _write_csv(path, CSV_COLUMNS, [np.arange(len(history)),
+                                   *map(history.column, RunTrace.dtype.names),
+                                   history.x, history.x_trial])
 
 
 def read_history_csv(path) -> RunTrace:
-    """The trace a history CSV holds; its start point is the first row's x."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != CSV_COLUMNS:
-            raise ValueError("unexpected CSV schema")
-        records = [IterationRecord(**{c: _parse(c, t) for c, t in zip(CSV_COLUMNS, row)})
-                   for row in reader]
-    x0 = records[0].x if records else np.empty(0)
-    return RunTrace.from_records(x0, records)
-
-
-EVENT_CSV_COLUMNS = ("order", "acc", "work", "phase")
+    """The trace a history CSV holds; its start point is the first row's x.
+    Each row's k must be its index and its x must follow from the rows
+    before it."""
+    parse = {"f": float, "i": int, "b": ("0", "1").index}
+    parsers = [int, *(parse[RunTrace.dtype[f].kind] for f in RunTrace.dtype.names),
+               _floats, _floats]
+    k, *fields, x, x_trial = _read_csv(path, CSV_COLUMNS, parsers)
+    n = len(x[0]) if x else 0
+    for i, (u, v) in enumerate(zip(x, x_trial)):
+        if not len(u) == len(v) == n:
+            raise ValueError(f"row {i}: x and x_trial must hold {n} entries each")
+    x = np.array(x, dtype=float).reshape(len(k), n)
+    x0 = x[0].copy() if len(k) else np.empty(0)
+    x0.flags.writeable = False
+    trace = RunTrace(x0, np.rec.fromarrays(fields, dtype=RunTrace.dtype).tobytes(), x_trial)
+    bad = (np.array(k) != np.arange(len(k))) | (x != trace.x).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"record {k[i]} at row {i} does not follow from the rows before it")
+    return trace
 
 
 def write_events_csv(path, ledger: EvalLedger) -> None:
     """One row per oracle call: order (0 = objective), requested accuracy,
     work and the phase's name."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVENT_CSV_COLUMNS)
-        for e in ledger.entries:
-            writer.writerow([e.order, repr(e.acc), repr(e.work), PHASES[e.phase]])
+    _write_csv(path, EVENT_CSV_COLUMNS, [*map(ledger.column, EVENT_CSV_COLUMNS[:3]),
+                                         np.array(PHASES)[ledger.column("phase")]])
 
 
 def read_events_csv(path) -> EvalLedger:
-    ledger = EvalLedger()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if tuple(next(reader)) != EVENT_CSV_COLUMNS:
-            raise ValueError("unexpected CSV schema")
-        for order, acc, work, phase in reader:
-            if order not in ("0", "1", "2", "3") or phase not in PHASES:
-                raise ValueError(f"unexpected event row {[order, acc, work, phase]}")
-            ledger.phase = PHASES.index(phase)
-            ledger.record(int(order), float(acc), float(work))
-    return ledger
+    parsers = [("0", "1", "2", "3").index, float, float, PHASES.index]
+    columns = _read_csv(path, EVENT_CSV_COLUMNS, parsers)
+    return EvalLedger(np.rec.fromarrays(columns, dtype=EvalLedger.dtype).tobytes())
 
 
 def summary_dict(result: RunResult, audit: AuditReport | None = None,
@@ -266,10 +274,6 @@ def eps_scaling_study(problem_name: str, q: int, eps_grid, policy: str = "advers
                        excluded=excluded)
 
 
-def sweep_rows_table(res: SweepResult) -> list[dict]:
-    return [dataclasses.asdict(r) for r in res.rows]
-
-
 SWEEP_CSV_COLUMNS = ("eps", "seed", "terminated", "iterations", "n_f",
                      "n_deriv", "total_evals")
 
@@ -330,8 +334,8 @@ def cost_savings_report(spec: RunSpec, cost_model: str = "inverse") -> CompareRe
     cost = COST_MODELS[cost_model]
     dyn_result, _, _, _ = execute_run(spec, write=False)
     ledger = dyn_result.eval_ledger
-    tight_f = ledger.min_acc("f")
-    tight_d = ledger.min_acc("deriv")
+    tight_f = ledger.min_acc((0,))
+    tight_d = ledger.min_acc((1, 2, 3))
     if not math.isfinite(tight_d):
         tight_d = min(dyn_result.cfg.zeta0)
     if not math.isfinite(tight_f):
@@ -344,8 +348,8 @@ def cost_savings_report(spec: RunSpec, cost_model: str = "inverse") -> CompareRe
     fl = fixed_result.eval_ledger
 
     return CompareReport(
-        dynamic_cost_f=ledger.total_cost(cost, "f"),
-        dynamic_cost_d=ledger.total_cost(cost, "deriv"),
+        dynamic_cost_f=ledger.total_cost(cost, (0,)),
+        dynamic_cost_d=ledger.total_cost(cost, (1, 2, 3)),
         fixed_cost_f=fl.n_f * cost(tight_f),
         fixed_cost_d=fl.n_deriv() * cost(tight_d),
         dynamic_calls=len(ledger),

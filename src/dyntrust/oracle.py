@@ -19,8 +19,9 @@ from __future__ import annotations
 import math
 import struct
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -99,53 +100,60 @@ PHASES = ("termination", "step", "objective")
 PHASE_TERMINATION, PHASE_STEP, PHASE_OBJECTIVE = range(len(PHASES))
 
 
-class LedgerEntry(NamedTuple):
-    """One row of the event table."""
+class Table:
+    """An append-only table of fixed-width rows packed into one byte array.
 
-    order: int         # derivative order; 0 for objective values
-    acc: float         # requested absolute accuracy
-    work: float        # fraction of a full evaluation (subsampling < 1)
-    phase: int         # index into PHASES
-
-    @property
-    def kind(self) -> str:
-        return "deriv" if self.order else "f"
-
-
-# One packed row per oracle call, read back as a numpy structured array
-_EVENT = struct.Struct("<bddb")
-_EVENT_DTYPE = np.dtype([("order", "<i1"), ("acc", "<f8"), ("work", "<f8"),
-                         ("phase", "<i1")])
-
-
-class EvalLedger:
-    """Append-only event table of oracle calls: one row per call holding its
-    order, requested accuracy, work and phase.
-
-    Rows are packed into one byte array, so a call costs 18 bytes and no
-    Python object; :meth:`column` reads one typed column, and ``entries``
-    rebuilds the rows as :class:`LedgerEntry` tuples.
-    ``phase`` is the index into :data:`PHASES` that the next call is logged
-    under; ``run`` sets it before each phase of an iteration.
+    A subclass declares its scalar fields once, as ``FIELDS``: a numpy dtype
+    field list whose type codes ("d", "q", "b", "?") are also ``struct``
+    codes, so :attr:`dtype` and the packing :attr:`row` agree byte for byte.
+    A row costs its packed size and no Python object.  :meth:`column` is a
+    read-only view of one typed column; while a view is alive the table
+    cannot grow (``BufferError``).
     """
 
-    def __init__(self):
-        self._events = array("B")
-        self.counts = [0, 0, 0, 0]  # calls per order, 0 = objective
+    def __init_subclass__(cls):
+        cls.dtype = np.dtype(cls.FIELDS)
+        cls.row = struct.Struct("=" + "".join(code for _, code in cls.FIELDS))
+
+    def __init__(self, rows: bytes = b""):
+        """A table holding ``rows``: the bytes of an array of :attr:`dtype`."""
+        self._rows = array("B", rows)
+
+    def column(self, name: str) -> np.ndarray:
+        """The read-only column of field ``name``, in row order."""
+        table = np.frombuffer(self._rows, dtype=self.dtype)
+        table.flags.writeable = False
+        return table[name]
+
+    def __len__(self) -> int:
+        return len(self._rows) // self.row.size
+
+
+class EvalLedger(Table):
+    """Event table of oracle calls: one 18-byte row per call.
+
+    ``phase`` is the index into :data:`PHASES` that the next call is logged
+    under; ``run`` sets it before each phase of an iteration.  ``entries``
+    rebuilds the rows as :class:`LedgerEntry` tuples.
+    """
+
+    FIELDS = [("order", "b"),   # derivative order; 0 for objective values
+              ("acc", "d"),     # requested absolute accuracy
+              ("work", "d"),    # fraction of a full evaluation (subsampling < 1)
+              ("phase", "b")]   # index into PHASES
+
+    def __init__(self, rows: bytes = b""):
+        super().__init__(rows)
+        self.counts = np.bincount(self.column("order"), minlength=4).tolist()  # per order
         self.phase = PHASE_TERMINATION
 
     def record(self, order: int, acc: float, work: float = 1.0):
-        self._events.frombytes(_EVENT.pack(order, acc, work, self.phase))
+        self._rows.frombytes(self.row.pack(order, acc, work, self.phase))
         self.counts[order] += 1
 
     @property
     def entries(self) -> list[LedgerEntry]:
-        return list(map(LedgerEntry._make, _EVENT.iter_unpack(self._events)))
-
-    def column(self, name: str) -> np.ndarray:
-        """Column ``name`` ("order", "acc", "work" or "phase") in call order:
-        a copy, since the table cannot grow while a view of it is alive."""
-        return np.frombuffer(self._events, dtype=_EVENT_DTYPE)[name].copy()
+        return list(map(LedgerEntry._make, self.row.iter_unpack(self._rows)))
 
     @property
     def n_f(self) -> int:
@@ -160,32 +168,28 @@ class EvalLedger:
         """Evaluation rounds: the most-often refreshed order dominates."""
         return max(self.counts[1:])
 
-    def _accs(self, kind: str | None, order: int | None = None) -> np.ndarray:
-        """The requested accuracies of the calls of ``kind`` ("f", "deriv",
-        or None for all) and derivative ``order``, in call order."""
-        accs = self.column("acc")
-        if kind is None:
-            return accs
-        orders = self.column("order")
-        if kind == "f":
-            return accs[orders == 0]
-        return accs[orders > 0 if order is None else orders == order]
+    def accs(self, orders=(0, 1, 2, 3)) -> np.ndarray:
+        """The requested accuracies of the calls of ``orders`` (0 for
+        objective values), in call order."""
+        return self.column("acc")[np.isin(self.column("order"), orders)]
 
-    def min_acc(self, kind: str, order: int | None = None) -> float:
-        accs = self._accs(kind, order)
+    def min_acc(self, orders) -> float:
+        """The tightest positive accuracy requested at ``orders``."""
+        accs = self.accs(orders)
         accs = accs[accs > 0]
         return float(accs.min()) if accs.size else math.inf
 
-    def total_cost(self, cost: Callable[[float], float], kind: str | None = None) -> float:
-        return sum(map(cost, self._accs(kind).tolist()))
+    def total_cost(self, cost: Callable[[float], float], orders=(0, 1, 2, 3)) -> float:
+        return sum(map(cost, self.accs(orders).tolist()))
 
     def counts_by_phase(self) -> np.ndarray:
         """Calls per phase (rows, as in PHASES) and order (columns, 0..3)."""
         cells = self.column("phase").astype(np.intp) * 4 + self.column("order")
         return np.bincount(cells, minlength=4 * len(PHASES)).reshape(len(PHASES), 4)
 
-    def __len__(self):
-        return len(self._events) // _EVENT.size
+
+# One row of the event table
+LedgerEntry = namedtuple("LedgerEntry", EvalLedger.dtype.names)
 
 
 # Reporting-only cost models; they never influence the algorithm.

@@ -228,7 +228,7 @@ def test_criterion_6_radius_iteration_and_evaluation_bounds(corpus):
 
 def test_criterion_9_accuracy_floor(corpus):
     bad = [c.spec.run_key() for c in corpus if not c.audit.checks["zeta_floor"].ok]
-    lowest = min(c.result.eval_ledger.min_acc("deriv") for c in corpus)
+    lowest = min(c.result.eval_ledger.min_acc((1, 2, 3)) for c in corpus)
     report("criterion 9 (no inordinate accuracy requested)", not bad,
            f"{len(corpus)} runs, lowest requested accuracy {lowest:.2e}, "
            f"{len(bad)} violations")

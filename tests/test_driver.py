@@ -166,9 +166,9 @@ def test_first_f_evaluation_happens_after_first_derivative():
     p = make_problem("quadratic", dim=2, cond=5)
     o = InexactOracle(p, policy="none", seed=0)
     res = run(o, TrConfig.with_defaults((1e-3,)))
-    kinds = [e.kind for e in res.eval_ledger.entries]
-    assert kinds[0] == "deriv"
-    assert "f" in kinds
+    orders = [e.order for e in res.eval_ledger.entries]
+    assert orders[0] > 0
+    assert 0 in orders
 
 
 def test_objective_value_reuse_rule():
@@ -350,6 +350,18 @@ def test_audit_order3_checks_termination_at_every_order():
     assert "phi_3=" in report.checks["termination_soundness"].detail
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known defect, ROADMAP open item 2 and the CHANGES.md FOUND line on "
+    "optimality._max_cubic_on_ball: the order-3 ascent misses an interior "
+    "maximum, so the run terminates at a point that is not a third-order minimizer"))
+def test_audit_rosenbrock_q3_terminates_at_a_third_order_minimizer():
+    p = make_problem("rosenbrock")
+    res = run(InexactOracle(p, policy="none"), TrConfig.with_defaults((1e-2,) * 3))
+    assert res.terminated
+    report = check_history(res, p)
+    assert report.ok, report.violations
+
+
 def test_audit_accuracy_floor_skips_exact_orders():
     # exact orders request zeta = 0 by design; the floor covers the rest
     p = make_problem("quadratic", dim=2, cond=10)
@@ -365,9 +377,12 @@ def test_audit_flags_a_step_beyond_the_radius():
     p = make_problem("quadratic", dim=2, cond=10)
     res = run(InexactOracle(p, policy="adversarial", seed=0), TrConfig.with_defaults((1e-3,)))
     assert check_history(res, p).checks["step_within_radius"].ok
-    records = list(res.history)
-    records[3] = records[3]._replace(step_norm=records[3].Delta * (1 + 1e-10))
-    moved = dataclasses.replace(res, history=RunTrace.from_records(res.x0, records))
+    trace = res.history
+    table = np.rec.fromarrays([trace.column(f) for f in RunTrace.dtype.names],
+                              dtype=RunTrace.dtype)
+    table.step_norm[3] = table.Delta[3] * (1 + 1e-10)
+    moved = dataclasses.replace(res, history=RunTrace(res.x0, table.tobytes(), trace.x_trial))
+    assert len(moved.history) == len(trace) and moved.history[3].step_norm > trace[3].step_norm
     check = check_history(moved, p).checks["step_within_radius"]
     assert not check.ok, check.detail
 

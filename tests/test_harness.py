@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -8,10 +9,10 @@ import pytest
 from checkers import assert_records_equal
 from dyntrust.cli import EXIT_AUDIT, EXIT_CAP, EXIT_CONFIG, EXIT_OK, main
 from dyntrust.driver import ConfigError, RunTrace
-from dyntrust.harness import (RunSpec, cost_savings_report, eps_scaling_study,
-                              execute_run, parse_config_file, parse_eps_grid,
-                              read_events_csv, read_history_csv, write_events_csv,
-                              write_history_csv)
+from dyntrust.harness import (CSV_COLUMNS, EVENT_CSV_COLUMNS, RunSpec,
+                              cost_savings_report, eps_scaling_study, execute_run,
+                              parse_config_file, parse_eps_grid, read_events_csv,
+                              read_history_csv, write_events_csv, write_history_csv)
 from dyntrust.oracle import PHASES
 
 
@@ -34,19 +35,60 @@ def test_csv_round_trip(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+def _rewrite_csv(src, dst, edit):
+    """Copy the CSV ``src`` to ``dst``, passing its data rows through ``edit``."""
+    with open(src, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    with open(dst, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *edit(rows)])
+
+
 def test_csv_reader_refuses_rows_that_do_not_follow(tmp_path):
     # x is derived from the rows before it, so a CSV whose x disagrees with
     # the previous accepted x_trial, or whose k skips, is not a trace
     spec = RunSpec(problem="rosenbrock", eps=(1e-2,), policy="adversarial", seed=2)
     result, _, _, _ = execute_run(spec, write=False)
-    records = list(result.history)
-    bad_x = records[:5] + [records[5]._replace(x=records[5].x + 1.0)]
-    bad_k = records[:5] + [records[6]]
-    for rows in (bad_x, bad_k):
-        path = tmp_path / "bad.csv"
-        write_history_csv(path, rows)
-        with pytest.raises(ValueError, match="does not follow from the rows before it"):
-            read_history_csv(path)
+    path = tmp_path / "hist.csv"
+    write_history_csv(path, result.history)
+    x = CSV_COLUMNS.index("x")
+
+    def bad_x(rows):
+        first, rest = rows[5][x].split(";", 1)
+        rows[5][x] = f"{float(first) + 1.0!r};{rest}"
+        return rows
+
+    for edit in (bad_x, lambda rows: rows[:5] + rows[6:]):  # the second skips k = 5
+        bad = tmp_path / "bad.csv"
+        _rewrite_csv(path, bad, edit)
+        with pytest.raises(ValueError, match="at row 5 does not follow from the rows before it"):
+            read_history_csv(bad)
+
+
+@pytest.mark.parametrize("column,text", [
+    ("successful", "2"), ("successful", "True"), ("f_recomputed", ""),
+    ("i_zeta", "2.5"), ("n_f", "x"), ("rho", "fast"), ("x_trial", "0.5;y")])
+def test_csv_reader_refuses_malformed_cells_by_row_and_column(tmp_path, column, text):
+    spec = RunSpec(problem="quadratic", problem_params={"dim": 2}, eps=(1e-3,),
+                   policy="adversarial", seed=0)
+    result, _, _, _ = execute_run(spec, write=False)
+    path = tmp_path / "hist.csv"
+    write_history_csv(path, result.history)
+
+    def edit(rows):
+        rows[3][CSV_COLUMNS.index(column)] = text
+        return rows
+
+    _rewrite_csv(path, path, edit)
+    with pytest.raises(ValueError, match=f"^row 3: unexpected {column} cell {text!r}$"):
+        read_history_csv(path)
+
+
+def test_csv_schemas_are_fixed():
+    assert CSV_COLUMNS == (
+        "k", "Delta", "delta", "j", "rho", "successful", "dT_s", "f_bar_old", "f_bar_new",
+        "i_zeta", "step2_tightens", "zeta_max_step2_entry", "step2_absolute",
+        "f_recomputed", "n_f", "n_d1", "n_d2", "n_d3", "step_norm", "x", "x_trial")
+    assert EVENT_CSV_COLUMNS == ("order", "acc", "work", "phase")
 
 
 def test_events_csv_round_trip(tmp_path):
@@ -64,9 +106,10 @@ def test_events_csv_round_trip(tmp_path):
     again = tmp_path / "again.csv"
     write_events_csv(again, parsed)
     assert again.read_bytes() == path.read_bytes()
-    for row in ("-1,0.1,1.0,step", "1,0.1,1.0,audit"):
+    for row, cell in (("-1,0.1,1.0,step", "order cell '-1'"),
+                      ("1,0.1,1.0,audit", "phase cell 'audit'")):
         again.write_text(f"order,acc,work,phase\n{row}\n")
-        with pytest.raises(ValueError, match="unexpected event row"):
+        with pytest.raises(ValueError, match=f"row 0: unexpected {cell}"):
             read_events_csv(again)
 
 

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from dyntrust.driver import TrConfig, run
+from dyntrust.driver import RunTrace, TrConfig, run
 from dyntrust.model import operator_norm, sym_tensor
 from dyntrust.oracle import EvalLedger, InexactOracle, NonFiniteEvaluation, Problem
 from dyntrust.problems import REGISTRY, make_problem
@@ -116,7 +116,7 @@ def test_ledger_completeness_and_counts():
     assert ledger.n_deriv() == 3
     assert ledger.n_deriv(1) == 2
     assert ledger.deriv_rounds() == 2
-    assert ledger.min_acc("deriv", 1) == 1e-4
+    assert ledger.min_acc((1,)) == 1e-4
 
 
 def test_event_table_matches_a_plain_list_reference(monkeypatch):
@@ -135,19 +135,44 @@ def test_event_table_matches_a_plain_list_reference(monkeypatch):
     res = run(InexactOracle(p, policy="subsample", seed=0), TrConfig.with_defaults((1e-3, 1e-3)))
     ledger = res.eval_ledger
     assert [tuple(e) for e in ledger.entries] == calls and len(ledger) == len(calls)
-    assert [e.kind for e in ledger.entries] == ["f" if c[0] == 0 else "deriv" for c in calls]
-    for kind, keep in (("f", lambda o: o == 0), ("deriv", lambda o: o > 0)):
-        accs = [a for o, a, _, _ in calls if keep(o) and a > 0]
-        assert ledger.min_acc(kind) == min(accs)
-        cost = [1.0 / a for o, a, _, _ in calls if keep(o)]
-        assert ledger.total_cost(lambda a: 1.0 / a, kind) == sum(cost)
-    assert ledger.min_acc("deriv", 2) == min(a for o, a, _, _ in calls if o == 2)
+    assert [e.order for e in ledger.entries] == [c[0] for c in calls]
+    for orders in ((0,), (1, 2, 3)):
+        accs = [a for o, a, _, _ in calls if o in orders and a > 0]
+        assert ledger.min_acc(orders) == min(accs)
+        cost = [1.0 / a for o, a, _, _ in calls if o in orders]
+        assert ledger.total_cost(lambda a: 1.0 / a, orders) == sum(cost)
+        assert ledger.accs(orders).tolist() == [a for o, a, _, _ in calls if o in orders]
+    assert ledger.min_acc((2,)) == min(a for o, a, _, _ in calls if o == 2)
     assert ledger.total_cost(math.log) == sum(math.log(a) for _, a, _, _ in calls)
     by_phase = np.zeros((3, 4), dtype=int)
     for o, _, _, phase in calls:
         by_phase[phase, o] += 1
     np.testing.assert_array_equal(ledger.counts_by_phase(), by_phase)
     assert ledger.counts == [sum(c[0] == o for c in calls) for o in range(4)]
+
+
+def test_tables_pack_rows_in_their_declared_layout():
+    # one packed row per append, read back through column() bit for bit,
+    # for both tables; every column is a read-only view of the row bytes
+    ledger = EvalLedger()
+    ledger.phase = 2
+    ledger.record(3, math.nextafter(0.1, 1.0), 2.0 ** -1074)
+    trace = RunTrace(np.zeros(2))
+    row = (0.5, -0.0, 2, -math.inf, True, 1e-300, math.pi, -math.e, 7,
+           2 ** 62, 5e-324, 0, False, 1, 2, 3, 4, math.nextafter(1.0, 0.0))
+    trace.append(row, np.array([1.0, -2.0]))
+    for table, values in ((ledger, (3, math.nextafter(0.1, 1.0), 2.0 ** -1074, 2)),
+                          (trace, row)):
+        assert table.row.size == table.dtype.itemsize
+        assert len(table) == 1
+        for name, value in zip(table.dtype.names, values):
+            col = table.column(name)
+            assert col.shape == (1,)
+            assert col.tobytes() == np.array([value], table.dtype[name]).tobytes(), name
+            assert type(col.tolist()[0]) is type(value), name
+            with pytest.raises(ValueError):
+                col[0] = 0
+    assert trace.x_trial.tolist() == [[1.0, -2.0]] and not trace.x_trial.flags.writeable
 
 
 def test_exact_order_set_returns_exact():
