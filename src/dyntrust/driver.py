@@ -357,11 +357,15 @@ def resolve_lipschitz(problem: Problem, result: RunResult, q: int) -> tuple:
             out.append((float(declared[order - 1]), "declared"))
         else:
             if box is None:
-                # every iterate: x0, each accepted trial point, and x_eps
+                # every iterate: x0, each accepted trial point, and x_eps,
+                # reduced in place over the trace's trial points
                 trace = result.history
-                pts = np.vstack((result.x0, trace.x_trial[trace.column("successful")],
-                                 result.x_eps))
-                box = pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5
+                ends = np.stack((result.x0, result.x_eps))
+                accepted = trace.column("successful")[:, None]
+                lo = np.min(trace.x_trial, axis=0, where=accepted, initial=np.inf)
+                hi = np.max(trace.x_trial, axis=0, where=accepted, initial=-np.inf)
+                box = (np.minimum(lo, ends.min(axis=0)) - 0.5,
+                       np.maximum(hi, ends.max(axis=0)) + 0.5)
             out.append((lipschitz_estimate(problem, box, order), sampled))
     return tuple(out)
 
@@ -383,6 +387,7 @@ def bounds_for_run(result: RunResult, problem: Problem,
 
 
 _REL_SLACK = 1.0 + 1e-9
+_AUDIT_BLOCK = 2048  # trial points per stacked exact_f call; bounds peak memory
 
 
 def check_history(result: RunResult, problem: Problem,
@@ -408,11 +413,15 @@ def check_history(result: RunResult, problem: Problem,
     n_success = trace.n_success
     f0 = problem.exact_f(result.x0)
 
-    # One replay against exact values, one f call per trial point; f at each
-    # x is f0 or the f of the accepted trial point it is.
-    # (a) exact decrease floor on successful iterations; (j) accuracy contracts.
+    # One replay against exact values, each trial point evaluated once, in
+    # stacked blocks; f at each x is f0 or the f of the accepted trial point
+    # it is.  (a) exact decrease floor on successful iterations; (j) accuracy
+    # contracts.
     floor = (cfg.eta1 - 2 * cfg.omega) * bc.kappa_delta ** (q + 1) * eps_min ** (q + 1) / factorial(q)
-    f_trial = np.array([problem.exact_f(x) for x in trace.x_trial], dtype=float)
+    x_trial = trace.x_trial
+    f_trial = np.empty(n_iter)
+    for start in range(0, n_iter, _AUDIT_BLOCK):
+        f_trial[start:start + _AUDIT_BLOCK] = problem.exact_f(x_trial[start:start + _AUDIT_BLOCK])
     src = trace.prev_success()
     f_x = np.where(src < 0, f0, f_trial[src])
     budget = cfg.omega * trace.column("dT_s")
@@ -483,16 +492,18 @@ def check_history(result: RunResult, problem: Problem,
         absolutes == 0, f"{absolutes} absolute outcomes in step certification")
 
     # (i) step-loop tightenings within the guaranteed cap, worked out once per
-    # distinct (order, entry accuracy) pair
-    js = trace.column("j").tolist()
-    entry = trace.column("zeta_max_step2_entry").tolist()
-    caps = {}
-    for j, z in set(zip(js, entry)):
+    # distinct entry accuracy of each order
+    js = trace.column("j")
+    cap_bad = 0
+    for j in range(1, q + 1):
+        rows = js == j
+        entry, which = np.unique(trace.column("zeta_max_step2_entry")[rows],
+                                 return_inverse=True)
         stop_level = (cfg.omega * cfg.vartheta ** (j - 1) * cfg.eps[j - 1]
                       / (8 * factorial(j) * (1 + cfg.omega)))
-        caps[j, z] = allowed_tightenings(z, stop_level, cfg.gamma_zeta)
-    cap_bad = sum(t > caps[pair] for pair, t in
-                  zip(zip(js, entry), trace.column("step2_tightens").tolist()))
+        caps = np.array([allowed_tightenings(z, stop_level, cfg.gamma_zeta)
+                         for z in entry.tolist()], dtype=np.int64)
+        cap_bad += int(np.count_nonzero(trace.column("step2_tightens")[rows] > caps[which]))
     checks["step_tighten_cap"] = CheckResult(
         cap_bad == 0, f"{cap_bad} iterations exceeded the step tightening cap")
 

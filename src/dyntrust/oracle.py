@@ -9,9 +9,12 @@ policies); the bound always holds, and every call is logged in an
 :class:`EvalLedger`.
 
 Problem output enters the library here only, through ``Problem.exact_f`` and
-``Problem.exact_deriv`` (one point or a stack) and the subsampled estimates,
-and is checked once: finite values, and derivative arrays of exactly the shape
-``x.shape[:-1] + (n,) * order``.  :class:`NonFiniteEvaluation` names the point.
+``Problem.exact_deriv`` and the subsampled estimates, and is checked once.
+The exact doors take one point (n,) or a stack (..., n) of them and check
+that every value or entry is finite and that the output has exactly the shape
+``x.shape[:-1]`` (values; a float for one point) or ``x.shape[:-1] + (n,) *
+order`` (derivatives).  :class:`NonFiniteEvaluation` names the first bad
+point in stack order.
 """
 
 from __future__ import annotations
@@ -38,26 +41,51 @@ NOISE_FRACTION = 0.99
 class Problem:
     """An exactly evaluable test problem with certified metadata.
 
-    ``fun`` and ``deriv`` are the ground truth the oracles corrupt.
-    ``deriv(x, order)`` takes points ``x`` of shape (..., n) and returns the
-    symmetric order-``order`` derivative array of shape
-    ``x.shape[:-1] + (n,) * order``: one point (n,) or a stack (m, n) of
-    them, through the same code.  ``f_low`` is a global lower bound on the
-    objective; ``lipschitz[i-1]``, when known, is a Lipschitz constant for
-    the order-i derivative.
+    ``fun`` and ``deriv`` are the ground truth the oracles corrupt.  Both
+    take points ``x`` of shape (..., n): one point (n,) or a stack (m, n) of
+    them.  ``fun(x)`` returns the ``x.shape[:-1]`` objective values (a float
+    for one point), and ``deriv(x, order)`` the symmetric order-``order``
+    derivative arrays, of shape ``x.shape[:-1] + (n,) * order``.  Each row of
+    a stack gets its lone point's value bit for bit.  ``f_low`` is a global
+    lower bound on the objective; ``lipschitz[i-1]``, when known, is a
+    Lipschitz constant for the order-i derivative.
     """
 
     name: str
     dim: int
-    fun: Callable[[Vector], float]
+    fun: Callable[[np.ndarray], float | np.ndarray]
     deriv: Callable[[np.ndarray, int], np.ndarray]
     f_low: float
     x0: Vector
     lipschitz: tuple | None = None
     term_model: object | None = None  # subsampled finite-sum support, if any
 
-    def exact_f(self, x) -> float:
-        return self._checked_f(x, self.fun(np.asarray(x, dtype=float)))
+    def exact_f(self, x) -> float | np.ndarray:
+        """The objective at one point x (n,) as a float, or at each point of
+        a stack (..., n) as an array of x.shape[:-1] values, checked where
+        it enters the library."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            value = float(self.fun(x))
+            return value if math.isfinite(value) else self._checked_f(x, value)
+        shape = x.shape[:-1]
+        try:
+            values = self.fun(x)
+        except NonFiniteEvaluation:
+            raise
+        except (TypeError, ValueError, IndexError) as exc:  # a fun of one point only
+            raise ValueError(f"{self.name}: fun of points {x.shape} failed ({exc}); "
+                             f"expected values of shape {shape}") from exc
+        values = np.asarray(values, dtype=float)
+        if values.shape != shape:
+            raise ValueError(f"{self.name}: fun of points {x.shape} has shape "
+                             f"{values.shape}, expected {shape}")
+        finite = np.isfinite(values)
+        if not finite.all():
+            i = np.argmin(finite.ravel())  # the first bad point, in stack order
+            raise NonFiniteEvaluation(f"objective value {values.flat[i]} at x = "
+                                      f"{x.reshape(-1, x.shape[-1])[i].tolist()} is not finite")
+        return values
 
     def exact_deriv(self, x, order: int) -> np.ndarray:
         """The order-``order`` derivative at one point x (n,), or at each

@@ -7,6 +7,7 @@ CLI-addressable names to factories; problem parameters are keyword arguments.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +18,16 @@ from .oracle import Problem
 
 def _coords(x):
     """The coordinates of points x (..., n): numpy scalars for one point, so
-    a lone point keeps scalar arithmetic (scalar ``**`` also rounds apart
-    from array ``**``), and arrays over the stack otherwise."""
+    a lone point keeps scalar arithmetic, and arrays over the stack otherwise."""
     return [x[..., i][()] for i in range(x.shape[-1])]
+
+
+def _power(x):
+    """The power function for the coordinates of points x (..., n): numpy
+    scalar ``**`` for one point, and over a stack ``np.float_power``, which
+    calls the same C ``pow`` per entry.  The array ``**`` loop rounds apart
+    from both (up to 1 ulp at exponents 2 to 4)."""
+    return operator.pow if x.ndim == 1 else np.float_power
 
 
 def _require(ok: bool, problem: str, param: str, rule: str, value) -> None:
@@ -37,7 +45,7 @@ def quadratic(dim: int = 2, cond: float = 10.0, x0=None) -> Problem:
     a_mat = np.diag(diag)
 
     def fun(x):
-        return 0.5 * float(x @ (diag * x))
+        return 0.5 * np.vecdot(x, diag * x)  # the dot product x @ (diag * x) takes
 
     def deriv(x, order):
         if order == 1:
@@ -56,7 +64,11 @@ def rosenbrock() -> Problem:
     """The 2-D Rosenbrock valley (1-x)^2 + 100 (y-x^2)^2."""
 
     def fun(x):
-        return float((1 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2)
+        if x.ndim == 1:  # numpy-scalar arithmetic: the solver's fast path
+            return float((1 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2)
+        u, v = _coords(x)
+        pw = _power(x)  # rounds as the lone point's scalar **
+        return pw(1 - u, 2) + 100.0 * pw(v - pw(u, 2), 2)
 
     def deriv(x, order):
         u, v = _coords(x)
@@ -81,17 +93,22 @@ def saddle_well() -> Problem:
     """Bounded saddle x^2 - y^2 + y^4/2: saddle at 0, minima at (0, +-1)."""
 
     def fun(x):
-        return float(x[0] ** 2 - x[1] ** 2 + 0.5 * x[1] ** 4)
+        if x.ndim == 1:  # numpy-scalar arithmetic: the solver's fast path
+            return float(x[0] ** 2 - x[1] ** 2 + 0.5 * x[1] ** 4)
+        u, v = _coords(x)
+        pw = _power(x)
+        return pw(u, 2) - pw(v, 2) + 0.5 * pw(v, 4)
 
     def deriv(x, order):
         u, v = _coords(x)
+        pw = _power(x)
         out = np.zeros(x.shape[:-1] + (2,) * order)
         if order == 1:
             out[..., 0] = 2 * u
-            out[..., 1] = -2 * v + 2 * v ** 3
+            out[..., 1] = -2 * v + 2 * pw(v, 3)
         elif order == 2:
             out[..., 0, 0] = 2.0
-            out[..., 1, 1] = -2.0 + 6.0 * v ** 2
+            out[..., 1, 1] = -2.0 + 6.0 * pw(v, 2)
         else:
             out[..., 1, 1, 1] = 12.0 * v
         return out
@@ -106,7 +123,7 @@ def quartic(dim: int = 3) -> Problem:
     diag = np.arange(dim)
 
     def fun(x):
-        return float(np.sum(0.25 * x ** 4 - 0.5 * x ** 2))
+        return np.sum(0.25 * x ** 4 - 0.5 * x ** 2, axis=-1)
 
     def deriv(x, order):
         if order == 1:
@@ -234,7 +251,9 @@ def finite_sum_logistic(dim: int = 4, terms: int = 64, lam: float = 0.1,
     tm = LogisticTermModel(a=a, b=b, lam=lam, order_by_size=order_by_size)
 
     def fun(x):
-        return float(np.mean(_softplus(a @ x + b)) + 0.5 * lam * float(x @ x))
+        # stacked products: each point goes through the gemv and dot a lone one uses
+        t = (a @ x[..., None])[..., 0] + b
+        return np.mean(_softplus(t), axis=-1) + 0.5 * lam * np.vecdot(x, x)
 
     def deriv(x, order):
         # stacked products: each point goes through the gemv a lone one uses

@@ -2,17 +2,21 @@
 differences against a problem's exact derivatives, the guarantees a
 ``verify`` outcome implies, checked at sampled displacements, the
 one-start-at-a-time form of the batched order-3 ascent, an accuracy
-ledger whose tightenings never lower a bound, and a field-by-field
-comparison of iteration records."""
+ledger whose tightenings never lower a bound, a field-by-field comparison
+of iteration records, and the one-point-at-a-time form of the audit's
+replay against exact values."""
 
+import math
 from dataclasses import dataclass, field
 from math import factorial
 
 import numpy as np
 
+from dyntrust.driver import _REL_SLACK, AuditReport, CheckResult, bounds_for_run
 from dyntrust.model import Bundle, as_vector, model_gradient, taylor_decrement
-from dyntrust.optimality import AccuracyLedger
+from dyntrust.optimality import AccuracyLedger, allowed_tightenings
 from dyntrust.oracle import Problem
+from dyntrust.reference import LIPSCHITZ_INFLATION, LIPSCHITZ_PAIRS, lipschitz_estimate
 from dyntrust.verify import VerifyOutcome, error_budget, verify
 
 
@@ -159,3 +163,50 @@ def assert_records_equal(got, want):
         a, b = getattr(got, name), getattr(want, name)
         assert type(a) is type(b), name
         np.testing.assert_array_equal(a, b, strict=True, err_msg=name)
+
+
+def pointwise_replay(result, problem: Problem, report: AuditReport) -> AuditReport:
+    """``report`` with the checks that replay the trace against exact values
+    redone one row at a time: one ``exact_f`` call per trial point, the
+    step tightening cap per row, and the sampled Lipschitz box over a copy
+    of every iterate.  ``check_history`` must give the same summary."""
+    cfg, trace = result.cfg, result.history
+    q, eps_min = cfg.q, min(cfg.eps)
+    pts = np.array([result.x0, *(r.x_trial for r in trace if r.successful), result.x_eps])
+    box = pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5
+    declared = problem.lipschitz or ()
+    sampled = f"sampled ({LIPSCHITZ_PAIRS:,} pairs x {LIPSCHITZ_INFLATION:g})"
+    lipschitz = tuple(
+        (float(declared[j - 1]), "declared")
+        if len(declared) >= j and declared[j - 1] is not None
+        else (lipschitz_estimate(problem, box, j), sampled) for j in range(1, q + 1))
+    bc, L_f = bounds_for_run(result, problem, lipschitz)
+
+    floor = (cfg.eta1 - 2 * cfg.omega) * bc.kappa_delta ** (q + 1) * eps_min ** (q + 1) / factorial(q)
+    f_x = problem.exact_f(result.x0)
+    decreases, gaps, acc_bad, cap_bad = [], [], 0, 0
+    for r in trace:
+        f_trial = problem.exact_f(r.x_trial)
+        budget = cfg.omega * r.dT_s
+        gap = max(abs(r.f_bar_old - f_x), abs(r.f_bar_new - f_trial))
+        gaps.append(gap - budget)
+        acc_bad += gap > budget * _REL_SLACK
+        stop_level = (cfg.omega * cfg.vartheta ** (r.j - 1) * cfg.eps[r.j - 1]
+                      / (8 * factorial(r.j) * (1 + cfg.omega)))
+        cap_bad += r.step2_tightens > allowed_tightenings(
+            r.zeta_max_step2_entry, stop_level, cfg.gamma_zeta)
+        if r.successful:
+            decreases.append(f_x - f_trial)
+            f_x = f_trial
+    worst = min(decreases, default=math.inf)
+    bad = sum(d * _REL_SLACK < floor for d in decreases)
+    checks = dict(report.checks)
+    checks["decrease_floor"] = CheckResult(
+        bad == 0, f"min exact decrease {worst:.3e} vs floor {floor:.3e} ({bad} violations)")
+    checks["step_tighten_cap"] = CheckResult(
+        cap_bad == 0, f"{cap_bad} iterations exceeded the step tightening cap")
+    checks["f_accuracy_contract"] = CheckResult(
+        acc_bad == 0,
+        f"{acc_bad} iterations broke the objective accuracy contract "
+        f"(worst overshoot {max([0.0, *gaps]):.3e})")
+    return AuditReport(checks=checks, bounds=bc, lipschitz_used=L_f, lipschitz_orders=lipschitz)

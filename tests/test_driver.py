@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from checkers import assert_records_equal
-from dyntrust import optimality
+from checkers import assert_records_equal, pointwise_replay
+from dyntrust import driver, optimality
 from dyntrust.driver import ConfigError, RunTrace, TrConfig, check_history, run
 from dyntrust.optimality import CertificationError
 from dyntrust.oracle import InexactOracle, NonFiniteEvaluation, Problem
@@ -471,7 +471,7 @@ def test_audit_evaluates_the_objective_once_per_trial_point():
     calls = []
 
     def fun(x):
-        calls.append(1)
+        calls.extend([1] * (x.size // x.shape[-1]))  # one per point of a stack
         return base.fun(x)
 
     p = Problem(name="counted_rosenbrock", dim=2, fun=fun, deriv=base.deriv,
@@ -492,13 +492,49 @@ def test_audit_refuses_a_nonfinite_exact_objective():
     target = res.history[len(res.history) // 2].x_trial
 
     def fun(x):
-        return math.nan if np.array_equal(x, target) else base.fun(x)
+        return np.where((x == target).all(axis=-1), math.nan, base.fun(x))
 
     p = dataclasses.replace(base, fun=fun)
     with pytest.raises(NonFiniteEvaluation,
                        match=re.escape(f"objective value nan at x = {target.tolist()} "
                                        "is not finite")):
         check_history(res, p)
+
+
+@pytest.mark.parametrize("case", ["zero_iterations", "over_two_blocks"])
+def test_blocked_audit_equals_a_pointwise_replay(case):
+    # the stacked blocks, the per-order cap table and the in-place Lipschitz
+    # box report what a one-point-at-a-time replay reports
+    p = make_problem("rosenbrock")  # sampled Lipschitz constants, over the box
+    if case == "zero_iterations":
+        res = run(InexactOracle(p, policy="none"), TrConfig.with_defaults((1e-2, 1e-2)),
+                  x0=[1.0, 1.0])
+        assert res.n_iterations == 0 and res.terminated
+    else:
+        res = run(InexactOracle(p, policy="adversarial", seed=1),
+                  TrConfig.with_defaults((1e-3,), max_iterations=2 * driver._AUDIT_BLOCK + 500))
+        assert res.n_iterations > 2 * driver._AUDIT_BLOCK
+    report = check_history(res, p)
+    assert report.summary() == pointwise_replay(res, p, report).summary()
+
+
+def test_audit_peak_memory_is_set_by_one_block():
+    # The replay's temporaries are one block of trial points at a time, so
+    # the audit's traced peak stays near one block however long the trace.
+    p = make_problem("quadratic", dim=100, cond=1e4)
+    res = run(InexactOracle(p, policy="adversarial", seed=1),
+              TrConfig.with_defaults((1e-4,), max_iterations=6 * driver._AUDIT_BLOCK))
+    assert res.n_iterations == 6 * driver._AUDIT_BLOCK
+    block_bytes = driver._AUDIT_BLOCK * p.dim * 8
+    gc.collect()
+    tracemalloc.start()
+    try:
+        check_history(res, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.history.x_trial.nbytes == 6 * block_bytes
+    assert peak <= 2 * block_bytes, peak
 
 
 def test_retained_memory_per_iteration_is_bounded():

@@ -315,17 +315,41 @@ def test_stacked_deriv_equals_single_points(name, order, data):
     assert stack.shape == (m,) + (p.dim,) * order
     np.testing.assert_array_equal(p.deriv(x.reshape(m, 1, p.dim), order)[:, 0], stack)
     for row, point in zip(stack, x):
-        single = p.exact_deriv(point, order)
-        if name == "saddle_well" and order == 1:
-            # The one exception is y**3: numpy-scalar pow for a lone point,
-            # the array power loop for a stack.  They round apart by up to
-            # 1 ulp, which -2y + 2y**3 carries into the result.
-            y = point[1]
-            np.testing.assert_array_max_ulp(np.array([y]) ** 3, np.array([y ** 3]), 1)
-            assert row[0] == single[0]
-            assert abs(row[1] - single[1]) <= np.spacing(2 * abs(y) ** 3) + np.spacing(abs(single[1]))
-        else:
-            np.testing.assert_array_equal(row, single, strict=True)
+        np.testing.assert_array_equal(row, p.exact_deriv(point, order), strict=True)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_stacked_objective_equals_single_points(name, data):
+    # fun maps (..., n) to x.shape[:-1] values through the same door as
+    # deriv; each row of a stack equals the lone-point float bit for bit
+    p = make_problem(name)
+    m = data.draw(st.integers(1, 6))
+    x = data.draw(arrays(float, (m, p.dim), elements=st.floats(-3, 3)))
+    stack = p.exact_f(x)
+    assert stack.shape == (m,) and stack.dtype == float
+    np.testing.assert_array_equal(p.exact_f(x.reshape(m, 1, p.dim))[:, 0], stack, strict=True)
+    singles = [p.exact_f(point) for point in x]
+    assert all(type(v) is float for v in singles)
+    np.testing.assert_array_equal(stack, np.array(singles), strict=True)
+
+
+def test_stacks_equal_single_points_on_a_fixed_sweep():
+    # 20,000 uniform points in [-3, 3]^n: the stacked objective and
+    # derivatives of every registered problem equal the lone-point ones
+    # bit for bit.  Enough draws to catch a stacked array ** where the
+    # lone point takes numpy-scalar ** (they round apart at y**2 in about
+    # 1 draw in 1,000)
+    rng = np.random.default_rng(0)
+    for name in sorted(REGISTRY):
+        p = make_problem(name)
+        x = rng.uniform(-3.0, 3.0, (20_000, p.dim))
+        singles = np.array([p.exact_f(point) for point in x])
+        assert p.exact_f(x).tobytes() == singles.tobytes(), name
+        for order in (1, 2, 3):
+            singles = np.array([p.exact_deriv(point, order) for point in x])
+            assert p.exact_deriv(x, order).tobytes() == singles.tobytes(), (name, order)
 
 
 def test_problem_lower_bound_on_samples():
@@ -483,6 +507,43 @@ def test_exact_deriv_checks_a_point_or_a_stack():
     with pytest.raises(ValueError, match=r"one_point_only: deriv of points \(64, 2\) "
                                          r"has shape \(2, 2\), expected \(64, 2\)"):
         one_point.exact_deriv(pts, 1)
+
+
+def test_exact_f_checks_a_point_or_a_stack():
+    # one checked door for values too: a stack (..., n) gets x.shape[:-1]
+    # finite values, and the first non-finite point in stack order is named
+    def fun(x):
+        return np.where(x[..., 0] < 0.0, math.nan, np.sum(x * x, axis=-1))
+
+    p = Problem(name="nan_left_of_0", dim=2, fun=fun, deriv=None, f_low=0.0, x0=np.ones(2))
+    pts = np.random.default_rng(4).uniform(-1.0, 1.0, (64, 2))
+    first = pts[np.argmax(pts[:, 0] < 0.0)]
+    assert pts[0, 0] >= 0.0  # the named point is not simply the first one
+    for stack in (pts, pts.reshape(8, 8, 2), pts[:, None, :]):
+        with pytest.raises(NonFiniteEvaluation,
+                           match=re.escape(f"objective value nan at x = {first.tolist()} "
+                                           "is not finite")):
+            p.exact_f(stack)
+    with pytest.raises(NonFiniteEvaluation,
+                       match=re.escape(f"objective value nan at x = {first.tolist()}")):
+        p.exact_f(first)
+    good = pts[pts[:, 0] >= 0.0]
+    np.testing.assert_array_equal(p.exact_f(good), np.sum(good * good, axis=-1))
+    assert p.exact_f(np.empty((0, 2))).shape == (0,)
+
+    one_point = Problem(name="one_point_only", dim=2, fun=lambda x: float(x @ x),
+                        deriv=None, f_low=0.0, x0=np.ones(2))
+    assert one_point.exact_f(np.ones(2)) == 2.0
+    for stack in (pts, pts[:2]):  # matmul refuses the first, float() the second
+        with pytest.raises(ValueError, match=re.escape(
+                f"one_point_only: fun of points {stack.shape} failed (") + r".*\); "
+                + re.escape(f"expected values of shape {stack.shape[:-1]}")):
+            one_point.exact_f(stack)
+    scalar = Problem(name="scalar_only", dim=2, fun=lambda x: 3.0, deriv=None,
+                     f_low=3.0, x0=np.ones(2))
+    with pytest.raises(ValueError, match=re.escape(
+            "scalar_only: fun of points (64, 2) has shape (), expected (64,)")):
+        scalar.exact_f(pts)
 
 
 def test_nonfinite_derivative_built_with_sym_tensor_names_order_and_point():
