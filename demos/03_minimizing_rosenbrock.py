@@ -26,12 +26,14 @@ print(f"objective evaluations: {result.eval_ledger.n_f}, "
 
 print("\nfirst iterations (rows of the run's trace):")
 print("  k   Delta     j  rho      accepted")
-for rec in result.history[:8]:
-    print(f"  {rec.k:<3} {rec.Delta:<9.3g} {rec.j}  {rec.rho:<8.3f} {rec.successful}")
-
 # the trace keeps each field as a typed column; the oracle log is an event
 # table of the same kind, each call tagged with the phase that issued it
-steps = result.history.column("step_norm") / result.history.column("Delta")
+trace = result.history
+first = zip(*(trace.column(name)[:8].tolist() for name in ("Delta", "j", "rho", "successful")))
+for k, (Delta, j, rho, accepted) in enumerate(first):
+    print(f"  {k:<3} {Delta:<9.3g} {j}  {rho:<8.3f} {accepted}")
+
+steps = trace.column("step_norm") / trace.column("Delta")
 print(f"\nmedian |s|/Delta over {len(steps)} iterations: {np.median(steps):.3f}")
 print("evaluations by phase (objective, order 1, order 2, order 3):")
 for phase, row in zip(PHASES, result.eval_ledger.counts_by_phase().tolist()):

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
-from .driver import ConfigError, check_history
+from .driver import ConfigError, bounds_for_run, check_history
 from .harness import (RunSpec, cost_savings_report, eps_scaling_study,
                       execute_run, parse_config_file, parse_eps_grid,
                       parse_number, seed_sweep, summary_dict,
@@ -110,7 +109,12 @@ def _spec_from_args(args) -> RunSpec:
 
 def _cmd_run(args) -> int:
     spec = _spec_from_args(args)
-    result, _, _, paths = execute_run(spec, write=True, with_bounds=True)
+    result, problem, _, paths = execute_run(spec)
+    bounds = lipschitz = None
+    if result.history:
+        bounds, lipschitz = bounds_for_run(result, problem)
+    write_summary_json(paths["summary"],
+                       summary_dict(result, bounds=bounds, lipschitz=lipschitz))
     print(f"terminated={result.terminated} iterations={result.n_iterations} "
           f"x_eps={[round(float(v), 6) for v in result.x_eps]} "
           f"n_f={result.eval_ledger.n_f} n_deriv={result.eval_ledger.n_deriv()}")
@@ -121,14 +125,16 @@ def _cmd_run(args) -> int:
 
 def _cmd_audit(args) -> int:
     spec = _spec_from_args(args)
-    result, problem, _, paths = execute_run(spec, write=True)
-    if not result.terminated:
+    result, problem, _, paths = execute_run(spec)
+    report = None
+    if result.terminated:
+        report = check_history(result, problem)
+        print(report.summary())
+    else:
         print("run hit the iteration cap; audit skipped")
+    write_summary_json(paths["summary"], summary_dict(result, audit=report))
+    if report is None:
         return EXIT_CAP
-    report = check_history(result, problem)
-    print(report.summary())
-    summary = summary_dict(result, audit=report)
-    write_summary_json(paths["summary"], summary)
     return EXIT_OK if report.ok else EXIT_AUDIT
 
 
@@ -136,35 +142,35 @@ def _cmd_sweep(args) -> int:
     spec = _spec_from_args(args)
     grid = parse_eps_grid(args.eps_grid)
     q = args.q or len(spec.eps)
-    out = spec.output_dir()
     seeds = tuple(range(args.seeds))
     if len(grid) == 1:
         # seed sweep at one fixed accuracy: rows only, no slope to fit
+        res = None
         rows = seed_sweep(spec.problem, q, grid[0], spec.policy, seeds,
                           problem_params=spec.problem_params,
                           cfg_overrides=spec.cfg_overrides)
-        csv_path = out / f"sweep_{spec.problem}_q{q}.csv"
-        write_sweep_csv(csv_path, rows)
         done = sum(r.terminated for r in rows)
         print(f"seed sweep: {done}/{len(rows)} terminated")
-        print(f"rows: {csv_path}")
-        return EXIT_OK if done else EXIT_CAP
-    res = eps_scaling_study(spec.problem, q, grid, policy=spec.policy, seeds=seeds,
-                            problem_params=spec.problem_params,
-                            cfg_overrides=spec.cfg_overrides)
-    csv_path = out / f"sweep_{spec.problem}_q{q}.csv"
-    write_sweep_csv(csv_path, res.rows)
-    summary_path = out / f"sweep_{spec.problem}_q{q}.json"
-    with open(summary_path, "w") as fh:
-        json.dump({"rows": [dataclasses.asdict(r) for r in res.rows], "slope": res.slope,
-                   "slope_limit": res.slope_limit, "passed": res.passed,
-                   "excluded_non_terminated": res.excluded}, fh, indent=2)
-    print(f"slope={res.slope:.3f} limit={res.slope_limit:.2f} "
-          f"{'PASS' if res.passed else 'FAIL'} rows={len(res.rows)} "
-          f"excluded={res.excluded}")
+    else:
+        res = eps_scaling_study(spec.problem, q, grid, policy=spec.policy, seeds=seeds,
+                                problem_params=spec.problem_params,
+                                cfg_overrides=spec.cfg_overrides)
+        rows = res.rows
+        print(f"slope={res.slope:.3f} limit={res.slope_limit:.2f} "
+              f"{'PASS' if res.passed else 'FAIL'} rows={len(rows)} "
+              f"excluded={res.excluded}")
+    csv_path = spec.output_dir() / f"sweep_{spec.problem}_q{q}.csv"
+    write_sweep_csv(csv_path, rows)
     print(f"rows: {csv_path}")
+    if res is None:
+        return EXIT_OK if done else EXIT_CAP
+    summary_path = csv_path.with_suffix(".json")
+    write_summary_json(summary_path, {
+        "rows": [dataclasses.asdict(r) for r in rows], "slope": res.slope,
+        "slope_limit": res.slope_limit, "passed": res.passed,
+        "excluded_non_terminated": res.excluded})
     print(f"summary: {summary_path}")
-    if res.excluded and res.excluded == len(res.rows):
+    if res.excluded and res.excluded == len(rows):
         return EXIT_CAP
     return EXIT_OK if res.passed else EXIT_AUDIT
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import namedtuple
-from collections.abc import Sequence
 from dataclasses import dataclass
 from math import factorial
 
@@ -112,7 +110,7 @@ class TrConfig:
         return cls(eps=tuple(eps) if np.iterable(eps) else (eps,), **overrides)
 
 
-class RunTrace(Table, Sequence):
+class RunTrace(Table):
     """A run's per-iteration table.
 
     Each iteration's scalar fields are one packed row (:meth:`column` reads
@@ -120,11 +118,9 @@ class RunTrace(Table, Sequence):
     (:attr:`x_trial`).  Both are ``array.array`` buffers that grow in place
     by about 1/16 when full, with no Python object per iteration.  ``x`` is
     not stored: it is ``x0`` or the ``x_trial`` of the last successful
-    iteration before (:meth:`prev_success`).
-
-    Indexing, slicing and iteration give :class:`IterationRecord` rows whose
-    ``x`` and ``x_trial`` are read-only views.  While a view is alive the
-    trace cannot grow, so only ``run`` appends, and it makes no views.
+    iteration before (:meth:`prev_success`).  While a column or ``x_trial``
+    view is alive the trace cannot grow, so only ``run`` appends, and it
+    makes no views.
     """
 
     FIELDS = [("Delta", "d"), ("delta", "d"), ("j", "q"), ("rho", "d"), ("successful", "?"),
@@ -170,28 +166,6 @@ class RunTrace(Table, Sequence):
         last = np.maximum.accumulate(np.where(succ, np.arange(len(succ)), -1))
         return np.concatenate(([-1], last))[:len(succ)]
 
-    def __getitem__(self, key):
-        ks = range(len(self))[key]  # a list's index rules
-        if isinstance(ks, range):
-            return list(self._records(ks))
-        return next(self._records((ks,)))
-
-    def __iter__(self):
-        return self._records(range(len(self)))
-
-    def _records(self, ks):
-        src = self.prev_success()
-        x_trial = self.x_trial
-        for k in ks:
-            i = src[k]
-            yield IterationRecord(k, *self.row.unpack_from(self._rows, k * self.row.size),
-                                  self.x0 if i < 0 else x_trial[i], x_trial[k])
-
-
-# One iteration of a run: its row index k, the trace's scalar fields, the
-# point x it started from and its trial point x_trial (both read-only)
-IterationRecord = namedtuple("IterationRecord", ("k", *RunTrace.dtype.names, "x", "x_trial"))
-
 
 @dataclass
 class RunResult:
@@ -223,7 +197,9 @@ def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
     cap trips, which is reported, not raised).
 
     A broken certification guarantee raises :class:`CertificationError`
-    naming the iteration.
+    naming the iteration.  ``sink``, if given, is called once per iteration
+    with the row appended to the trace: its scalar fields, in
+    :attr:`RunTrace.dtype` order.
 
     After a rejected step the certified optimality displacement is reused
     (skipping the termination test) exactly when the shrunken radius still
@@ -294,7 +270,7 @@ def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
                recomputed, counts[0], counts[1], counts[2], counts[3], vector_norm(sres.s))
         history.append(row, x_trial)
         if sink is not None:
-            sink(IterationRecord(k, *row, x, x_trial))
+            sink(row)
 
         if successful:
             x = x_trial

@@ -20,8 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .driver import (AuditReport, ConfigError, RunResult, RunTrace, TrConfig,
-                     bounds_for_run, run)
+from .driver import AuditReport, ConfigError, RunResult, RunTrace, TrConfig, run
 from .oracle import COST_MODELS, PHASES, EvalLedger, InexactOracle, Problem
 from .problems import make_problem
 
@@ -194,9 +193,10 @@ class RunSpec:
         return f"{self.problem}_q{len(self.eps)}_eps{eps_min:g}_{self.policy}_s{self.seed}"
 
 
-def execute_run(spec: RunSpec, write: bool = True, with_bounds: bool = False):
+def execute_run(spec: RunSpec, write: bool = True):
     """Build the config, the problem and the run; optionally write the history
-    and events CSVs and the summary JSON."""
+    and events CSVs.  ``paths`` names those files and the summary JSON, which
+    the caller builds and writes."""
     cfg = spec.build_config()
     problem = spec.build_problem()
     oracle = InexactOracle(problem, policy=spec.policy, seed=spec.seed)
@@ -210,11 +210,6 @@ def execute_run(spec: RunSpec, write: bool = True, with_bounds: bool = False):
         paths["summary"] = out / f"{key}_summary.json"
         write_history_csv(paths["history"], result.history)
         write_events_csv(paths["events"], result.eval_ledger)
-        bounds = lipschitz = None
-        if with_bounds and result.history:
-            bounds, lipschitz = bounds_for_run(result, problem)
-        write_summary_json(paths["summary"],
-                           summary_dict(result, bounds=bounds, lipschitz=lipschitz))
     return result, problem, cfg, paths
 
 
@@ -280,12 +275,9 @@ SWEEP_CSV_COLUMNS = ("eps", "seed", "terminated", "iterations", "n_f",
 
 def write_sweep_csv(path, rows) -> None:
     """One summary row per run, merged in deterministic (eps, seed) order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_COLUMNS)
-        for row in sorted(rows, key=lambda r: (-r.eps, r.seed)):
-            writer.writerow([repr(row.eps), row.seed, int(row.terminated),
-                             row.iterations, row.n_f, row.n_deriv, row.total_evals])
+    rows = sorted(rows, key=lambda r: (-r.eps, r.seed))
+    _write_csv(path, SWEEP_CSV_COLUMNS,
+               [np.array([getattr(r, name) for r in rows]) for name in SWEEP_CSV_COLUMNS])
 
 
 def seed_sweep(problem_name: str, q: int, eps: float, policy: str, seeds,

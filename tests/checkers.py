@@ -2,9 +2,9 @@
 differences against a problem's exact derivatives, the guarantees a
 ``verify`` outcome implies, checked at sampled displacements, the
 one-start-at-a-time form of the batched order-3 ascent, an accuracy
-ledger whose tightenings never lower a bound, a field-by-field comparison
-of iteration records, and the one-point-at-a-time form of the audit's
-replay against exact values."""
+ledger whose tightenings never lower a bound, a column-by-column comparison
+of run traces, and the one-point-at-a-time form of the audit's replay
+against exact values."""
 
 import math
 from dataclasses import dataclass, field
@@ -12,7 +12,7 @@ from math import factorial
 
 import numpy as np
 
-from dyntrust.driver import _REL_SLACK, AuditReport, CheckResult, bounds_for_run
+from dyntrust.driver import _REL_SLACK, AuditReport, CheckResult, RunTrace, bounds_for_run
 from dyntrust.model import Bundle, as_vector, model_gradient, taylor_decrement
 from dyntrust.optimality import AccuracyLedger, allowed_tightenings
 from dyntrust.oracle import Problem
@@ -157,12 +157,16 @@ class NoShrinkLedger(AccuracyLedger):
         self.i_zeta += 1
 
 
-def assert_records_equal(got, want):
-    """Two IterationRecords hold the same value and type in every field."""
-    for name in want._fields:
-        a, b = getattr(got, name), getattr(want, name)
-        assert type(a) is type(b), name
-        np.testing.assert_array_equal(a, b, strict=True, err_msg=name)
+def assert_traces_equal(got, want):
+    """Two run traces hold the same value and dtype in every column, and the
+    same start point, points x and trial points."""
+    assert len(got) == len(want)
+    for name in RunTrace.dtype.names:
+        np.testing.assert_array_equal(got.column(name), want.column(name), strict=True,
+                                      err_msg=name)
+    for name in ("x0", "x", "x_trial"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), strict=True,
+                                      err_msg=name)
 
 
 def pointwise_replay(result, problem: Problem, report: AuditReport) -> AuditReport:
@@ -172,7 +176,11 @@ def pointwise_replay(result, problem: Problem, report: AuditReport) -> AuditRepo
     of every iterate.  ``check_history`` must give the same summary."""
     cfg, trace = result.cfg, result.history
     q, eps_min = cfg.q, min(cfg.eps)
-    pts = np.array([result.x0, *(r.x_trial for r in trace if r.successful), result.x_eps])
+    col = {name: trace.column(name).tolist() for name in RunTrace.dtype.names}
+    x_trial = trace.x_trial
+    rows = range(len(trace))
+    pts = np.array([result.x0, *(x_trial[k] for k in rows if col["successful"][k]),
+                    result.x_eps])
     box = pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5
     declared = problem.lipschitz or ()
     sampled = f"sampled ({LIPSCHITZ_PAIRS:,} pairs x {LIPSCHITZ_INFLATION:g})"
@@ -185,17 +193,18 @@ def pointwise_replay(result, problem: Problem, report: AuditReport) -> AuditRepo
     floor = (cfg.eta1 - 2 * cfg.omega) * bc.kappa_delta ** (q + 1) * eps_min ** (q + 1) / factorial(q)
     f_x = problem.exact_f(result.x0)
     decreases, gaps, acc_bad, cap_bad = [], [], 0, 0
-    for r in trace:
-        f_trial = problem.exact_f(r.x_trial)
-        budget = cfg.omega * r.dT_s
-        gap = max(abs(r.f_bar_old - f_x), abs(r.f_bar_new - f_trial))
+    for k in rows:
+        f_trial = problem.exact_f(x_trial[k])
+        budget = cfg.omega * col["dT_s"][k]
+        gap = max(abs(col["f_bar_old"][k] - f_x), abs(col["f_bar_new"][k] - f_trial))
         gaps.append(gap - budget)
         acc_bad += gap > budget * _REL_SLACK
-        stop_level = (cfg.omega * cfg.vartheta ** (r.j - 1) * cfg.eps[r.j - 1]
-                      / (8 * factorial(r.j) * (1 + cfg.omega)))
-        cap_bad += r.step2_tightens > allowed_tightenings(
-            r.zeta_max_step2_entry, stop_level, cfg.gamma_zeta)
-        if r.successful:
+        j = col["j"][k]
+        stop_level = (cfg.omega * cfg.vartheta ** (j - 1) * cfg.eps[j - 1]
+                      / (8 * factorial(j) * (1 + cfg.omega)))
+        cap_bad += col["step2_tightens"][k] > allowed_tightenings(
+            col["zeta_max_step2_entry"][k], stop_level, cfg.gamma_zeta)
+        if col["successful"][k]:
             decreases.append(f_x - f_trial)
             f_x = f_trial
     worst = min(decreases, default=math.inf)

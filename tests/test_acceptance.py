@@ -186,7 +186,7 @@ def test_criterion_2_certified_decrement_soundness():
 
 def test_criterion_3_step_never_absolute(corpus):
     n_runs = len(corpus)
-    absolutes = sum(sum(r.step2_absolute for r in c.result.history) for c in corpus)
+    absolutes = sum(int(c.result.history.column("step2_absolute").sum()) for c in corpus)
     cap_ok = all(c.audit.checks["step_tighten_cap"].ok for c in corpus)
     ok = absolutes == 0 and cap_ok and n_runs >= 100
     report("criterion 3 (step certification never absolute)", ok,
@@ -292,8 +292,9 @@ def test_criterion_8_exact_mode_regression():
     oracle = InexactOracle(p, policy="none", seed=0)
     res = run(oracle, cfg, x0=np.array([1.0, 1.0]))
     assert res.terminated
-    mine = [np.array(r.x_trial) if r.successful else np.array(r.x)
-            for r in res.history]
+    trace = res.history
+    # the iterate after each iteration: its trial point if accepted, else x
+    mine = np.where(trace.column("successful")[:, None], trace.x_trial, trace.x)
     a_diag = np.geomspace(1.0, cond, 2)
     twin = classical_tr_first_order(a_diag, [1.0, 1.0], 1e-6, cfg, len(mine))
     n_check = min(20, len(mine), len(twin))

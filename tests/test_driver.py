@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from checkers import assert_records_equal, pointwise_replay
+from checkers import pointwise_replay
 from dyntrust import driver, optimality
 from dyntrust.driver import ConfigError, RunTrace, TrConfig, check_history, run
 from dyntrust.optimality import CertificationError
@@ -150,15 +150,19 @@ def test_certification_trap_names_the_iteration(monkeypatch):
         return real_verify(*args)
 
     real_verify = optimality.verify
-    monkeypatch.setattr(optimality, "verify", verify_then_fail)
     records = []
-    o = InexactOracle(make_problem("rosenbrock"), policy="adversarial", seed=0)
-    with pytest.raises(CertificationError) as err:
+    with monkeypatch.context() as m, pytest.raises(CertificationError) as err:
+        m.setattr(optimality, "verify", verify_then_fail)
+        o = InexactOracle(make_problem("rosenbrock"), policy="adversarial", seed=0)
         run(o, TrConfig.with_defaults((1e-3,)), sink=records.append)
     e = err.value
     assert e.k == len(records) > 0 and e.j == 1
-    np.testing.assert_array_equal(e.x, records[-1].x_trial if records[-1].successful
-                                  else records[-1].x)
+    # the trapped iteration starts where the same run, unpatched and capped
+    # after the e.k iterations before it, ends
+    o = InexactOracle(make_problem("rosenbrock"), policy="adversarial", seed=0)
+    capped = run(o, TrConfig.with_defaults((1e-3,), max_iterations=e.k))
+    assert capped.n_iterations == e.k and not capped.terminated
+    np.testing.assert_array_equal(e.x, capped.x_eps, strict=True)
     assert f"(implementation bug): iteration {e.k}, order 1, radius " in str(e)
 
 
@@ -176,19 +180,21 @@ def test_objective_value_reuse_rule():
     o = InexactOracle(p, policy="adversarial", seed=2)
     res = run(o, TrConfig.with_defaults((1e-2,)))
     hist = res.history
-    assert any(not r.f_recomputed for r in hist)  # reuse does happen
-    assert hist[0].f_recomputed                   # first iteration must compute f(x0)
+    recomputed = hist.column("f_recomputed")
+    assert not recomputed.all()  # reuse does happen
+    assert recomputed[0]         # first iteration must compute f(x0)
     # whenever the old value was reused, its stored accuracy was sufficient:
     # the previous iteration's budget is at most the current one
     prev_acc = None
-    for r in hist:
-        budget = res.cfg.omega * r.dT_s
-        if not r.f_recomputed:
+    for recomp, successful, dT_s in zip(recomputed.tolist(), hist.column("successful").tolist(),
+                                        hist.column("dT_s").tolist()):
+        budget = res.cfg.omega * dT_s
+        if not recomp:
             assert prev_acc is not None and prev_acc <= budget * (1 + 1e-12)
         # value carried forward has the tighter of the two accuracies
-        prev_acc = budget if (r.successful or r.f_recomputed) else min(prev_acc, budget)
+        prev_acc = budget if (successful or recomp) else min(prev_acc, budget)
     # evaluation count: one new point per iteration plus recomputations
-    assert res.eval_ledger.n_f == len(hist) + sum(r.f_recomputed for r in hist)
+    assert res.eval_ledger.n_f == len(hist) + np.count_nonzero(recomputed)
 
 
 def test_rho_uses_certified_decrement_and_radius_update_is_deterministic():
@@ -196,15 +202,13 @@ def test_rho_uses_certified_decrement_and_radius_update_is_deterministic():
     o = InexactOracle(p, policy="adversarial", seed=3)
     cfg = TrConfig.with_defaults((1e-3,))
     res = run(o, cfg)
-    for a, b in zip(res.history[:-1], res.history[1:]):
-        if a.rho < cfg.eta1:
-            assert b.Delta == pytest.approx(cfg.gamma2 * a.Delta)
-        elif a.rho < cfg.eta2:
-            assert b.Delta == pytest.approx(a.Delta)
-        else:
-            assert b.Delta == pytest.approx(min(cfg.Delta_max, cfg.gamma3 * a.Delta))
-        assert a.delta == pytest.approx(min(a.Delta, cfg.vartheta))
-        assert a.dT_s > 0
+    rho, Delta = res.history.column("rho"), res.history.column("Delta")
+    next_Delta = np.where(rho < cfg.eta1, cfg.gamma2 * Delta,
+                          np.where(rho < cfg.eta2, Delta,
+                                   np.minimum(cfg.Delta_max, cfg.gamma3 * Delta)))
+    assert Delta[1:] == pytest.approx(next_Delta[:-1])
+    assert res.history.column("delta") == pytest.approx(np.minimum(Delta, cfg.vartheta))
+    assert (res.history.column("dT_s") > 0).all()
 
 
 def test_step1_skipped_after_rejection_with_large_radius():
@@ -213,15 +217,14 @@ def test_step1_skipped_after_rejection_with_large_radius():
     cfg = TrConfig.with_defaults((1e-2,))
     res = run(o, cfg)
     hist = res.history
-    skipped = 0
-    for a, b in zip(hist[:-1], hist[1:]):
-        if not a.successful and b.Delta >= cfg.vartheta:
-            # derivative counts unchanged by the next Step-1 phase: order-1
-            # evaluations only move when accuracy tightened or iterate moved
-            if a.i_zeta == b.i_zeta:
-                assert b.n_d1 == a.n_d1
-                skipped += 1
-    assert skipped > 0
+    i_zeta, n_d1 = hist.column("i_zeta"), hist.column("n_d1")
+    # a rejection followed by a radius still at vartheta, with no tightening
+    # in between: the next Step-1 phase is skipped, so the order-1 count holds
+    # (it moves only when accuracy tightened or the iterate moved)
+    skipped = (~hist.column("successful")[:-1] & (hist.column("Delta")[1:] >= cfg.vartheta)
+               & (i_zeta[:-1] == i_zeta[1:]))
+    np.testing.assert_array_equal(n_d1[1:][skipped], n_d1[:-1][skipped])
+    assert skipped.any()
 
 
 def test_exact_mode_audit_quadratic_exact_lipschitz():
@@ -291,8 +294,10 @@ def test_sink_receives_every_record():
     seen = []
     res = run(o, TrConfig.with_defaults((1e-3,)), sink=seen.append)
     assert len(seen) == len(res.history) > 0
-    for got, want in zip(seen, res.history):
-        assert_records_equal(got, want)
+    rows = np.array(seen, dtype=RunTrace.dtype)
+    for name in RunTrace.dtype.names:
+        np.testing.assert_array_equal(rows[name], res.history.column(name), strict=True,
+                                      err_msg=name)
 
 
 def test_run_sets_the_phase_before_each_phase(monkeypatch):
@@ -336,7 +341,7 @@ def test_run_order3_smoke():
     o = InexactOracle(p, policy="adversarial", seed=0)
     res = run(o, TrConfig.with_defaults((1e-1, 1e-1, 1e-1)))
     assert res.terminated
-    assert any(r.j >= 2 for r in res.history) or res.n_iterations == 0
+    assert (res.history.column("j") >= 2).any() or res.n_iterations == 0
     gnorm = np.linalg.norm(p.exact_deriv(res.x_eps, 1))
     assert gnorm <= 1e-1 + 1e-8
 
@@ -382,7 +387,8 @@ def test_audit_flags_a_step_beyond_the_radius():
                               dtype=RunTrace.dtype)
     table.step_norm[3] = table.Delta[3] * (1 + 1e-10)
     moved = dataclasses.replace(res, history=RunTrace(res.x0, table.tobytes(), trace.x_trial))
-    assert len(moved.history) == len(trace) and moved.history[3].step_norm > trace[3].step_norm
+    assert len(moved.history) == len(trace)
+    assert moved.history.column("step_norm")[3] > trace.column("step_norm")[3]
     check = check_history(moved, p).checks["step_within_radius"]
     assert not check.ok, check.detail
 
@@ -393,16 +399,15 @@ def test_records_are_immutable():
 
     res = run(InexactOracle(make_problem("rosenbrock"), policy="adversarial", seed=0),
               TrConfig.with_defaults((1e-2,)))
-    records = [res.history[0], res.eval_ledger.entries[0],
+    records = [res.eval_ledger.entries[0],
                CertifiedDecrement(1, np.ones(2), 1.0, VerifyOutcome.RELATIVE),
                StepResult(np.ones(2), 1.0, 0, 0.1, 0)]
     for rec in records:
         for name in rec._fields:
             with pytest.raises(AttributeError):
                 setattr(rec, name, getattr(rec, name))
-    assert not res.history[0].x.flags.writeable
-    # the trace's columns and trial-point block are read-only views
-    for arr in (res.history.column("Delta"), res.history.x_trial):
+    # the trace's columns, trial-point block and start point are read-only
+    for arr in (res.history.column("Delta"), res.history.x_trial, res.history.x0):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
@@ -438,7 +443,7 @@ def test_run_third_order_step_engaged():
     o = InexactOracle(p, policy="adversarial", seed=0)
     res = run(o, TrConfig.with_defaults((1e-2, 1e-2, 1e-2)))
     assert res.terminated
-    assert any(r.j == 3 for r in res.history)
+    assert (res.history.column("j") == 3).any()
     # the run must have escaped to the genuine minimizer at -1
     assert res.x_eps[0] == pytest.approx(-1.0, abs=0.05)
 
@@ -449,20 +454,15 @@ def test_records_hold_each_point_once_read_only():
     assert res.n_success > 0 and res.n_success < res.n_iterations
     block = res.history.x_trial  # one row per iteration
     assert block.shape == (res.n_iterations, 2)
+    with pytest.raises(ValueError):
+        block[0, 0] = 0.0
+    x = res.history.x
     current = res.x0
-    for r in res.history:
-        # x is the start point itself, or a view of the previous accepted x_trial
-        if current is res.x0:
-            assert r.x is res.x0
-        else:
-            assert np.shares_memory(r.x, block)
-        np.testing.assert_array_equal(r.x, current, strict=True)
-        assert np.shares_memory(r.x_trial, block)
-        for arr in (r.x, r.x_trial):
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
-        if r.successful:
-            current = r.x_trial
+    for k, successful in enumerate(res.history.column("successful").tolist()):
+        # x is the start point, or the previous accepted x_trial
+        np.testing.assert_array_equal(x[k], current, strict=True)
+        if successful:
+            current = block[k]
     np.testing.assert_array_equal(res.x_eps, current)
 
 
@@ -489,7 +489,7 @@ def test_audit_refuses_a_nonfinite_exact_objective():
     # replay counted 0 violations.
     base = make_problem("finite_sum_logistic", dim=3, terms=32)
     res = run(InexactOracle(base, policy="subsample"), TrConfig.with_defaults((1e-2,)))
-    target = res.history[len(res.history) // 2].x_trial
+    target = res.history.x_trial[len(res.history) // 2]
 
     def fun(x):
         return np.where((x == target).all(axis=-1), math.nan, base.fun(x))

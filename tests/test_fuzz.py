@@ -67,12 +67,15 @@ def test_random_admissible_configurations(batch):
         x0 = problem.x0 + 0.3 * rng.standard_normal(problem.dim)
         result = run(oracle, cfg, x0=x0)  # bug traps raise on loop overruns
         assert result.terminated, (batch, trial, problem.name, policy)
-        assert sum(r.step2_absolute for r in result.history) == 0
+        trace = result.history
+        assert trace.column("step2_absolute").sum() == 0
         # objective accuracy contracts replayed against exact values
-        for r in result.history:
-            budget = cfg.omega * r.dT_s * (1 + 1e-9)
-            assert abs(r.f_bar_old - problem.exact_f(np.array(r.x))) <= budget
-            assert abs(r.f_bar_new - problem.exact_f(np.array(r.x_trial))) <= budget
+        for x, x_trial, f_old, f_new, dT_s in zip(
+                trace.x, trace.x_trial, trace.column("f_bar_old").tolist(),
+                trace.column("f_bar_new").tolist(), trace.column("dT_s").tolist()):
+            budget = cfg.omega * dT_s * (1 + 1e-9)
+            assert abs(f_old - problem.exact_f(x)) <= budget
+            assert abs(f_new - problem.exact_f(x_trial)) <= budget
         # the final point is genuinely first-order small
         gnorm = np.linalg.norm(problem.exact_deriv(result.x_eps, 1))
         assert gnorm <= cfg.eps[0] + 1e-8

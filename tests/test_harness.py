@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from checkers import assert_records_equal
+from checkers import assert_traces_equal
 from dyntrust.cli import EXIT_AUDIT, EXIT_CAP, EXIT_CONFIG, EXIT_OK, main
 from dyntrust.driver import ConfigError, RunTrace
 from dyntrust.harness import (CSV_COLUMNS, EVENT_CSV_COLUMNS, RunSpec,
@@ -25,10 +25,9 @@ def test_csv_round_trip(tmp_path):
     parsed = read_history_csv(path)
     assert isinstance(parsed, RunTrace)
     assert len(parsed) == len(result.history) > 0
-    for got, want in zip(parsed, result.history):
-        assert_records_equal(got, want)
-        # vectors come back as read-only arrays, like the run's own records
-        assert not got.x.flags.writeable and not got.x_trial.flags.writeable
+    assert_traces_equal(parsed, result.history)
+    # the start and trial points come back read-only, like the run's own trace
+    assert not parsed.x0.flags.writeable and not parsed.x_trial.flags.writeable
     # writing the parsed trace again gives the same bytes
     again = tmp_path / "again.csv"
     write_history_csv(again, parsed)
