@@ -29,6 +29,7 @@ OUTDIR_ENV = "DYNTRUST_OUTDIR"
 # k, the trace's scalar fields in order, then the x and x_trial vectors
 CSV_COLUMNS = ("k", *RunTrace.dtype.names, "x", "x_trial")
 EVENT_CSV_COLUMNS = ("order", "acc", "work", "phase")
+_CSV_BLOCK = 256  # rows whose cells exist as Python objects at once
 
 
 def _cells(column: np.ndarray) -> list:
@@ -40,11 +41,13 @@ def _cells(column: np.ndarray) -> list:
 
 
 def _write_csv(path, header, columns) -> None:
-    """One CSV row per entry of the equal-length arrays ``columns``."""
+    """One CSV row per entry of the equal-length ``columns`` (arrays, or functions of rows)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(zip(*map(_cells, columns)))
+        for start in range(0, len(columns[0]), _CSV_BLOCK):
+            rows = slice(start, start + _CSV_BLOCK)
+            writer.writerows(zip(*(_cells(c(rows) if callable(c) else c[rows]) for c in columns)))
 
 
 def _floats(text: str) -> list[float]:
@@ -72,9 +75,11 @@ def _read_csv(path, header, parsers) -> list[list]:
 
 
 def write_history_csv(path, history: RunTrace) -> None:
-    _write_csv(path, CSV_COLUMNS, [np.arange(len(history)),
-                                   *map(history.column, RunTrace.dtype.names),
-                                   history.x, history.x_trial])
+    src = history.prev_success()  # a row's x is x0 or the x_trial of row src
+    _write_csv(path, CSV_COLUMNS, [
+        np.arange(len(history)), *map(history.column, RunTrace.dtype.names),
+        lambda rows: np.where(src[rows, None] < 0, history.x0, history.x_trial[src[rows]]),
+        history.x_trial])
 
 
 def read_history_csv(path) -> RunTrace:

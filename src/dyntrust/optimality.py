@@ -98,8 +98,7 @@ class AccuracyLedger:
         self.i_zeta += 1
 
 
-def _min_quadratic_on_ball(g: np.ndarray, h_mat: np.ndarray, radius: float,
-                           tol: float = _SECULAR_TOL) -> np.ndarray:
+def _min_quadratic_on_ball(g: np.ndarray, h_mat: np.ndarray, radius: float) -> np.ndarray:
     """Global minimizer of g.d + 0.5 d'Hd over |d| <= radius.
 
     Eigendecomposition-based: interior Newton point when feasible, otherwise
@@ -145,7 +144,7 @@ def _min_quadratic_on_ball(g: np.ndarray, h_mat: np.ndarray, radius: float,
     lam = hi
     for _ in range(200):
         nd = dnorm(lam)
-        if abs(nd - radius) <= tol * radius:
+        if abs(nd - radius) <= _SECULAR_TOL * radius:
             break
         if nd > radius:
             lo = lam
@@ -243,10 +242,15 @@ class CertifiedDecrement(NamedTuple):
 
 
 def allowed_tightenings(entry_max: float, target: float, gamma_zeta: float) -> int:
-    """Tightenings needed to bring ``entry_max`` at or below ``target``."""
-    if entry_max <= target:
+    """Tightenings that bring ``entry_max`` to ``target`` or below (none if gamma_zeta >= 1)."""
+    if entry_max <= target or gamma_zeta >= 1:
         return 0
     return math.ceil(math.log(entry_max / target) / math.log(1.0 / gamma_zeta))
+
+
+def step_stop_level(j: int, eps_j: float, vartheta: float, omega: float) -> float:
+    """The accuracy under which the order-``j`` step loop certifies relative."""
+    return omega * vartheta ** (j - 1) * eps_j / (8.0 * factorial(j) * (1.0 + omega))
 
 
 def certified_decrement(j: int, delta: float, eps_j: float, varsigma: float,

@@ -225,8 +225,8 @@ def cost_unit(acc: float) -> float:
     return 1.0
 
 
-def cost_inverse(acc: float, power: float = 1.0) -> float:
-    return float(acc) ** (-power) if acc > 0 else math.inf
+def cost_inverse(acc: float) -> float:
+    return float(acc) ** -1.0 if acc > 0 else math.inf
 
 
 def cost_log(acc: float) -> float:

@@ -2,21 +2,18 @@
 
 When the radius is within the optimality radius cap, the certified
 optimality displacement is reused verbatim (no oracle traffic).  Otherwise a
-trial step over the full radius is computed and certified to *relative*
-accuracy, tightening derivative accuracies as needed; the optimality
-displacement always remains a legal fallback, so the trial step never
-decreases the model by less than it.
+trial step over the full radius is certified to *relative* accuracy within
+the tightening budget the theory guarantees; the optimality displacement
+remains a legal fallback, so the step never decreases the model by less.
 """
 
 from __future__ import annotations
 
-import warnings
-from math import factorial
 from typing import NamedTuple
 
 from .model import Vector, taylor_decrement, vector_norm
 from .optimality import (AccuracyLedger, CertificationError, CertifiedDecrement,
-                         allowed_tightenings, max_decrement)
+                         allowed_tightenings, max_decrement, step_stop_level)
 from .verify import VerifyOutcome, verify
 
 
@@ -25,38 +22,39 @@ class StepResult(NamedTuple):
     dT: float                  # model decrement of the returned step
     tighten_count: int
     zeta_entry_max: float      # max accuracy bound over orders 1..j at entry
-    absolute_events: int       # should stay 0; warned about if not
 
 
 def compute_step(radius: float, vartheta: float, cert: CertifiedDecrement,
                  eps_j: float, omega: float, acc: AccuracyLedger,
                  seed: int = 0) -> StepResult:
-    """Compute the iteration's step from the ledger's iterate within the
-    trust-region ``radius``.
+    """The iteration's step from the ledger's iterate within the trust region.
 
     Pass-through when radius <= vartheta (the certified displacement *is*
-    the step).  Otherwise iterate: recompute the trial step under the current
-    derivative bundle, fall back to the certified displacement whenever it
-    decreases the model more, and certify at relative accuracy; on any other
-    outcome tighten the accuracies and repeat.  An absolute outcome is
-    theoretically impossible here and is warned about, tightened past, and
-    counted.
+    the step).  Otherwise each round tightens once (the first does not),
+    takes the trial step or, if it decreases the model less, the certified
+    displacement ``d``, and returns it once certified relative.  The tightenings
+    that bring the entry accuracies to ``step_stop_level`` guarantee that,
+    so outrunning them raises :class:`CertificationError`.  So does an
+    absolute outcome, which the theory excludes: ``d`` was certified
+    relatively with dT > eps_j/(1+omega) vartheta^j/j!, and tightening only
+    shrinks the error budgets, so under any later bundle
+    T(d) >= (1-2 omega) dT.  An absolute outcome needs
+    dt_s < eps_j/(4(1+omega)) min(vartheta, |s|)^j/j!, impossible as
+    1 - 2 omega > 1/4 (TrConfig forces omega < 1/6).
     """
     j = cert.j
     zeta_entry = max(acc.zetas[:j])
     if radius <= vartheta:
         if cert.outcome is not VerifyOutcome.RELATIVE:
-            raise CertificationError(
-                "pass-through step requires a relatively-certified displacement; "
-                "an absolute certificate here contradicts the termination test",
-                j, radius, acc.x)
-        return StepResult(cert.d.copy(), cert.dT, 0, zeta_entry, 0)
+            raise CertificationError("pass-through step requires a relatively-certified "
+                                     "displacement; an absolute certificate here contradicts "
+                                     "the termination test", j, radius, acc.x)
+        return StepResult(cert.d.copy(), cert.dT, 0, zeta_entry)
 
-    stop_level = omega * vartheta ** (j - 1) * eps_j / (8.0 * factorial(j) * (1.0 + omega))
-    cap = allowed_tightenings(zeta_entry, stop_level, acc.gamma_zeta) + 2
-    tighten = 0
-    absolutes = 0
-    while True:
+    stop_level = step_stop_level(j, eps_j, vartheta, omega)
+    for tighten in range(allowed_tightenings(zeta_entry, stop_level, acc.gamma_zeta) + 1):
+        if tighten:
+            acc.tighten(j)
         bundle = acc.bundle(j)
         dt_fallback = taylor_decrement(bundle, cert.d, j)
         s_try, _, _ = max_decrement(bundle, j, radius, seed=seed)
@@ -66,27 +64,15 @@ def compute_step(radius: float, vartheta: float, cert: CertifiedDecrement,
         else:
             s, dt_s = cert.d.copy(), dt_fallback
         if dt_s <= 0.0:
-            raise CertificationError(
-                "step decrement collapsed to zero after a non-terminating "
-                "optimality test", j, radius, acc.x)
+            raise CertificationError("step decrement collapsed to zero after a "
+                                     "non-terminating optimality test", j, radius, acc.x)
         s_norm = vector_norm(s)
         xi = eps_j / (4.0 * (1.0 + omega)) * (vartheta / max(vartheta, s_norm)) ** j
-        zetas = acc.zetas[:j]
-        outcome = verify(s_norm, dt_s, zetas, xi, omega)
+        outcome = verify(s_norm, dt_s, acc.zetas[:j], xi, omega)
         if outcome is VerifyOutcome.RELATIVE:
-            return StepResult(s, dt_s, tighten, zeta_entry, absolutes)
-        if max(zetas) <= stop_level:
-            raise CertificationError(
-                "step certification not relative although accuracies passed "
-                "the guaranteed level", j, radius, acc.x)
+            return StepResult(s, dt_s, tighten, zeta_entry)
         if outcome is VerifyOutcome.ABSOLUTE:
-            # Theoretically excluded; numerically conceivable at boundaries.
-            absolutes += 1
-            warnings.warn("step certification returned an absolute outcome; "
-                          "tightening and retrying", RuntimeWarning)
-        acc.tighten(j)
-        tighten += 1
-        if tighten > cap:
-            raise CertificationError(
-                "step certification failed to terminate within its guaranteed "
-                "tightening budget", j, radius, acc.x)
+            raise CertificationError("step certification returned an absolute outcome, "
+                                     "which the theory excludes", j, radius, acc.x)
+    raise CertificationError("step certification not relative within its guaranteed "
+                             "tightening budget", j, radius, acc.x)

@@ -185,12 +185,15 @@ def test_criterion_2_certified_decrement_soundness():
 
 
 def test_criterion_3_step_never_absolute(corpus):
+    # an absolute outcome in the step loop raises CertificationError, so
+    # every corpus run that completed saw none
     n_runs = len(corpus)
-    absolutes = sum(int(c.result.history.column("step2_absolute").sum()) for c in corpus)
+    step_loops = sum(int(np.count_nonzero(c.result.history.column("Delta")
+                                          > c.result.cfg.vartheta)) for c in corpus)
     cap_ok = all(c.audit.checks["step_tighten_cap"].ok for c in corpus)
-    ok = absolutes == 0 and cap_ok and n_runs >= 100
+    ok = cap_ok and n_runs >= 100 and step_loops > 0
     report("criterion 3 (step certification never absolute)", ok,
-           f"{n_runs} runs, {absolutes} absolute outcomes, tighten caps "
+           f"{n_runs} runs completed, {step_loops} step-loop iterations, tighten caps "
            f"{'respected' if cap_ok else 'EXCEEDED'}")
 
 

@@ -401,7 +401,7 @@ def test_records_are_immutable():
               TrConfig.with_defaults((1e-2,)))
     records = [res.eval_ledger.entries[0],
                CertifiedDecrement(1, np.ones(2), 1.0, VerifyOutcome.RELATIVE),
-               StepResult(np.ones(2), 1.0, 0, 0.1, 0)]
+               StepResult(np.ones(2), 1.0, 0, 0.1)]
     for rec in records:
         for name in rec._fields:
             with pytest.raises(AttributeError):

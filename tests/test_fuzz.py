@@ -65,10 +65,10 @@ def test_random_admissible_configurations(batch):
         policy = POLICIES[int(rng.integers(0, len(POLICIES)))]
         oracle = InexactOracle(problem, policy=policy, seed=trial)
         x0 = problem.x0 + 0.3 * rng.standard_normal(problem.dim)
-        result = run(oracle, cfg, x0=x0)  # bug traps raise on loop overruns
+        # bug traps, an absolute step outcome among them, raise
+        result = run(oracle, cfg, x0=x0)
         assert result.terminated, (batch, trial, problem.name, policy)
         trace = result.history
-        assert trace.column("step2_absolute").sum() == 0
         # objective accuracy contracts replayed against exact values
         for x, x_trial, f_old, f_new, dT_s in zip(
                 trace.x, trace.x_trial, trace.column("f_bar_old").tolist(),

@@ -2,6 +2,8 @@ import csv
 import json
 import os
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,9 +87,56 @@ def test_csv_reader_refuses_malformed_cells_by_row_and_column(tmp_path, column, 
 def test_csv_schemas_are_fixed():
     assert CSV_COLUMNS == (
         "k", "Delta", "delta", "j", "rho", "successful", "dT_s", "f_bar_old", "f_bar_new",
-        "i_zeta", "step2_tightens", "zeta_max_step2_entry", "step2_absolute",
+        "i_zeta", "step2_tightens", "zeta_max_step2_entry",
         "f_recomputed", "n_f", "n_d1", "n_d2", "n_d3", "step_norm", "x", "x_trial")
     assert EVENT_CSV_COLUMNS == ("order", "acc", "work", "phase")
+
+
+def test_readme_history_schema_is_the_csv_schema():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## History CSV schema", 1)[1].split("```")[1]
+    assert tuple(name.strip() for name in block.split(",")) == CSV_COLUMNS
+
+
+def _random_trace(k, n, accept_every):
+    """A k-row trace of random floats in n dimensions that accepts the step
+    of every ``accept_every``-th row, the first at row accept_every - 1."""
+    rng = np.random.default_rng(k)
+    rows = np.zeros(k, RunTrace.dtype)
+    for name in RunTrace.dtype.names:
+        if RunTrace.dtype[name].kind == "f":
+            rows[name] = rng.standard_normal(k)
+    rows["successful"] = np.arange(1, k + 1) % accept_every == 0
+    return RunTrace(rng.standard_normal(n), rows.tobytes(), rng.standard_normal((k, n)))
+
+
+def _history_csv_peak(path, k, n=100):
+    """The traced peak bytes of writing the history CSV of a random trace."""
+    trace = _random_trace(k, n, 3)
+    tracemalloc.start()
+    try:
+        write_history_csv(path, trace)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_round_trip_across_blocks(tmp_path):
+    # the x of rows 0-299 is x0, and that of rows 300-599 the trial point
+    # of row 299; both runs cross a block of rows
+    trace = _random_trace(1_000, 3, 300)
+    path = tmp_path / "hist.csv"
+    write_history_csv(path, trace)
+    assert_traces_equal(read_history_csv(path), trace)
+
+
+def test_history_csv_is_written_in_bounded_memory(tmp_path):
+    # the cells of one block of rows exist at a time, not the whole file's
+    # (writing all 5,000 rows at once peaked at about 45 MB)
+    peak_5k = _history_csv_peak(tmp_path / "5k.csv", 5_000)
+    peak_10k = _history_csv_peak(tmp_path / "10k.csv", 10_000)
+    assert peak_5k < 15e6
+    assert peak_10k - peak_5k <= 4e6
 
 
 def test_events_csv_round_trip(tmp_path):

@@ -159,7 +159,7 @@ def test_tables_pack_rows_in_their_declared_layout():
     ledger.record(3, math.nextafter(0.1, 1.0), 2.0 ** -1074)
     trace = RunTrace(np.zeros(2))
     row = (0.5, -0.0, 2, -math.inf, True, 1e-300, math.pi, -math.e, 7,
-           2 ** 62, 5e-324, 0, False, 1, 2, 3, 4, math.nextafter(1.0, 0.0))
+           2 ** 62, 5e-324, False, 1, 2, 3, 4, math.nextafter(1.0, 0.0))
     trace.append(row, np.array([1.0, -2.0]))
     for table, values in ((ledger, (3, math.nextafter(0.1, 1.0), 2.0 ** -1074, 2)),
                           (trace, row)):

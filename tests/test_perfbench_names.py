@@ -84,7 +84,6 @@ ORDER3_SEED0_AUDITS = [
         "[PASS] deriv_round_count: 17 derivative rounds vs counting bound 25",
         "[PASS] i_zeta_bound: i_zeta 10 vs bound 18",
         "[PASS] zeta_floor: min requested zeta 1.000e-11 vs floor 2.334e-21",
-        "[PASS] step_no_absolute: 0 absolute outcomes in step certification",
         "[PASS] step_tighten_cap: 0 iterations exceeded the step tightening cap",
         "[PASS] f_accuracy_contract: 0 iterations broke the objective accuracy contract (worst overshoot 0.000e+00)",
         "[PASS] step_within_radius: max |s|/Delta 1.000000000000000",
@@ -104,7 +103,6 @@ ORDER3_SEED0_AUDITS = [
         "[PASS] deriv_round_count: 17 derivative rounds vs counting bound 25",
         "[PASS] i_zeta_bound: i_zeta 10 vs bound 18",
         "[PASS] zeta_floor: min requested zeta 1.000e-11 vs floor 2.288e-21",
-        "[PASS] step_no_absolute: 0 absolute outcomes in step certification",
         "[PASS] step_tighten_cap: 0 iterations exceeded the step tightening cap",
         "[PASS] f_accuracy_contract: 0 iterations broke the objective accuracy contract (worst overshoot 0.000e+00)",
         "[PASS] step_within_radius: max |s|/Delta 1.000000000000000",
@@ -124,7 +122,6 @@ ORDER3_SEED0_AUDITS = [
         "[PASS] deriv_round_count: 17 derivative rounds vs counting bound 25",
         "[PASS] i_zeta_bound: i_zeta 10 vs bound 18",
         "[PASS] zeta_floor: min requested zeta 1.000e-11 vs floor 2.288e-21",
-        "[PASS] step_no_absolute: 0 absolute outcomes in step certification",
         "[PASS] step_tighten_cap: 0 iterations exceeded the step tightening cap",
         "[PASS] f_accuracy_contract: 0 iterations broke the objective accuracy contract (worst overshoot 0.000e+00)",
         "[PASS] step_within_radius: max |s|/Delta 1.000000000000000",
@@ -144,7 +141,6 @@ ORDER3_SEED0_AUDITS = [
         "[PASS] deriv_round_count: 27 derivative rounds vs counting bound 35",
         "[PASS] i_zeta_bound: i_zeta 13 vs bound 21",
         "[PASS] zeta_floor: min requested zeta 1.000e-14 vs floor 4.672e-24",
-        "[PASS] step_no_absolute: 0 absolute outcomes in step certification",
         "[PASS] step_tighten_cap: 0 iterations exceeded the step tightening cap",
         "[PASS] f_accuracy_contract: 0 iterations broke the objective accuracy contract (worst overshoot 0.000e+00)",
         "[PASS] step_within_radius: max |s|/Delta 1.000000000000000",
@@ -164,7 +160,6 @@ ORDER3_SEED0_AUDITS = [
         "[PASS] deriv_round_count: 27 derivative rounds vs counting bound 35",
         "[PASS] i_zeta_bound: i_zeta 13 vs bound 21",
         "[PASS] zeta_floor: min requested zeta 1.000e-14 vs floor 4.684e-24",
-        "[PASS] step_no_absolute: 0 absolute outcomes in step certification",
         "[PASS] step_tighten_cap: 0 iterations exceeded the step tightening cap",
         "[PASS] f_accuracy_contract: 0 iterations broke the objective accuracy contract (worst overshoot 0.000e+00)",
         "[PASS] step_within_radius: max |s|/Delta 1.000000000000000",
@@ -184,7 +179,6 @@ ORDER3_SEED0_AUDITS = [
         "[PASS] deriv_round_count: 18 derivative rounds vs counting bound 28",
         "[PASS] i_zeta_bound: i_zeta 9 vs bound 19",
         "[PASS] zeta_floor: min requested zeta 1.000e-10 vs floor 1.582e-21",
-        "[PASS] step_no_absolute: 0 absolute outcomes in step certification",
         "[PASS] step_tighten_cap: 0 iterations exceeded the step tightening cap",
         "[PASS] f_accuracy_contract: 0 iterations broke the objective accuracy contract (worst overshoot 0.000e+00)",
         "[PASS] step_within_radius: max |s|/Delta 1.000000000000000",
@@ -201,7 +195,6 @@ ORDER3_SEED0_AUDITS = [
         "[PASS] deriv_round_count: 19 derivative rounds vs counting bound 24",
         "[PASS] i_zeta_bound: i_zeta 12 vs bound 17",
         "[PASS] zeta_floor: min requested zeta 1.000e-13 vs floor 4.904e-20",
-        "[PASS] step_no_absolute: 0 absolute outcomes in step certification",
         "[PASS] step_tighten_cap: 0 iterations exceeded the step tightening cap",
         "[PASS] f_accuracy_contract: 0 iterations broke the objective accuracy contract (worst overshoot 0.000e+00)",
         "[PASS] step_within_radius: max |s|/Delta 1.000000000000000",

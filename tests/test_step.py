@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from dyntrust.driver import TrConfig
+from dyntrust.driver import TrConfig, run
 from dyntrust.model import make_bundle, sym_tensor, taylor_decrement
 from dyntrust import step
 from dyntrust.optimality import (AccuracyLedger, CertificationError, CertifiedDecrement,
-                                 allowed_tightenings, certified_decrement, max_decrement)
+                                 allowed_tightenings, certified_decrement, max_decrement,
+                                 step_stop_level)
 from dyntrust.oracle import InexactOracle
 from dyntrust.problems import make_problem
 from dyntrust.reference import max_decrement_reference
@@ -120,7 +121,6 @@ def test_adversarial_tightens_until_relative(monkeypatch):
     calls = spy_on_verify(monkeypatch)
     res = compute_step(4.0, 0.5, cert, 1e-3, omega, acc)
     assert calls[-1][1] is VerifyOutcome.RELATIVE
-    assert res.absolute_events == 0
     # realized decrement error against exact tensors honors the certificate
     exact = make_bundle([p.exact_deriv(x, 1)])
     gap = abs(res.dT - taylor_decrement(exact, res.s, 1))
@@ -159,38 +159,75 @@ def trial_step_state(ledger_cls=AccuracyLedger, gamma_zeta=None):
     return cert, ledger_cls([0.1], gamma_zeta or acc.gamma_zeta, acc.oracle, x)
 
 
-def test_step_never_relative_trips_the_guaranteed_level_trap(monkeypatch):
+BUDGET_TRAP = ("step certification not relative within its guaranteed tightening "
+               r"budget \(implementation bug\)")
+
+
+def step_budget(acc):
+    """The tightenings the trial step state's step loop may make."""
+    stop_level = 0.02 * 1e-3 / (8.0 * 1.02)
+    assert step_stop_level(1, 1e-3, 0.5, 0.02) == stop_level
+    return allowed_tightenings(0.1, stop_level, acc.gamma_zeta)
+
+
+def test_step_never_relative_trips_the_budget_trap(monkeypatch):
     cert, acc = trial_step_state()
     monkeypatch.setattr(step, "verify", never_certified)
-    with pytest.raises(CertificationError, match="passed the guaranteed level") as err:
+    with pytest.raises(CertificationError, match=BUDGET_TRAP) as err:
         compute_step(2.0, 0.5, cert, 1e-3, 0.02, acc)
     e = err.value
     assert (e.j, e.radius, e.k) == (1, 2.0, None)
     np.testing.assert_array_equal(e.x, [2.0, 1.5])
     assert "order 1, radius 2.0, x = [2.0, 1.5]" in str(e)
-    stop_level = 0.02 * 1e-3 / (8.0 * 1.02)
-    assert acc.i_zeta == allowed_tightenings(0.1, stop_level, acc.gamma_zeta)
+    assert acc.i_zeta == step_budget(acc) > 0
+    # the budget brings the accuracy to the level that guarantees a relative step
+    assert acc.zetas[0] <= step_stop_level(1, 1e-3, 0.5, 0.02) < acc.zetas[0] / acc.gamma_zeta
 
 
 def test_step_that_cannot_tighten_trips_the_budget_trap(monkeypatch):
     cert, acc = trial_step_state(NoShrinkLedger)
     monkeypatch.setattr(step, "verify", never_certified)
-    with pytest.raises(CertificationError, match="step certification failed to terminate "
-                       r"within its guaranteed tightening budget \(implementation bug\)"):
+    with pytest.raises(CertificationError, match=BUDGET_TRAP):
         compute_step(2.0, 0.5, cert, 1e-3, 0.02, acc)
-    stop_level = 0.02 * 1e-3 / (8.0 * 1.02)
-    assert acc.i_zeta == allowed_tightenings(0.1, stop_level, acc.gamma_zeta) + 3
+    assert acc.i_zeta == step_budget(acc) > 0
+    assert acc.zetas == [0.1]
 
 
 def test_step_with_a_growing_accuracy_trips_the_budget_trap(monkeypatch):
-    # a directly built ledger with gamma_zeta > 1 loosens on every
-    # "tightening", so the guaranteed-level trap never fires and the budget
-    # trap is the loop's only exit
+    # a directly built ledger with gamma_zeta > 1 would loosen on every
+    # "tightening": it is allowed none, so the loop certifies once and stops
     cert, acc = trial_step_state(gamma_zeta=2.0)
     monkeypatch.setattr(step, "verify", never_certified)
-    with pytest.raises(CertificationError, match="guaranteed tightening budget"):
+    with pytest.raises(CertificationError, match=BUDGET_TRAP):
         compute_step(2.0, 0.5, cert, 1e-3, 0.02, acc)
-    assert acc.zetas[0] > 0.1
+    assert acc.i_zeta == step_budget(acc) == 0
+    assert acc.zetas == [0.1]
+
+
+def test_absolute_step_outcome_stops_the_run(monkeypatch):
+    # the theory excludes an absolute outcome in the step loop; forcing one
+    # once a first trial step was certified stops the run at the next
+    # iteration whose radius exceeds vartheta
+    certified_steps = []
+
+    def absolute_after_one_step(*args):
+        outcome = VerifyOutcome.ABSOLUTE if certified_steps else verify(*args)
+        if outcome is VerifyOutcome.RELATIVE:
+            certified_steps.append(args)
+        return outcome
+
+    p = make_problem("quadratic", dim=2, cond=6)
+    cfg = TrConfig.with_defaults(1e-3)
+    trace = run(InexactOracle(p, policy="adversarial", seed=0), cfg).history
+    k = int(np.flatnonzero(trace.column("Delta") > cfg.vartheta)[1])
+    monkeypatch.setattr(step, "verify", absolute_after_one_step)
+    with pytest.raises(CertificationError, match="absolute outcome") as err:
+        run(InexactOracle(p, policy="adversarial", seed=0), cfg)
+    e, x = err.value, trace.x[k]
+    assert k > 0 and (e.k, e.j, e.radius) == (k, trace.column("j")[k], trace.column("Delta")[k])
+    np.testing.assert_array_equal(e.x, x)
+    assert (f"(implementation bug): iteration {k}, order {e.j}, radius {e.radius!r}, "
+            f"x = {x.tolist()}") in str(e)
 
 
 def test_absolute_certificate_cannot_pass_through():
