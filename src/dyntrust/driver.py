@@ -131,15 +131,23 @@ class RunTrace(Table):
     def __init__(self, x0: Vector, rows: bytes = b"", x_trial=()):
         """The trace from ``x0`` holding ``rows`` (the bytes of an array of
         :attr:`dtype`) and their (k, n) trial points."""
-        super().__init__(rows)
+        super().__init__()
         self.x0 = x0
-        self._x_trial = array("d", np.asarray(x_trial, dtype=float).tobytes())
-        if len(self._x_trial) != len(self) * x0.size:
-            raise ValueError("a trace holds one trial point of x0's size per row")
+        self._x_trial = array("d")
+        self.extend(rows, x_trial)
 
     def append(self, row: tuple, x_trial: Vector):
         """Add an iteration: its scalar fields in field order, and its trial point."""
         self._rows.frombytes(self.row.pack(*row))
+        self._x_trial.frombytes(x_trial.tobytes())
+
+    def extend(self, rows: bytes, x_trial) -> None:
+        """Add iterations: ``rows`` (the bytes of an array of :attr:`dtype`)
+        and their (k, n) trial points."""
+        x_trial = np.asarray(x_trial, dtype=float)
+        if x_trial.size != len(rows) // self.row.size * self.x0.size:
+            raise ValueError("a trace holds one trial point of x0's size per row")
+        self._rows.frombytes(rows)
         self._x_trial.frombytes(x_trial.tobytes())
 
     @property

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -50,28 +51,32 @@ def _write_csv(path, header, columns) -> None:
             writer.writerows(zip(*(_cells(c(rows) if callable(c) else c[rows]) for c in columns)))
 
 
-def _floats(text: str) -> list[float]:
-    return [float(t) for t in text.split(";")]
+def _floats(text: str) -> np.ndarray:
+    """A ';'-joined vector cell, each entry parsed as ``float`` parses it."""
+    return np.array(text.split(";"), dtype=float)
 
 
-def _read_csv(path, header, parsers) -> list[list]:
-    """The columns of a CSV with ``header``, each cell read by its column's
+def _read_csv(path, header, parsers):
+    """The blocks of ``_CSV_BLOCK`` rows of a CSV with ``header``, as (index
+    of the block's first row, its columns), each cell read by its column's
     parser; a cell it refuses is named by row (from 0) and column."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if tuple(next(reader, ())) != header:
             raise ValueError("unexpected CSV schema")
-        rows = list(reader)
-    columns = [[] for _ in header]
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ValueError(f"row {i} has {len(row)} cells, expected {len(header)}")
-        for name, parse, column, text in zip(header, parsers, columns, row):
-            try:
-                column.append(parse(text))
-            except ValueError:
-                raise ValueError(f"row {i}: unexpected {name} cell {text!r}") from None
-    return columns
+        for start in itertools.count(0, _CSV_BLOCK):
+            columns = [[] for _ in header]
+            for i, row in enumerate(itertools.islice(reader, _CSV_BLOCK), start):
+                if len(row) != len(header):
+                    raise ValueError(f"row {i} has {len(row)} cells, expected {len(header)}")
+                for name, parse, column, text in zip(header, parsers, columns, row):
+                    try:
+                        column.append(parse(text))
+                    except ValueError:
+                        raise ValueError(f"row {i}: unexpected {name} cell {text!r}") from None
+            if not columns[0]:
+                return
+            yield start, columns
 
 
 def write_history_csv(path, history: RunTrace) -> None:
@@ -85,23 +90,28 @@ def write_history_csv(path, history: RunTrace) -> None:
 def read_history_csv(path) -> RunTrace:
     """The trace a history CSV holds; its start point is the first row's x.
     Each row's k must be its index and its x must follow from the rows
-    before it."""
+    before it.  The file is read, checked and added to the trace one block
+    of rows at a time."""
     parse = {"f": float, "i": int, "b": ("0", "1").index}
     parsers = [int, *(parse[RunTrace.dtype[f].kind] for f in RunTrace.dtype.names),
                _floats, _floats]
-    k, *fields, x, x_trial = _read_csv(path, CSV_COLUMNS, parsers)
-    n = len(x[0]) if x else 0
-    for i, (u, v) in enumerate(zip(x, x_trial)):
-        if not len(u) == len(v) == n:
-            raise ValueError(f"row {i}: x and x_trial must hold {n} entries each")
-    x = np.array(x, dtype=float).reshape(len(k), n)
-    x0 = x[0].copy() if len(k) else np.empty(0)
-    x0.flags.writeable = False
-    trace = RunTrace(x0, np.rec.fromarrays(fields, dtype=RunTrace.dtype).tobytes(), x_trial)
-    bad = (np.array(k) != np.arange(len(k))) | (x != trace.x).any(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"record {k[i]} at row {i} does not follow from the rows before it")
+    trace = RunTrace(np.empty(0))  # a file of no rows
+    for start, (k, *fields, x, x_trial) in _read_csv(path, CSV_COLUMNS, parsers):
+        if start == 0:
+            trace = RunTrace(np.array(x[0]))
+        x0, n = trace.x0, trace.x0.size
+        for i, (u, v) in enumerate(zip(x, x_trial), start):
+            if not len(u) == len(v) == n:
+                raise ValueError(f"row {i}: x and x_trial must hold {n} entries each")
+        trace.extend(np.rec.fromarrays(fields, dtype=RunTrace.dtype).tobytes(), x_trial)
+        src = trace.prev_success()[start:]  # a row's x is x0 or the x_trial of row src
+        follows = np.where(src[:, None] < 0, x0, trace.x_trial[src])
+        bad = (np.array(k) != np.arange(start, len(trace))) | (np.array(x) != follows).any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"record {k[i]} at row {start + i} does not follow from "
+                             "the rows before it")
+    trace.x0.flags.writeable = False
     return trace
 
 
@@ -114,8 +124,10 @@ def write_events_csv(path, ledger: EvalLedger) -> None:
 
 def read_events_csv(path) -> EvalLedger:
     parsers = [("0", "1", "2", "3").index, float, float, PHASES.index]
-    columns = _read_csv(path, EVENT_CSV_COLUMNS, parsers)
-    return EvalLedger(np.rec.fromarrays(columns, dtype=EvalLedger.dtype).tobytes())
+    rows = bytearray()
+    for _, columns in _read_csv(path, EVENT_CSV_COLUMNS, parsers):
+        rows += np.rec.fromarrays(columns, dtype=EvalLedger.dtype).tobytes()
+    return EvalLedger(rows)
 
 
 def summary_dict(result: RunResult, audit: AuditReport | None = None,

@@ -255,16 +255,24 @@ def finite_sum_logistic(dim: int = 4, terms: int = 64, lam: float = 0.1,
         t = (a @ x[..., None])[..., 0] + b
         return np.mean(_softplus(t), axis=-1) + 0.5 * lam * np.vecdot(x, x)
 
+    # tables[j - 1] is the (terms, dim**j) table whose row t holds the entries
+    # a_ta a_tb ... of a_t's j-fold outer product, built on first use
+    tables = [a]
+
     def deriv(x, order):
-        # stacked products: each point goes through the gemv a lone one uses
+        # sum_t w_t (a_t x ... x a_t) / terms as one gemv per point against
+        # the table, so each point of a stack goes through the gemv a lone one uses
+        while len(tables) < order:
+            tables.append((tables[-1][:, :, None] * a[:, None, :]).reshape(terms, -1))
         s = _sigmoid((a @ x[..., None])[..., 0] + b)
+        w = s if order == 1 else s * (1 - s) if order == 2 else s * (1 - s) * (1 - 2 * s)
+        out = (w[..., None, :] @ tables[order - 1])[..., 0, :].reshape(
+            x.shape[:-1] + (dim,) * order) / terms
         if order == 1:
-            return (s[..., None, :] @ a)[..., 0, :] / terms + lam * x
+            return out + lam * x
         if order == 2:
-            w = s * (1 - s)
-            return np.einsum("...t,ta,tb->...ab", w, a, a) / terms + lam * np.eye(dim)
-        w = s * (1 - s) * (1 - 2 * s)
-        return np.einsum("...t,ta,tb,tc->...abc", w, a, a, a) / terms
+            return out + lam * np.eye(dim)
+        return out
 
     return Problem(name=f"finite_sum_logistic(dim={dim},m={terms})", dim=dim,
                    fun=fun, deriv=deriv, f_low=0.0, x0=np.zeros(dim),

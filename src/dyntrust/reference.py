@@ -203,13 +203,29 @@ def lipschitz_estimate(problem: Problem, box, order: int,
     """Sampled Lipschitz constant of the order-j derivative over a box,
     inflated by ``LIPSCHITZ_INFLATION``.  Audit support only.
 
-    Pairs are drawn ``_LIPSCHITZ_CHUNK`` at a time, with the per-pair x-then-y
-    stream of a one-pair-at-a-time loop, and evaluated as one (pairs, 2, n)
-    stack through ``Problem.exact_deriv``, which checks it and names the first
-    non-finite point in draw order.
+    ``box`` is (lower, upper), each side ``problem.dim`` finite entries with
+    lower <= upper; ``order`` is 1, 2 or 3 and ``n_samples`` a positive
+    integer.  Input outside these is refused by name.  Pairs are drawn
+    ``_LIPSCHITZ_CHUNK`` at a time, with the per-pair x-then-y stream of a
+    one-pair-at-a-time loop, and evaluated as one (pairs, 2, n) stack through
+    ``Problem.exact_deriv``, which checks it and names the first non-finite
+    point in draw order.  The pairs kept (those at least 1e-12 apart) are
+    selected from that stack once per chunk.
     """
+    if order not in (1, 2, 3):
+        raise ValueError(f"lipschitz_estimate: order must be 1, 2 or 3, got {order!r}")
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+        raise ValueError(f"lipschitz_estimate: n_samples must be a positive integer, "
+                         f"got {n_samples!r}")
     lo, hi = (np.asarray(side, dtype=float) for side in box)
-    if lo.shape != hi.shape or np.any(hi < lo):
+    for name, side in (("lower", lo), ("upper", hi)):
+        if side.shape != (problem.dim,):
+            raise ValueError(f"lipschitz_estimate: box {name} side must hold {problem.dim} "
+                             f"entries (the problem's dim), got shape {side.shape}")
+        if not np.isfinite(side).all():
+            raise ValueError(f"lipschitz_estimate: box {name} side must be finite, "
+                             f"got {side.tolist()}")
+    if np.any(hi < lo):
         raise ValueError("box must be (lower, upper) with lower <= upper")
     rng = np.random.default_rng(seed)
     n = lo.size
@@ -220,6 +236,7 @@ def lipschitz_estimate(problem: Problem, box, order: int,
         gap = operator_norm(pts[:, 0] - pts[:, 1], 1)  # |x - y|
         keep = gap >= 1e-12
         if keep.any():
-            num = operator_norm(d[keep, 0] - d[keep, 1], order)
+            d = d[keep]
+            num = operator_norm(d[:, 0] - d[:, 1], order)
             best = max(best, float(np.max(num / gap[keep])))
     return LIPSCHITZ_INFLATION * best

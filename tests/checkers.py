@@ -3,8 +3,8 @@ differences against a problem's exact derivatives, the guarantees a
 ``verify`` outcome implies, checked at sampled displacements, the
 one-start-at-a-time form of the batched order-3 ascent, an accuracy
 ledger whose tightenings never lower a bound, a column-by-column comparison
-of run traces, and the one-point-at-a-time form of the audit's replay
-against exact values."""
+of run traces, the one-point-at-a-time form of the audit's replay against
+exact values, and the one-pair-at-a-time form of the Lipschitz sampler."""
 
 import math
 from dataclasses import dataclass, field
@@ -13,7 +13,7 @@ from math import factorial
 import numpy as np
 
 from dyntrust.driver import _REL_SLACK, AuditReport, CheckResult, RunTrace, bounds_for_run
-from dyntrust.model import Bundle, as_vector, model_gradient, taylor_decrement
+from dyntrust.model import Bundle, as_vector, model_gradient, operator_norm, taylor_decrement
 from dyntrust.optimality import AccuracyLedger, allowed_tightenings
 from dyntrust.oracle import Problem
 from dyntrust.reference import LIPSCHITZ_INFLATION, LIPSCHITZ_PAIRS, lipschitz_estimate
@@ -219,3 +219,21 @@ def pointwise_replay(result, problem: Problem, report: AuditReport) -> AuditRepo
         f"{acc_bad} iterations broke the objective accuracy contract "
         f"(worst overshoot {max([0.0, *gaps]):.3e})")
     return AuditReport(checks=checks, bounds=bc, lipschitz_used=L_f, lipschitz_orders=lipschitz)
+
+
+def pointwise_lipschitz(problem: Problem, box, order: int,
+                        n_samples: int = LIPSCHITZ_PAIRS, seed: int = 0) -> float:
+    """The sampled Lipschitz estimate one pair at a time: x, then y, drawn
+    from the stream, and the pair evaluated by its own ``exact_deriv`` call.
+    ``reference.lipschitz_estimate`` must match bit for bit."""
+    lo, hi = (np.asarray(side, dtype=float) for side in box)
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(n_samples):
+        x = lo + (hi - lo) * rng.random(lo.size)
+        y = lo + (hi - lo) * rng.random(lo.size)
+        gap = operator_norm(x - y, 1)
+        if gap >= 1e-12:
+            dx, dy = problem.exact_deriv(np.stack((x, y)), order)
+            best = max(best, operator_norm(dx - dy, order) / gap)
+    return LIPSCHITZ_INFLATION * best

@@ -139,6 +139,21 @@ def test_history_csv_is_written_in_bounded_memory(tmp_path):
     assert peak_10k - peak_5k <= 4e6
 
 
+def test_history_csv_is_read_in_bounded_memory(tmp_path):
+    # one block of rows exists as Python objects at a time, and each block's
+    # x is checked against the trial points read so far, not a (k, n) copy
+    # (reading the whole file at once peaked at about 60 MB here)
+    write_history_csv(tmp_path / "5k.csv", _random_trace(5_000, 100, 3))
+    tracemalloc.start()
+    try:
+        trace = read_history_csv(tmp_path / "5k.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 5_000
+    assert peak <= 2 * (len(trace) * RunTrace.row.size + trace.x_trial.nbytes)
+
+
 def test_events_csv_round_trip(tmp_path):
     spec = RunSpec(problem="finite_sum_logistic", problem_params={"dim": 3, "terms": 32},
                    eps=(1e-2, 1e-2), policy="subsample", seed=1)

@@ -318,6 +318,34 @@ def test_stacked_deriv_equals_single_points(name, order, data):
         np.testing.assert_array_equal(row, p.exact_deriv(point, order), strict=True)
 
 
+def _einsum_logistic_deriv(tm, x, order):
+    """The finite-sum derivative at orders 2 and 3 as the einsum formulas
+    over the term directions a_t write it."""
+    s = 1.0 / (1.0 + np.exp(-((tm.a @ x[..., None])[..., 0] + tm.b)))
+    a = tm.a
+    if order == 2:
+        return (np.einsum("...t,ta,tb->...ab", s * (1 - s), a, a) / tm.m
+                + tm.lam * np.eye(a.shape[1]))
+    return np.einsum("...t,ta,tb,tc->...abc", s * (1 - s) * (1 - 2 * s), a, a, a) / tm.m
+
+
+@pytest.mark.parametrize("terms", [1, 16, 64])
+@pytest.mark.parametrize("dim", [1, 3, 4])
+@pytest.mark.parametrize("order", [2, 3])
+def test_finite_sum_term_tables_match_the_einsum_formulas(order, dim, terms):
+    # the term-table gemv sums the same products as the einsum, in another
+    # order: each tensor agrees up to rounding, for one point and for stacks
+    p = make_problem("finite_sum_logistic", dim=dim, terms=terms)
+    rng = np.random.default_rng(10 * dim + terms)
+    for x in (rng.uniform(-3.0, 3.0, dim), rng.uniform(-3.0, 3.0, (7, 2, dim))):
+        got = p.exact_deriv(x, order)
+        ref = _einsum_logistic_deriv(p.term_model, x, order)
+        assert got.shape == ref.shape == x.shape[:-1] + (dim,) * order
+        gap = np.abs(got - ref).reshape(-1, dim ** order).max(axis=1)
+        scale = np.abs(ref).reshape(-1, dim ** order).max(axis=1)
+        assert (gap <= 1e-13 * scale).all()
+
+
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from checkers import pointwise_lipschitz
 from dyntrust import reference
 from dyntrust.driver import TrConfig, check_history, run
 from dyntrust.model import NonFiniteEvaluation, make_bundle, sym_tensor, taylor_decrement
@@ -123,7 +124,9 @@ def test_lipschitz_rosenbrock_stable_across_seeds():
 
 
 # Estimates (seed 0, 1,500 pairs) of the sampler that evaluated one point per
-# deriv call; the chunked sampler draws the same stream and must agree.
+# deriv call; the chunked sampler draws the same stream and must agree.  The
+# finite-sum pins at orders 2 and 3 come from the term-table derivatives;
+# the einsum derivatives they replaced gave _EINSUM_PINNED, equal up to rounding.
 _PINNED_BOXES = {
     "rosenbrock": ({}, [-1.5, -0.5], [1.5, 2.0]),
     "saddle_well": ({}, [-0.6, -1.6], [0.6, 1.6]),
@@ -145,18 +148,24 @@ _PINNED = [
     ("quartic10", 2, 5.258641992071867),
     ("quartic10", 3, 9.000000000000004),
     ("finite_sum_logistic", 1, 0.5257968405349926),
-    ("finite_sum_logistic", 2, 0.2114561377287797),
-    ("finite_sum_logistic", 3, 1.0574854037147285),
+    ("finite_sum_logistic", 2, 0.21145613772877986),
+    ("finite_sum_logistic", 3, 1.0574854037147283),
 ]
+_EINSUM_PINNED = {("finite_sum_logistic", 2): 0.2114561377287797,
+                  ("finite_sum_logistic", 3): 1.0574854037147285}
 
 
 @pytest.mark.parametrize("key,order,expected", _PINNED)
 def test_lipschitz_matches_pointwise_sampler(key, order, expected):
     params, lo, hi = _PINNED_BOXES[key]
     p = make_problem(key.rstrip("0123456789"), **params)
-    est = lipschitz_estimate(p, (np.array(lo), np.array(hi)), order)
+    box = (np.array(lo), np.array(hi))
+    est = lipschitz_estimate(p, box, order)
     assert type(est) is float
     assert est == expected
+    assert est == pointwise_lipschitz(p, box, order)
+    if (key, order) in _EINSUM_PINNED:
+        assert est == pytest.approx(_EINSUM_PINNED[key, order], rel=1e-13)
 
 
 def test_lipschitz_calls_deriv_once_per_chunk():
@@ -203,6 +212,47 @@ def test_lipschitz_refuses_a_deriv_without_stack_support():
     with pytest.raises(ValueError, match=r"one_point_only: deriv of points \(64, 2, 2\) "
                                          r"has shape \(2, 2, 2\), expected \(64, 2, 2\)"):
         lipschitz_estimate(p, (-np.ones(2), np.ones(2)), 1)
+
+
+@pytest.mark.parametrize("n_samples", [0, -5, 2.5, "100"])
+def test_lipschitz_refuses_a_sample_count_that_is_not_a_positive_integer(n_samples):
+    p = make_problem("rosenbrock")
+    with pytest.raises(ValueError, match=re.escape(
+            f"lipschitz_estimate: n_samples must be a positive integer, got {n_samples!r}")):
+        lipschitz_estimate(p, (-np.ones(2), np.ones(2)), 1, n_samples=n_samples)
+
+
+@pytest.mark.parametrize("lo,hi,side", [
+    (-np.ones(3), np.ones(3), "lower"), (-np.ones(2), np.ones(3), "upper"),
+    (-1.0, 1.0, "lower"), (-np.ones((1, 2)), np.ones((1, 2)), "lower")],
+    ids=["lower-3", "upper-3", "scalars", "rows-1x2"])
+def test_lipschitz_refuses_box_sides_of_another_dimension(lo, hi, side):
+    # rosenbrock's deriv reads two coordinates; a 3-entry box side used to
+    # fail inside it ("too many values to unpack")
+    p = make_problem("rosenbrock")
+    with pytest.raises(ValueError, match=f"lipschitz_estimate: box {side} side must hold "
+                                         r"2 entries \(the problem's dim\)"):
+        lipschitz_estimate(p, (lo, hi), 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_lipschitz_refuses_a_nonfinite_box(bad):
+    # the sampler used to evaluate the NaN points it drew and blame the
+    # problem ("order-1 derivative at x = [nan, ...] is not finite")
+    p = make_problem("rosenbrock")
+    lo, hi = np.array([-1.0, bad]), np.array([1.0, 1.0])
+    for box, side in (((lo, hi), "lower"), ((-hi, -lo), "upper")):
+        with pytest.raises(ValueError, match=f"lipschitz_estimate: box {side} side must be "
+                                             "finite"):
+            lipschitz_estimate(p, box, 1)
+
+
+@pytest.mark.parametrize("order", [0, 4, -1])
+def test_lipschitz_refuses_an_order_outside_1_to_3(order):
+    p = make_problem("quartic", dim=2)
+    with pytest.raises(ValueError, match=f"lipschitz_estimate: order must be 1, 2 or 3, "
+                                         f"got {order}"):
+        lipschitz_estimate(p, (-np.ones(2), np.ones(2)), order)
 
 
 def cubic_bundle(g, h, t3):
