@@ -21,7 +21,7 @@ import numpy as np
 from .bounds import BoundConstants, compute_bounds
 from .model import Vector, as_vector, operator_norm, vector_norm
 from .optimality import (AccuracyLedger, CertificationError, allowed_tightenings,
-                         step_stop_level, termination_test)
+                         step_scale, stop_level, termination_test)
 from .oracle import (PHASE_OBJECTIVE, PHASE_STEP, PHASE_TERMINATION, EvalLedger,
                      InexactOracle, Problem, Table)
 from .step import compute_step
@@ -476,8 +476,8 @@ def check_history(result: RunResult, problem: Problem,
         rows = trace.column("j") == j
         entry, which = np.unique(trace.column("zeta_max_step2_entry")[rows],
                                  return_inverse=True)
-        stop_level = step_stop_level(j, cfg.eps[j - 1], cfg.vartheta, cfg.omega)
-        caps = np.array([allowed_tightenings(z, stop_level, cfg.gamma_zeta)
+        level = stop_level(j, step_scale(cfg.eps[j - 1], cfg.omega), cfg.vartheta)
+        caps = np.array([allowed_tightenings(z, level, cfg.gamma_zeta)
                          for z in entry.tolist()], dtype=np.int64)
         cap_bad += int(np.count_nonzero(trace.column("step2_tightens")[rows] > caps[which]))
     checks["step_tighten_cap"] = CheckResult(

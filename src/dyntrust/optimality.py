@@ -9,11 +9,9 @@ equals, bit for bit, that of running the ascents one start at a time.
 
 An :class:`AccuracyLedger` holds a run's evaluation state: the accuracy
 bounds, the oracle with its call log, and the tensors at the iterate.
-``certified_decrement`` wraps the solver in the tighten-until-certified loop:
-take the ledger's tensors at its current accuracies, maximize, certify
-via :func:`~dyntrust.verify.verify`, and geometrically tighten the
-accuracies until the outcome is sufficient.  A loop that outruns the
-tightening budget its theory guarantees raises :class:`CertificationError`.
+:func:`certification_rounds` is the one tighten-until-certified loop of the
+termination test (``certified_decrement``) and the step; a loop that outruns
+the tightening budget its theory guarantees raises :class:`CertificationError`.
 """
 
 from __future__ import annotations
@@ -248,35 +246,56 @@ def allowed_tightenings(entry_max: float, target: float, gamma_zeta: float) -> i
     return math.ceil(math.log(entry_max / target) / math.log(1.0 / gamma_zeta))
 
 
-def step_stop_level(j: int, eps_j: float, vartheta: float, omega: float) -> float:
-    """The accuracy under which the order-``j`` step loop certifies relative."""
-    return omega * vartheta ** (j - 1) * eps_j / (8.0 * factorial(j) * (1.0 + omega))
+def stop_level(j: int, scale: float, r: float) -> float:
+    """``scale r^(j-1) / j!``: the accuracy that ends an order-``j`` loop at radius ``r``."""
+    return scale * r ** (j - 1) / factorial(j)
+
+
+def step_scale(eps_j: float, omega: float) -> float:
+    """The step loop's :func:`stop_level` scale, at radius vartheta."""
+    return omega * eps_j / (8.0 * (1.0 + omega))
+
+
+def certification_rounds(acc: AccuracyLedger, j: int, scale: float, r: float,
+                         radius: float, what: str):
+    """The order-``j`` bundles of one certification loop at the ledger's
+    iterate: the first free, then one per tightening, as many as bring the
+    entry accuracies to ``stop_level(j, scale, r)`` (worked out at the
+    second).  Asking for one more raises :class:`CertificationError`,
+    "``what`` within its guaranteed tightening budget", at ``radius``."""
+    yield acc.bundle(j)
+    level = stop_level(j, scale, r)
+    for _ in range(allowed_tightenings(max(acc.zetas[:j]), level, acc.gamma_zeta)):
+        acc.tighten(j)
+        yield acc.bundle(j)
+    raise CertificationError(f"{what} within its guaranteed tightening budget", j, radius, acc.x)
 
 
 def certified_decrement(j: int, delta: float, eps_j: float, varsigma: float,
                         omega: float, acc: AccuracyLedger,
                         seed: int = 0) -> CertifiedDecrement:
-    """Compute a near-maximal decrement at the ledger's iterate certified
-    Relative or Absolute, tightening derivative accuracies geometrically
-    until certification (budgeted from the entry accuracies once it tightens)."""
-    tightenings = 0
-    cap = None
-    while True:
-        d, dt, guarantee = max_decrement(acc.bundle(j), j, delta, seed=seed)
+    """A near-maximal decrement at the ledger's iterate certified relative or
+    absolute, the accuracies tightened geometrically until it is.
+
+    ``delta`` lies in (0, 1], as the test's min(Delta_k, vartheta) does, so
+    accuracies at most L = stop_level(j, omega varsigma eps_j / 4, delta)
+    certify.  As delta^i <= delta, the error budget sum_i zeta_i delta^i/i!
+    is at most L delta (1 + 1/2 + 1/6) = (5/6) omega (varsigma eps_j / 2)
+    delta^j/j!.  The absolute test allows omega xi delta^j/j! with xi =
+    min(varsigma, guarantee) eps_j / 2, where varsigma <= 1 and a guarantee
+    is None or at least 1 - 1e-8, so it holds; the last 1/6 absorbs the
+    rounding of the repeated multiplication by gamma_zeta.  Past delta = 1
+    the bound fails (at j = 3 beyond delta ~ 1.37, at j = 2 beyond 2).
+    """
+    if not 0 < delta <= 1:
+        raise ValueError(f"certified_decrement: radius delta must lie in (0, 1], got {delta!r}")
+    for bundle in certification_rounds(acc, j, 0.25 * omega * varsigma * eps_j, delta, delta,
+                                       "accuracy certification failed to terminate"):
+        d, dt, guarantee = max_decrement(bundle, j, delta, seed=seed)
         vs = varsigma if guarantee is None else min(varsigma, guarantee)
-        zetas = acc.zetas[:j]
-        outcome = verify(delta, dt, zetas, 0.5 * vs * eps_j, omega)
+        outcome = verify(delta, dt, acc.zetas[:j], 0.5 * vs * eps_j, omega)
         if outcome is not VerifyOutcome.INSUFFICIENT:
             return CertifiedDecrement(j, d, dt, outcome)
-        if cap is None:
-            target = 0.25 * omega * varsigma * eps_j * delta ** (j - 1) / factorial(j)
-            cap = allowed_tightenings(max(zetas), target, acc.gamma_zeta) + 2
-        acc.tighten(j)
-        tightenings += 1
-        if tightenings > cap:
-            raise CertificationError(
-                "accuracy certification failed to terminate within its "
-                "guaranteed tightening budget", j, delta, acc.x)
 
 
 def termination_test(delta_k: float, eps, varsigma: float, omega: float,

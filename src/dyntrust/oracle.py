@@ -10,11 +10,11 @@ policies); the bound always holds, and every call is logged in an
 
 Problem output enters the library here only, through ``Problem.exact_f`` and
 ``Problem.exact_deriv`` and the subsampled estimates, and is checked once.
-The exact doors take one point (n,) or a stack (..., n) of them and check
-that every value or entry is finite and that the output has exactly the shape
-``x.shape[:-1]`` (values; a float for one point) or ``x.shape[:-1] + (n,) *
-order`` (derivatives).  :class:`NonFiniteEvaluation` names the first bad
-point in stack order.
+The exact doors take one point (n,) or a stack (..., n), refuse an order
+outside 1..3, and check that every value or entry is finite and that the
+output has exactly the shape ``x.shape[:-1]`` (values; a float for one
+point) or ``x.shape[:-1] + (n,) * order`` (derivatives).
+:class:`NonFiniteEvaluation` names the first bad point in stack order.
 """
 
 from __future__ import annotations
@@ -90,6 +90,7 @@ class Problem:
     def exact_deriv(self, x, order: int) -> np.ndarray:
         """The order-``order`` derivative at one point x (n,), or at each
         point of a stack (..., n), checked where it enters the library."""
+        self.check_order(order)
         x = np.asarray(x, dtype=float)
         try:
             d = self.deriv(x, order)
@@ -97,6 +98,11 @@ class Problem:
             raise NonFiniteEvaluation(
                 f"order-{order} derivative at x = {x.tolist()} is not finite") from None
         return self._checked_deriv(x, order, d)
+
+    def check_order(self, order):
+        """Refuse, by name, a derivative order outside 1..3."""
+        if order not in (1, 2, 3):
+            raise ValueError(f"{self.name}: derivative order must be 1, 2 or 3, got {order!r}")
 
     def _checked_f(self, x, value) -> float:
         value = float(value)
@@ -309,11 +315,10 @@ class InexactOracle:
     def eval_deriv(self, x, order: int, zeta: float, ledger: EvalLedger | None = None) -> np.ndarray:
         if not 0 <= zeta < math.inf:  # NaN fails too
             raise ValueError(f"requested accuracy {zeta!r} must be nonnegative and finite")
-        if not 1 <= order <= 3:
-            raise ValueError(f"unsupported derivative order {order}")
         exact = order in self.exact_orders or zeta == 0.0
         work = 1.0
         if self.policy == "subsample" and not exact:
+            self.problem.check_order(order)  # the exact door checks it otherwise
             x = np.asarray(x, dtype=float)
             tensor, work = self.problem.term_model.estimate_deriv(x, order, zeta)
             tensor = self.problem._checked_deriv(x, order, tensor)

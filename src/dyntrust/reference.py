@@ -204,16 +204,14 @@ def lipschitz_estimate(problem: Problem, box, order: int,
     inflated by ``LIPSCHITZ_INFLATION``.  Audit support only.
 
     ``box`` is (lower, upper), each side ``problem.dim`` finite entries with
-    lower <= upper; ``order`` is 1, 2 or 3 and ``n_samples`` a positive
-    integer.  Input outside these is refused by name.  Pairs are drawn
-    ``_LIPSCHITZ_CHUNK`` at a time, with the per-pair x-then-y stream of a
-    one-pair-at-a-time loop, and evaluated as one (pairs, 2, n) stack through
-    ``Problem.exact_deriv``, which checks it and names the first non-finite
-    point in draw order.  The pairs kept (those at least 1e-12 apart) are
-    selected from that stack once per chunk.
+    lower <= upper, and ``n_samples`` a positive integer; other input is
+    refused by name (an order outside 1..3 by ``Problem.exact_deriv``).
+    Pairs are drawn ``_LIPSCHITZ_CHUNK`` at a time, with the per-pair x-then-y
+    stream of a one-pair-at-a-time loop, and evaluated as one (pairs, 2, n)
+    stack through ``Problem.exact_deriv``, which checks it and names the
+    first non-finite point in draw order.  The pairs kept (those at least
+    1e-12 apart) are selected from that stack once per chunk.
     """
-    if order not in (1, 2, 3):
-        raise ValueError(f"lipschitz_estimate: order must be 1, 2 or 3, got {order!r}")
     if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
         raise ValueError(f"lipschitz_estimate: n_samples must be a positive integer, "
                          f"got {n_samples!r}")

@@ -2,9 +2,10 @@
 
 When the radius is within the optimality radius cap, the certified
 optimality displacement is reused verbatim (no oracle traffic).  Otherwise a
-trial step over the full radius is certified to *relative* accuracy within
-the tightening budget the theory guarantees; the optimality displacement
-remains a legal fallback, so the step never decreases the model by less.
+trial step over the full radius is certified to *relative* accuracy in the
+termination test's loop, :func:`~dyntrust.optimality.certification_rounds`;
+the optimality displacement remains a legal fallback, so the step never
+decreases the model by less.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import NamedTuple
 
 from .model import Vector, taylor_decrement, vector_norm
 from .optimality import (AccuracyLedger, CertificationError, CertifiedDecrement,
-                         allowed_tightenings, max_decrement, step_stop_level)
+                         certification_rounds, max_decrement, step_scale)
 from .verify import VerifyOutcome, verify
 
 
@@ -30,17 +31,16 @@ def compute_step(radius: float, vartheta: float, cert: CertifiedDecrement,
     """The iteration's step from the ledger's iterate within the trust region.
 
     Pass-through when radius <= vartheta (the certified displacement *is*
-    the step).  Otherwise each round tightens once (the first does not),
-    takes the trial step or, if it decreases the model less, the certified
-    displacement ``d``, and returns it once certified relative.  The tightenings
-    that bring the entry accuracies to ``step_stop_level`` guarantee that,
-    so outrunning them raises :class:`CertificationError`.  So does an
-    absolute outcome, which the theory excludes: ``d`` was certified
-    relatively with dT > eps_j/(1+omega) vartheta^j/j!, and tightening only
-    shrinks the error budgets, so under any later bundle
-    T(d) >= (1-2 omega) dT.  An absolute outcome needs
-    dt_s < eps_j/(4(1+omega)) min(vartheta, |s|)^j/j!, impossible as
-    1 - 2 omega > 1/4 (TrConfig forces omega < 1/6).
+    the step).  Otherwise each round of :func:`certification_rounds` takes
+    the trial step or, if it decreases the model less, the certified
+    displacement ``d``, and returns it once certified relative, which the
+    entry accuracies tightened to ``stop_level(j, step_scale(eps_j, omega),
+    vartheta)`` guarantee.  An absolute outcome, which the theory excludes, raises
+    :class:`CertificationError` too: ``d`` was certified relatively with
+    dT > eps_j/(1+omega) vartheta^j/j!, and tightening only shrinks the error
+    budgets, so under any later bundle T(d) >= (1-2 omega) dT.  An absolute
+    outcome needs dt_s < eps_j/(4(1+omega)) min(vartheta, |s|)^j/j!,
+    impossible as 1 - 2 omega > 1/4 (TrConfig forces omega < 1/6).
     """
     j = cert.j
     zeta_entry = max(acc.zetas[:j])
@@ -51,11 +51,9 @@ def compute_step(radius: float, vartheta: float, cert: CertifiedDecrement,
                                      "the termination test", j, radius, acc.x)
         return StepResult(cert.d.copy(), cert.dT, 0, zeta_entry)
 
-    stop_level = step_stop_level(j, eps_j, vartheta, omega)
-    for tighten in range(allowed_tightenings(zeta_entry, stop_level, acc.gamma_zeta) + 1):
-        if tighten:
-            acc.tighten(j)
-        bundle = acc.bundle(j)
+    for tightened, bundle in enumerate(certification_rounds(
+            acc, j, step_scale(eps_j, omega), vartheta, radius,
+            "step certification not relative")):
         dt_fallback = taylor_decrement(bundle, cert.d, j)
         s_try, _, _ = max_decrement(bundle, j, radius, seed=seed)
         dt_try = taylor_decrement(bundle, s_try, j)
@@ -70,9 +68,7 @@ def compute_step(radius: float, vartheta: float, cert: CertifiedDecrement,
         xi = eps_j / (4.0 * (1.0 + omega)) * (vartheta / max(vartheta, s_norm)) ** j
         outcome = verify(s_norm, dt_s, acc.zetas[:j], xi, omega)
         if outcome is VerifyOutcome.RELATIVE:
-            return StepResult(s, dt_s, tighten, zeta_entry)
+            return StepResult(s, dt_s, tightened, zeta_entry)
         if outcome is VerifyOutcome.ABSOLUTE:
             raise CertificationError("step certification returned an absolute outcome, "
                                      "which the theory excludes", j, radius, acc.x)
-    raise CertificationError("step certification not relative within its guaranteed "
-                             "tightening budget", j, radius, acc.x)

@@ -24,8 +24,12 @@ class VerifyOutcome(Enum):
 
 
 def error_budget(delta: float, zetas) -> float:
-    """Worst-case decrement error over the delta-ball: sum_i zeta_i delta^i/i!."""
-    return float(sum(z * delta**i / factorial(i) for i, z in enumerate(zetas, start=1)))
+    """Worst-case decrement error over the delta-ball: sum_i zeta_i delta^i/i!,
+    added in order as ``sum`` adds them, without a generator per call."""
+    total = 0.0
+    for i, z in enumerate(zetas, start=1):
+        total += z * delta**i / factorial(i)
+    return float(total)
 
 
 def verify(delta: float, decrement: float, zetas, xi: float, omega: float) -> VerifyOutcome:

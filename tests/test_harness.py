@@ -110,15 +110,9 @@ def _random_trace(k, n, accept_every):
     return RunTrace(rng.standard_normal(n), rows.tobytes(), rng.standard_normal((k, n)))
 
 
-def _history_csv_peak(path, k, n=100):
-    """The traced peak bytes of writing the history CSV of a random trace."""
-    trace = _random_trace(k, n, 3)
-    tracemalloc.start()
-    try:
-        write_history_csv(path, trace)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def _trace_bytes(trace):
+    """The bytes a run trace holds: its packed rows and its trial points."""
+    return len(trace) * RunTrace.row.size + trace.x_trial.nbytes
 
 
 def test_csv_round_trip_across_blocks(tmp_path):
@@ -132,11 +126,15 @@ def test_csv_round_trip_across_blocks(tmp_path):
 
 def test_history_csv_is_written_in_bounded_memory(tmp_path):
     # the cells of one block of rows exist at a time, not the whole file's
-    # (writing all 5,000 rows at once peaked at about 45 MB)
-    peak_5k = _history_csv_peak(tmp_path / "5k.csv", 5_000)
-    peak_10k = _history_csv_peak(tmp_path / "10k.csv", 10_000)
-    assert peak_5k < 15e6
-    assert peak_10k - peak_5k <= 4e6
+    # (writing all 2,000 rows at once peaked at 8.4x the trace's bytes here)
+    trace = _random_trace(2_000, 100, 3)
+    tracemalloc.start()
+    try:
+        write_history_csv(tmp_path / "2k.csv", trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * _trace_bytes(trace)
 
 
 def test_history_csv_is_read_in_bounded_memory(tmp_path):
@@ -151,7 +149,7 @@ def test_history_csv_is_read_in_bounded_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(trace) == 5_000
-    assert peak <= 2 * (len(trace) * RunTrace.row.size + trace.x_trial.nbytes)
+    assert peak <= 2 * _trace_bytes(trace)
 
 
 def test_events_csv_round_trip(tmp_path):

@@ -180,7 +180,40 @@ def test_certification_budget_trap_names_order_radius_and_point(monkeypatch):
     np.testing.assert_array_equal(e.x, x)
     assert str(e).endswith("(implementation bug): order 2, radius 0.5, x = [1.0, -0.5]")
     target = 0.25 * omega * varsigma * eps_j * delta / 2
-    assert acc.i_zeta == allowed_tightenings(0.1, target, acc.gamma_zeta) + 3
+    assert acc.i_zeta == allowed_tightenings(0.1, target, acc.gamma_zeta)
+
+
+@pytest.mark.parametrize("delta", [2.0, 3.0, 0.0, -0.5, math.nan])
+def test_certified_decrement_refuses_a_radius_outside_0_1(delta):
+    # at delta > 1 the tightening budget is no longer exact: the reproduction
+    # at delta = 2 used to trip the "implementation bug" trap
+    p = make_problem("quadratic", dim=2, cond=4)
+    acc = fresh_state(p, 3, np.zeros(2))
+    with pytest.raises(ValueError, match=r"certified_decrement: radius delta must lie in "
+                                         rf"\(0, 1\], got {delta!r}"):
+        certified_decrement(3, delta, 1e-3, 0.99, 0.02, acc)
+    assert acc.i_zeta == 0 and len(acc.ledger) == 0
+
+
+def test_certified_decrement_at_unit_radius_ends_within_budget_for_every_gamma(monkeypatch):
+    # at x = 0 the gradient and third derivative vanish and the Hessian is
+    # positive definite, so every order's decrement is 0 and only the
+    # absolute test can certify: the tightest case for the budget.  The
+    # ascent is stubbed with that known answer to keep the sweep fast.
+    p = make_problem("quadratic", dim=2, cond=4)
+    acc = fresh_state(p, 3, np.zeros(2))
+    assert max_decrement(acc.bundle(3), 3, 1.0)[1] == 0.0
+    monkeypatch.setattr(optimality, "max_decrement",
+                        lambda b, j, delta, seed=0: (np.zeros(2), 0.0, None))
+    for gamma in np.linspace(0.5, 0.98, 25).tolist():
+        for j in (2, 3):
+            oracle = InexactOracle(p)
+            acc = AccuracyLedger.fresh(TrConfig.with_defaults(
+                (1e-3,) * 3, gamma_zeta=gamma), oracle, np.zeros(2))
+            cert = certified_decrement(j, 1.0, 1e-3, 0.99, 0.02, acc)
+            assert cert.outcome is VerifyOutcome.ABSOLUTE
+            target = 0.25 * 0.02 * 0.99 * 1e-3 / factorial(j)
+            assert 0 < acc.i_zeta <= allowed_tightenings(0.1, target, gamma)
 
 
 def test_certified_absolute_implies_small_reference_phi():
@@ -290,15 +323,13 @@ def test_finite_tightening_invariant():
         x = rng.standard_normal(2) * 0.5
         delta = float(rng.uniform(0.05, 0.8))
         eps_j = float(10 ** rng.uniform(-4, -1))
-        omega, varsigma, gamma, kappa = 0.02, 0.99, 0.1, 0.1
+        omega, varsigma, gamma = 0.02, 0.99, 0.1
         acc = fresh_state(p, 2, x, policy="adversarial", seed=trial)
         for j in (1, 2):
-            before = acc.i_zeta
+            before, entry = acc.i_zeta, max(acc.zetas[:j])
             certified_decrement(j, delta, eps_j, varsigma, omega, acc)
-            cap = math.ceil(math.log(
-                (omega * varsigma * eps_j * delta ** (j - 1)) / (4 * factorial(j) * kappa)
-            ) / math.log(gamma)) + 1
-            assert acc.i_zeta - before <= cap
+            target = 0.25 * omega * varsigma * eps_j * delta ** (j - 1) / factorial(j)
+            assert acc.i_zeta - before <= allowed_tightenings(entry, target, gamma)
 
 
 def test_accuracy_ledger_tighten_and_exact_orders():

@@ -346,6 +346,23 @@ def test_finite_sum_term_tables_match_the_einsum_formulas(order, dim, terms):
         assert (gap <= 1e-13 * scale).all()
 
 
+@pytest.mark.parametrize("order", [0, 4])
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_derivative_order_outside_1_to_3_is_refused_by_name(name, order):
+    # order 4 used to return a (n,)^4 array on every problem, and order 0
+    # an unnamed IndexError or ValueError, or a 0-d array on quadratic
+    p = make_problem(name)
+    refusal = f"^{re.escape(p.name)}: derivative order must be 1, 2 or 3, got {order}$"
+    for x in (p.x0 + 0.3, np.stack([p.x0, p.x0 - 0.3])):
+        with pytest.raises(ValueError, match=refusal):
+            p.exact_deriv(x, order)
+    for policy in ("none", "adversarial") + ("subsample",) * (p.term_model is not None):
+        ledger = EvalLedger()
+        with pytest.raises(ValueError, match=refusal):
+            InexactOracle(p, policy=policy).eval_deriv(p.x0, order, 1e-3, ledger)
+        assert len(ledger) == 0
+
+
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)

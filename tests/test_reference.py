@@ -250,7 +250,7 @@ def test_lipschitz_refuses_a_nonfinite_box(bad):
 @pytest.mark.parametrize("order", [0, 4, -1])
 def test_lipschitz_refuses_an_order_outside_1_to_3(order):
     p = make_problem("quartic", dim=2)
-    with pytest.raises(ValueError, match=f"lipschitz_estimate: order must be 1, 2 or 3, "
+    with pytest.raises(ValueError, match=r"quartic\(dim=2\): derivative order must be 1, 2 or 3, "
                                          f"got {order}"):
         lipschitz_estimate(p, (-np.ones(2), np.ones(2)), order)
 

@@ -3,10 +3,10 @@ import pytest
 
 from dyntrust.driver import TrConfig, run
 from dyntrust.model import make_bundle, sym_tensor, taylor_decrement
-from dyntrust import step
+from dyntrust import optimality, step
 from dyntrust.optimality import (AccuracyLedger, CertificationError, CertifiedDecrement,
                                  allowed_tightenings, certified_decrement, max_decrement,
-                                 step_stop_level)
+                                 step_scale, stop_level)
 from dyntrust.oracle import InexactOracle
 from dyntrust.problems import make_problem
 from dyntrust.reference import max_decrement_reference
@@ -165,9 +165,9 @@ BUDGET_TRAP = ("step certification not relative within its guaranteed tightening
 
 def step_budget(acc):
     """The tightenings the trial step state's step loop may make."""
-    stop_level = 0.02 * 1e-3 / (8.0 * 1.02)
-    assert step_stop_level(1, 1e-3, 0.5, 0.02) == stop_level
-    return allowed_tightenings(0.1, stop_level, acc.gamma_zeta)
+    level = 0.02 * 1e-3 / (8.0 * 1.02)
+    assert stop_level(1, step_scale(1e-3, 0.02), 0.5) == level
+    return allowed_tightenings(0.1, level, acc.gamma_zeta)
 
 
 def test_step_never_relative_trips_the_budget_trap(monkeypatch):
@@ -181,7 +181,7 @@ def test_step_never_relative_trips_the_budget_trap(monkeypatch):
     assert "order 1, radius 2.0, x = [2.0, 1.5]" in str(e)
     assert acc.i_zeta == step_budget(acc) > 0
     # the budget brings the accuracy to the level that guarantees a relative step
-    assert acc.zetas[0] <= step_stop_level(1, 1e-3, 0.5, 0.02) < acc.zetas[0] / acc.gamma_zeta
+    assert acc.zetas[0] <= stop_level(1, step_scale(1e-3, 0.02), 0.5) < acc.zetas[0] / acc.gamma_zeta
 
 
 def test_step_that_cannot_tighten_trips_the_budget_trap(monkeypatch):
@@ -202,6 +202,39 @@ def test_step_with_a_growing_accuracy_trips_the_budget_trap(monkeypatch):
         compute_step(2.0, 0.5, cert, 1e-3, 0.02, acc)
     assert acc.i_zeta == step_budget(acc) == 0
     assert acc.zetas == [0.1]
+
+
+@pytest.mark.parametrize("last_round", ["certifies", "insufficient"])
+@pytest.mark.parametrize("phase", ["termination", "step"])
+def test_certification_loop_ends_exactly_at_its_budget(monkeypatch, phase, last_round):
+    # an outcome insufficient until the last round the budget allows is
+    # certified there; one more insufficient round trips the one trap
+    if phase == "termination":
+        module, j, radius = optimality, 2, 0.5
+        acc = state(make_problem("quadratic", dim=2, cond=4), 2, np.array([1.0, -0.5]))
+        budget = allowed_tightenings(0.1, 0.25 * 0.02 * 0.99 * 1e-3 * 0.5 / 2, acc.gamma_zeta)
+        loop, args = certified_decrement, (j, radius, 1e-3, 0.99, 0.02, acc)
+    else:
+        module, j, radius = step, 1, 2.0
+        cert, acc = trial_step_state()
+        budget = step_budget(acc)
+        loop, args = compute_step, (radius, 0.5, cert, 1e-3, 0.02, acc)
+    assert budget > 0
+    n_insufficient = budget + (last_round == "insufficient")
+    outcomes = [VerifyOutcome.INSUFFICIENT] * n_insufficient + [VerifyOutcome.RELATIVE]
+    monkeypatch.setattr(module, "verify", lambda *_: outcomes.pop(0))
+    if last_round == "certifies":
+        res = loop(*args)
+        if phase == "step":
+            assert res.tighten_count == budget
+        assert outcomes == []
+    else:
+        with pytest.raises(CertificationError, match="within its guaranteed tightening "
+                                                     r"budget \(implementation bug\)") as err:
+            loop(*args)
+        assert (err.value.j, err.value.radius) == (j, radius)
+        assert outcomes == [VerifyOutcome.RELATIVE]
+    assert acc.i_zeta == budget
 
 
 def test_absolute_step_outcome_stops_the_run(monkeypatch):
