@@ -24,9 +24,10 @@ oracle = InexactOracle(problem, policy="adversarial", seed=0)
 
 for label, x in (("far from the minimizer", np.array([2.0, -1.0])),
                  ("at the minimizer", np.zeros(2))):
-    # initial accuracy zeta0 = 0.1, tightened by gamma_zeta = 0.1 per round
-    acc = AccuracyLedger.fresh(TrConfig.with_defaults((1e-3,)), oracle, x)
-    cert = certified_decrement(1, 0.5, 1e-3, 0.99, 0.02, acc)
+    # eps_1 = 1e-3, omega = 0.02, initial accuracy zeta0 = 0.1, tightened
+    # by gamma_zeta = 0.1 per round; the ledger's config holds them all
+    acc = AccuracyLedger(TrConfig.with_defaults((1e-3,), omega=0.02), oracle, x)
+    cert = certified_decrement(1, 0.5, acc)
     print(f"\n{label}:")
     print(f"  outcome {cert.outcome.value}, decrement {cert.dT:.3e}, "
           f"tightenings {acc.i_zeta}, gradient calls {acc.ledger.n_deriv(1)}")

@@ -109,7 +109,7 @@ def _spec_from_args(args) -> RunSpec:
 
 def _cmd_run(args) -> int:
     spec = _spec_from_args(args)
-    result, problem, _, paths = execute_run(spec)
+    result, problem, paths = execute_run(spec)
     bounds = lipschitz = None
     if result.history:
         bounds, lipschitz = bounds_for_run(result, problem)
@@ -125,7 +125,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_audit(args) -> int:
     spec = _spec_from_args(args)
-    result, problem, _, paths = execute_run(spec)
+    result, problem, paths = execute_run(spec)
     report = None
     if result.terminated:
         report = check_history(result, problem)

@@ -176,14 +176,19 @@ class RunTrace(Table):
 
 @dataclass
 class RunResult:
-    x0: Vector
+    """A finished run: its end point, its trace (which holds the start
+    point ``history.x0``) and its ledger (which holds the config and the
+    oracle)."""
+
     x_eps: Vector
     delta_eps: float
     terminated: bool
     history: RunTrace
     acc: AccuracyLedger
-    cfg: TrConfig
-    problem_name: str
+
+    @property
+    def cfg(self) -> TrConfig:
+        return self.acc.cfg
 
     @property
     def eval_ledger(self) -> EvalLedger:
@@ -220,8 +225,7 @@ def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
     if x.size != oracle.dim:
         raise ConfigError("start point dimension does not match the problem")
     x.flags.writeable = False
-    x_start = x
-    acc = AccuracyLedger.fresh(cfg, oracle, x)
+    acc = AccuracyLedger(cfg, oracle, x)
     ledger = acc.ledger
     counts = ledger.counts
     f_bar = None
@@ -236,8 +240,7 @@ def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
         try:
             if pending is None:
                 ledger.phase = PHASE_TERMINATION
-                cert = termination_test(delta_k, cfg.eps, cfg.varsigma, cfg.omega,
-                                        acc, seed=cfg.seed)
+                cert = termination_test(delta_k, acc)
                 if cert is None:
                     terminated = True
                     break
@@ -246,8 +249,7 @@ def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
             j = cert.j
 
             ledger.phase = PHASE_STEP
-            sres = compute_step(delta_tr, cfg.vartheta, cert, cfg.eps[j - 1],
-                                cfg.omega, acc, seed=cfg.seed)
+            sres = compute_step(delta_tr, cert, acc)
         except CertificationError as exc:
             raise CertificationError(exc.reason, exc.j, exc.radius, exc.x, k) from None
 
@@ -288,9 +290,8 @@ def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
             pending = cert
         delta_tr = delta_next
 
-    return RunResult(x0=x_start, x_eps=x.copy(), delta_eps=min(delta_tr, cfg.vartheta),
-                     terminated=terminated, history=history, acc=acc, cfg=cfg,
-                     problem_name=oracle.problem.name)
+    return RunResult(x_eps=x.copy(), delta_eps=min(delta_tr, cfg.vartheta),
+                     terminated=terminated, history=history, acc=acc)
 
 
 @dataclass
@@ -343,7 +344,7 @@ def resolve_lipschitz(problem: Problem, result: RunResult, q: int) -> tuple:
                 # every iterate: x0, each accepted trial point, and x_eps,
                 # reduced in place over the trace's trial points
                 trace = result.history
-                ends = np.stack((result.x0, result.x_eps))
+                ends = np.stack((trace.x0, result.x_eps))
                 accepted = trace.column("successful")[:, None]
                 lo = np.min(trace.x_trial, axis=0, where=accepted, initial=np.inf)
                 hi = np.max(trace.x_trial, axis=0, where=accepted, initial=-np.inf)
@@ -362,7 +363,7 @@ def bounds_for_run(result: RunResult, problem: Problem,
     if lipschitz is None:
         lipschitz = resolve_lipschitz(problem, result, cfg.q)
     L_f = max(1.0, *(v for v, _ in lipschitz))
-    x0 = result.x0
+    x0 = result.history.x0
     g0 = max(operator_norm(problem.exact_deriv(x0, i), i) for i in range(1, cfg.q + 1))
     bc = compute_bounds(cfg, L_f=L_f, f0=problem.exact_f(x0), f_low=problem.f_low,
                         grad_norms_at_x0=g0, zeta_at_x0=max(cfg.zeta0))
@@ -394,7 +395,7 @@ def check_history(result: RunResult, problem: Problem,
     trace = result.history
     n_iter = len(trace)
     n_success = trace.n_success
-    f0 = problem.exact_f(result.x0)
+    f0 = problem.exact_f(trace.x0)
 
     # One replay against exact values, each trial point evaluated once, in
     # stacked blocks; f at each x is f0 or the f of the accepted trial point
@@ -460,8 +461,7 @@ def check_history(result: RunResult, problem: Problem,
     # (g) accuracy floor: no derivative accuracy below one tightening under
     # the guaranteed level
     zeta_floor = cfg.gamma_zeta * min(
-        cfg.varsigma * cfg.omega / (8 * (1 + cfg.omega)) * cfg.eps[j - 1]
-        * (bc.kappa_delta * eps_min) ** (j - 1) / factorial(j)
+        cfg.varsigma * stop_level(j, step_scale(cfg.eps[j - 1], cfg.omega), radius_floor)
         for j in range(1, q + 1))
     # exact orders request zeta = 0 by design; min_acc skips those requests
     min_req = result.eval_ledger.min_acc((1, 2, 3))

@@ -135,7 +135,7 @@ def summary_dict(result: RunResult, audit: AuditReport | None = None,
     ledger = result.eval_ledger
     step_tightens = int(result.history.column("step2_tightens").sum())
     out = {
-        "problem": result.problem_name,
+        "problem": result.acc.oracle.problem.name,
         "terminated": result.terminated,
         "iterations": result.n_iterations,
         "successes": result.n_success,
@@ -211,9 +211,9 @@ class RunSpec:
 
 
 def execute_run(spec: RunSpec, write: bool = True):
-    """Build the config, the problem and the run; optionally write the history
-    and events CSVs.  ``paths`` names those files and the summary JSON, which
-    the caller builds and writes."""
+    """``(result, problem, paths)``: build the config, the problem and the
+    run; optionally write the history and events CSVs.  ``paths`` names
+    those files and the summary JSON, which the caller builds and writes."""
     cfg = spec.build_config()
     problem = spec.build_problem()
     oracle = InexactOracle(problem, policy=spec.policy, seed=spec.seed)
@@ -227,7 +227,7 @@ def execute_run(spec: RunSpec, write: bool = True):
         paths["summary"] = out / f"{key}_summary.json"
         write_history_csv(paths["history"], result.history)
         write_events_csv(paths["events"], result.eval_ledger)
-    return result, problem, cfg, paths
+    return result, problem, paths
 
 
 # --------------------------------------------------------------------------
@@ -306,7 +306,7 @@ def seed_sweep(problem_name: str, q: int, eps: float, policy: str, seeds,
         spec = RunSpec(problem=problem_name, problem_params=problem_params or {},
                        eps=(eps,) * q, policy=policy, seed=seed,
                        cfg_overrides=dict(cfg_overrides or {}))
-        result, _, _, _ = execute_run(spec, write=False)
+        result, _, _ = execute_run(spec, write=False)
         n_f = result.eval_ledger.n_f
         n_d = result.eval_ledger.n_deriv()
         rows.append(SweepRow(eps=eps, seed=seed, terminated=result.terminated,
@@ -341,7 +341,7 @@ def cost_savings_report(spec: RunSpec, cost_model: str = "inverse") -> CompareRe
     charged at its per-call requested accuracies.  Informational only.
     """
     cost = COST_MODELS[cost_model]
-    dyn_result, _, _, _ = execute_run(spec, write=False)
+    dyn_result, _, _ = execute_run(spec, write=False)
     ledger = dyn_result.eval_ledger
     tight_f = ledger.min_acc((0,))
     tight_d = ledger.min_acc((1, 2, 3))
@@ -353,7 +353,7 @@ def cost_savings_report(spec: RunSpec, cost_model: str = "inverse") -> CompareRe
     fixed_overrides = dict(spec.cfg_overrides)
     fixed_overrides["zeta0"] = min(tight_d, dyn_result.cfg.kappa_zeta)
     fixed_spec = dataclasses.replace(spec, policy="none", cfg_overrides=fixed_overrides)
-    fixed_result, _, _, _ = execute_run(fixed_spec, write=False)
+    fixed_result, _, _ = execute_run(fixed_spec, write=False)
     fl = fixed_result.eval_ledger
 
     return CompareReport(

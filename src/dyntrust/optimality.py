@@ -7,8 +7,9 @@ multi-start projected gradient ascent (heuristic, no certificate).  The
 order-3 starts advance together as one (starts, n) array, and the result
 equals, bit for bit, that of running the ascents one start at a time.
 
-An :class:`AccuracyLedger` holds a run's evaluation state: the accuracy
-bounds, the oracle with its call log, and the tensors at the iterate.
+An :class:`AccuracyLedger` holds a run's evaluation state: its validated
+config, the accuracy bounds, the oracle with its call log, and the tensors
+at the iterate.
 :func:`certification_rounds` is the one tighten-until-certified loop of the
 termination test (``certified_decrement``) and the step; a loop that outruns
 the tightening budget its theory guarantees raises :class:`CertificationError`.
@@ -49,26 +50,22 @@ class CertificationError(RuntimeError):
 
 
 class AccuracyLedger:
-    """A run's evaluation state: the absolute accuracy bounds per derivative
-    order (floats, shrunk only by :meth:`tighten`) with their tightening
-    counter ``i_zeta``, the oracle, its call log ``ledger``, and the
-    derivative tensors at the current iterate ``x``, each evaluated within
-    its order's current bound."""
+    """A run's evaluation state under its validated :class:`TrConfig`
+    ``cfg``, the one source of the run's constants: the absolute accuracy
+    bounds per derivative order (floats, shrunk only by :meth:`tighten`)
+    with their tightening counter ``i_zeta``, the oracle, its call log
+    ``ledger``, and the derivative tensors at the current iterate ``x``,
+    each evaluated within its order's current bound."""
 
-    def __init__(self, zetas, gamma_zeta: float, oracle: InexactOracle, x):
-        self.zetas = [float(z) for z in zetas]
-        self.gamma_zeta = gamma_zeta
+    def __init__(self, cfg, oracle: InexactOracle, x0):
+        """The config's initial accuracies at ``x0``; the oracle's exact
+        orders start (and stay) at zero."""
+        self.cfg = cfg
+        self.zetas = [0.0 if i in oracle.exact_orders else z for i, z in enumerate(cfg.zeta0, 1)]
         self.i_zeta = 0
         self.oracle = oracle
         self.ledger = EvalLedger()
-        self.move_to(x)
-
-    @classmethod
-    def fresh(cls, cfg, oracle: InexactOracle, x0) -> "AccuracyLedger":
-        """The initial accuracies of a validated :class:`TrConfig` at ``x0``;
-        the oracle's exact orders start (and stay) at zero."""
-        z = [0.0 if i in oracle.exact_orders else z0 for i, z0 in enumerate(cfg.zeta0, 1)]
-        return cls(z, cfg.gamma_zeta, oracle, x0)
+        self.move_to(x0)
 
     def move_to(self, x):
         """Make ``x`` the current iterate, with no tensors evaluated yet."""
@@ -87,9 +84,9 @@ class AccuracyLedger:
     def tighten(self, j: int):
         """One geometric tightening of orders 1..j; an order whose bound
         decreased drops its tensor, so an exact order (zeta = 0) keeps it."""
-        zetas, t = self.zetas, self._tensors
+        zetas, t, gamma_zeta = self.zetas, self._tensors, self.cfg.gamma_zeta
         for i in range(j):
-            z = zetas[i] * self.gamma_zeta
+            z = zetas[i] * gamma_zeta
             if z < zetas[i]:
                 t[i] = None
             zetas[i] = z
@@ -265,47 +262,48 @@ def certification_rounds(acc: AccuracyLedger, j: int, scale: float, r: float,
     "``what`` within its guaranteed tightening budget", at ``radius``."""
     yield acc.bundle(j)
     level = stop_level(j, scale, r)
-    for _ in range(allowed_tightenings(max(acc.zetas[:j]), level, acc.gamma_zeta)):
+    for _ in range(allowed_tightenings(max(acc.zetas[:j]), level, acc.cfg.gamma_zeta)):
         acc.tighten(j)
         yield acc.bundle(j)
     raise CertificationError(f"{what} within its guaranteed tightening budget", j, radius, acc.x)
 
 
-def certified_decrement(j: int, delta: float, eps_j: float, varsigma: float,
-                        omega: float, acc: AccuracyLedger,
-                        seed: int = 0) -> CertifiedDecrement:
+def certified_decrement(j: int, delta: float, acc: AccuracyLedger) -> CertifiedDecrement:
     """A near-maximal decrement at the ledger's iterate certified relative or
-    absolute, the accuracies tightened geometrically until it is.
+    absolute, the accuracies tightened geometrically until it is; eps_j,
+    varsigma, omega and the seed are those of the ledger's config.
 
     ``delta`` lies in (0, 1], as the test's min(Delta_k, vartheta) does, so
     accuracies at most L = stop_level(j, omega varsigma eps_j / 4, delta)
     certify.  As delta^i <= delta, the error budget sum_i zeta_i delta^i/i!
     is at most L delta (1 + 1/2 + 1/6) = (5/6) omega (varsigma eps_j / 2)
     delta^j/j!.  The absolute test allows omega xi delta^j/j! with xi =
-    min(varsigma, guarantee) eps_j / 2, where varsigma <= 1 and a guarantee
-    is None or at least 1 - 1e-8, so it holds; the last 1/6 absorbs the
-    rounding of the repeated multiplication by gamma_zeta.  Past delta = 1
-    the bound fails (at j = 3 beyond delta ~ 1.37, at j = 2 beyond 2).
+    min(varsigma, guarantee) eps_j / 2, where varsigma <= 1 (the ledger's
+    TrConfig checks it) and a guarantee is None or at least 1 - 1e-8, so it
+    holds; the last 1/6 absorbs the rounding of the repeated multiplication
+    by gamma_zeta.  Past delta = 1 the bound fails (at j = 3 beyond delta ~
+    1.37, at j = 2 beyond 2).
     """
     if not 0 < delta <= 1:
         raise ValueError(f"certified_decrement: radius delta must lie in (0, 1], got {delta!r}")
+    cfg = acc.cfg
+    eps_j, varsigma, omega = cfg.eps[j - 1], cfg.varsigma, cfg.omega
     for bundle in certification_rounds(acc, j, 0.25 * omega * varsigma * eps_j, delta, delta,
                                        "accuracy certification failed to terminate"):
-        d, dt, guarantee = max_decrement(bundle, j, delta, seed=seed)
+        d, dt, guarantee = max_decrement(bundle, j, delta, seed=cfg.seed)
         vs = varsigma if guarantee is None else min(varsigma, guarantee)
         outcome = verify(delta, dt, acc.zetas[:j], 0.5 * vs * eps_j, omega)
         if outcome is not VerifyOutcome.INSUFFICIENT:
             return CertifiedDecrement(j, d, dt, outcome)
 
 
-def termination_test(delta_k: float, eps, varsigma: float, omega: float,
-                     acc: AccuracyLedger, seed: int = 0) -> CertifiedDecrement | None:
-    """Orders 1..q in turn at the ledger's iterate: return the first certified
-    decrement exceeding its threshold, or None when the iterate is an
-    approximate minimizer."""
+def termination_test(delta_k: float, acc: AccuracyLedger) -> CertifiedDecrement | None:
+    """Orders 1..q of the ledger's config in turn at the ledger's iterate:
+    return the first certified decrement exceeding its threshold, or None
+    when the iterate is an approximate minimizer."""
+    eps, omega = acc.cfg.eps, acc.cfg.omega
     for j in range(1, len(eps) + 1):
-        cert = certified_decrement(j, delta_k, eps[j - 1], varsigma, omega, acc,
-                                   seed=seed)
+        cert = certified_decrement(j, delta_k, acc)
         threshold = (eps[j - 1] / (1.0 + omega)) * delta_k**j / factorial(j)
         if cert.dT > threshold:
             return cert

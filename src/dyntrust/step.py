@@ -25,10 +25,9 @@ class StepResult(NamedTuple):
     zeta_entry_max: float      # max accuracy bound over orders 1..j at entry
 
 
-def compute_step(radius: float, vartheta: float, cert: CertifiedDecrement,
-                 eps_j: float, omega: float, acc: AccuracyLedger,
-                 seed: int = 0) -> StepResult:
-    """The iteration's step from the ledger's iterate within the trust region.
+def compute_step(radius: float, cert: CertifiedDecrement, acc: AccuracyLedger) -> StepResult:
+    """The iteration's step from the ledger's iterate within the trust region;
+    vartheta, eps_j, omega and the seed are those of the ledger's config.
 
     Pass-through when radius <= vartheta (the certified displacement *is*
     the step).  Otherwise each round of :func:`certification_rounds` takes
@@ -40,9 +39,10 @@ def compute_step(radius: float, vartheta: float, cert: CertifiedDecrement,
     dT > eps_j/(1+omega) vartheta^j/j!, and tightening only shrinks the error
     budgets, so under any later bundle T(d) >= (1-2 omega) dT.  An absolute
     outcome needs dt_s < eps_j/(4(1+omega)) min(vartheta, |s|)^j/j!,
-    impossible as 1 - 2 omega > 1/4 (TrConfig forces omega < 1/6).
+    impossible as 1 - 2 omega > 1/4 (the ledger's TrConfig forces omega < 1/6).
     """
-    j = cert.j
+    cfg, j = acc.cfg, cert.j
+    vartheta = cfg.vartheta
     zeta_entry = max(acc.zetas[:j])
     if radius <= vartheta:
         if cert.outcome is not VerifyOutcome.RELATIVE:
@@ -51,11 +51,12 @@ def compute_step(radius: float, vartheta: float, cert: CertifiedDecrement,
                                      "the termination test", j, radius, acc.x)
         return StepResult(cert.d.copy(), cert.dT, 0, zeta_entry)
 
+    eps_j, omega = cfg.eps[j - 1], cfg.omega
     for tightened, bundle in enumerate(certification_rounds(
             acc, j, step_scale(eps_j, omega), vartheta, radius,
             "step certification not relative")):
         dt_fallback = taylor_decrement(bundle, cert.d, j)
-        s_try, _, _ = max_decrement(bundle, j, radius, seed=seed)
+        s_try, _, _ = max_decrement(bundle, j, radius, seed=cfg.seed)
         dt_try = taylor_decrement(bundle, s_try, j)
         if dt_try >= dt_fallback:
             s, dt_s = s_try, dt_try

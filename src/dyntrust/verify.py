@@ -18,10 +18,6 @@ class VerifyOutcome(Enum):
     ABSOLUTE = "absolute"
     INSUFFICIENT = "insufficient"
 
-    @property
-    def sufficient(self) -> bool:
-        return self is not VerifyOutcome.INSUFFICIENT
-
 
 def error_budget(delta: float, zetas) -> float:
     """Worst-case decrement error over the delta-ball: sum_i zeta_i delta^i/i!,

@@ -88,7 +88,7 @@ def check_verify_guarantees(exact: Bundle, inexact: Bundle, zetas, delta: float,
     report = VerifyCheckReport(outcome=outcome, n_samples=n_samples)
     budget = error_budget(delta, zetas)
     guaranteed = budget <= omega * xi * delta**r / factorial(r)
-    if guaranteed and not outcome.sufficient:
+    if guaranteed and outcome is VerifyOutcome.INSUFFICIENT:
         report.violations.append("insufficient despite full-budget guarantee")
 
     scale = 1.0 + fp_slack
@@ -179,7 +179,7 @@ def pointwise_replay(result, problem: Problem, report: AuditReport) -> AuditRepo
     col = {name: trace.column(name).tolist() for name in RunTrace.dtype.names}
     x_trial = trace.x_trial
     rows = range(len(trace))
-    pts = np.array([result.x0, *(x_trial[k] for k in rows if col["successful"][k]),
+    pts = np.array([trace.x0, *(x_trial[k] for k in rows if col["successful"][k]),
                     result.x_eps])
     box = pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5
     declared = problem.lipschitz or ()
@@ -191,7 +191,7 @@ def pointwise_replay(result, problem: Problem, report: AuditReport) -> AuditRepo
     bc, L_f = bounds_for_run(result, problem, lipschitz)
 
     floor = (cfg.eta1 - 2 * cfg.omega) * bc.kappa_delta ** (q + 1) * eps_min ** (q + 1) / factorial(q)
-    f_x = problem.exact_f(result.x0)
+    f_x = problem.exact_f(trace.x0)
     decreases, gaps, acc_bad, cap_bad = [], [], 0, 0
     for k in rows:
         f_trial = problem.exact_f(x_trial[k])

@@ -75,7 +75,7 @@ def _corpus_specs():
 def corpus():
     runs = []
     for spec in _corpus_specs():
-        result, problem, _, _ = execute_run(spec, write=False)
+        result, problem, _ = execute_run(spec, write=False)
         assert result.terminated, f"corpus run failed to terminate: {spec.run_key()}"
         audit = check_history(result, problem)
         runs.append(CorpusRun(spec=spec, result=result, problem=problem, audit=audit))
@@ -161,8 +161,8 @@ def test_criterion_2_certified_decrement_soundness():
         eps_j = float(rng.choice([1e-2, 1e-3]))
         omega = 0.02
         oracle = InexactOracle(problem, policy="adversarial", seed=trial)
-        acc = AccuracyLedger.fresh(TrConfig.with_defaults((eps_j,) * j), oracle, x)
-        cert = certified_decrement(j, delta, eps_j, 0.99, omega, acc)
+        acc = AccuracyLedger(TrConfig.with_defaults((eps_j,) * j, omega=omega), oracle, x)
+        cert = certified_decrement(j, delta, acc)
         phi = phi_reference(problem, x, j, delta)
         if cert.outcome is VerifyOutcome.ABSOLUTE:
             n_abs += 1

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from checkers import pointwise_replay
-from dyntrust import driver, optimality
+from dyntrust import driver, optimality, step
 from dyntrust.driver import ConfigError, RunTrace, TrConfig, check_history, run
 from dyntrust.optimality import CertificationError
 from dyntrust.oracle import InexactOracle, NonFiniteEvaluation, Problem
@@ -40,7 +40,7 @@ def test_config_violations_name_the_constraint(overrides, fragment):
 
 
 def test_config_rejects_initial_accuracy_above_kappa():
-    # AccuracyLedger.fresh trusts the config, so the config owns this check
+    # AccuracyLedger trusts the config, so the config owns this check
     for zeta0 in (0.5, (0.05, 0.5)):
         with pytest.raises(ConfigError, match="zeta0"):
             TrConfig.with_defaults((1e-3, 1e-3), zeta0=zeta0, gamma_zeta=0.5)
@@ -322,6 +322,39 @@ def test_run_sets_the_phase_before_each_phase(monkeypatch):
     assert all((e.order == 0) == (e.phase == PHASE_OBJECTIVE) for e in res.eval_ledger.entries)
 
 
+def test_every_phase_reads_its_constants_from_the_run_config(monkeypatch):
+    # run passes no constants: every verify call sees the config's omega,
+    # the termination test's xi its varsigma and eps_j, and every ball
+    # search its seed, at each order up to q = 3
+    cfg = TrConfig.with_defaults((1e-2, 2e-2, 3e-2), omega=0.015, varsigma=0.9, seed=7)
+    seen = {"termination": [], "step": [], "max_decrement": []}
+
+    def spy_verify(phase, fn):
+        def wrapped(delta, decrement, zetas, xi, omega):
+            seen[phase].append((len(zetas), xi, omega))
+            return fn(delta, decrement, zetas, xi, omega)
+        return wrapped
+
+    def spy_max_decrement(fn):
+        def wrapped(b, j, delta, seed=0):
+            seen["max_decrement"].append((j, seed))
+            return fn(b, j, delta, seed=seed)
+        return wrapped
+
+    monkeypatch.setattr(optimality, "verify", spy_verify("termination", optimality.verify))
+    monkeypatch.setattr(step, "verify", spy_verify("step", step.verify))
+    for module in (optimality, step):
+        monkeypatch.setattr(module, "max_decrement", spy_max_decrement(module.max_decrement))
+    res = run(InexactOracle(make_problem("quartic", dim=3), policy="adversarial", seed=0), cfg)
+    assert res.cfg is cfg and all(seen.values())
+    assert {omega for phase in ("termination", "step") for *_, omega in seen[phase]} == {0.015}
+    # varsigma = 0.9 lies under every order's solver guarantee
+    assert {(j, xi) for j, xi, _ in seen["termination"]} == {
+        (j, 0.5 * 0.9 * cfg.eps[j - 1]) for j in (1, 2, 3)}
+    assert {seed for _, seed in seen["max_decrement"]} == {7}
+    assert {j for j, _ in seen["max_decrement"]} == {1, 2, 3}
+
+
 def test_run_rosenbrock_tight_q2_all_seeds():
     # ten adversarial seeds at the tight target; the final point always
     # carries an exact gradient under the first-order threshold
@@ -386,7 +419,7 @@ def test_audit_flags_a_step_beyond_the_radius():
     table = np.rec.fromarrays([trace.column(f) for f in RunTrace.dtype.names],
                               dtype=RunTrace.dtype)
     table.step_norm[3] = table.Delta[3] * (1 + 1e-10)
-    moved = dataclasses.replace(res, history=RunTrace(res.x0, table.tobytes(), trace.x_trial))
+    moved = dataclasses.replace(res, history=RunTrace(trace.x0, table.tobytes(), trace.x_trial))
     assert len(moved.history) == len(trace)
     assert moved.history.column("step_norm")[3] > trace.column("step_norm")[3]
     check = check_history(moved, p).checks["step_within_radius"]
@@ -457,7 +490,7 @@ def test_records_hold_each_point_once_read_only():
     with pytest.raises(ValueError):
         block[0, 0] = 0.0
     x = res.history.x
-    current = res.x0
+    current = res.history.x0
     for k, successful in enumerate(res.history.column("successful").tolist()):
         # x is the start point, or the previous accepted x_trial
         np.testing.assert_array_equal(x[k], current, strict=True)

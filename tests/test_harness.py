@@ -21,7 +21,7 @@ from dyntrust.oracle import PHASES
 def test_csv_round_trip(tmp_path):
     spec = RunSpec(problem="quadratic", problem_params={"dim": 2, "cond": 20},
                    eps=(1e-3,), policy="adversarial", seed=4)
-    result, _, _, _ = execute_run(spec, write=False)
+    result, _, _ = execute_run(spec, write=False)
     path = tmp_path / "hist.csv"
     write_history_csv(path, result.history)
     parsed = read_history_csv(path)
@@ -48,7 +48,7 @@ def test_csv_reader_refuses_rows_that_do_not_follow(tmp_path):
     # x is derived from the rows before it, so a CSV whose x disagrees with
     # the previous accepted x_trial, or whose k skips, is not a trace
     spec = RunSpec(problem="rosenbrock", eps=(1e-2,), policy="adversarial", seed=2)
-    result, _, _, _ = execute_run(spec, write=False)
+    result, _, _ = execute_run(spec, write=False)
     path = tmp_path / "hist.csv"
     write_history_csv(path, result.history)
     x = CSV_COLUMNS.index("x")
@@ -71,7 +71,7 @@ def test_csv_reader_refuses_rows_that_do_not_follow(tmp_path):
 def test_csv_reader_refuses_malformed_cells_by_row_and_column(tmp_path, column, text):
     spec = RunSpec(problem="quadratic", problem_params={"dim": 2}, eps=(1e-3,),
                    policy="adversarial", seed=0)
-    result, _, _, _ = execute_run(spec, write=False)
+    result, _, _ = execute_run(spec, write=False)
     path = tmp_path / "hist.csv"
     write_history_csv(path, result.history)
 
@@ -155,7 +155,7 @@ def test_history_csv_is_read_in_bounded_memory(tmp_path):
 def test_events_csv_round_trip(tmp_path):
     spec = RunSpec(problem="finite_sum_logistic", problem_params={"dim": 3, "terms": 32},
                    eps=(1e-2, 1e-2), policy="subsample", seed=1)
-    result, _, _, _ = execute_run(spec, write=False)
+    result, _, _ = execute_run(spec, write=False)
     ledger = result.eval_ledger
     path = tmp_path / "events.csv"
     write_events_csv(path, ledger)

@@ -20,10 +20,11 @@ from checkers import NoShrinkLedger, sequential_max_cubic_on_ball
 REL_SLACK = 1.0 + 1e-9  # rounding in the reference and the certified decrement
 
 
-def fresh_state(problem, q, x, policy="none", seed=0, zeta0=0.1, exact_orders=()):
+def fresh_state(problem, q, x, policy="none", seed=0, zeta0=0.1, exact_orders=(),
+                eps=1e-3, omega=0.02):
     oracle = InexactOracle(problem, policy=policy, seed=seed, exact_orders=exact_orders)
-    return AccuracyLedger.fresh(TrConfig.with_defaults(
-        (1e-3,) * q, zeta0=zeta0, kappa_zeta=max(zeta0, 0.1)), oracle, x)
+    return AccuracyLedger(TrConfig.with_defaults(
+        (eps,) * q, zeta0=zeta0, kappa_zeta=max(zeta0, 0.1), omega=omega), oracle, x)
 
 
 def test_max_decrement_order1_closed_form():
@@ -141,7 +142,7 @@ def test_certified_decrement_exact_oracle_first_pass():
     p = make_problem("quadratic", dim=2, cond=4)
     x = np.array([1.0, 1.0])
     acc = fresh_state(p, 1, x, zeta0=1e-12)
-    cert = certified_decrement(1, 0.5, 1e-3, 0.99, 0.02, acc)
+    cert = certified_decrement(1, 0.5, acc)
     assert acc.i_zeta == 0
     assert cert.outcome is VerifyOutcome.RELATIVE
     assert acc.ledger.n_deriv(1) == 1
@@ -155,7 +156,7 @@ def test_certified_decrement_predicted_tightening_count():
     omega, varsigma, eps_j, delta = 0.02, 0.99, 1e-3, 0.5
     zeta0, gamma = 0.1, 0.1
     acc = fresh_state(p, 1, x, zeta0=zeta0)
-    cert = certified_decrement(1, delta, eps_j, varsigma, omega, acc)
+    cert = certified_decrement(1, delta, acc)
     assert cert.outcome is VerifyOutcome.ABSOLUTE
     xi = 0.5 * varsigma * eps_j
     predicted = math.ceil(math.log(zeta0 / (omega * xi)) / math.log(1 / gamma))
@@ -173,14 +174,14 @@ def test_certification_budget_trap_names_order_radius_and_point(monkeypatch):
     acc = fresh_state(p, 2, x, zeta0=0.1)
     monkeypatch.setattr(optimality, "verify", lambda *a: VerifyOutcome.INSUFFICIENT)
     with pytest.raises(CertificationError, match="guaranteed tightening budget") as err:
-        certified_decrement(2, delta, eps_j, varsigma, omega, acc)
+        certified_decrement(2, delta, acc)
     e = err.value
     assert isinstance(e, RuntimeError)
     assert (e.j, e.radius, e.k) == (2, delta, None)
     np.testing.assert_array_equal(e.x, x)
     assert str(e).endswith("(implementation bug): order 2, radius 0.5, x = [1.0, -0.5]")
     target = 0.25 * omega * varsigma * eps_j * delta / 2
-    assert acc.i_zeta == allowed_tightenings(0.1, target, acc.gamma_zeta)
+    assert acc.i_zeta == allowed_tightenings(0.1, target, acc.cfg.gamma_zeta)
 
 
 @pytest.mark.parametrize("delta", [2.0, 3.0, 0.0, -0.5, math.nan])
@@ -191,7 +192,7 @@ def test_certified_decrement_refuses_a_radius_outside_0_1(delta):
     acc = fresh_state(p, 3, np.zeros(2))
     with pytest.raises(ValueError, match=r"certified_decrement: radius delta must lie in "
                                          rf"\(0, 1\], got {delta!r}"):
-        certified_decrement(3, delta, 1e-3, 0.99, 0.02, acc)
+        certified_decrement(3, delta, acc)
     assert acc.i_zeta == 0 and len(acc.ledger) == 0
 
 
@@ -208,9 +209,9 @@ def test_certified_decrement_at_unit_radius_ends_within_budget_for_every_gamma(m
     for gamma in np.linspace(0.5, 0.98, 25).tolist():
         for j in (2, 3):
             oracle = InexactOracle(p)
-            acc = AccuracyLedger.fresh(TrConfig.with_defaults(
-                (1e-3,) * 3, gamma_zeta=gamma), oracle, np.zeros(2))
-            cert = certified_decrement(j, 1.0, 1e-3, 0.99, 0.02, acc)
+            acc = AccuracyLedger(TrConfig.with_defaults(
+                (1e-3,) * 3, gamma_zeta=gamma, omega=0.02), oracle, np.zeros(2))
+            cert = certified_decrement(j, 1.0, acc)
             assert cert.outcome is VerifyOutcome.ABSOLUTE
             target = 0.25 * 0.02 * 0.99 * 1e-3 / factorial(j)
             assert 0 < acc.i_zeta <= allowed_tightenings(0.1, target, gamma)
@@ -222,8 +223,8 @@ def test_certified_absolute_implies_small_reference_phi():
     x = np.zeros(2)
     eps_j, delta, omega = 1e-2, 0.5, 0.02
     for j in (1, 2):
-        acc = fresh_state(p, 2, x, policy="adversarial")
-        cert = certified_decrement(j, delta, eps_j, 0.99, omega, acc)
+        acc = fresh_state(p, 2, x, policy="adversarial", eps=eps_j, omega=omega)
+        cert = certified_decrement(j, delta, acc)
         assert cert.outcome is VerifyOutcome.ABSOLUTE
         phi = phi_reference(p, x, j, delta)
         assert phi <= eps_j * delta**j / factorial(j) * REL_SLACK
@@ -234,8 +235,8 @@ def test_certified_relative_two_sided_bound():
     p = make_problem("quadratic", dim=2, cond=4)
     x = np.array([2.0, -1.0])
     omega = 0.02
-    acc = fresh_state(p, 1, x, policy="adversarial")
-    cert = certified_decrement(1, 0.5, 1e-3, 0.99, omega, acc)
+    acc = fresh_state(p, 1, x, policy="adversarial", omega=omega)
+    cert = certified_decrement(1, 0.5, acc)
     assert cert.outcome is VerifyOutcome.RELATIVE
     phi = phi_reference(p, x, 1, 0.5)
     assert (1 - omega) * cert.dT <= phi * REL_SLACK
@@ -246,7 +247,7 @@ def test_certified_decrement_never_calls_eval_f():
     p = make_problem("rosenbrock")
     x = np.array([-1.2, 1.0])
     acc = fresh_state(p, 2, x, policy="adversarial")
-    certified_decrement(2, 0.5, 1e-3, 0.99, 0.02, acc)
+    certified_decrement(2, 0.5, acc)
     assert acc.ledger.n_f == 0
 
 
@@ -277,8 +278,8 @@ def test_cache_reuses_until_tightened():
     assert acc.zetas[1] == 0.0 and deriv_counts(acc) == (5, 1)
 
     # a ledger whose tighten leaves the bounds alone keeps its tensors
-    acc = NoShrinkLedger.fresh(TrConfig.with_defaults((1e-3,) * 2),
-                               InexactOracle(p, policy="adversarial"), x)
+    acc = NoShrinkLedger(TrConfig.with_defaults((1e-3,) * 2),
+                         InexactOracle(p, policy="adversarial"), x)
     b = acc.bundle(2)
     acc.tighten(2)
     assert all(u is v for u, v in zip(acc.bundle(2), b)) and deriv_counts(acc) == (1, 1)
@@ -288,8 +289,8 @@ def test_termination_test_continue_order1():
     p = make_problem("quadratic", dim=2, cond=1)  # identity Hessian
     x = np.array([0.6, -0.8])  # gradient norm exactly 1
     omega = 0.01
-    acc = fresh_state(p, 1, x, zeta0=1e-10)
-    cert = termination_test(0.5, (1e-3,), 0.99, omega, acc)
+    acc = fresh_state(p, 1, x, zeta0=1e-10, omega=omega)
+    cert = termination_test(0.5, acc)
     assert cert.j == 1
     assert cert.dT == pytest.approx(0.5)
     assert cert.dT > (1e-3 / (1 + omega)) * 0.5
@@ -299,7 +300,7 @@ def test_termination_test_terminated_at_minimizer():
     p = make_problem("quadratic", dim=3, cond=5)
     x = np.zeros(3)
     acc = fresh_state(p, 2, x, zeta0=1e-12)
-    assert termination_test(0.5, (1e-3, 1e-3), 0.99, 0.02, acc) is None
+    assert termination_test(0.5, acc) is None
     assert deriv_counts(acc) == (1, 1)
 
 
@@ -307,8 +308,8 @@ def test_termination_test_saddle_continues_at_order2():
     p = make_problem("saddle_well")
     x = np.zeros(2)
     omega = 0.02
-    acc = fresh_state(p, 2, x, zeta0=1e-10)
-    cert = termination_test(0.1, (1e-2, 1e-2), 0.99, omega, acc)
+    acc = fresh_state(p, 2, x, zeta0=1e-10, eps=1e-2, omega=omega)
+    cert = termination_test(0.1, acc)
     assert cert.j == 2
     # the quadratic decrement at the saddle is delta^2 along the escape axis
     assert cert.dT == pytest.approx(0.01, rel=1e-8)
@@ -324,18 +325,18 @@ def test_finite_tightening_invariant():
         delta = float(rng.uniform(0.05, 0.8))
         eps_j = float(10 ** rng.uniform(-4, -1))
         omega, varsigma, gamma = 0.02, 0.99, 0.1
-        acc = fresh_state(p, 2, x, policy="adversarial", seed=trial)
+        acc = fresh_state(p, 2, x, policy="adversarial", seed=trial, eps=eps_j, omega=omega)
         for j in (1, 2):
             before, entry = acc.i_zeta, max(acc.zetas[:j])
-            certified_decrement(j, delta, eps_j, varsigma, omega, acc)
+            certified_decrement(j, delta, acc)
             target = 0.25 * omega * varsigma * eps_j * delta ** (j - 1) / factorial(j)
             assert acc.i_zeta - before <= allowed_tightenings(entry, target, gamma)
 
 
 def test_accuracy_ledger_tighten_and_exact_orders():
     oracle = InexactOracle(make_problem("rosenbrock"), exact_orders=(2,))
-    acc = AccuracyLedger.fresh(TrConfig.with_defaults((1e-3,) * 3, gamma_zeta=0.5),
-                               oracle, oracle.problem.x0)
+    acc = AccuracyLedger(TrConfig.with_defaults((1e-3,) * 3, gamma_zeta=0.5),
+                         oracle, oracle.problem.x0)
     assert acc.zetas[1] == 0.0
     acc.tighten(3)
     assert acc.i_zeta == 1

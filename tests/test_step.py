@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from dyntrust.driver import TrConfig, run
+from dyntrust.driver import ConfigError, TrConfig, run
 from dyntrust.model import make_bundle, sym_tensor, taylor_decrement
 from dyntrust import optimality, step
 from dyntrust.optimality import (AccuracyLedger, CertificationError, CertifiedDecrement,
@@ -16,14 +18,11 @@ from dyntrust.verify import VerifyOutcome, verify
 from checkers import NoShrinkLedger
 
 
-def state(problem, q, x, policy="none", seed=0, zeta0=0.1):
+def state(problem, q, x, policy="none", seed=0, zeta0=0.1, vartheta=0.5):
     oracle = InexactOracle(problem, policy=policy, seed=seed)
-    return AccuracyLedger.fresh(TrConfig.with_defaults(
-        (1e-3,) * q, zeta0=zeta0, kappa_zeta=max(zeta0, 0.1)), oracle, x)
-
-
-def certified(j, delta, eps_j, omega, acc):
-    return certified_decrement(j, delta, eps_j, 0.99, omega, acc)
+    return AccuracyLedger(TrConfig.with_defaults(
+        (1e-3,) * q, zeta0=zeta0, kappa_zeta=max(zeta0, 0.1), vartheta=vartheta,
+        omega=0.02), oracle, x)
 
 
 def spy_on_verify(monkeypatch):
@@ -51,10 +50,10 @@ def fallback_decrement(cert, acc):
 def test_pass_through_when_radius_small():
     p = make_problem("quadratic", dim=2, cond=3)
     x = np.array([1.0, -1.0])
-    acc = state(p, 1, x, zeta0=1e-10)
-    cert = certified(1, 0.05, 1e-3, 0.02, acc)
+    acc = state(p, 1, x, zeta0=1e-10, vartheta=0.1)
+    cert = certified_decrement(1, 0.05, acc)
     before = len(acc.ledger)
-    res = compute_step(0.05, 0.1, cert, 1e-3, 0.02, acc)
+    res = compute_step(0.05, cert, acc)
     np.testing.assert_array_equal(res.s, cert.d)
     assert res.dT == cert.dT
     assert res.tighten_count == 0
@@ -85,10 +84,10 @@ def test_trial_step_order2_hard_case_radius2():
 def test_step_grows_decrement_with_radius(monkeypatch):
     p = make_problem("quadratic", dim=2, cond=6)
     x = np.array([2.0, 1.5])
-    acc = state(p, 2, x, zeta0=1e-10)
-    cert = certified(2, 1.0, 1e-3, 0.02, acc)
+    acc = state(p, 2, x, zeta0=1e-10, vartheta=1.0)
+    cert = certified_decrement(2, 1.0, acc)
     calls = spy_on_verify(monkeypatch)
-    res = compute_step(2.0, 1.0, cert, 1e-3, 0.02, acc)
+    res = compute_step(2.0, cert, acc)
     assert calls[-1][1] is VerifyOutcome.RELATIVE
     assert res.dT >= cert.dT
     assert res.dT >= fallback_decrement(cert, acc)
@@ -107,7 +106,7 @@ def test_degenerate_model_falls_back_to_certificate():
     cert_d = np.array([-0.3, -0.3])
     dt_d = taylor_decrement(acc.bundle(1), cert_d, 1)
     fake = CertifiedDecrement(j=1, d=cert_d, dT=dt_d, outcome=VerifyOutcome.RELATIVE)
-    res = compute_step(0.5, 0.5, fake, 1e-3, 0.02, acc)
+    res = compute_step(0.5, fake, acc)
     # pass-through branch: radius == vartheta
     np.testing.assert_array_equal(res.s, cert_d)
 
@@ -117,9 +116,9 @@ def test_adversarial_tightens_until_relative(monkeypatch):
     x = np.array([-0.5, 0.2])
     omega = 0.02
     acc = state(p, 1, x, policy="adversarial", zeta0=0.1)
-    cert = certified(1, 0.5, 1e-3, omega, acc)
+    cert = certified_decrement(1, 0.5, acc)
     calls = spy_on_verify(monkeypatch)
-    res = compute_step(4.0, 0.5, cert, 1e-3, omega, acc)
+    res = compute_step(4.0, cert, acc)
     assert calls[-1][1] is VerifyOutcome.RELATIVE
     # realized decrement error against exact tensors honors the certificate
     exact = make_bundle([p.exact_deriv(x, 1)])
@@ -137,10 +136,10 @@ def test_xi_floor_invariant(monkeypatch):
     for trial in range(10):
         x = rng.standard_normal(2) * 3
         acc = state(p, 1, x, policy="adversarial", seed=trial)
-        cert = certified(1, vartheta, eps_j, omega, acc)
+        cert = certified_decrement(1, vartheta, acc)
         radius = float(rng.uniform(0.6, 5.0))
         calls.clear()
-        res = compute_step(radius, vartheta, cert, eps_j, omega, acc)
+        res = compute_step(radius, cert, acc)
         assert calls and calls[-1][1] is VerifyOutcome.RELATIVE
         assert min(xi for xi, _ in calls) >= floor
         # bit-level dominance on every return
@@ -151,12 +150,12 @@ def never_certified(*args):
     return VerifyOutcome.INSUFFICIENT
 
 
-def trial_step_state(ledger_cls=AccuracyLedger, gamma_zeta=None):
+def trial_step_state(ledger_cls=AccuracyLedger, zeta0=0.1):
     p = make_problem("quadratic", dim=2, cond=6)
     x = np.array([2.0, 1.5])
     acc = state(p, 1, x, zeta0=1e-10)
-    cert = certified(1, 0.5, 1e-3, 0.02, acc)
-    return cert, ledger_cls([0.1], gamma_zeta or acc.gamma_zeta, acc.oracle, x)
+    cert = certified_decrement(1, 0.5, acc)
+    return cert, ledger_cls(dataclasses.replace(acc.cfg, zeta0=zeta0), acc.oracle, x)
 
 
 BUDGET_TRAP = ("step certification not relative within its guaranteed tightening "
@@ -167,41 +166,49 @@ def step_budget(acc):
     """The tightenings the trial step state's step loop may make."""
     level = 0.02 * 1e-3 / (8.0 * 1.02)
     assert stop_level(1, step_scale(1e-3, 0.02), 0.5) == level
-    return allowed_tightenings(0.1, level, acc.gamma_zeta)
+    return allowed_tightenings(0.1, level, acc.cfg.gamma_zeta)
 
 
 def test_step_never_relative_trips_the_budget_trap(monkeypatch):
     cert, acc = trial_step_state()
     monkeypatch.setattr(step, "verify", never_certified)
     with pytest.raises(CertificationError, match=BUDGET_TRAP) as err:
-        compute_step(2.0, 0.5, cert, 1e-3, 0.02, acc)
+        compute_step(2.0, cert, acc)
     e = err.value
     assert (e.j, e.radius, e.k) == (1, 2.0, None)
     np.testing.assert_array_equal(e.x, [2.0, 1.5])
     assert "order 1, radius 2.0, x = [2.0, 1.5]" in str(e)
     assert acc.i_zeta == step_budget(acc) > 0
     # the budget brings the accuracy to the level that guarantees a relative step
-    assert acc.zetas[0] <= stop_level(1, step_scale(1e-3, 0.02), 0.5) < acc.zetas[0] / acc.gamma_zeta
+    assert (acc.zetas[0] <= stop_level(1, step_scale(1e-3, 0.02), 0.5)
+            < acc.zetas[0] / acc.cfg.gamma_zeta)
 
 
 def test_step_that_cannot_tighten_trips_the_budget_trap(monkeypatch):
     cert, acc = trial_step_state(NoShrinkLedger)
     monkeypatch.setattr(step, "verify", never_certified)
     with pytest.raises(CertificationError, match=BUDGET_TRAP):
-        compute_step(2.0, 0.5, cert, 1e-3, 0.02, acc)
+        compute_step(2.0, cert, acc)
     assert acc.i_zeta == step_budget(acc) > 0
     assert acc.zetas == [0.1]
 
 
-def test_step_with_a_growing_accuracy_trips_the_budget_trap(monkeypatch):
-    # a directly built ledger with gamma_zeta > 1 would loosen on every
-    # "tightening": it is allowed none, so the loop certifies once and stops
-    cert, acc = trial_step_state(gamma_zeta=2.0)
+def test_a_zero_tightening_budget_certifies_once_and_stops(monkeypatch):
+    # gamma_zeta >= 1 would loosen on every "tightening", so it is allowed
+    # none; TrConfig refuses such a gamma_zeta, so no ledger carries one
+    level = stop_level(1, step_scale(1e-3, 0.02), 0.5)
+    assert allowed_tightenings(0.1, level, 2.0) == allowed_tightenings(0.1, level, 1.0) == 0
+    assert allowed_tightenings(0.1, level, 0.1) > 0
+    with pytest.raises(ConfigError, match="gamma_zeta"):
+        TrConfig.with_defaults(1e-3, gamma_zeta=2.0)
+    # entry accuracies already under the level are allowed none either
+    cert, acc = trial_step_state(zeta0=1e-10)
+    assert allowed_tightenings(1e-10, level, acc.cfg.gamma_zeta) == 0
     monkeypatch.setattr(step, "verify", never_certified)
     with pytest.raises(CertificationError, match=BUDGET_TRAP):
-        compute_step(2.0, 0.5, cert, 1e-3, 0.02, acc)
-    assert acc.i_zeta == step_budget(acc) == 0
-    assert acc.zetas == [0.1]
+        compute_step(2.0, cert, acc)
+    assert acc.i_zeta == 0
+    assert acc.zetas == [1e-10]
 
 
 @pytest.mark.parametrize("last_round", ["certifies", "insufficient"])
@@ -212,13 +219,14 @@ def test_certification_loop_ends_exactly_at_its_budget(monkeypatch, phase, last_
     if phase == "termination":
         module, j, radius = optimality, 2, 0.5
         acc = state(make_problem("quadratic", dim=2, cond=4), 2, np.array([1.0, -0.5]))
-        budget = allowed_tightenings(0.1, 0.25 * 0.02 * 0.99 * 1e-3 * 0.5 / 2, acc.gamma_zeta)
-        loop, args = certified_decrement, (j, radius, 1e-3, 0.99, 0.02, acc)
+        budget = allowed_tightenings(0.1, 0.25 * 0.02 * 0.99 * 1e-3 * 0.5 / 2,
+                                     acc.cfg.gamma_zeta)
+        loop, args = certified_decrement, (j, radius, acc)
     else:
         module, j, radius = step, 1, 2.0
         cert, acc = trial_step_state()
         budget = step_budget(acc)
-        loop, args = compute_step, (radius, 0.5, cert, 1e-3, 0.02, acc)
+        loop, args = compute_step, (radius, cert, acc)
     assert budget > 0
     n_insufficient = budget + (last_round == "insufficient")
     outcomes = [VerifyOutcome.INSUFFICIENT] * n_insufficient + [VerifyOutcome.RELATIVE]
@@ -267,7 +275,7 @@ def test_absolute_certificate_cannot_pass_through():
     cert, acc = trial_step_state()
     absolute = CertifiedDecrement(j=1, d=cert.d, dT=cert.dT, outcome=VerifyOutcome.ABSOLUTE)
     with pytest.raises(CertificationError, match="relatively-certified displacement"):
-        compute_step(0.5, 0.5, absolute, 1e-3, 0.02, acc)
+        compute_step(0.5, absolute, acc)
 
 
 def test_zero_step_decrement_is_trapped():
@@ -275,5 +283,5 @@ def test_zero_step_decrement_is_trapped():
     acc = state(make_problem("quadratic", dim=2, cond=2), 1, np.zeros(2), zeta0=1e-10)
     zero = CertifiedDecrement(j=1, d=np.zeros(2), dT=0.0, outcome=VerifyOutcome.RELATIVE)
     with pytest.raises(CertificationError, match="collapsed to zero") as err:
-        compute_step(2.0, 0.5, zero, 1e-3, 0.02, acc)
+        compute_step(2.0, zero, acc)
     assert err.value.radius == 2.0

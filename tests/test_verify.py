@@ -72,8 +72,8 @@ def test_monotone_in_zeta(delta, dt, z1, z2, shrink, which, xi, omega):
     before = verify(delta, dt, zetas, xi, omega)
     zetas[which] *= shrink
     after = verify(delta, dt, zetas, xi, omega)
-    if before.sufficient:
-        assert after.sufficient
+    if before is not VerifyOutcome.INSUFFICIENT:
+        assert after is not VerifyOutcome.INSUFFICIENT
 
 
 @given(
@@ -169,4 +169,4 @@ def test_full_budget_guarantee_never_insufficient():
         zetas = rng.random(r)
         zetas *= cap / max(error_budget(delta, zetas), 1e-300)
         dt = float(rng.uniform(0, 2))
-        assert verify(delta, dt, zetas * 0.999, xi, omega).sufficient
+        assert verify(delta, dt, zetas * 0.999, xi, omega) is not VerifyOutcome.INSUFFICIENT
