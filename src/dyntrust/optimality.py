@@ -4,15 +4,18 @@
 order 1 in closed form, order 2 globally via a safeguarded secular-equation
 solver on the eigendecomposition (hard case included), order 3 by seeded
 multi-start projected gradient ascent (heuristic, no certificate).  The
-order-3 starts advance together as one (starts, n) array, and the result
-equals, bit for bit, that of running the ascents one start at a time.
+live order-3 starts advance together in compact (starts, n) arrays, with a
+gradient evaluated only where a start moved, and the result equals, bit for
+bit, that of running the ascents one start at a time.
 
 An :class:`AccuracyLedger` holds a run's evaluation state: its validated
 config, the accuracy bounds, the oracle with its call log, and the tensors
 at the iterate.
-:func:`certification_rounds` is the one tighten-until-certified loop of the
-termination test (``certified_decrement``) and the step; a loop that outruns
-the tightening budget its theory guarantees raises :class:`CertificationError`.
+The termination test (``certified_decrement``) and the step each run one
+tighten-until-certified loop, and :func:`next_round` is the step between two
+of its rounds: the first round is free, the tightening budget its theory
+guarantees is worked out only once that round falls short, and a loop that
+outruns it raises :class:`CertificationError`.
 """
 
 from __future__ import annotations
@@ -160,10 +163,15 @@ def _max_cubic_on_ball(b: Bundle, radius: float, seed: int = 0) -> np.ndarray:
     """Multi-start projected gradient ascent for the degree-3 decrement.
 
     The 2n + 8 starts (the signed scaled axes, then 8 seeded random points on
-    the sphere) advance together as one (starts, n) array; each row follows
-    its own step rule and leaves the active set when it stops, so every row
-    ends where a one-at-a-time ascent from its start would.  Returns the
-    first start with the largest positive decrement, or zeros.
+    the sphere) advance together; each follows its own step rule and leaves
+    when it stops, so every start ends where a one-at-a-time ascent from it
+    would.  The live starts sit in compact arrays (point, value, step,
+    ascent direction and its norm), compacted only in a round where one
+    stops.  A start's gradient is evaluated at entry and then only where its
+    candidate was accepted, reusing the candidate's T_2 product: an unmoved
+    start's gradient is the same bit for bit, since each stacked row takes
+    its lone-point value.  Returns the first start with the largest positive
+    decrement, or zeros.
     """
     n = b[0].size
     rng = np.random.default_rng(seed)
@@ -171,25 +179,33 @@ def _max_cubic_on_ball(b: Bundle, radius: float, seed: int = 0) -> np.ndarray:
     d = np.concatenate([radius * np.eye(n), -radius * np.eye(n),
                         radius * u / row_norms(u)[:, None]])
     val = taylor_decrement(b, d, 3)
-    step = np.full(len(d), 0.5 * radius)
-    active = np.arange(len(d))
+    live = np.arange(len(d))
+    pt, pv, step = d.copy(), val.copy(), np.full(len(d), 0.5 * radius)
+    g = -model_gradient(b, d, 3)
+    ng = row_norms(g)
     for _ in range(_ASCENT_ROUNDS):
-        g = -model_gradient(b, d[active], 3)
-        ng = row_norms(g)
-        going = (ng >= 1e-15) & (step[active] >= 1e-15)
-        active, g, ng = active[going], g[going], ng[going]
-        if not active.size:
-            break
-        cand = d[active] + step[active, None] * g / ng[:, None]
+        going = (ng >= 1e-15) & (step >= 1e-15)
+        if not going.all():
+            stop = ~going
+            d[live[stop]], val[live[stop]] = pt[stop], pv[stop]
+            live, pt, pv, step, g, ng = (a[going] for a in (live, pt, pv, step, g, ng))
+            if not live.size:
+                break
+        cand = pt + step[:, None] * g / ng[:, None]
         nc = row_norms(cand)
         over = nc > radius
-        cand[over] *= (radius / nc[over])[:, None]
-        cand_val = taylor_decrement(b, cand, 3)
-        up = cand_val > val[active] + 1e-16
-        took = active[up]
-        d[took], val[took] = cand[up], cand_val[up]
-        step[took] = np.minimum(step[took] * 1.3, radius)
-        step[active[~up]] *= 0.5
+        if over.any():
+            cand[over] *= (radius / nc[over])[:, None]
+        hs = b[1] @ cand[:, :, None]
+        cand_val = taylor_decrement(b, cand, 3, hs)
+        up = cand_val > pv + 1e-16
+        step = np.where(up, np.minimum(step * 1.3, radius), step * 0.5)
+        if up.any():
+            np.copyto(pt, cand, where=up[:, None])
+            np.copyto(pv, cand_val, where=up)
+            g[up] = gu = -model_gradient(b, cand[up], 3, hs[up])
+            ng[up] = row_norms(gu)
+    d[live], val[live] = pt, pv
     best = int(np.argmax(val))
     return d[best] if val[best] > 0.0 else np.zeros(n)
 
@@ -253,25 +269,30 @@ def step_scale(eps_j: float, omega: float) -> float:
     return omega * eps_j / (8.0 * (1.0 + omega))
 
 
-def certification_rounds(acc: AccuracyLedger, j: int, scale: float, r: float,
-                         radius: float, what: str):
-    """The order-``j`` bundles of one certification loop at the ledger's
-    iterate: the first free, then one per tightening, as many as bring the
-    entry accuracies to ``stop_level(j, scale, r)`` (worked out at the
-    second).  Asking for one more raises :class:`CertificationError`,
+def next_round(acc: AccuracyLedger, j: int, scale: float, r: float, radius: float,
+               what: str, left: int | None) -> int:
+    """The step between two rounds of a certification loop at the ledger's
+    iterate: one tightening of orders 1..j, returning the tightenings
+    ``left`` after it.  ``left`` is None after the first round, the free
+    one, and then becomes the budget that brings the entry accuracies to
+    ``stop_level(j, scale, r)``, so a loop that certifies at once works out
+    nothing.  With none left it raises :class:`CertificationError`,
     "``what`` within its guaranteed tightening budget", at ``radius``."""
-    yield acc.bundle(j)
-    level = stop_level(j, scale, r)
-    for _ in range(allowed_tightenings(max(acc.zetas[:j]), level, acc.cfg.gamma_zeta)):
-        acc.tighten(j)
-        yield acc.bundle(j)
-    raise CertificationError(f"{what} within its guaranteed tightening budget", j, radius, acc.x)
+    if left is None:
+        left = allowed_tightenings(max(acc.zetas[:j]), stop_level(j, scale, r),
+                                   acc.cfg.gamma_zeta)
+    if left == 0:
+        raise CertificationError(f"{what} within its guaranteed tightening budget",
+                                 j, radius, acc.x)
+    acc.tighten(j)
+    return left - 1
 
 
 def certified_decrement(j: int, delta: float, acc: AccuracyLedger) -> CertifiedDecrement:
     """A near-maximal decrement at the ledger's iterate certified relative or
     absolute, the accuracies tightened geometrically until it is; eps_j,
-    varsigma, omega and the seed are those of the ledger's config.
+    varsigma, omega and the seed are those of the ledger's config, and the
+    order ``j`` is an integer in 1..q.
 
     ``delta`` lies in (0, 1], as the test's min(Delta_k, vartheta) does, so
     accuracies at most L = stop_level(j, omega varsigma eps_j / 4, delta)
@@ -284,17 +305,23 @@ def certified_decrement(j: int, delta: float, acc: AccuracyLedger) -> CertifiedD
     by gamma_zeta.  Past delta = 1 the bound fails (at j = 3 beyond delta ~
     1.37, at j = 2 beyond 2).
     """
+    cfg = acc.cfg
+    q = len(cfg.eps)
+    if not (isinstance(j, (int, np.integer)) and 1 <= j <= q):
+        raise ValueError(f"certified_decrement: order j must be an integer in 1..q = {q}, "
+                         f"got {j!r}")
     if not 0 < delta <= 1:
         raise ValueError(f"certified_decrement: radius delta must lie in (0, 1], got {delta!r}")
-    cfg = acc.cfg
     eps_j, varsigma, omega = cfg.eps[j - 1], cfg.varsigma, cfg.omega
-    for bundle in certification_rounds(acc, j, 0.25 * omega * varsigma * eps_j, delta, delta,
-                                       "accuracy certification failed to terminate"):
-        d, dt, guarantee = max_decrement(bundle, j, delta, seed=cfg.seed)
+    left = None
+    while True:
+        d, dt, guarantee = max_decrement(acc.bundle(j), j, delta, seed=cfg.seed)
         vs = varsigma if guarantee is None else min(varsigma, guarantee)
         outcome = verify(delta, dt, acc.zetas[:j], 0.5 * vs * eps_j, omega)
         if outcome is not VerifyOutcome.INSUFFICIENT:
             return CertifiedDecrement(j, d, dt, outcome)
+        left = next_round(acc, j, 0.25 * omega * varsigma * eps_j, delta, delta,
+                          "accuracy certification failed to terminate", left)
 
 
 def termination_test(delta_k: float, acc: AccuracyLedger) -> CertifiedDecrement | None:

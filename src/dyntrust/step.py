@@ -2,19 +2,21 @@
 
 When the radius is within the optimality radius cap, the certified
 optimality displacement is reused verbatim (no oracle traffic).  Otherwise a
-trial step over the full radius is certified to *relative* accuracy in the
-termination test's loop, :func:`~dyntrust.optimality.certification_rounds`;
-the optimality displacement remains a legal fallback, so the step never
-decreases the model by less.
+trial step over the full radius is certified to *relative* accuracy in a
+loop of the termination test's kind, with
+:func:`~dyntrust.optimality.next_round` between its rounds; the optimality
+displacement remains a legal fallback, so the step never decreases the model
+by less.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 from .model import Vector, taylor_decrement, vector_norm
 from .optimality import (AccuracyLedger, CertificationError, CertifiedDecrement,
-                         certification_rounds, max_decrement, step_scale)
+                         max_decrement, next_round, step_scale)
 from .verify import VerifyOutcome, verify
 
 
@@ -30,7 +32,7 @@ def compute_step(radius: float, cert: CertifiedDecrement, acc: AccuracyLedger) -
     vartheta, eps_j, omega and the seed are those of the ledger's config.
 
     Pass-through when radius <= vartheta (the certified displacement *is*
-    the step).  Otherwise each round of :func:`certification_rounds` takes
+    the step).  Otherwise each round of the certification loop takes
     the trial step or, if it decreases the model less, the certified
     displacement ``d``, and returns it once certified relative, which the
     entry accuracies tightened to ``stop_level(j, step_scale(eps_j, omega),
@@ -52,9 +54,9 @@ def compute_step(radius: float, cert: CertifiedDecrement, acc: AccuracyLedger) -
         return StepResult(cert.d.copy(), cert.dT, 0, zeta_entry)
 
     eps_j, omega = cfg.eps[j - 1], cfg.omega
-    for tightened, bundle in enumerate(certification_rounds(
-            acc, j, step_scale(eps_j, omega), vartheta, radius,
-            "step certification not relative")):
+    left = None
+    for tightened in itertools.count():
+        bundle = acc.bundle(j)
         dt_fallback = taylor_decrement(bundle, cert.d, j)
         s_try, _, _ = max_decrement(bundle, j, radius, seed=cfg.seed)
         dt_try = taylor_decrement(bundle, s_try, j)
@@ -73,3 +75,5 @@ def compute_step(radius: float, cert: CertifiedDecrement, acc: AccuracyLedger) -
         if outcome is VerifyOutcome.ABSOLUTE:
             raise CertificationError("step certification returned an absolute outcome, "
                                      "which the theory excludes", j, radius, acc.x)
+        left = next_round(acc, j, step_scale(eps_j, omega), vartheta, radius,
+                          "step certification not relative", left)

@@ -3,10 +3,13 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dyntrust import optimality
 from dyntrust.driver import TrConfig
-from dyntrust.model import make_bundle, sym_tensor
+from dyntrust.model import make_bundle, row_norms, sym_tensor
 from dyntrust.optimality import (VARSIGMA_ORDER2, AccuracyLedger, CertificationError,
                                  allowed_tightenings, certified_decrement,
                                  max_decrement, termination_test)
@@ -15,6 +18,7 @@ from dyntrust.problems import make_problem
 from dyntrust.reference import max_decrement_reference, phi3_decide, phi_reference
 from dyntrust.verify import VerifyOutcome
 
+import checkers
 from checkers import NoShrinkLedger, sequential_max_cubic_on_ball
 
 REL_SLACK = 1.0 + 1e-9  # rounding in the reference and the certified decrement
@@ -116,14 +120,132 @@ def cubic_bundle(rng, n, t3_scale=1.0):
                         sym_tensor(t3_scale * rng.standard_normal((n, n, n)))])
 
 
+# the radii of the workloads' order-3 ball searches, and a spread around them
+ASCENT_RADII = (1e-6, 1e-3, 2.0**-6, 1e-2, 2.0**-5, 0.5, 1.0)
+
+
 @pytest.mark.parametrize("n,seed,t3_scale",
                          [(n, seed, 1.0) for n in (1, 2, 3, 4, 10) for seed in range(3)]
                          + [(3, 1, 0.0)])
 def test_order3_batched_ascent_equals_one_start_at_a_time(n, seed, t3_scale):
     b = cubic_bundle(np.random.default_rng(100 * seed + n), n, t3_scale)
-    for delta in (1e-6, 1e-2, 0.5, 1.0):
+    for delta in ASCENT_RADII:
         d, _, _ = max_decrement(b, 3, delta, seed=seed)
         assert np.array_equal(d, sequential_max_cubic_on_ball(b, delta, seed=seed))
+
+
+def rosenbrock_q3_bundle():
+    # the exact bundle at rosenbrock's q = 3 termination point (policy none,
+    # eps 1e-2): Hessian eigenvalues 0.40 and 1,002
+    p = make_problem("rosenbrock")
+    x = np.array([1.0003145935415885, 1.000630246839363])
+    return tuple(p.exact_deriv(x, i) for i in (1, 2, 3))
+
+
+def zero_decrement_bundle():
+    # no gradient, positive definite Hessian, no cubic term: the decrement
+    # is negative away from 0, so every start creeps toward 0 until its step
+    # dies out, and the ascent returns zeros
+    return make_bundle([np.zeros(2), np.diag([1.0, 4.0]), np.zeros((2, 2, 2))])
+
+
+class AscentSpy:
+    """The rows the ascent passes to ``taylor_decrement`` (the starts, then
+    each round's candidates) and to ``model_gradient``."""
+
+    def __init__(self, monkeypatch):
+        self.decrement_rows, self.gradient_rows = [], []
+        for name, log in (("taylor_decrement", self.decrement_rows),
+                          ("model_gradient", self.gradient_rows)):
+            real = getattr(optimality, name)
+            monkeypatch.setattr(optimality, name,
+                                lambda b, s, *a, real=real, log=log: log.append(s.copy())
+                                or real(b, s, *a))
+
+    @property
+    def live_counts(self):
+        return [len(c) for c in self.decrement_rows[1:]]
+
+
+def on_sphere(rows, radius):
+    return np.abs(row_norms(rows) - radius) <= 1e-12 * radius
+
+
+# name: (bundle, radius, what the ascent's spied rows must show)
+NAMED_BUNDLES = {
+    # no gradient anywhere: every start stops in round 0
+    "all-stop-in-round-0": (
+        make_bundle([np.zeros(3), np.zeros((3, 3)), np.zeros((3, 3, 3))]), 0.1,
+        lambda spy: spy.live_counts == []),
+    # starts leave in at least three different rounds
+    "staggered-stops": (
+        cubic_bundle(np.random.default_rng(7), 3), 0.5,
+        lambda spy: len(set(spy.live_counts)) >= 3),
+    # a linear model: every round projects candidates back onto the sphere,
+    # and round 0 leaves others inside the ball
+    "projected": (
+        make_bundle([np.array([1.0, -2.0, 0.5]), np.zeros((3, 3)), np.zeros((3, 3, 3))]),
+        2.0**-6,
+        lambda spy: (all(on_sphere(c, 2.0**-6).any() for c in spy.decrement_rows[1:])
+                     and not on_sphere(spy.decrement_rows[1], 2.0**-6).all())),
+    "rosenbrock-ill-conditioned": (rosenbrock_q3_bundle(), 2.0**-5, lambda spy: True),
+    "zero-decrement": (zero_decrement_bundle(), 0.5, lambda spy: True),
+}
+
+
+@pytest.mark.parametrize("name", NAMED_BUNDLES)
+def test_order3_batched_ascent_equals_one_start_at_a_time_on_named_bundles(name, monkeypatch):
+    b, radius, shows = NAMED_BUNDLES[name]
+    want = sequential_max_cubic_on_ball(b, radius)
+    spy = AscentSpy(monkeypatch)
+    assert np.array_equal(optimality._max_cubic_on_ball(b, radius), want)
+    assert len(spy.decrement_rows[0]) == 2 * b[0].size + 8
+    assert all((row_norms(c) <= radius * (1 + 1e-12)).all() for c in spy.decrement_rows)
+    assert shows(spy)
+
+
+def reference_accepted_moves(monkeypatch, b, radius, seed, starts):
+    """The moves the one-start-at-a-time reference accepts: within each
+    start (found by its first point, so n >= 2, where starts differ), the
+    candidates that raise its value by more than 1e-16."""
+    values = []
+    real = checkers.taylor_decrement
+    monkeypatch.setattr(checkers, "taylor_decrement",
+                        lambda bb, s, j=None: values.append((s, real(bb, s, j))) or values[-1][1])
+    sequential_max_cubic_on_ball(b, radius, seed=seed)
+    accepted, k, val = 0, 0, None
+    for s, v in values:
+        if k < len(starts) and np.array_equal(s, starts[k]):
+            k, val = k + 1, v
+        elif v > val + 1e-16:
+            accepted, val = accepted + 1, v
+    assert k == len(starts)
+    return accepted
+
+
+@pytest.mark.parametrize("n,radius", [(2, 2.0**-5), (3, 0.5), (4, 1e-3), (5, 1.0)])
+def test_order3_ascent_evaluates_gradients_only_where_a_start_moved(n, radius, monkeypatch):
+    # the gradient computation sees each start once at entry and then one
+    # row per accepted move, not every live start every round
+    b = cubic_bundle(np.random.default_rng(40 + n), n)
+    spy = AscentSpy(monkeypatch)
+    optimality._max_cubic_on_ball(b, radius, seed=n)
+    monkeypatch.undo()
+    starts = spy.decrement_rows[0]
+    accepted = reference_accepted_moves(monkeypatch, b, radius, n, starts)
+    assert 0 < accepted < sum(spy.live_counts)  # some rounds reject
+    assert sum(map(len, spy.gradient_rows)) == len(starts) + accepted
+
+
+@given(data=st.data(), n=st.integers(1, 4), seed=st.integers(0, 3),
+       radius=st.sampled_from(ASCENT_RADII))
+@settings(max_examples=40, deadline=None)
+def test_order3_batched_ascent_equals_one_start_at_a_time_property(data, n, seed, radius):
+    elems = st.floats(-10, 10)
+    b = make_bundle([sym_tensor(data.draw(arrays(float, (n,) * i, elements=elems)))
+                     for i in (1, 2, 3)])
+    assert np.array_equal(optimality._max_cubic_on_ball(b, radius, seed=seed),
+                          sequential_max_cubic_on_ball(b, radius, seed=seed))
 
 
 def test_order3_ascent_without_a_positive_start_returns_zeros():
@@ -194,6 +316,26 @@ def test_certified_decrement_refuses_a_radius_outside_0_1(delta):
                                          rf"\(0, 1\], got {delta!r}"):
         certified_decrement(3, delta, acc)
     assert acc.i_zeta == 0 and len(acc.ledger) == 0
+
+
+@pytest.mark.parametrize("j", [2, -1, 0, 1.5])
+def test_certified_decrement_refuses_an_order_outside_1_to_q(j):
+    p = make_problem("quadratic", dim=2, cond=4)
+    acc = fresh_state(p, 1, np.ones(2))
+    with pytest.raises(ValueError, match=r"certified_decrement: order j must be an integer "
+                                         rf"in 1\.\.q = 1, got {j!r}"):
+        certified_decrement(j, 0.5, acc)
+    assert acc.i_zeta == 0 and len(acc.ledger) == 0
+
+
+def test_a_loop_certified_in_its_first_round_works_out_no_budget(monkeypatch):
+    def no_budget(*args):
+        raise AssertionError("budget worked out before an insufficient round")
+    monkeypatch.setattr(optimality, "allowed_tightenings", no_budget)
+    p = make_problem("quadratic", dim=2, cond=4)
+    acc = fresh_state(p, 1, np.ones(2), zeta0=1e-12)
+    assert certified_decrement(1, 0.5, acc).outcome is VerifyOutcome.RELATIVE
+    assert acc.i_zeta == 0
 
 
 def test_certified_decrement_at_unit_radius_ends_within_budget_for_every_gamma(monkeypatch):
