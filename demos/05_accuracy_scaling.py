@@ -6,12 +6,13 @@ that exponent.  This script sweeps the accuracy grid used by the acceptance
 suite and prints the per-target averages with the fitted slope.
 """
 
-from dyntrust import eps_scaling_study
+from dyntrust import RunSpec, eps_scaling_study
 
 GRID = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 
 for name, q in (("rosenbrock", 1), ("saddle_well", 2)):
-    res = eps_scaling_study(name, q, GRID, policy="adversarial", seeds=(0, 1, 2))
+    spec = RunSpec(problem=name, eps=(GRID[0],) * q, policy="adversarial")
+    res = eps_scaling_study(spec, GRID, seeds=(0, 1, 2))
     print(f"\n{name} (order {q}), adversarial oracle:")
     print("  eps       mean total evaluations")
     by_eps = {}

@@ -32,12 +32,13 @@ class BoundConstants:
 
 
 def compute_bounds(cfg, L_f: float, f0: float, f_low: float,
-                   grad_norms_at_x0: float, zeta_at_x0: float | None = None) -> BoundConstants:
+                   grad_norms_at_x0: float) -> BoundConstants:
     """Evaluate every bound constant exactly per its defining formula.
 
     ``grad_norms_at_x0`` is the largest operator norm among the exact
-    derivative tensors of orders 1..q at the start point; ``zeta_at_x0``
-    bounds the absolute derivative error there (defaults to the accuracy cap).
+    derivative tensors of orders 1..q at the start point; the absolute
+    derivative error there is bounded by the largest initial accuracy
+    ``max(cfg.zeta0)``.
     """
     for name, v in (("L_f", L_f), ("f0", f0), ("f_low", f_low),
                     ("grad_norms_at_x0", grad_norms_at_x0)):
@@ -48,7 +49,7 @@ def compute_bounds(cfg, L_f: float, f0: float, f_low: float,
     q = cfg.q
     eps_min = min(cfg.eps)
     omega = cfg.omega
-    zeta_cap = cfg.kappa_zeta if zeta_at_x0 is None else float(zeta_at_x0)
+    zeta_cap = max(cfg.zeta0)
     delta0 = min(cfg.Delta0, cfg.vartheta)
 
     kappa_Delta = (cfg.gamma1 * (1 - cfg.eta2) / max(1.0, L_f)) * min(

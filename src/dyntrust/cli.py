@@ -14,9 +14,8 @@ import sys
 
 from .driver import ConfigError, bounds_for_run, check_history
 from .harness import (RunSpec, cost_savings_report, eps_scaling_study,
-                      execute_run, parse_config_file, parse_eps_grid,
-                      parse_number, seed_sweep, summary_dict,
-                      write_summary_json, write_sweep_csv)
+                      execute_run, parse_config_file, parse_eps_grid, seed_sweep,
+                      summary_dict, write_summary_json, write_sweep_csv)
 from .oracle import COST_MODELS, POLICIES
 from .problems import list_problems
 
@@ -36,26 +35,22 @@ _PROBLEM_FLAGS = {"dim": int, "cond": float, "terms": int, "lam": float}
 
 
 def _add_common(parser: argparse.ArgumentParser):
-    # defaults stay None here so values from --config are not masked
-    parser.add_argument("--problem", default=None,
+    parser.add_argument("--problem", default="quadratic",
                         help=f"one of {', '.join(list_problems())}")
     parser.add_argument("--q", type=int, default=None,
                         help="criticality order (default: length of --eps)")
-    parser.add_argument("--eps", default=None,
+    parser.add_argument("--eps", default="1e-3",
                         help="comma-separated per-order accuracy targets (default 1e-3)")
-    parser.add_argument("--policy", default=None, choices=POLICIES)
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--policy", default="adversarial", choices=POLICIES)
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--x0", default=None,
                         help="comma-separated start point (default: the problem's)")
     parser.add_argument("--out-dir", default=None)
     parser.add_argument("--tag", default=None)
     parser.add_argument("--config", default=None,
-                        help="flat key=value file; flags override it")
-    for name, typ in _CFG_FLAGS.items():
-        parser.add_argument(f"--{name.replace('_', '-').lower()}", dest=name,
-                            type=typ, default=None)
-    for name, typ in _PROBLEM_FLAGS.items():
-        parser.add_argument(f"--{name}", dest=f"prob_{name}", type=typ, default=None)
+                        help="flat key=value file of flags; flags override it")
+    for name, typ in {**_CFG_FLAGS, **_PROBLEM_FLAGS}.items():
+        parser.add_argument(f"--{name.replace('_', '-').lower()}", dest=name, type=typ)
 
 
 def _floats(text, flag: str) -> tuple:
@@ -65,54 +60,31 @@ def _floats(text, flag: str) -> tuple:
         raise ConfigError(f"{flag} expects comma-separated numbers, got {text!r}") from None
 
 
+def _given(args, names) -> dict:
+    """The flags among ``names`` that were set, by name."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _spec_from_args(args) -> RunSpec:
-    file_vals = parse_config_file(args.config) if args.config else {}
-
-    def pick(key, cast, default=None):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            return flag
-        if key in file_vals:
-            return parse_number(file_vals[key], cast, key)
-        return default
-
-    eps_text = args.eps if args.eps is not None else file_vals.get("eps", "1e-3")
-    eps = _floats(eps_text, "--eps")
-    q = pick("q", int)
-    if q is not None:
+    eps = _floats(args.eps, "--eps")
+    if args.q is not None:
         if len(eps) == 1:
-            eps = eps * q
-        elif len(eps) != q:
+            eps = eps * args.q
+        elif len(eps) != args.q:
             raise ConfigError("--eps length must match --q")
-
-    overrides = {}
-    for name, typ in _CFG_FLAGS.items():
-        val = pick(name, typ)
-        if val is not None:
-            overrides[name] = val
-    params = {}
-    for name, typ in _PROBLEM_FLAGS.items():
-        val = getattr(args, f"prob_{name}", None)
-        if val is None and name in file_vals:
-            val = parse_number(file_vals[name], typ, name)
-        if val is not None:
-            params[name] = val
-    problem = args.problem if args.problem is not None else file_vals.get("problem", "quadratic")
-    seed = pick("seed", int, 0)
-    policy = args.policy if args.policy is not None else file_vals.get("policy", "adversarial")
-    x0_text = args.x0 if args.x0 is not None else file_vals.get("x0")
-    x0 = _floats(x0_text, "--x0") if x0_text else None
-    return RunSpec(problem=problem, problem_params=params, eps=eps, policy=policy,
-                   seed=seed, cfg_overrides=overrides, x0=x0, out_dir=args.out_dir,
-                   tag=args.tag)
+    return RunSpec(problem=args.problem, problem_params=_given(args, _PROBLEM_FLAGS),
+                   eps=eps, policy=args.policy, seed=args.seed,
+                   cfg_overrides=_given(args, _CFG_FLAGS),
+                   x0=_floats(args.x0, "--x0") if args.x0 else None,
+                   out_dir=args.out_dir, tag=args.tag)
 
 
 def _cmd_run(args) -> int:
     spec = _spec_from_args(args)
-    result, problem, paths = execute_run(spec)
+    result, paths = execute_run(spec)
     bounds = lipschitz = None
     if result.history:
-        bounds, lipschitz = bounds_for_run(result, problem)
+        bounds, lipschitz = bounds_for_run(result, result.acc.oracle.problem)
     write_summary_json(paths["summary"],
                        summary_dict(result, bounds=bounds, lipschitz=lipschitz))
     print(f"terminated={result.terminated} iterations={result.n_iterations} "
@@ -125,10 +97,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_audit(args) -> int:
     spec = _spec_from_args(args)
-    result, problem, paths = execute_run(spec)
+    result, paths = execute_run(spec)
     report = None
     if result.terminated:
-        report = check_history(result, problem)
+        report = check_history(result, result.acc.oracle.problem)
         print(report.summary())
     else:
         print("run hit the iteration cap; audit skipped")
@@ -141,25 +113,20 @@ def _cmd_audit(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = _spec_from_args(args)
     grid = parse_eps_grid(args.eps_grid)
-    q = args.q or len(spec.eps)
     seeds = tuple(range(args.seeds))
     if len(grid) == 1:
         # seed sweep at one fixed accuracy: rows only, no slope to fit
         res = None
-        rows = seed_sweep(spec.problem, q, grid[0], spec.policy, seeds,
-                          problem_params=spec.problem_params,
-                          cfg_overrides=spec.cfg_overrides)
+        rows = seed_sweep(spec, grid[0], seeds)
         done = sum(r.terminated for r in rows)
         print(f"seed sweep: {done}/{len(rows)} terminated")
     else:
-        res = eps_scaling_study(spec.problem, q, grid, policy=spec.policy, seeds=seeds,
-                                problem_params=spec.problem_params,
-                                cfg_overrides=spec.cfg_overrides)
+        res = eps_scaling_study(spec, grid, seeds=seeds)
         rows = res.rows
         print(f"slope={res.slope:.3f} limit={res.slope_limit:.2f} "
               f"{'PASS' if res.passed else 'FAIL'} rows={len(rows)} "
               f"excluded={res.excluded}")
-    csv_path = spec.output_dir() / f"sweep_{spec.problem}_q{q}.csv"
+    csv_path = spec.output_dir() / f"sweep_{spec.problem}_q{len(spec.eps)}.csv"
     write_sweep_csv(csv_path, rows)
     print(f"rows: {csv_path}")
     if res is None:
@@ -193,33 +160,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Trust-region minimization with dynamically accurate evaluations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="single run; writes history and events CSVs "
-                                       "+ summary JSON")
-    _add_common(p_run)
-    p_run.set_defaults(func=_cmd_run)
+    def command(name, func, summary):
+        # flags are matched in full, so a misspelled config key is refused
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        _add_common(p)
+        p.set_defaults(func=func)
+        return p
 
-    p_sweep = sub.add_parser("sweep", help="accuracy sweep with fitted slope")
-    _add_common(p_sweep)
+    command("run", _cmd_run, "single run; writes history and events CSVs + summary JSON")
+    p_sweep = command("sweep", _cmd_sweep, "accuracy sweep with fitted slope")
     p_sweep.add_argument("--eps-grid", required=True,
                          help="e.g. '1e-1,3e-2,1e-2' or '1e-1..1e-4'")
     p_sweep.add_argument("--seeds", type=int, default=5)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_audit = sub.add_parser("audit", help="run, then check every bound")
-    _add_common(p_audit)
-    p_audit.set_defaults(func=_cmd_audit)
-
-    p_cmp = sub.add_parser("compare", help="dynamic vs fixed-accuracy cost")
-    _add_common(p_cmp)
+    command("audit", _cmd_audit, "run, then check every bound")
+    p_cmp = command("compare", _cmd_compare, "dynamic vs fixed-accuracy cost")
     p_cmp.add_argument("--cost-model", default="inverse", choices=sorted(COST_MODELS))
-    p_cmp.set_defaults(func=_cmd_compare)
     return parser
+
+
+def _with_config_file(argv: list) -> list:
+    """``argv`` with each ``key = value`` line of its ``--config`` file as a
+    ``--key=value`` flag right after the command, ahead of the command line's
+    own flags, which therefore override the file's."""
+    pre = argparse.ArgumentParser(prog="dyntrust", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return argv
+    flags = [f"--{key.replace('_', '-').lower()}={value}"
+             for key, value in parse_config_file(path).items()]
+    if any(flag.startswith("--config=") for flag in flags):
+        raise ConfigError(f"{path}: a config file cannot name another config file")
+    return [*argv[:1], *flags, *argv[1:]]
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config_file(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -366,7 +366,7 @@ def bounds_for_run(result: RunResult, problem: Problem,
     x0 = result.history.x0
     g0 = max(operator_norm(problem.exact_deriv(x0, i), i) for i in range(1, cfg.q + 1))
     bc = compute_bounds(cfg, L_f=L_f, f0=problem.exact_f(x0), f_low=problem.f_low,
-                        grad_norms_at_x0=g0, zeta_at_x0=max(cfg.zeta0))
+                        grad_norms_at_x0=g0)
     return bc, L_f
 
 

@@ -22,14 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from .driver import AuditReport, ConfigError, RunResult, RunTrace, TrConfig, run
-from .oracle import COST_MODELS, PHASES, EvalLedger, InexactOracle, Problem
+from .oracle import COST_MODELS, PHASES, EvalLedger, InexactOracle
 from .problems import make_problem
 
 OUTDIR_ENV = "DYNTRUST_OUTDIR"
 
 # k, the trace's scalar fields in order, then the x and x_trial vectors
 CSV_COLUMNS = ("k", *RunTrace.dtype.names, "x", "x_trial")
-EVENT_CSV_COLUMNS = ("order", "acc", "work", "phase")
+EVENT_CSV_COLUMNS = EvalLedger.dtype.names
 _CSV_BLOCK = 256  # rows whose cells exist as Python objects at once
 
 
@@ -188,9 +188,12 @@ class RunSpec:
     out_dir: str | None = None
     tag: str | None = None
 
-    def build_problem(self) -> Problem:
+    def build_oracle(self) -> InexactOracle:
+        """The named problem behind an oracle of the spec's policy and seed;
+        a refusal of either is a :class:`ConfigError`."""
         try:
-            return make_problem(self.problem, **self.problem_params)
+            problem = make_problem(self.problem, **self.problem_params)
+            return InexactOracle(problem, policy=self.policy, seed=self.seed)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -211,13 +214,12 @@ class RunSpec:
 
 
 def execute_run(spec: RunSpec, write: bool = True):
-    """``(result, problem, paths)``: build the config, the problem and the
-    run; optionally write the history and events CSVs.  ``paths`` names
-    those files and the summary JSON, which the caller builds and writes."""
-    cfg = spec.build_config()
-    problem = spec.build_problem()
-    oracle = InexactOracle(problem, policy=spec.policy, seed=spec.seed)
-    result = run(oracle, cfg, x0=spec.x0)
+    """``(result, paths)``: build the config, the oracle and the run;
+    optionally write the history and events CSVs.  ``paths`` names those
+    files and the summary JSON, which the caller builds and writes.  The
+    run's problem is ``result.acc.oracle.problem``."""
+    cfg = spec.build_config()  # first: it names a bad seed before the oracle does
+    result = run(spec.build_oracle(), cfg, x0=spec.x0)
     paths = {}
     if write:
         out = spec.output_dir()
@@ -227,7 +229,7 @@ def execute_run(spec: RunSpec, write: bool = True):
         paths["summary"] = out / f"{key}_summary.json"
         write_history_csv(paths["history"], result.history)
         write_events_csv(paths["events"], result.eval_ledger)
-    return result, problem, paths
+    return result, paths
 
 
 # --------------------------------------------------------------------------
@@ -256,22 +258,21 @@ class SweepResult:
         return self.slope <= self.slope_limit
 
 
-def eps_scaling_study(problem_name: str, q: int, eps_grid, policy: str = "adversarial",
-                      seeds=(0, 1, 2, 3, 4), problem_params: dict | None = None,
-                      cfg_overrides: dict | None = None) -> SweepResult:
-    """Total evaluations per accuracy target with a fitted log-log slope.
+def eps_scaling_study(spec: RunSpec, eps_grid, seeds=(0, 1, 2, 3, 4)) -> SweepResult:
+    """Total evaluations per accuracy target with a fitted log-log slope:
+    the runs of :func:`seed_sweep` at each target of ``eps_grid``.
 
     The pass verdict compares the slope of log(total evaluations) against
-    log(1/eps) with the worst-case exponent q + 1 (plus a 0.25 margin); the
-    bound is one-sided, so easy problems sit far below it.
+    log(1/eps) with the worst-case exponent q + 1, q = ``len(spec.eps)``
+    (plus a 0.25 margin); the bound is one-sided, so easy problems sit far
+    below it.
     """
     eps_grid = sorted(set(float(e) for e in eps_grid), reverse=True)
     if len(eps_grid) < 4:
         raise ConfigError("an accuracy sweep needs at least 4 grid points")
     rows = []
     for eps in eps_grid:
-        rows += seed_sweep(problem_name, q, eps, policy, seeds, problem_params,
-                           cfg_overrides)
+        rows += seed_sweep(spec, eps, seeds)
     excluded = sum(not row.terminated for row in rows)
     by_eps = {}
     for row in rows:
@@ -282,12 +283,11 @@ def eps_scaling_study(problem_name: str, q: int, eps_grid, policy: str = "advers
     xs = np.log([1.0 / e for e in by_eps])
     ys = np.log([np.mean(v) for v in by_eps.values()])
     slope = float(np.polyfit(xs, ys, 1)[0])
-    return SweepResult(rows=rows, slope=slope, slope_limit=q + 1 + 0.25,
+    return SweepResult(rows=rows, slope=slope, slope_limit=len(spec.eps) + 1 + 0.25,
                        excluded=excluded)
 
 
-SWEEP_CSV_COLUMNS = ("eps", "seed", "terminated", "iterations", "n_f",
-                     "n_deriv", "total_evals")
+SWEEP_CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 
 def write_sweep_csv(path, rows) -> None:
@@ -297,16 +297,13 @@ def write_sweep_csv(path, rows) -> None:
                [np.array([getattr(r, name) for r in rows]) for name in SWEEP_CSV_COLUMNS])
 
 
-def seed_sweep(problem_name: str, q: int, eps: float, policy: str, seeds,
-               problem_params: dict | None = None,
-               cfg_overrides: dict | None = None) -> list[SweepRow]:
-    """Fixed accuracy target, one run per seed; no slope fit."""
+def seed_sweep(spec: RunSpec, eps: float, seeds) -> list[SweepRow]:
+    """One run of ``spec`` per seed, each with the accuracy target ``eps``
+    at every order; no slope fit."""
     rows = []
     for seed in seeds:
-        spec = RunSpec(problem=problem_name, problem_params=problem_params or {},
-                       eps=(eps,) * q, policy=policy, seed=seed,
-                       cfg_overrides=dict(cfg_overrides or {}))
-        result, _, _ = execute_run(spec, write=False)
+        run_spec = dataclasses.replace(spec, eps=(eps,) * len(spec.eps), seed=seed)
+        result, _ = execute_run(run_spec, write=False)
         n_f = result.eval_ledger.n_f
         n_d = result.eval_ledger.n_deriv()
         rows.append(SweepRow(eps=eps, seed=seed, terminated=result.terminated,
@@ -341,7 +338,7 @@ def cost_savings_report(spec: RunSpec, cost_model: str = "inverse") -> CompareRe
     charged at its per-call requested accuracies.  Informational only.
     """
     cost = COST_MODELS[cost_model]
-    dyn_result, _, _ = execute_run(spec, write=False)
+    dyn_result, _ = execute_run(spec, write=False)
     ledger = dyn_result.eval_ledger
     tight_f = ledger.min_acc((0,))
     tight_d = ledger.min_acc((1, 2, 3))
@@ -353,7 +350,7 @@ def cost_savings_report(spec: RunSpec, cost_model: str = "inverse") -> CompareRe
     fixed_overrides = dict(spec.cfg_overrides)
     fixed_overrides["zeta0"] = min(tight_d, dyn_result.cfg.kappa_zeta)
     fixed_spec = dataclasses.replace(spec, policy="none", cfg_overrides=fixed_overrides)
-    fixed_result, _, _ = execute_run(fixed_spec, write=False)
+    fixed_result, _ = execute_run(fixed_spec, write=False)
     fl = fixed_result.eval_ledger
 
     return CompareReport(
@@ -371,8 +368,12 @@ def cost_savings_report(spec: RunSpec, cost_model: str = "inverse") -> CompareRe
 
 def parse_config_file(path) -> dict:
     """One ``key = value`` per line; '#' comments; arrays comma-separated."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read the config file: {exc}") from None
     out = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

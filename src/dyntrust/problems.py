@@ -161,6 +161,7 @@ class LogisticTermModel:
     a: np.ndarray       # (m, n) term directions
     b: np.ndarray       # (m,) offsets
     lam: float
+    a_norm: np.ndarray         # (m,) term norms |a_t|
     order_by_size: np.ndarray  # term indices, largest |a_t| first
 
     @property
@@ -168,7 +169,7 @@ class LogisticTermModel:
         return self.a.shape[0]
 
     def _value_ranges(self, x_norm: float) -> np.ndarray:
-        c = np.linalg.norm(self.a, axis=1) * x_norm
+        c = self.a_norm * x_norm
         lo = _softplus(self.b - c)
         hi = _softplus(self.b + c)
         return np.stack([lo, hi], axis=1) / self.m
@@ -194,11 +195,10 @@ class LogisticTermModel:
         return value, k / self.m
 
     def estimate_deriv(self, x: np.ndarray, order: int, zeta: float):
-        a_norm = np.linalg.norm(self.a, axis=1)
-        c = a_norm * vector_norm(x)
+        c = self.a_norm * vector_norm(x)
         if order == 1:
             lo, hi = _sigmoid(self.b - c), _sigmoid(self.b + c)
-            half = (hi - lo) / 2.0 * a_norm / self.m
+            half = (hi - lo) / 2.0 * self.a_norm / self.m
             mid = (hi + lo) / 2.0
         elif order == 2:
             # |sigmoid'| peaks at 1/4; on [b-c, b+c] use endpoint/peak bounds.
@@ -207,12 +207,12 @@ class LogisticTermModel:
             contains_peak = (self.b - c <= 0) & (self.b + c >= 0)
             top = np.where(contains_peak, 0.25, np.maximum(d_lo, d_hi))
             bot = np.minimum(d_lo, d_hi)
-            half = (top - bot) / 2.0 * a_norm**2 / self.m
+            half = (top - bot) / 2.0 * self.a_norm**2 / self.m
             mid = (top + bot) / 2.0
         else:
             # |sigmoid''| <= 1/(6*sqrt(3)) globally.
             cap = 1.0 / (6.0 * math.sqrt(3.0))
-            half = cap * a_norm**3 / self.m
+            half = cap * self.a_norm**3 / self.m
             mid = np.zeros(self.m)
         k = self._select_prefix(half, zeta)
         idx = self.order_by_size[:k]
@@ -247,8 +247,8 @@ def finite_sum_logistic(dim: int = 4, terms: int = 64, lam: float = 0.1,
     rng = np.random.default_rng(seed)
     a = rng.normal(0.0, 1.0, size=(terms, dim)) * rng.uniform(0.2, 1.5, size=(terms, 1))
     b = rng.normal(0.0, 0.5, size=terms)
-    order_by_size = np.argsort(-np.linalg.norm(a, axis=1))
-    tm = LogisticTermModel(a=a, b=b, lam=lam, order_by_size=order_by_size)
+    a_norm = np.linalg.norm(a, axis=1)
+    tm = LogisticTermModel(a=a, b=b, lam=lam, a_norm=a_norm, order_by_size=np.argsort(-a_norm))
 
     def fun(x):
         # stacked products: each point goes through the gemv and dot a lone one uses

@@ -75,7 +75,8 @@ def _corpus_specs():
 def corpus():
     runs = []
     for spec in _corpus_specs():
-        result, problem, _ = execute_run(spec, write=False)
+        result, _ = execute_run(spec, write=False)
+        problem = result.acc.oracle.problem
         assert result.terminated, f"corpus run failed to terminate: {spec.run_key()}"
         audit = check_history(result, problem)
         runs.append(CorpusRun(spec=spec, result=result, problem=problem, audit=audit))
@@ -244,10 +245,10 @@ def test_criterion_9_accuracy_floor(corpus):
 def test_criterion_7_eps_scaling():
     t0 = time.monotonic()
     grid = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
-    rosen = eps_scaling_study("rosenbrock", 1, grid, policy="adversarial",
-                              seeds=(0, 1, 2, 3, 4))
-    saddle = eps_scaling_study("saddle_well", 2, grid, policy="adversarial",
-                               seeds=(0, 1, 2, 3, 4))
+    rosen = eps_scaling_study(RunSpec(problem="rosenbrock", eps=(grid[0],),
+                                      policy="adversarial"), grid, seeds=(0, 1, 2, 3, 4))
+    saddle = eps_scaling_study(RunSpec(problem="saddle_well", eps=(grid[0],) * 2,
+                                       policy="adversarial"), grid, seeds=(0, 1, 2, 3, 4))
     elapsed = time.monotonic() - t0
     ok = (rosen.passed and saddle.passed and rosen.excluded == 0
           and saddle.excluded == 0 and elapsed < 300.0)

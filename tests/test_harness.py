@@ -21,7 +21,7 @@ from dyntrust.oracle import PHASES
 def test_csv_round_trip(tmp_path):
     spec = RunSpec(problem="quadratic", problem_params={"dim": 2, "cond": 20},
                    eps=(1e-3,), policy="adversarial", seed=4)
-    result, _, _ = execute_run(spec, write=False)
+    result, _ = execute_run(spec, write=False)
     path = tmp_path / "hist.csv"
     write_history_csv(path, result.history)
     parsed = read_history_csv(path)
@@ -48,7 +48,7 @@ def test_csv_reader_refuses_rows_that_do_not_follow(tmp_path):
     # x is derived from the rows before it, so a CSV whose x disagrees with
     # the previous accepted x_trial, or whose k skips, is not a trace
     spec = RunSpec(problem="rosenbrock", eps=(1e-2,), policy="adversarial", seed=2)
-    result, _, _ = execute_run(spec, write=False)
+    result, _ = execute_run(spec, write=False)
     path = tmp_path / "hist.csv"
     write_history_csv(path, result.history)
     x = CSV_COLUMNS.index("x")
@@ -71,7 +71,7 @@ def test_csv_reader_refuses_rows_that_do_not_follow(tmp_path):
 def test_csv_reader_refuses_malformed_cells_by_row_and_column(tmp_path, column, text):
     spec = RunSpec(problem="quadratic", problem_params={"dim": 2}, eps=(1e-3,),
                    policy="adversarial", seed=0)
-    result, _, _ = execute_run(spec, write=False)
+    result, _ = execute_run(spec, write=False)
     path = tmp_path / "hist.csv"
     write_history_csv(path, result.history)
 
@@ -155,7 +155,7 @@ def test_history_csv_is_read_in_bounded_memory(tmp_path):
 def test_events_csv_round_trip(tmp_path):
     spec = RunSpec(problem="finite_sum_logistic", problem_params={"dim": 3, "terms": 32},
                    eps=(1e-2, 1e-2), policy="subsample", seed=1)
-    result, _, _ = execute_run(spec, write=False)
+    result, _ = execute_run(spec, write=False)
     ledger = result.eval_ledger
     path = tmp_path / "events.csv"
     write_events_csv(path, ledger)
@@ -181,7 +181,9 @@ def test_runspec_validation_diagnostics():
         spec.build_config()
     assert "omega" in str(err.value)
     with pytest.raises(ConfigError):
-        RunSpec(problem="not_a_problem").build_problem()
+        RunSpec(problem="not_a_problem").build_oracle()
+    with pytest.raises(ConfigError, match="unknown policy 'adversarail'"):
+        execute_run(RunSpec(policy="adversarail"), write=False)
 
 
 def test_parse_eps_grid_forms():
@@ -261,20 +263,80 @@ def test_cli_refuses_a_non_integer_iteration_cap(tmp_path, capsys):
     assert "--max-iterations: invalid int value: '2.5'" in capsys.readouterr().err
 
 
+def _refused(capsys, argv) -> str:
+    """The last stderr line of a command line the flags' parser refuses,
+    which exits with the configuration-error code."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    return capsys.readouterr().err.splitlines()[-1]
+
+
 @pytest.mark.parametrize("line,message", [
-    ("Delta0 = abc", "Delta0 expects a number, got 'abc'"),
-    ("max_iterations = 1e3", "max_iterations expects an integer, got '1e3'"),
-    ("seed = x", "seed expects an integer, got 'x'"),
-    ("q = two", "q expects an integer, got 'two'"),
-    ("dim = 2.5", "dim expects an integer, got '2.5'"),
-    ("cond = ten", "cond expects a number, got 'ten'"),
+    ("Delta0 = abc", "argument --delta0: invalid float value: 'abc'"),
+    ("max_iterations = 1e3", "argument --max-iterations: invalid int value: '1e3'"),
+    ("seed = x", "argument --seed: invalid int value: 'x'"),
+    ("q = two", "argument --q: invalid int value: 'two'"),
+    ("dim = 2.5", "argument --dim: invalid int value: '2.5'"),
+    ("cond = ten", "argument --cond: invalid float value: 'ten'"),
 ], ids=["cfg_float", "cfg_int", "seed", "q", "problem_int", "problem_float"])
 def test_cli_malformed_config_file_values_are_config_errors(tmp_path, capsys, line, message):
+    # a file line is read as the flag it names, by the same parser
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"problem = quadratic\n{line}\n")
-    code = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    err = _refused(capsys, ["run", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert err == f"dyntrust run: error: {message}"
+
+
+@pytest.mark.parametrize("line,message", [
+    ("gama_zeta = 0.5", "unrecognized arguments: --gama-zeta=0.5"),
+    ("gamma = 0.5", "unrecognized arguments: --gamma=0.5"),  # no prefix matching
+    ("seeds = 3", "unrecognized arguments: --seeds=3"),      # a flag of sweep only
+    ("policy = adversarail", "argument --policy: invalid choice: 'adversarail'"),
+], ids=["misspelled_key", "key_prefix", "other_command_key", "unknown_policy"])
+def test_cli_config_file_refuses_keys_and_values_its_flags_refuse(tmp_path, capsys,
+                                                                   line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"problem = quadratic\n{line}\n")
+    err = _refused(capsys, ["run", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert message in err
+    assert os.listdir(tmp_path) == ["run.cfg"]  # refused before any run
+
+
+def test_cli_config_file_that_cannot_be_read_is_a_config_error(tmp_path, capsys):
+    code = main(["run", "--config", str(tmp_path / "missing.cfg"), "--out-dir", str(tmp_path)])
     assert code == EXIT_CONFIG
-    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert capsys.readouterr().err.startswith("configuration error: cannot read the config file")
+    (tmp_path / "nested.cfg").write_text(f"config = {tmp_path / 'other.cfg'}\n")
+    code = main(["run", "--config", str(tmp_path / "nested.cfg"), "--out-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.endswith("a config file cannot name another config file\n")
+
+
+def test_cli_flags_override_the_config_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = rosenbrock\neta1 = 0.1\nseed = 9\npolicy = truncate\n")
+    code = main(["run", "--config", str(cfg), "--eta1", "0.2", "--seed", "4",
+                 "--problem", "quadratic", "--dim", "2", "--out-dir", str(tmp_path)])
+    assert code == EXIT_OK
+    summary_file = next(f for f in os.listdir(tmp_path) if f.endswith("_summary.json"))
+    assert summary_file == "quadratic_q1_eps0.001_truncate_s4_summary.json"
+    summary = json.loads((tmp_path / summary_file).read_text())
+    assert summary["config"]["eta1"] == 0.2 and summary["config"]["seed"] == 4
+    assert summary["problem"].startswith("quadratic(dim=2,")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--problem", "quadratic", "--policy", "subsample"],
+    ["--config", "{cfg}"],
+], ids=["flag", "config_file"])
+def test_cli_refuses_subsampling_a_problem_that_is_not_a_finite_sum(tmp_path, capsys, flags):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = rosenbrock\npolicy = subsample\n")
+    code = main(["run", *(f.format(cfg=cfg) for f in flags), "--out-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "configuration error: subsample policy requires a finite-sum problem\n")
 
 
 @pytest.mark.parametrize("grid,message", [
@@ -368,6 +430,22 @@ def test_cli_seed_sweep_single_eps(tmp_path):
     assert len((tmp_path / csv_file).read_text().splitlines()) == 4
 
 
+def test_cli_sweep_starts_where_run_starts(tmp_path):
+    # --x0 reaches every run of a sweep: the row is the run's own count
+    code = main(["run", "--problem", "quadratic", "--eps", "1e-2", "--x0", "5,5",
+                 "--out-dir", str(tmp_path)])
+    assert code == EXIT_OK
+    summary_file = next(f for f in os.listdir(tmp_path) if f.endswith("_summary.json"))
+    iterations = json.loads((tmp_path / summary_file).read_text())["iterations"]
+    assert iterations == 31
+    code = main(["sweep", "--problem", "quadratic", "--eps-grid", "1e-2", "--seeds", "1",
+                 "--x0", "5,5", "--out-dir", str(tmp_path)])
+    assert code == EXIT_OK
+    with open(tmp_path / "sweep_quadratic_q1.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert int(row["iterations"]) == iterations
+
+
 def test_cli_compare(tmp_path, capsys):
     code = main(["compare", "--problem", "rosenbrock", "--eps", "1e-2",
                  "--policy", "adversarial", "--cost-model", "inverse",
@@ -383,15 +461,15 @@ def test_env_var_default_outdir(tmp_path, monkeypatch):
 
 
 def test_eps_scaling_study_quadratic_flat_slope():
-    res = eps_scaling_study("quadratic", 1, (1e-1, 3e-2, 1e-2, 3e-3), seeds=(0, 1),
-                            problem_params={"dim": 2, "cond": 10})
+    spec = RunSpec(problem="quadratic", problem_params={"dim": 2, "cond": 10})
+    res = eps_scaling_study(spec, (1e-1, 3e-2, 1e-2, 3e-3), seeds=(0, 1))
     assert res.passed
     assert res.slope <= 1.0  # convex quadratic: far below the worst case
 
 
 def test_eps_scaling_requires_four_points():
     with pytest.raises(ConfigError):
-        eps_scaling_study("quadratic", 1, (1e-1, 1e-2), seeds=(0,))
+        eps_scaling_study(RunSpec(problem="quadratic"), (1e-1, 1e-2), seeds=(0,))
 
 
 def test_cost_savings_dynamic_cheaper_under_inverse_cost():
