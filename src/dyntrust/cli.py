@@ -12,7 +12,7 @@ import argparse
 import dataclasses
 import sys
 
-from .driver import ConfigError, bounds_for_run, check_history
+from .driver import ConfigError, TrConfig, bounds_for_run, check_history
 from .harness import (RunSpec, cost_savings_report, eps_scaling_study,
                       execute_run, parse_config_file, parse_eps_grid, seed_sweep,
                       summary_dict, write_summary_json, write_sweep_csv)
@@ -24,12 +24,9 @@ EXIT_CONFIG = 2
 EXIT_CAP = 3
 EXIT_AUDIT = 4
 
-_CFG_FLAGS = {
-    "Delta0": float, "Delta_max": float, "vartheta": float, "eta1": float,
-    "eta2": float, "gamma1": float, "gamma2": float, "gamma3": float,
-    "omega": float, "varsigma": float, "gamma_zeta": float,
-    "kappa_zeta": float, "zeta0": float, "max_iterations": int,
-}
+# every TrConfig constant but the targets and the seed, which have flags of their own
+_CFG_FLAGS = {f.name: int if isinstance(f.default, int) else float
+              for f in dataclasses.fields(TrConfig) if f.name not in ("eps", "seed")}
 
 _PROBLEM_FLAGS = {"dim": int, "cond": float, "terms": int, "lam": float}
 
@@ -113,7 +110,7 @@ def _cmd_audit(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = _spec_from_args(args)
     grid = parse_eps_grid(args.eps_grid)
-    seeds = tuple(range(args.seeds))
+    seeds = tuple(range(spec.seed, spec.seed + args.seeds))
     if len(grid) == 1:
         # seed sweep at one fixed accuracy: rows only, no slope to fit
         res = None
@@ -126,7 +123,8 @@ def _cmd_sweep(args) -> int:
         print(f"slope={res.slope:.3f} limit={res.slope_limit:.2f} "
               f"{'PASS' if res.passed else 'FAIL'} rows={len(rows)} "
               f"excluded={res.excluded}")
-    csv_path = spec.output_dir() / f"sweep_{spec.problem}_q{len(spec.eps)}.csv"
+    stem = spec.tag or f"sweep_{spec.problem}_q{len(spec.eps)}"
+    csv_path = spec.output_dir() / f"{stem}.csv"
     write_sweep_csv(csv_path, rows)
     print(f"rows: {csv_path}")
     if res is None:

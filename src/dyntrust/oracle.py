@@ -9,11 +9,11 @@ policies); the bound always holds, and every call is logged in an
 :class:`EvalLedger`.
 
 Problem output enters the library here only, through ``Problem.exact_f`` and
-``Problem.exact_deriv`` and the subsampled estimates, and is checked once.
-The exact doors take one point (n,) or a stack (..., n), refuse an order
-outside 1..3, and check that every value or entry is finite and that the
-output has exactly the shape ``x.shape[:-1]`` (values; a float for one
-point) or ``x.shape[:-1] + (n,) * order`` (derivatives).
+``Problem.exact_deriv`` and the subsampled estimates, and one checker sees
+all of it.  The exact doors take one point (n,) or a stack (..., n) and
+refuse an order outside 1..3.  Exact and subsampled output alike must have
+exactly the shape ``x.shape[:-1]`` (values; a float for one point) or
+``x.shape[:-1] + (n,) * order`` (derivatives), with every entry finite.
 :class:`NonFiniteEvaluation` names the first bad point in stack order.
 """
 
@@ -65,27 +65,22 @@ class Problem:
         a stack (..., n) as an array of x.shape[:-1] values, checked where
         it enters the library."""
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            value = float(self.fun(x))
-            return value if math.isfinite(value) else self._checked_f(x, value)
-        shape = x.shape[:-1]
+        if x.ndim == 1:  # the solver's fast path: only a bad value is checked
+            value = self.fun(x)
+            try:
+                if math.isfinite(value := float(value)):
+                    return value
+            except TypeError:  # not one value: the checker names its shape
+                pass
+            return float(self._checked(x, 0, value))
         try:
             values = self.fun(x)
         except NonFiniteEvaluation:
             raise
         except (TypeError, ValueError, IndexError) as exc:  # a fun of one point only
             raise ValueError(f"{self.name}: fun of points {x.shape} failed ({exc}); "
-                             f"expected values of shape {shape}") from exc
-        values = np.asarray(values, dtype=float)
-        if values.shape != shape:
-            raise ValueError(f"{self.name}: fun of points {x.shape} has shape "
-                             f"{values.shape}, expected {shape}")
-        finite = np.isfinite(values)
-        if not finite.all():
-            i = np.argmin(finite.ravel())  # the first bad point, in stack order
-            raise NonFiniteEvaluation(f"objective value {values.flat[i]} at x = "
-                                      f"{x.reshape(-1, x.shape[-1])[i].tolist()} is not finite")
-        return values
+                             f"expected values of shape {x.shape[:-1]}") from exc
+        return self._checked(x, 0, values)
 
     def exact_deriv(self, x, order: int) -> np.ndarray:
         """The order-``order`` derivative at one point x (n,), or at each
@@ -97,35 +92,31 @@ class Problem:
         except NonFiniteEvaluation:  # raised by the problem's own checks
             raise NonFiniteEvaluation(
                 f"order-{order} derivative at x = {x.tolist()} is not finite") from None
-        return self._checked_deriv(x, order, d)
+        return self._checked(x, order, d)
 
     def check_order(self, order):
         """Refuse, by name, a derivative order outside 1..3."""
         if order not in (1, 2, 3):
             raise ValueError(f"{self.name}: derivative order must be 1, 2 or 3, got {order!r}")
 
-    def _checked_f(self, x, value) -> float:
-        value = float(value)
-        if not math.isfinite(value):
-            raise NonFiniteEvaluation(
-                f"objective value {value} at x = {np.asarray(x).tolist()} is not finite")
-        return value
-
-    def _checked_deriv(self, x: np.ndarray, order: int, d) -> np.ndarray:
-        """d as a float array of x.shape[:-1] + (n,) * order finite entries."""
-        d = np.asarray(d, dtype=float)
+    def _checked(self, x: np.ndarray, order: int, out) -> np.ndarray:
+        """out as a float array of x.shape[:-1] + (n,) * order finite
+        entries: objective values at order 0, derivatives otherwise."""
+        out = np.asarray(out, dtype=float)
         shape = x.shape[:-1] + (self.dim,) * order
-        if d.shape != shape:
-            raise ValueError(f"{self.name}: deriv of points {x.shape} has shape "
-                             f"{d.shape}, expected {shape}")
+        if out.shape != shape:
+            raise ValueError(f"{self.name}: {'deriv' if order else 'fun'} of points "
+                             f"{x.shape} has shape {out.shape}, expected {shape}")
         # a finite sum of squares has finite terms; a strided array, or a sum
         # that overflows (numpy warns of it), is checked entry by entry
-        flat = d.ravel() if d.flags.c_contiguous else None
-        if (flat is None or not math.isfinite(flat.dot(flat))) and not np.isfinite(d).all():
-            bad = ~np.isfinite(d.reshape(-1, self.dim ** order)).all(axis=1)
-            x = x.reshape(-1, x.shape[-1])[np.argmax(bad)]  # the first, in stack order
-            raise NonFiniteEvaluation(f"order-{order} derivative at x = {x.tolist()} is not finite")
-        return d
+        flat = out.ravel() if out.flags.c_contiguous else None
+        if (flat is None or not math.isfinite(flat.dot(flat))) and not np.isfinite(out).all():
+            bad = ~np.isfinite(out.reshape(-1, self.dim ** order)).all(axis=1)
+            i = np.argmax(bad)  # the first bad point, in stack order
+            what = f"order-{order} derivative" if order else f"objective value {out.flat[i]}"
+            raise NonFiniteEvaluation(
+                f"{what} at x = {x.reshape(-1, x.shape[-1])[i].tolist()} is not finite")
+        return out
 
 
 # The phases of an iteration that call the oracle, in the order an iteration
@@ -294,8 +285,9 @@ class InexactOracle:
             raise ValueError(f"requested accuracy {abs_acc!r} must be positive and finite")
         work = 1.0
         if self.policy == "subsample":
+            x = np.asarray(x, dtype=float)
             value, work = self.problem.term_model.estimate_f(x, abs_acc)
-            value = self.problem._checked_f(x, value)
+            value = float(self.problem._checked(x, 0, value))
         else:
             value = self.problem.exact_f(x)
         if self.policy == "adversarial":
@@ -321,7 +313,7 @@ class InexactOracle:
             self.problem.check_order(order)  # the exact door checks it otherwise
             x = np.asarray(x, dtype=float)
             tensor, work = self.problem.term_model.estimate_deriv(x, order, zeta)
-            tensor = self.problem._checked_deriv(x, order, tensor)
+            tensor = self.problem._checked(x, order, tensor)
         else:
             tensor = self.problem.exact_deriv(x, order)
         if not exact:

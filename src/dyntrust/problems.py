@@ -153,44 +153,35 @@ class LogisticTermModel:
 
     f(x) = mean_t softplus(a_t.x + b_t) + lam/2 |x|^2.  Each term's value and
     derivative contributions admit cheap interval bounds from |a_t| and |x|
-    alone, so a prefix of the (fixed, bound-sorted) term order can be
-    evaluated until the worst-case remainder drops below the requested
-    accuracy.  No probabilistic guarantees anywhere: the bound always holds.
+    alone.  The terms are stored largest |a_t| first, so a prefix ``[:k]``
+    of them is evaluated, k as small as lets the worst-case remainder of the
+    tail ``[k:]`` drop below the requested accuracy.  No probabilistic
+    guarantees anywhere: the bound always holds.
     """
 
-    a: np.ndarray       # (m, n) term directions
+    a: np.ndarray       # (m, n) term directions, largest |a_t| first
     b: np.ndarray       # (m,) offsets
     lam: float
-    a_norm: np.ndarray         # (m,) term norms |a_t|
-    order_by_size: np.ndarray  # term indices, largest |a_t| first
+    a_norm: np.ndarray  # (m,) term norms |a_t|, non-increasing
 
     @property
     def m(self) -> int:
         return self.a.shape[0]
 
-    def _value_ranges(self, x_norm: float) -> np.ndarray:
-        c = self.a_norm * x_norm
-        lo = _softplus(self.b - c)
-        hi = _softplus(self.b + c)
-        return np.stack([lo, hi], axis=1) / self.m
-
-    def _select_prefix(self, half_widths: np.ndarray, acc: float) -> int:
-        # Evaluate terms (largest bound first) until the unevaluated tail's
-        # worst case fits under the requested accuracy.
-        ordered = half_widths[self.order_by_size]
-        suffix = np.concatenate([np.cumsum(ordered[::-1])[::-1], [0.0]])
+    @staticmethod
+    def _select_prefix(half_widths: np.ndarray, acc: float) -> int:
+        # the shortest prefix whose unevaluated tail's worst case fits under acc
+        suffix = np.concatenate([np.cumsum(half_widths[::-1])[::-1], [0.0]])
         return int(np.searchsorted(-suffix, -acc, side="left"))
 
     def estimate_f(self, x, acc: float):
         x = np.asarray(x, dtype=float)
-        ranges = self._value_ranges(vector_norm(x))
-        half = (ranges[:, 1] - ranges[:, 0]) / 2.0
-        k = self._select_prefix(half, acc)
-        idx = self.order_by_size[:k]
-        rest = self.order_by_size[k:]
-        t = self.a[idx] @ x + self.b[idx]
-        value = float(np.sum(_softplus(t))) / self.m
-        value += float(np.sum(ranges[rest].mean(axis=1)))
+        c = self.a_norm * vector_norm(x)
+        lo = _softplus(self.b - c) / self.m  # each term's range of values
+        hi = _softplus(self.b + c) / self.m
+        k = self._select_prefix((hi - lo) / 2.0, acc)
+        value = float(np.sum(_softplus(self.a[:k] @ x + self.b[:k]))) / self.m
+        value += float(np.sum((lo[k:] + hi[k:]) / 2.0))
         value += 0.5 * self.lam * float(x @ x)
         return value, k / self.m
 
@@ -211,29 +202,23 @@ class LogisticTermModel:
             mid = (top + bot) / 2.0
         else:
             # |sigmoid''| <= 1/(6*sqrt(3)) globally.
-            cap = 1.0 / (6.0 * math.sqrt(3.0))
-            half = cap * self.a_norm**3 / self.m
-            mid = np.zeros(self.m)
+            half = 1.0 / (6.0 * math.sqrt(3.0)) * self.a_norm**3 / self.m
         k = self._select_prefix(half, zeta)
-        idx = self.order_by_size[:k]
-        rest = self.order_by_size[k:]
-        t = self.a[idx] @ x + self.b[idx]
-        s = _sigmoid(t)
+        head, tail = self.a[:k], self.a[k:]
+        s = _sigmoid(head @ x + self.b[:k])
         if order == 1:
-            approx = (s @ self.a[idx]) / self.m
-            if len(rest):
-                approx = approx + (mid[rest] @ self.a[rest]) / self.m
+            approx = (s @ head) / self.m
+            if k < self.m:
+                approx = approx + (mid[k:] @ tail) / self.m
             tensor = approx + self.lam * x
         elif order == 2:
-            w = s * (1 - s)
-            approx = np.einsum("t,ta,tb->ab", w, self.a[idx], self.a[idx]) / self.m
-            if len(rest):
-                approx = approx + np.einsum(
-                    "t,ta,tb->ab", mid[rest], self.a[rest], self.a[rest]) / self.m
+            approx = np.einsum("t,ta,tb->ab", s * (1 - s), head, head) / self.m
+            if k < self.m:
+                approx = approx + np.einsum("t,ta,tb->ab", mid[k:], tail, tail) / self.m
             tensor = approx + self.lam * np.eye(x.size)
         else:
             w = s * (1 - s) * (1 - 2 * s)
-            tensor = np.einsum("t,ta,tb,tc->abc", w, self.a[idx], self.a[idx], self.a[idx]) / self.m
+            tensor = np.einsum("t,ta,tb,tc->abc", w, head, head, head) / self.m
         return tensor, k / self.m
 
 
@@ -248,7 +233,10 @@ def finite_sum_logistic(dim: int = 4, terms: int = 64, lam: float = 0.1,
     a = rng.normal(0.0, 1.0, size=(terms, dim)) * rng.uniform(0.2, 1.5, size=(terms, 1))
     b = rng.normal(0.0, 0.5, size=terms)
     a_norm = np.linalg.norm(a, axis=1)
-    tm = LogisticTermModel(a=a, b=b, lam=lam, a_norm=a_norm, order_by_size=np.argsort(-a_norm))
+    # the term model keeps its terms largest bound first; fun and deriv sum
+    # them in the drawn order, which sets their rounding
+    by_size = np.argsort(-a_norm)
+    tm = LogisticTermModel(a=a[by_size], b=b[by_size], lam=lam, a_norm=a_norm[by_size])
 
     def fun(x):
         # stacked products: each point goes through the gemv and dot a lone one uses

@@ -4,7 +4,8 @@ differences against a problem's exact derivatives, the guarantees a
 one-start-at-a-time form of the batched order-3 ascent, an accuracy
 ledger whose tightenings never lower a bound, a column-by-column comparison
 of run traces, the one-point-at-a-time form of the audit's replay against
-exact values, and the one-pair-at-a-time form of the Lipschitz sampler."""
+exact values, the one-pair-at-a-time form of the Lipschitz sampler, and the
+finite-sum term model that reaches its prefix through index gathers."""
 
 import math
 from dataclasses import dataclass, field
@@ -13,9 +14,11 @@ from math import factorial
 import numpy as np
 
 from dyntrust.driver import _REL_SLACK, AuditReport, CheckResult, RunTrace, bounds_for_run
-from dyntrust.model import Bundle, as_vector, model_gradient, operator_norm, taylor_decrement
+from dyntrust.model import (Bundle, as_vector, model_gradient, operator_norm, taylor_decrement,
+                            vector_norm)
 from dyntrust.optimality import AccuracyLedger, allowed_tightenings
 from dyntrust.oracle import Problem
+from dyntrust.problems import _sigmoid, _softplus
 from dyntrust.reference import LIPSCHITZ_INFLATION, LIPSCHITZ_PAIRS, lipschitz_estimate
 from dyntrust.verify import VerifyOutcome, error_budget, verify
 
@@ -237,3 +240,93 @@ def pointwise_lipschitz(problem: Problem, box, order: int,
             dx, dy = problem.exact_deriv(np.stack((x, y)), order)
             best = max(best, operator_norm(dx - dy, order) / gap)
     return LIPSCHITZ_INFLATION * best
+
+
+@dataclass(frozen=True, eq=False)
+class GatheredTermModel:
+    """The finite-sum term model with its terms in any order, reaching the
+    prefix (largest |a_t| first) through the index gathers ``a[idx]`` and
+    ``mid[rest]``.  ``problems.LogisticTermModel``, which stores its terms
+    in that order and slices them, must match it bit for bit."""
+
+    a: np.ndarray
+    b: np.ndarray
+    lam: float
+    a_norm: np.ndarray
+    order_by_size: np.ndarray  # term indices, largest |a_t| first
+
+    @classmethod
+    def shuffled(cls, tm, seed: int = 0):
+        """The terms of ``tm`` in a seeded random order; with distinct norms,
+        gathering by size restores tm's order, as it did the drawn one."""
+        perm = np.random.default_rng(seed).permutation(tm.m)
+        a_norm = tm.a_norm[perm]
+        return cls(a=tm.a[perm], b=tm.b[perm], lam=tm.lam, a_norm=a_norm,
+                   order_by_size=np.argsort(-a_norm))
+
+    @property
+    def m(self) -> int:
+        return self.a.shape[0]
+
+    def _value_ranges(self, x_norm: float) -> np.ndarray:
+        c = self.a_norm * x_norm
+        lo = _softplus(self.b - c)
+        hi = _softplus(self.b + c)
+        return np.stack([lo, hi], axis=1) / self.m
+
+    def _select_prefix(self, half_widths: np.ndarray, acc: float) -> int:
+        ordered = half_widths[self.order_by_size]
+        suffix = np.concatenate([np.cumsum(ordered[::-1])[::-1], [0.0]])
+        return int(np.searchsorted(-suffix, -acc, side="left"))
+
+    def estimate_f(self, x, acc: float):
+        x = np.asarray(x, dtype=float)
+        ranges = self._value_ranges(vector_norm(x))
+        half = (ranges[:, 1] - ranges[:, 0]) / 2.0
+        k = self._select_prefix(half, acc)
+        idx = self.order_by_size[:k]
+        rest = self.order_by_size[k:]
+        t = self.a[idx] @ x + self.b[idx]
+        value = float(np.sum(_softplus(t))) / self.m
+        value += float(np.sum(ranges[rest].mean(axis=1)))
+        value += 0.5 * self.lam * float(x @ x)
+        return value, k / self.m
+
+    def estimate_deriv(self, x: np.ndarray, order: int, zeta: float):
+        c = self.a_norm * vector_norm(x)
+        if order == 1:
+            lo, hi = _sigmoid(self.b - c), _sigmoid(self.b + c)
+            half = (hi - lo) / 2.0 * self.a_norm / self.m
+            mid = (hi + lo) / 2.0
+        elif order == 2:
+            s_lo, s_hi = _sigmoid(self.b - c), _sigmoid(self.b + c)
+            d_lo, d_hi = s_lo * (1 - s_lo), s_hi * (1 - s_hi)
+            contains_peak = (self.b - c <= 0) & (self.b + c >= 0)
+            top = np.where(contains_peak, 0.25, np.maximum(d_lo, d_hi))
+            bot = np.minimum(d_lo, d_hi)
+            half = (top - bot) / 2.0 * self.a_norm**2 / self.m
+            mid = (top + bot) / 2.0
+        else:
+            cap = 1.0 / (6.0 * math.sqrt(3.0))
+            half = cap * self.a_norm**3 / self.m
+            mid = np.zeros(self.m)
+        k = self._select_prefix(half, zeta)
+        idx = self.order_by_size[:k]
+        rest = self.order_by_size[k:]
+        s = _sigmoid(self.a[idx] @ x + self.b[idx])
+        if order == 1:
+            approx = (s @ self.a[idx]) / self.m
+            if len(rest):
+                approx = approx + (mid[rest] @ self.a[rest]) / self.m
+            tensor = approx + self.lam * x
+        elif order == 2:
+            w = s * (1 - s)
+            approx = np.einsum("t,ta,tb->ab", w, self.a[idx], self.a[idx]) / self.m
+            if len(rest):
+                approx = approx + np.einsum(
+                    "t,ta,tb->ab", mid[rest], self.a[rest], self.a[rest]) / self.m
+            tensor = approx + self.lam * np.eye(x.size)
+        else:
+            w = s * (1 - s) * (1 - 2 * s)
+            tensor = np.einsum("t,ta,tb,tc->abc", w, self.a[idx], self.a[idx], self.a[idx]) / self.m
+        return tensor, k / self.m

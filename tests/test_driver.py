@@ -388,6 +388,18 @@ def test_audit_order3_checks_termination_at_every_order():
     assert "phi_3=" in report.checks["termination_soundness"].detail
 
 
+def test_audit_names_a_failing_order_as_failing():
+    # at the saddle (0, 0) phi_2 is over its bound; its detail used to read
+    # "<= ... certified" like a pass
+    p = make_problem("saddle_well")
+    res = run(InexactOracle(p, policy="none", seed=0), TrConfig.with_defaults((1e-3, 1e-3)))
+    check = check_history(dataclasses.replace(res, x_eps=np.zeros(2)), p).checks[
+        "termination_soundness"]
+    assert not check.ok
+    assert check.detail == ("phi_1=0.000e+00<=4.883e-07 certified, "
+                            "phi_2=2.384e-07>1.192e-10, |grad|=0.000e+00")
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "known defect, ROADMAP open item 2 and the CHANGES.md FOUND line on "
     "optimality._max_cubic_on_ball: the order-3 ascent misses an interior "

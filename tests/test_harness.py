@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 from checkers import assert_traces_equal
-from dyntrust.cli import EXIT_AUDIT, EXIT_CAP, EXIT_CONFIG, EXIT_OK, main
-from dyntrust.driver import ConfigError, RunTrace
+from dyntrust.cli import (EXIT_AUDIT, EXIT_CAP, EXIT_CONFIG, EXIT_OK, _with_config_file,
+                          build_parser, main)
+from dyntrust.driver import ConfigError, RunTrace, TrConfig
 from dyntrust.harness import (CSV_COLUMNS, EVENT_CSV_COLUMNS, RunSpec,
                               cost_savings_report, eps_scaling_study, execute_run,
                               parse_config_file, parse_eps_grid, read_events_csv,
@@ -444,6 +446,32 @@ def test_cli_sweep_starts_where_run_starts(tmp_path):
     with open(tmp_path / "sweep_quadratic_q1.csv", newline="") as fh:
         (row,) = csv.DictReader(fh)
     assert int(row["iterations"]) == iterations
+
+
+def test_cli_sweep_starts_at_the_seed_and_writes_under_the_tag(tmp_path):
+    # both flags used to be dropped: seeds 0 and 1 went to sweep_quadratic_q1.csv
+    code = main(["sweep", "--problem", "quadratic", "--eps-grid", "1e-2", "--seeds", "2",
+                 "--seed", "5", "--tag", "mine", "--out-dir", str(tmp_path)])
+    assert code == EXIT_OK
+    assert os.listdir(tmp_path) == ["mine.csv"]
+    with open(tmp_path / "mine.csv", newline="") as fh:
+        assert [int(row["seed"]) for row in csv.DictReader(fh)] == [5, 6]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "audit", "compare"])
+def test_every_run_constant_is_a_flag_and_a_config_key(tmp_path, command):
+    # TrConfig's constants but the targets and the seed, which have flags of
+    # their own, are flags of each command and keys of its config file
+    fields = [f for f in dataclasses.fields(TrConfig) if f.name not in ("eps", "seed")]
+    (tmp_path / "all.cfg").write_text("".join(f"{f.name} = 7\n" for f in fields))
+    required = ["--eps-grid", "1e-2"] if command == "sweep" else []
+    flags = [f"--{f.name.replace('_', '-').lower()}=7" for f in fields]
+    for argv in ([command, *required, *flags],
+                 [command, *required, "--config", str(tmp_path / "all.cfg")]):
+        args = build_parser().parse_args(_with_config_file(argv))
+        for f in fields:
+            want = int if f.name == "max_iterations" else float
+            assert type(getattr(args, f.name)) is want and getattr(args, f.name) == 7, f.name
 
 
 def test_cli_compare(tmp_path, capsys):

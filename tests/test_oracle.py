@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from checkers import finite_diff_check
+from checkers import GatheredTermModel, finite_diff_check
 
 POLICIES = ("none", "adversarial", "truncate", "gaussian")
 
@@ -444,6 +445,87 @@ def test_subsample_oracle_honesty():
     o.eval_f(x, 1e-1, l1)
     o.eval_f(x, 1e-6, l2)
     assert l1.entries[0].work <= l2.entries[0].work
+
+
+@pytest.mark.parametrize("dim,terms", [(1, 1), (3, 16), (4, 64), (10, 200)])
+def test_term_model_prefix_slices_equal_the_gathered_terms(dim, terms):
+    # the terms are stored largest bound first, so the prefix is a slice:
+    # values, tensors and work equal the gathered-index estimates bit for bit
+    tm = make_problem("finite_sum_logistic", dim=dim, terms=terms).term_model
+    assert np.unique(tm.a_norm).size == terms and (np.diff(tm.a_norm) <= 0).all()
+    ref = GatheredTermModel.shuffled(tm, seed=dim)
+    rng = np.random.default_rng(terms)
+    works = set()
+    for _ in range(8):
+        x = rng.normal(0.0, rng.uniform(0.05, 3.0), dim)
+        for acc in (1e3, 1e-1, 1e-2, 1e-3, 1e-4, 1e-12):
+            got, want = tm.estimate_f(x, acc), ref.estimate_f(x, acc)
+            assert struct.pack("2d", *got) == struct.pack("2d", *want)
+            works.add(got[1])
+            for order in (1, 2, 3):
+                (t, work), (t_ref, work_ref) = (tm.estimate_deriv(x, order, acc),
+                                                ref.estimate_deriv(x, order, acc))
+                assert t.shape == t_ref.shape == (dim,) * order
+                assert t.tobytes() == t_ref.tobytes() and work == work_ref
+                works.add(work)
+    # the prefix takes no term, every term, and lengths in between
+    assert {0.0, 1.0} <= works and (terms == 1 or len(works) > 2)
+
+
+def _nan(out):
+    return np.full(np.shape(out), math.nan)
+
+
+def _twice(out):
+    return np.stack([out, out])
+
+
+def _same(out):
+    return out
+
+
+class MappedTerms:
+    """A term model whose estimates pass through ``value`` and ``tensor``."""
+
+    def __init__(self, base, value, tensor):
+        self.base, self.value, self.tensor = base, value, tensor
+
+    def estimate_f(self, x, acc):
+        value, work = self.base.estimate_f(x, acc)
+        return self.value(value), work
+
+    def estimate_deriv(self, x, order, zeta):
+        tensor, work = self.base.estimate_deriv(x, order, zeta)
+        return self.tensor(tensor), work
+
+
+@pytest.mark.parametrize("value,tensor,error,message", [
+    pytest.param(_nan, _same, NonFiniteEvaluation,
+                 "objective value nan at x = {x} is not finite", id="nan_value"),
+    pytest.param(_same, _nan, NonFiniteEvaluation,
+                 "order-1 derivative at x = {x} is not finite", id="nan_deriv"),
+    pytest.param(_twice, _same, ValueError,
+                 "{name}: fun of points (3,) has shape (2,), expected ()", id="value_shape"),
+    pytest.param(_same, _twice, ValueError,
+                 "{name}: deriv of points (3,) has shape (2, 3), expected (3,)", id="deriv_shape"),
+])
+@pytest.mark.parametrize("route", ["exact", "subsample"])
+def test_exact_and_subsampled_output_are_checked_alike(route, value, tensor, error, message):
+    # one checker at the problem door: a malformed subsampled value used to
+    # end in a bare TypeError from float()
+    base = make_problem("finite_sum_logistic", dim=3, terms=16)
+    if route == "exact":
+        p = dataclasses.replace(base, fun=lambda x: value(base.fun(x)),
+                                deriv=lambda x, order: tensor(base.deriv(x, order)))
+    else:
+        p = dataclasses.replace(base, term_model=MappedTerms(base.term_model, value, tensor))
+    oracle = InexactOracle(p, policy="none" if route == "exact" else route)
+    x = np.array([0.2, -0.1, 0.3])
+    with pytest.raises(error, match="^" + re.escape(message.format(x=x.tolist(), name=p.name))):
+        if tensor is _same:
+            oracle.eval_f(x, 1e-3)
+        else:
+            oracle.eval_deriv(x, 1, 1e-3)
 
 
 def test_nonfinite_objective_stops_the_run():
