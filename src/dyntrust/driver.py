@@ -305,7 +305,8 @@ class AuditReport:
     checks: dict
     bounds: BoundConstants
     lipschitz_used: float
-    # (L_j, source) for j = 1..q; the source is "declared" or "sampled (...)"
+    # (L_j, source) for j = 1..q; the source is "declared", "certified on
+    # box" or "sampled (...)"
     lipschitz_orders: tuple = ()
 
     @property
@@ -327,30 +328,43 @@ class AuditReport:
         return "\n".join(lines)
 
 
+def _iterate_box(result: RunResult) -> tuple:
+    """(lo, hi): the box of every iterate (x0, each accepted trial point and
+    x_eps), reduced in place over the trace's trial points and padded by 0.5
+    on each side."""
+    trace = result.history
+    ends = np.stack((trace.x0, result.x_eps))
+    accepted = trace.column("successful")[:, None]
+    lo = np.min(trace.x_trial, axis=0, where=accepted, initial=np.inf)
+    hi = np.max(trace.x_trial, axis=0, where=accepted, initial=-np.inf)
+    return np.minimum(lo, ends.min(axis=0)) - 0.5, np.maximum(hi, ends.max(axis=0)) + 0.5
+
+
 def resolve_lipschitz(problem: Problem, result: RunResult, q: int) -> tuple:
-    """(L_j, source) for j = 1..q: the exact constant when the problem
-    declares it, otherwise sampled over the padded iterate box with a safety
-    inflation."""
+    """(L_j, source) for j = 1..q, from ``problem.lipschitz``: a tuple of
+    global constants (``declared``), or a callable that gives constants
+    valid on the padded iterate box (``certified on box``).  An order it
+    leaves out or gives as None is sampled over that box with a safety
+    inflation.  The box is built only when some order needs it.  A
+    non-finite or negative constant is refused by name."""
     from .reference import LIPSCHITZ_INFLATION, LIPSCHITZ_PAIRS, lipschitz_estimate
-    sampled = f"sampled ({LIPSCHITZ_PAIRS:,} pairs x {LIPSCHITZ_INFLATION:g})"
-    out = []
-    declared = problem.lipschitz or ()
+    stated, source = problem.lipschitz or (), "declared"
     box = None
+    if callable(stated):
+        box = _iterate_box(result)
+        stated, source = stated(*box), "certified on box"
+    out = []
     for order in range(1, q + 1):
-        if len(declared) >= order and declared[order - 1] is not None:
-            out.append((float(declared[order - 1]), "declared"))
+        value = stated[order - 1] if len(stated) >= order else None
+        if value is None:
+            box = _iterate_box(result) if box is None else box
+            out.append((lipschitz_estimate(problem, box, order),
+                        f"sampled ({LIPSCHITZ_PAIRS:,} pairs x {LIPSCHITZ_INFLATION:g})"))
+        elif 0 <= (value := float(value)) < math.inf:  # NaN fails too
+            out.append((value, source))
         else:
-            if box is None:
-                # every iterate: x0, each accepted trial point, and x_eps,
-                # reduced in place over the trace's trial points
-                trace = result.history
-                ends = np.stack((trace.x0, result.x_eps))
-                accepted = trace.column("successful")[:, None]
-                lo = np.min(trace.x_trial, axis=0, where=accepted, initial=np.inf)
-                hi = np.max(trace.x_trial, axis=0, where=accepted, initial=-np.inf)
-                box = (np.minimum(lo, ends.min(axis=0)) - 0.5,
-                       np.maximum(hi, ends.max(axis=0)) + 0.5)
-            out.append((lipschitz_estimate(problem, box, order), sampled))
+            raise ValueError(f"{problem.name}: Lipschitz constant L_{order} must be "
+                             f"finite and non-negative, got {value!r}")
     return tuple(out)
 
 
@@ -384,7 +398,10 @@ def check_history(result: RunResult, problem: Problem,
     accuracy is ever requested, the step loop's tightening caps (``run``
     raises on an absolute step outcome), the objective accuracy contracts,
     every step inside its trust region, and (for terminated runs) soundness
-    of the declared approximate minimizer.
+    of the declared approximate minimizer.  The floors and bounds rest on
+    L_f = max(1, L_1..L_q) from :func:`resolve_lipschitz`: stated in closed
+    form by every registered problem, and sampled only for a problem that
+    states none.
     """
     cfg = result.cfg
     q = cfg.q

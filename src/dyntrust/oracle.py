@@ -47,8 +47,12 @@ class Problem:
     for one point), and ``deriv(x, order)`` the symmetric order-``order``
     derivative arrays, of shape ``x.shape[:-1] + (n,) * order``.  Each row of
     a stack gets its lone point's value bit for bit.  ``f_low`` is a global
-    lower bound on the objective; ``lipschitz[i-1]``, when known, is a
-    Lipschitz constant for the order-i derivative.
+    lower bound on the objective.  ``lipschitz`` states Lipschitz constants
+    of the derivatives, one per order i = 1, 2, ...: a tuple of global
+    constants, or a callable ``(lo, hi) -> tuple`` whose constants hold on
+    the box lo <= x <= hi (a bound on the norm of the order-(i+1)
+    derivative there).  An order it leaves out, or gives as None, is
+    sampled by the audit.
     """
 
     name: str
@@ -57,7 +61,7 @@ class Problem:
     deriv: Callable[[np.ndarray, int], np.ndarray]
     f_low: float
     x0: Vector
-    lipschitz: tuple | None = None
+    lipschitz: tuple | Callable[[np.ndarray, np.ndarray], tuple] | None = None
     term_model: object | None = None  # subsampled finite-sum support, if any
 
     def exact_f(self, x) -> float | np.ndarray:

@@ -30,6 +30,11 @@ def _power(x):
     return operator.pow if x.ndim == 1 else np.float_power
 
 
+def _abs_range(lo, hi):
+    """sup |t| and inf |t| over each interval [lo, hi]."""
+    return np.maximum(-lo, hi), np.maximum(np.maximum(lo, -hi), 0.0)
+
+
 def _require(ok: bool, problem: str, param: str, rule: str, value) -> None:
     """Refuse a factory parameter outside the problem's domain, by name."""
     if not ok:
@@ -85,8 +90,17 @@ def rosenbrock() -> Problem:
             out[..., 0, 0, 1] = out[..., 0, 1, 0] = out[..., 1, 0, 0] = -400.0
         return out
 
+    def lipschitz(lo, hi):
+        # Frobenius norms of T_2 and T_3 from interval bounds on their
+        # entries; the (0, 0) entry of T_2 is linear in v and in u^2
+        u_top, u_bottom = _abs_range(lo[0], hi[0])
+        h00 = max(abs(2 - 400 * hi[1] + 1200 * u_bottom**2),
+                  abs(2 - 400 * lo[1] + 1200 * u_top**2))
+        return (math.sqrt(h00**2 + 2 * (400 * u_top)**2 + 200.0**2),
+                math.sqrt((2400 * u_top)**2 + 3 * 400.0**2), 2400.0)
+
     return Problem(name="rosenbrock", dim=2, fun=fun, deriv=deriv, f_low=0.0,
-                   x0=np.array([-1.2, 1.0]))
+                   x0=np.array([-1.2, 1.0]), lipschitz=lipschitz)
 
 
 def saddle_well() -> Problem:
@@ -113,8 +127,13 @@ def saddle_well() -> Problem:
             out[..., 1, 1, 1] = 12.0 * v
         return out
 
+    def lipschitz(lo, hi):
+        # T_2 = diag(2, 6y^2 - 2); T_3 and T_4 hold 12y and 12 at (1, ..., 1)
+        y_top = float(_abs_range(lo[1], hi[1])[0])
+        return max(2.0, 6.0 * y_top**2 - 2.0), 12.0 * y_top, 12.0
+
     return Problem(name="saddle_well", dim=2, fun=fun, deriv=deriv, f_low=-0.5,
-                   x0=np.array([0.1, 0.01]))
+                   x0=np.array([0.1, 0.01]), lipschitz=lipschitz)
 
 
 def quartic(dim: int = 3) -> Problem:
@@ -135,8 +154,15 @@ def quartic(dim: int = 3) -> Problem:
             out[..., diag, diag, diag] = 6.0 * x
         return out
 
+    def lipschitz(lo, hi):
+        # T_2, T_3 and T_4 are diagonal, with entries 3x_i^2 - 1, 6x_i and 6:
+        # each operator norm is the largest |diagonal entry|
+        top, bottom = _abs_range(lo, hi)
+        return (float(np.max(np.maximum(3.0 * top**2 - 1.0, 1.0 - 3.0 * bottom**2))),
+                6.0 * float(np.max(top)), 6.0)
+
     return Problem(name=f"quartic(dim={dim})", dim=dim, fun=fun, deriv=deriv,
-                   f_low=-dim / 4.0, x0=0.5 * np.ones(dim))
+                   f_low=-dim / 4.0, x0=0.5 * np.ones(dim), lipschitz=lipschitz)
 
 
 def _sigmoid(t):
@@ -262,9 +288,15 @@ def finite_sum_logistic(dim: int = 4, terms: int = 64, lam: float = 0.1,
             return out + lam * np.eye(dim)
         return out
 
+    # global constants: T_{j+1} is the mean of sigma^(j)(a_t.x + b_t) times
+    # a_t's (j+1)-fold outer product (plus lam I at j = 1), and |sigma'| <= 1/4,
+    # |sigma''| <= 1/(6 sqrt 3), |sigma'''| <= 1/8
+    lipschitz = (float(np.mean(a_norm**2)) / 4.0 + lam,
+                 float(np.mean(a_norm**3)) / (6.0 * math.sqrt(3.0)),
+                 float(np.mean(a_norm**4)) / 8.0)
     return Problem(name=f"finite_sum_logistic(dim={dim},m={terms})", dim=dim,
                    fun=fun, deriv=deriv, f_low=0.0, x0=np.zeros(dim),
-                   term_model=tm)
+                   lipschitz=lipschitz, term_model=tm)
 
 
 REGISTRY = {

@@ -175,8 +175,9 @@ def assert_traces_equal(got, want):
 def pointwise_replay(result, problem: Problem, report: AuditReport) -> AuditReport:
     """``report`` with the checks that replay the trace against exact values
     redone one row at a time: one ``exact_f`` call per trial point, the
-    step tightening cap per row, and the sampled Lipschitz box over a copy
-    of every iterate.  ``check_history`` must give the same summary."""
+    step tightening cap per row, and the Lipschitz constants (declared,
+    certified on the box or sampled over it) on a box built from a copy of
+    every iterate.  ``check_history`` must give the same summary."""
     cfg, trace = result.cfg, result.history
     q, eps_min = cfg.q, min(cfg.eps)
     col = {name: trace.column(name).tolist() for name in RunTrace.dtype.names}
@@ -185,11 +186,13 @@ def pointwise_replay(result, problem: Problem, report: AuditReport) -> AuditRepo
     pts = np.array([trace.x0, *(x_trial[k] for k in rows if col["successful"][k]),
                     result.x_eps])
     box = pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5
-    declared = problem.lipschitz or ()
+    stated, source = problem.lipschitz or (), "declared"
+    if callable(stated):
+        stated, source = stated(*box), "certified on box"
     sampled = f"sampled ({LIPSCHITZ_PAIRS:,} pairs x {LIPSCHITZ_INFLATION:g})"
     lipschitz = tuple(
-        (float(declared[j - 1]), "declared")
-        if len(declared) >= j and declared[j - 1] is not None
+        (float(stated[j - 1]), source)
+        if len(stated) >= j and stated[j - 1] is not None
         else (lipschitz_estimate(problem, box, j), sampled) for j in range(1, q + 1))
     bc, L_f = bounds_for_run(result, problem, lipschitz)
 
@@ -225,10 +228,13 @@ def pointwise_replay(result, problem: Problem, report: AuditReport) -> AuditRepo
 
 
 def pointwise_lipschitz(problem: Problem, box, order: int,
-                        n_samples: int = LIPSCHITZ_PAIRS, seed: int = 0) -> float:
+                        n_samples: int = LIPSCHITZ_PAIRS, seed: int = 0,
+                        inflation: float = LIPSCHITZ_INFLATION) -> float:
     """The sampled Lipschitz estimate one pair at a time: x, then y, drawn
     from the stream, and the pair evaluated by its own ``exact_deriv`` call.
-    ``reference.lipschitz_estimate`` must match bit for bit."""
+    ``reference.lipschitz_estimate`` must match bit for bit.  With
+    ``inflation=1`` it is the largest sampled difference quotient, a lower
+    bound on the true constant."""
     lo, hi = (np.asarray(side, dtype=float) for side in box)
     rng = np.random.default_rng(seed)
     best = 0.0
@@ -239,7 +245,7 @@ def pointwise_lipschitz(problem: Problem, box, order: int,
         if gap >= 1e-12:
             dx, dy = problem.exact_deriv(np.stack((x, y)), order)
             best = max(best, operator_norm(dx - dy, order) / gap)
-    return LIPSCHITZ_INFLATION * best
+    return inflation * best
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from checkers import pointwise_replay
-from dyntrust import driver, optimality, step
+from dyntrust import driver, optimality, reference, step
 from dyntrust.driver import ConfigError, RunTrace, TrConfig, check_history, run
 from dyntrust.optimality import CertificationError
 from dyntrust.oracle import InexactOracle, NonFiniteEvaluation, Problem
-from dyntrust.problems import make_problem
+from dyntrust.problems import list_problems, make_problem
 from dyntrust.reference import phi_reference
 from dyntrust.verify import VerifyOutcome
 
@@ -246,7 +246,8 @@ def test_audit_rosenbrock_boxed_lipschitz():
 
 
 def test_audit_summary_names_each_lipschitz_source():
-    # declared constants are exact; sampled ones are a heuristic and say so
+    # declared constants are exact, certified ones hold on the iterate box,
+    # and sampled ones are a heuristic and say so
     p = make_problem("quadratic", dim=2, cond=30)
     res = run(InexactOracle(p, policy="none", seed=0), TrConfig.with_defaults((1e-2, 1e-2)))
     report = check_history(res, p)
@@ -257,6 +258,14 @@ def test_audit_summary_names_each_lipschitz_source():
     p = make_problem("rosenbrock")
     res = run(InexactOracle(p, policy="none", seed=0), TrConfig.with_defaults((1e-2, 1e-2)))
     report = check_history(res, p)
+    (l1, s1), (l2, s2) = report.lipschitz_orders
+    assert s1 == s2 == "certified on box"
+    assert report.summary().splitlines()[-1] == (
+        f"L_f = max(1, L_j) = {max(l1, l2):.4g}: L_1={l1:.4g} certified on box, "
+        f"L_2={l2:.4g} certified on box")
+
+    p = dataclasses.replace(p, lipschitz=None)  # a user problem that states nothing
+    report = check_history(res, p)
     assert type(report.lipschitz_used) is float
     (l1, s1), (l2, s2) = report.lipschitz_orders
     assert s1 == s2 == "sampled (1,500 pairs x 1.5)"
@@ -264,6 +273,61 @@ def test_audit_summary_names_each_lipschitz_source():
     assert report.summary().splitlines()[-1] == (
         f"L_f = max(1, L_j) = {max(l1, l2):.4g}: L_1={l1:.4g} sampled (1,500 pairs x 1.5), "
         f"L_2={l2:.4g} sampled (1,500 pairs x 1.5)")
+
+
+@pytest.mark.parametrize("bad", [math.nan, -5.0, math.inf])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("form", ["declared", "certified on box"])
+def test_audit_refuses_a_nonfinite_or_negative_lipschitz_constant(form, order, bad):
+    # max(1, L_j) used to drop a NaN L_j, and a negative one fell under the
+    # 1: the audit passed with L_f = 1 where the true L_1 is 30
+    base = make_problem("quadratic", dim=2, cond=30)
+    res = run(InexactOracle(base, policy="none"), TrConfig.with_defaults((1e-2, 1e-2)))
+    stated = (bad, 0.0) if order == 1 else (30.0, bad)
+    p = dataclasses.replace(base, lipschitz=stated if form == "declared"
+                            else lambda lo, hi: stated)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{base.name}: Lipschitz constant L_{order} must be finite and non-negative, "
+            f"got {bad!r}")):
+        check_history(res, p)
+
+
+def test_auditing_a_registered_problem_samples_nothing(monkeypatch):
+    # every registered problem states its constants in closed form
+    calls = []
+    monkeypatch.setattr(reference, "lipschitz_estimate",
+                        lambda *args, **kwargs: calls.append(args) or 1.0)
+    params = {"quadratic": {"dim": 2}, "quartic": {"dim": 2},
+              "finite_sum_logistic": {"dim": 2, "terms": 8}}
+    for name in list_problems():
+        p = make_problem(name, **params.get(name, {}))
+        res = run(InexactOracle(p, policy="adversarial", seed=1),
+                  TrConfig.with_defaults((1e-1,) * 3, max_iterations=5))
+        report = check_history(res, p, check_termination=False)
+        assert [source for _, source in report.lipschitz_orders] == (
+            ["certified on box"] * 3 if callable(p.lipschitz) else ["declared"] * 3), name
+    assert calls == []
+    # a problem that states nothing is sampled, on its own box
+    check_history(res, dataclasses.replace(p, lipschitz=None), check_termination=False)
+    assert len(calls) == 3
+
+
+def test_the_iterate_box_is_built_only_when_an_order_needs_it(monkeypatch):
+    built = []
+    iterate_box = driver._iterate_box
+    monkeypatch.setattr(driver, "_iterate_box",
+                        lambda result: built.append(1) or iterate_box(result))
+    cfg = TrConfig.with_defaults((1e-1, 1e-1), max_iterations=20)
+    for p in (make_problem("quadratic", dim=2), make_problem("finite_sum_logistic", dim=2)):
+        check_history(run(InexactOracle(p, policy="adversarial", seed=1), cfg), p)
+    assert built == []  # global constants only
+    p = make_problem("rosenbrock")
+    res = run(InexactOracle(p, policy="adversarial", seed=1), cfg)
+    check_history(res, p)
+    assert len(built) == 1
+    # certified L_1 and sampled L_2 share one box
+    check_history(res, dataclasses.replace(p, lipschitz=lambda lo, hi: (1e4, None)))
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -549,8 +613,9 @@ def test_audit_refuses_a_nonfinite_exact_objective():
 @pytest.mark.parametrize("case", ["zero_iterations", "over_two_blocks"])
 def test_blocked_audit_equals_a_pointwise_replay(case):
     # the stacked blocks, the per-order cap table and the in-place Lipschitz
-    # box report what a one-point-at-a-time replay reports
-    p = make_problem("rosenbrock")  # sampled Lipschitz constants, over the box
+    # box report what a one-point-at-a-time replay reports, with constants
+    # certified on the box and with constants sampled over it
+    p = make_problem("rosenbrock")
     if case == "zero_iterations":
         res = run(InexactOracle(p, policy="none"), TrConfig.with_defaults((1e-2, 1e-2)),
                   x0=[1.0, 1.0])
@@ -559,8 +624,9 @@ def test_blocked_audit_equals_a_pointwise_replay(case):
         res = run(InexactOracle(p, policy="adversarial", seed=1),
                   TrConfig.with_defaults((1e-3,), max_iterations=2 * driver._AUDIT_BLOCK + 500))
         assert res.n_iterations > 2 * driver._AUDIT_BLOCK
-    report = check_history(res, p)
-    assert report.summary() == pointwise_replay(res, p, report).summary()
+    for problem in (p, dataclasses.replace(p, lipschitz=None)):
+        report = check_history(res, problem)
+        assert report.summary() == pointwise_replay(res, problem, report).summary()
 
 
 def test_audit_peak_memory_is_set_by_one_block():

@@ -75,134 +75,134 @@ def test_worker_pass_reads_every_result_attribute():
 # lines per case; each phi_3 is the largest cell bound of phi3_decide's pass
 ORDER3_SEED0_AUDITS = [
     [
-        "[PASS] decrease_floor: min exact decrease 4.680e-06 vs floor 2.204e-32 (0 violations)",
-        "[PASS] radius_floor: min Delta 7.812e-03 vs floor 7.171e-08",
-        "[PASS] iteration_bound: 13 iterations vs bound 35.73",
-        "[PASS] success_bound: 6 successes vs bound 19140967027421185306615085006848.00",
-        "[PASS] f_eval_bound: 26 objective evaluations vs bound 76563868109684741226460340027392.00",
-        "[PASS] deriv_round_bound: 17 derivative rounds vs bound 19140967027421185306615085006848.00",
+        "[PASS] decrease_floor: min exact decrease 4.680e-06 vs floor 8.626e-32 (0 violations)",
+        "[PASS] radius_floor: min Delta 7.812e-03 vs floor 1.009e-07",
+        "[PASS] iteration_bound: 13 iterations vs bound 35.24",
+        "[PASS] success_bound: 6 successes vs bound 4890903150770695876612582277120.00",
+        "[PASS] f_eval_bound: 26 objective evaluations vs bound 19563612603082783506450329108480.00",
+        "[PASS] deriv_round_bound: 17 derivative rounds vs bound 4890903150770695876612582277120.00",
         "[PASS] deriv_round_count: 17 derivative rounds vs counting bound 25",
         "[PASS] i_zeta_bound: i_zeta 10 vs bound 18",
-        "[PASS] zeta_floor: min requested zeta 1.000e-11 vs floor 2.334e-21",
+        "[PASS] zeta_floor: min requested zeta 1.000e-11 vs floor 4.617e-21",
         "[PASS] step_tighten_cap: 0 iterations exceeded the step tightening cap",
         "[PASS] f_accuracy_contract: 0 iterations broke the objective accuracy contract (worst overshoot 0.000e+00)",
         "[PASS] step_within_radius: max |s|/Delta 1.000000000000000",
         ("[PASS] termination_soundness: phi_1=1.349e-07<=1.563e-04 certified, "
          "phi_2=1.863e-11<=1.221e-06 certified, phi_3=1.863e-11<=6.358e-09 certified, "
          "|grad|=8.632e-06"),
-        ("L_f = max(1, L_j) = 13.41: L_1=8.649 sampled (1,500 pairs x 1.5), "
-         "L_2=13.41 sampled (1,500 pairs x 1.5), L_3=9 sampled (1,500 pairs x 1.5)"),
+        ("L_f = max(1, L_j) = 9.535: L_1=6.577 certified on box, "
+         "L_2=9.535 certified on box, L_3=6 certified on box"),
     ],
     [
-        "[PASS] decrease_floor: min exact decrease 4.230e-06 vs floor 2.118e-32 (0 violations)",
-        "[PASS] radius_floor: min Delta 7.812e-03 vs floor 7.100e-08",
-        "[PASS] iteration_bound: 13 iterations vs bound 35.75",
-        "[PASS] success_bound: 6 successes vs bound 19921241223825822725478276923392.00",
-        "[PASS] f_eval_bound: 26 objective evaluations vs bound 79684964895303290901913107693568.00",
-        "[PASS] deriv_round_bound: 17 derivative rounds vs bound 19921241223825822725478276923392.00",
+        "[PASS] decrease_floor: min exact decrease 4.230e-06 vs floor 8.620e-32 (0 violations)",
+        "[PASS] radius_floor: min Delta 7.812e-03 vs floor 1.008e-07",
+        "[PASS] iteration_bound: 13 iterations vs bound 35.24",
+        "[PASS] success_bound: 6 successes vs bound 4894354271137494930251111727104.00",
+        "[PASS] f_eval_bound: 26 objective evaluations vs bound 19577417084549979721004446908416.00",
+        "[PASS] deriv_round_bound: 17 derivative rounds vs bound 4894354271137494930251111727104.00",
         "[PASS] deriv_round_count: 17 derivative rounds vs counting bound 25",
         "[PASS] i_zeta_bound: i_zeta 10 vs bound 18",
-        "[PASS] zeta_floor: min requested zeta 1.000e-11 vs floor 2.288e-21",
+        "[PASS] zeta_floor: min requested zeta 1.000e-11 vs floor 4.616e-21",
         "[PASS] step_tighten_cap: 0 iterations exceeded the step tightening cap",
         "[PASS] f_accuracy_contract: 0 iterations broke the objective accuracy contract (worst overshoot 0.000e+00)",
         "[PASS] step_within_radius: max |s|/Delta 1.000000000000000",
         ("[PASS] termination_soundness: phi_1=1.334e-07<=1.563e-04 certified, "
          "phi_2=1.823e-11<=1.221e-06 certified, phi_3=1.823e-11<=6.358e-09 certified, "
          "|grad|=8.540e-06"),
-        ("L_f = max(1, L_j) = 13.55: L_1=8.846 sampled (1,500 pairs x 1.5), "
-         "L_2=13.55 sampled (1,500 pairs x 1.5), L_3=9 sampled (1,500 pairs x 1.5)"),
+        ("L_f = max(1, L_j) = 9.537: L_1=6.579 certified on box, "
+         "L_2=9.537 certified on box, L_3=6 certified on box"),
     ],
     [
-        "[PASS] decrease_floor: min exact decrease 4.475e-06 vs floor 2.117e-32 (0 violations)",
-        "[PASS] radius_floor: min Delta 7.812e-03 vs floor 7.100e-08",
-        "[PASS] iteration_bound: 13 iterations vs bound 35.75",
-        "[PASS] success_bound: 6 successes vs bound 19925181561946403957319527301120.00",
-        "[PASS] f_eval_bound: 26 objective evaluations vs bound 79700726247785615829278109204480.00",
-        "[PASS] deriv_round_bound: 17 derivative rounds vs bound 19925181561946403957319527301120.00",
+        "[PASS] decrease_floor: min exact decrease 4.475e-06 vs floor 8.618e-32 (0 violations)",
+        "[PASS] radius_floor: min Delta 7.812e-03 vs floor 1.008e-07",
+        "[PASS] iteration_bound: 13 iterations vs bound 35.24",
+        "[PASS] success_bound: 6 successes vs bound 4895352925270133022466861170688.00",
+        "[PASS] f_eval_bound: 26 objective evaluations vs bound 19581411701080532089867444682752.00",
+        "[PASS] deriv_round_bound: 17 derivative rounds vs bound 4895352925270133022466861170688.00",
         "[PASS] deriv_round_count: 17 derivative rounds vs counting bound 25",
         "[PASS] i_zeta_bound: i_zeta 10 vs bound 18",
-        "[PASS] zeta_floor: min requested zeta 1.000e-11 vs floor 2.288e-21",
+        "[PASS] zeta_floor: min requested zeta 1.000e-11 vs floor 4.615e-21",
         "[PASS] step_tighten_cap: 0 iterations exceeded the step tightening cap",
         "[PASS] f_accuracy_contract: 0 iterations broke the objective accuracy contract (worst overshoot 0.000e+00)",
         "[PASS] step_within_radius: max |s|/Delta 1.000000000000000",
         ("[PASS] termination_soundness: phi_1=1.264e-07<=1.563e-04 certified, "
          "phi_2=1.636e-11<=1.221e-06 certified, phi_3=1.636e-11<=6.358e-09 certified, "
          "|grad|=8.090e-06"),
-        ("L_f = max(1, L_j) = 13.55: L_1=8.847 sampled (1,500 pairs x 1.5), "
-         "L_2=13.55 sampled (1,500 pairs x 1.5), L_3=9 sampled (1,500 pairs x 1.5)"),
+        ("L_f = max(1, L_j) = 9.537: L_1=6.58 certified on box, "
+         "L_2=9.537 certified on box, L_3=6 certified on box"),
     ],
     [
-        "[PASS] decrease_floor: min exact decrease 3.338e-13 vs floor 8.833e-36 (0 violations)",
-        "[PASS] radius_floor: min Delta 4.883e-04 vs floor 1.015e-08",
-        "[PASS] iteration_bound: 26 iterations vs bound 52.55",
-        "[PASS] success_bound: 13 successes vs bound 57729557355302147403107441045405696.00",
-        "[PASS] f_eval_bound: 49 objective evaluations vs bound 230918229421208589612429764181622784.00",
-        "[PASS] deriv_round_bound: 27 derivative rounds vs bound 57729557355302147403107441045405696.00",
+        "[PASS] decrease_floor: min exact decrease 3.338e-13 vs floor 2.587e-35 (0 violations)",
+        "[PASS] radius_floor: min Delta 4.883e-04 vs floor 1.327e-08",
+        "[PASS] iteration_bound: 26 iterations vs bound 52.17",
+        "[PASS] success_bound: 13 successes vs bound 19706355489081836604108612869029888.00",
+        "[PASS] f_eval_bound: 49 objective evaluations vs bound 78825421956327346416434451476119552.00",
+        "[PASS] deriv_round_bound: 27 derivative rounds vs bound 19706355489081836604108612869029888.00",
         "[PASS] deriv_round_count: 27 derivative rounds vs counting bound 35",
         "[PASS] i_zeta_bound: i_zeta 13 vs bound 21",
-        "[PASS] zeta_floor: min requested zeta 1.000e-14 vs floor 4.672e-24",
+        "[PASS] zeta_floor: min requested zeta 1.000e-14 vs floor 7.997e-24",
         "[PASS] step_tighten_cap: 0 iterations exceeded the step tightening cap",
         "[PASS] f_accuracy_contract: 0 iterations broke the objective accuracy contract (worst overshoot 0.000e+00)",
         "[PASS] step_within_radius: max |s|/Delta 1.000000000000000",
         ("[PASS] termination_soundness: phi_1=4.913e-15<=1.953e-06 certified, "
          "phi_2=8.195e-25<=1.907e-09 certified, phi_3=1.582e-24<=1.242e-12 certified, "
          "|grad|=2.515e-12"),
-        ("L_f = max(1, L_j) = 23.91: L_1=15.3 sampled (1,500 pairs x 1.5), "
-         "L_2=23.91 sampled (1,500 pairs x 1.5), L_3=18 sampled (1,500 pairs x 1.5)"),
+        ("L_f = max(1, L_j) = 18.27: L_1=11.91 certified on box, "
+         "L_2=18.27 certified on box, L_3=12 certified on box"),
     ],
     [
-        "[PASS] decrease_floor: min exact decrease 4.222e-08 vs floor 8.875e-36 (0 violations)",
-        "[PASS] radius_floor: min Delta 4.883e-04 vs floor 1.016e-08",
-        "[PASS] iteration_bound: 26 iterations vs bound 52.55",
-        "[PASS] success_bound: 13 successes vs bound 57450912977382088302719877047648256.00",
-        "[PASS] f_eval_bound: 49 objective evaluations vs bound 229803651909528353210879508190593024.00",
-        "[PASS] deriv_round_bound: 27 derivative rounds vs bound 57450912977382088302719877047648256.00",
+        "[PASS] decrease_floor: min exact decrease 4.222e-08 vs floor 2.598e-35 (0 violations)",
+        "[PASS] radius_floor: min Delta 4.883e-04 vs floor 1.329e-08",
+        "[PASS] iteration_bound: 26 iterations vs bound 52.17",
+        "[PASS] success_bound: 13 successes vs bound 19624760676779696282593646363017216.00",
+        "[PASS] f_eval_bound: 49 objective evaluations vs bound 78499042707118785130374585452068864.00",
+        "[PASS] deriv_round_bound: 27 derivative rounds vs bound 19624760676779696282593646363017216.00",
         "[PASS] deriv_round_count: 27 derivative rounds vs counting bound 35",
         "[PASS] i_zeta_bound: i_zeta 13 vs bound 21",
-        "[PASS] zeta_floor: min requested zeta 1.000e-14 vs floor 4.684e-24",
+        "[PASS] zeta_floor: min requested zeta 1.000e-14 vs floor 8.014e-24",
         "[PASS] step_tighten_cap: 0 iterations exceeded the step tightening cap",
         "[PASS] f_accuracy_contract: 0 iterations broke the objective accuracy contract (worst overshoot 0.000e+00)",
         "[PASS] step_within_radius: max |s|/Delta 1.000000000000000",
         ("[PASS] termination_soundness: phi_1=2.570e-10<=9.766e-07 certified, "
          "phi_2=1.226e-14<=4.768e-10 certified, phi_3=1.731e-14<=1.552e-13 certified, "
          "|grad|=2.631e-07"),
-        ("L_f = max(1, L_j) = 23.88: L_1=15.26 sampled (1,500 pairs x 1.5), "
-         "L_2=23.88 sampled (1,500 pairs x 1.5), L_3=18 sampled (1,500 pairs x 1.5)"),
+        ("L_f = max(1, L_j) = 18.25: L_1=11.88 certified on box, "
+         "L_2=18.25 certified on box, L_3=12 certified on box"),
     ],
     [
-        "[PASS] decrease_floor: min exact decrease 9.929e-06 vs floor 1.012e-32 (0 violations)",
-        "[PASS] radius_floor: min Delta 1.562e-02 vs floor 5.904e-08",
-        "[PASS] iteration_bound: 15 iterations vs bound 40.01",
-        "[PASS] success_bound: 8 successes vs bound 138922517826022494169552979492864.00",
-        "[PASS] f_eval_bound: 28 objective evaluations vs bound 555690071304089976678211917971456.00",
-        "[PASS] deriv_round_bound: 18 derivative rounds vs bound 138922517826022494169552979492864.00",
+        "[PASS] decrease_floor: min exact decrease 9.929e-06 vs floor 7.135e-33 (0 violations)",
+        "[PASS] radius_floor: min Delta 1.562e-02 vs floor 5.409e-08",
+        "[PASS] iteration_bound: 15 iterations vs bound 40.14",
+        "[PASS] success_bound: 8 successes vs bound 197102621440574850726372162142208.00",
+        "[PASS] f_eval_bound: 28 objective evaluations vs bound 788410485762299402905488648568832.00",
+        "[PASS] deriv_round_bound: 18 derivative rounds vs bound 197102621440574850726372162142208.00",
         "[PASS] deriv_round_count: 18 derivative rounds vs counting bound 28",
         "[PASS] i_zeta_bound: i_zeta 9 vs bound 19",
-        "[PASS] zeta_floor: min requested zeta 1.000e-10 vs floor 1.582e-21",
+        "[PASS] zeta_floor: min requested zeta 1.000e-10 vs floor 1.328e-21",
         "[PASS] step_tighten_cap: 0 iterations exceeded the step tightening cap",
         "[PASS] f_accuracy_contract: 0 iterations broke the objective accuracy contract (worst overshoot 0.000e+00)",
         "[PASS] step_within_radius: max |s|/Delta 1.000000000000000",
-        ("L_f = max(1, L_j) = 9: L_1=4.911 sampled (1,500 pairs x 1.5), "
-         "L_2=7.311 sampled (1,500 pairs x 1.5), L_3=9 sampled (1,500 pairs x 1.5)"),
+        ("L_f = max(1, L_j) = 9.823: L_1=7.04 certified on box, "
+         "L_2=9.823 certified on box, L_3=6 certified on box"),
     ],
     [
-        "[PASS] decrease_floor: min exact decrease 2.105e-07 vs floor 9.731e-28 (0 violations)",
-        "[PASS] radius_floor: min Delta 7.812e-03 vs floor 1.040e-06",
-        "[PASS] iteration_bound: 13 iterations vs bound 31.88",
-        "[PASS] success_bound: 6 successes vs bound 734940750925558488124882944.00",
-        "[PASS] f_eval_bound: 26 objective evaluations vs bound 2939763003702233952499531776.00",
-        "[PASS] deriv_round_bound: 19 derivative rounds vs bound 734940750925558488124882944.00",
-        "[PASS] deriv_round_count: 19 derivative rounds vs counting bound 24",
-        "[PASS] i_zeta_bound: i_zeta 12 vs bound 17",
-        "[PASS] zeta_floor: min requested zeta 1.000e-13 vs floor 4.904e-20",
+        "[PASS] decrease_floor: min exact decrease 2.105e-07 vs floor 1.904e-29 (0 violations)",
+        "[PASS] radius_floor: min Delta 7.812e-03 vs floor 3.888e-07",
+        "[PASS] iteration_bound: 13 iterations vs bound 33.29",
+        "[PASS] success_bound: 6 successes vs bound 37561185530707257032991309824.00",
+        "[PASS] f_eval_bound: 26 objective evaluations vs bound 150244742122829028131965239296.00",
+        "[PASS] deriv_round_bound: 19 derivative rounds vs bound 37561185530707257032991309824.00",
+        "[PASS] deriv_round_count: 19 derivative rounds vs counting bound 25",
+        "[PASS] i_zeta_bound: i_zeta 12 vs bound 18",
+        "[PASS] zeta_floor: min requested zeta 1.000e-13 vs floor 6.860e-21",
         "[PASS] step_tighten_cap: 0 iterations exceeded the step tightening cap",
         "[PASS] f_accuracy_contract: 0 iterations broke the objective accuracy contract (worst overshoot 0.000e+00)",
         "[PASS] step_within_radius: max |s|/Delta 1.000000000000000",
         ("[PASS] termination_soundness: phi_1=2.074e-09<=1.563e-05 certified, "
          "phi_2=3.184e-14<=1.221e-07 certified, phi_3=4.105e-14<=6.358e-10 certified, "
          "|grad|=1.327e-07"),
-        ("L_f = max(1, L_j) = 1.035: L_1=0.5053 sampled (1,500 pairs x 1.5), "
-         "L_2=0.2488 sampled (1,500 pairs x 1.5), L_3=1.035 sampled (1,500 pairs x 1.5)"),
+        ("L_f = max(1, L_j) = 2.768: L_1=0.8791 declared, "
+         "L_2=0.7429 declared, L_3=2.768 declared"),
     ],
 ]
 
