@@ -3,7 +3,8 @@
 Subcommands: ``run`` (single run, history and events CSVs + summary JSON),
 ``sweep`` (accuracy-grid study with fitted slope), ``audit`` (run + bound
 audit), ``compare`` (dynamic vs fixed-accuracy cost).  Exit codes: 0 success,
-2 configuration error, 3 iteration cap exhausted, 4 audit violation.
+2 configuration error, 3 iteration cap exhausted (for a sweep: too few
+targets with a terminated run to fit a slope), 4 audit violation.
 """
 
 from __future__ import annotations
@@ -79,11 +80,8 @@ def _spec_from_args(args) -> RunSpec:
 def _cmd_run(args) -> int:
     spec = _spec_from_args(args)
     result, paths = execute_run(spec)
-    bounds = lipschitz = None
-    if result.history:
-        bounds, lipschitz = bounds_for_run(result, result.acc.oracle.problem)
-    write_summary_json(paths["summary"],
-                       summary_dict(result, bounds=bounds, lipschitz=lipschitz))
+    bounds = bounds_for_run(result, result.acc.oracle.problem) if result.history else None
+    write_summary_json(paths["summary"], summary_dict(result, bounds=bounds))
     print(f"terminated={result.terminated} iterations={result.n_iterations} "
           f"x_eps={[round(float(v), 6) for v in result.x_eps]} "
           f"n_f={result.eval_ledger.n_f} n_deriv={result.eval_ledger.n_deriv()}")
@@ -120,23 +118,28 @@ def _cmd_sweep(args) -> int:
     else:
         res = eps_scaling_study(spec, grid, seeds=seeds)
         rows = res.rows
-        print(f"slope={res.slope:.3f} limit={res.slope_limit:.2f} "
-              f"{'PASS' if res.passed else 'FAIL'} rows={len(rows)} "
-              f"excluded={res.excluded}")
+        if res.slope is None:
+            done = len({r.eps for r in rows if r.terminated})
+            print(f"{done}/{len({r.eps for r in rows})} accuracy targets have a "
+                  "terminated run: too few to fit a slope")
+        else:
+            print(f"slope={res.slope:.3f} limit={res.slope_limit:.2f} "
+                  f"{'PASS' if res.passed else 'FAIL'} rows={len(rows)} "
+                  f"excluded={res.excluded}")
     stem = spec.tag or f"sweep_{spec.problem}_q{len(spec.eps)}"
     csv_path = spec.output_dir() / f"{stem}.csv"
     write_sweep_csv(csv_path, rows)
     print(f"rows: {csv_path}")
     if res is None:
         return EXIT_OK if done else EXIT_CAP
+    if res.slope is None:
+        return EXIT_CAP
     summary_path = csv_path.with_suffix(".json")
     write_summary_json(summary_path, {
         "rows": [dataclasses.asdict(r) for r in rows], "slope": res.slope,
         "slope_limit": res.slope_limit, "passed": res.passed,
         "excluded_non_terminated": res.excluded})
     print(f"summary: {summary_path}")
-    if res.excluded and res.excluded == len(rows):
-        return EXIT_CAP
     return EXIT_OK if res.passed else EXIT_AUDIT
 
 

@@ -11,6 +11,7 @@ the closed-form worst-case bounds.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -19,10 +20,10 @@ from math import factorial
 import numpy as np
 
 from .bounds import BoundConstants, compute_bounds
-from .model import Vector, as_vector, operator_norm, vector_norm
+from .model import NonFiniteEvaluation, Vector, as_vector, operator_norm, vector_norm
 from .optimality import (AccuracyLedger, CertificationError, allowed_tightenings,
                          step_scale, stop_level, termination_test)
-from .oracle import (PHASE_OBJECTIVE, PHASE_STEP, PHASE_TERMINATION, EvalLedger,
+from .oracle import (PHASE_OBJECTIVE, PHASE_STEP, PHASE_TERMINATION, PHASES, EvalLedger,
                      InexactOracle, Problem, Table)
 from .step import compute_step
 
@@ -116,11 +117,11 @@ class RunTrace(Table):
     Each iteration's scalar fields are one packed row (:meth:`column` reads
     a typed column); the trial points are one float64 block of (k, n) rows
     (:attr:`x_trial`).  Both are ``array.array`` buffers that grow in place
-    by about 1/16 when full, with no Python object per iteration.  ``x`` is
-    not stored: it is ``x0`` or the ``x_trial`` of the last successful
-    iteration before (:meth:`prev_success`).  While a column or ``x_trial``
-    view is alive the trace cannot grow, so only ``run`` appends, and it
-    makes no views.
+    by about 1/16 when full, with no Python object per iteration.  The point
+    an iteration starts from is not stored: :meth:`starts` derives it, as
+    ``x0`` or the ``x_trial`` of the last successful iteration before
+    (:meth:`prev_success`).  While a column or ``x_trial`` view is alive the
+    trace cannot grow, so only ``run`` appends, and it makes no views.
     """
 
     FIELDS = [("Delta", "d"), ("delta", "d"), ("j", "q"), ("rho", "d"), ("successful", "?"),
@@ -158,20 +159,27 @@ class RunTrace(Table):
         return block
 
     @property
-    def x(self) -> np.ndarray:
-        """The (k, n) block of the points each iteration starts from (a copy)."""
-        return np.vstack((self.x0, self.x_trial))[self.prev_success() + 1]
-
-    @property
     def n_success(self) -> int:
         return int(np.count_nonzero(self.column("successful")))
 
-    def prev_success(self) -> np.ndarray:
-        """For each row, the last successful row before it (whose x_trial is
-        the row's x), or -1 where x is x0."""
+    def prev_success(self, rows: slice = slice(None)) -> np.ndarray:
+        """For each row of ``rows``, the last successful row before it (whose
+        x_trial is the row's x), or -1 where x is x0.  Before the first of
+        ``rows`` it reads back only as far as the last success."""
+        start, stop, _ = rows.indices(len(self))
         succ = self.column("successful")
-        last = np.maximum.accumulate(np.where(succ, np.arange(len(succ)), -1))
-        return np.concatenate(([-1], last))[:len(succ)]
+        lo, width = start, 1  # widening windows back to the last success before start
+        while lo > 0 and not succ[max(lo - width, 0):lo].any():
+            lo, width = lo - width, 2 * width
+        lo = max(lo - width, 0)
+        last = np.maximum.accumulate(np.where(succ[lo:stop], np.arange(lo, stop), -1))
+        return np.concatenate(([-1], last))[start - lo:stop - lo]
+
+    def starts(self, rows: slice = slice(None)) -> np.ndarray:
+        """The (len(rows), n) block (a copy) of the points the iterations
+        ``rows`` start from: x0, or the trial point of the last success before."""
+        src = self.prev_success(rows)
+        return np.where(src[:, None] < 0, self.x0, self.x_trial[src])
 
 
 @dataclass
@@ -208,10 +216,11 @@ def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
     certified decrement falls under its termination threshold (or the safety
     cap trips, which is reported, not raised).
 
-    A broken certification guarantee raises :class:`CertificationError`
-    naming the iteration.  ``sink``, if given, is called once per iteration
-    with the row appended to the trace: its scalar fields, in
-    :attr:`RunTrace.dtype` order.
+    A broken certification guarantee raises :class:`CertificationError`,
+    and non-finite problem output :class:`NonFiniteEvaluation`, each naming
+    the iteration (and the latter the phase).  ``sink``, if given, is called
+    once per iteration with the row appended to the trace: its scalar
+    fields, in :attr:`RunTrace.dtype` order.
 
     After a rejected step the certified optimality displacement is reused
     (skipping the termination test) exactly when the shrunken radius still
@@ -250,19 +259,22 @@ def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
 
             ledger.phase = PHASE_STEP
             sres = compute_step(delta_tr, cert, acc)
+
+            ledger.phase = PHASE_OBJECTIVE
+            acc_req = cfg.omega * sres.dT
+            x_trial = x + sres.s
+            x_trial.flags.writeable = False
+            f_bar_new = oracle.eval_f(x_trial, acc_req, ledger)
+            recomputed = False
+            if f_bar is None or f_bar_acc > acc_req:
+                f_bar = oracle.eval_f(x, acc_req, ledger)
+                f_bar_acc = acc_req
+                recomputed = True
         except CertificationError as exc:
             raise CertificationError(exc.reason, exc.j, exc.radius, exc.x, k) from None
-
-        ledger.phase = PHASE_OBJECTIVE
-        acc_req = cfg.omega * sres.dT
-        x_trial = x + sres.s
-        x_trial.flags.writeable = False
-        f_bar_new = oracle.eval_f(x_trial, acc_req, ledger)
-        recomputed = False
-        if f_bar is None or f_bar_acc > acc_req:
-            f_bar = oracle.eval_f(x, acc_req, ledger)
-            f_bar_acc = acc_req
-            recomputed = True
+        except NonFiniteEvaluation as exc:
+            raise NonFiniteEvaluation(
+                f"iteration {k}, {PHASES[ledger.phase]} phase: {exc}") from None
         rho = (f_bar - f_bar_new) / sres.dT
         successful = rho >= cfg.eta1
 
@@ -300,11 +312,15 @@ class CheckResult:
     detail: str
 
 
+def lipschitz_f(lipschitz: tuple) -> float:
+    """L_f = max(1, L_1..L_q) of (L_j, source) pairs: every floor and bound rests on it."""
+    return max(1.0, *(v for v, _ in lipschitz))
+
+
 @dataclass
 class AuditReport:
     checks: dict
     bounds: BoundConstants
-    lipschitz_used: float
     # (L_j, source) for j = 1..q; the source is "declared", "certified on
     # box" or "sampled (...)"
     lipschitz_orders: tuple = ()
@@ -321,23 +337,20 @@ class AuditReport:
         lines = []
         for name, c in self.checks.items():
             lines.append(f"[{'PASS' if c.ok else 'FAIL'}] {name}: {c.detail}")
-        if self.lipschitz_orders:
-            per_order = ", ".join(f"L_{j}={v:.4g} {source}"
-                                  for j, (v, source) in enumerate(self.lipschitz_orders, 1))
-            lines.append(f"L_f = max(1, L_j) = {self.lipschitz_used:.4g}: {per_order}")
+        if lipschitz := self.lipschitz_orders:
+            per_order = ", ".join(f"L_{j}={v:.4g} {s}" for j, (v, s) in enumerate(lipschitz, 1))
+            lines.append(f"L_f = max(1, L_j) = {lipschitz_f(lipschitz):.4g}: {per_order}")
         return "\n".join(lines)
 
 
-def _iterate_box(result: RunResult) -> tuple:
-    """(lo, hi): the box of every iterate (x0, each accepted trial point and
-    x_eps), reduced in place over the trace's trial points and padded by 0.5
-    on each side."""
-    trace = result.history
-    ends = np.stack((trace.x0, result.x_eps))
+def _iterate_box(trace: RunTrace) -> tuple:
+    """(lo, hi): the box of every iterate (x0 and each accepted trial point;
+    x_eps is one of them), reduced in place over the trace's trial points
+    and padded by 0.5 on each side."""
     accepted = trace.column("successful")[:, None]
     lo = np.min(trace.x_trial, axis=0, where=accepted, initial=np.inf)
     hi = np.max(trace.x_trial, axis=0, where=accepted, initial=-np.inf)
-    return np.minimum(lo, ends.min(axis=0)) - 0.5, np.maximum(hi, ends.max(axis=0)) + 0.5
+    return np.minimum(lo, trace.x0) - 0.5, np.maximum(hi, trace.x0) + 0.5
 
 
 def resolve_lipschitz(problem: Problem, result: RunResult, q: int) -> tuple:
@@ -349,16 +362,14 @@ def resolve_lipschitz(problem: Problem, result: RunResult, q: int) -> tuple:
     non-finite or negative constant is refused by name."""
     from .reference import LIPSCHITZ_INFLATION, LIPSCHITZ_PAIRS, lipschitz_estimate
     stated, source = problem.lipschitz or (), "declared"
-    box = None
+    box = functools.cache(lambda: _iterate_box(result.history))
     if callable(stated):
-        box = _iterate_box(result)
-        stated, source = stated(*box), "certified on box"
+        stated, source = stated(*box()), "certified on box"
     out = []
     for order in range(1, q + 1):
         value = stated[order - 1] if len(stated) >= order else None
         if value is None:
-            box = _iterate_box(result) if box is None else box
-            out.append((lipschitz_estimate(problem, box, order),
+            out.append((lipschitz_estimate(problem, box(), order),
                         f"sampled ({LIPSCHITZ_PAIRS:,} pairs x {LIPSCHITZ_INFLATION:g})"))
         elif 0 <= (value := float(value)) < math.inf:  # NaN fails too
             out.append((value, source))
@@ -368,20 +379,17 @@ def resolve_lipschitz(problem: Problem, result: RunResult, q: int) -> tuple:
     return tuple(out)
 
 
-def bounds_for_run(result: RunResult, problem: Problem,
-                   lipschitz: tuple | None = None) -> tuple[BoundConstants, float]:
-    """Worst-case constants for a finished run and L_f = max(1, L_1..L_q),
-    resolving the per-order constants (:func:`resolve_lipschitz`) unless
-    they are given."""
+def bounds_for_run(result: RunResult, problem: Problem) -> tuple[BoundConstants, tuple]:
+    """The worst-case constants of a finished run, and the (L_j, source)
+    pairs of :func:`resolve_lipschitz` that they rest on through
+    :func:`lipschitz_f`."""
     cfg = result.cfg
-    if lipschitz is None:
-        lipschitz = resolve_lipschitz(problem, result, cfg.q)
-    L_f = max(1.0, *(v for v, _ in lipschitz))
+    lipschitz = resolve_lipschitz(problem, result, cfg.q)
     x0 = result.history.x0
     g0 = max(operator_norm(problem.exact_deriv(x0, i), i) for i in range(1, cfg.q + 1))
-    bc = compute_bounds(cfg, L_f=L_f, f0=problem.exact_f(x0), f_low=problem.f_low,
-                        grad_norms_at_x0=g0)
-    return bc, L_f
+    bc = compute_bounds(cfg, L_f=lipschitz_f(lipschitz), f0=problem.exact_f(x0),
+                        f_low=problem.f_low, grad_norms_at_x0=g0)
+    return bc, lipschitz
 
 
 _REL_SLACK = 1.0 + 1e-9
@@ -398,16 +406,15 @@ def check_history(result: RunResult, problem: Problem,
     accuracy is ever requested, the step loop's tightening caps (``run``
     raises on an absolute step outcome), the objective accuracy contracts,
     every step inside its trust region, and (for terminated runs) soundness
-    of the declared approximate minimizer.  The floors and bounds rest on
-    L_f = max(1, L_1..L_q) from :func:`resolve_lipschitz`: stated in closed
-    form by every registered problem, and sampled only for a problem that
-    states none.
+    of the declared approximate minimizer.  The floors and bounds come from
+    :func:`bounds_for_run`, with the per-order constants they rest on:
+    stated in closed form by every registered problem, and sampled only for
+    a problem that states none.
     """
     cfg = result.cfg
     q = cfg.q
     eps_min = min(cfg.eps)
-    lipschitz = resolve_lipschitz(problem, result, q)
-    bc, L_f = bounds_for_run(result, problem, lipschitz)
+    bc, lipschitz = bounds_for_run(result, problem)
     checks: dict[str, CheckResult] = {}
     trace = result.history
     n_iter = len(trace)
@@ -512,21 +519,22 @@ def check_history(result: RunResult, problem: Problem,
         ratio <= 1.0 + 1e-12, f"max |s|/Delta {ratio:.15f}")
 
     # (k) termination soundness against the reference measure, certified at
-    # every order and any n: closed form at j <= 2, branch and bound at j = 3
+    # every order and any n: closed form at j <= 2, branch and bound at j = 3,
+    # all on one exact bundle (T_1, ..., T_q) at x_eps
     if check_termination and result.terminated:
-        from .reference import phi3_decide, phi_reference
+        from .reference import max_decrement_reference, phi3_decide
+        b = tuple(problem.exact_deriv(result.x_eps, i) for i in range(1, q + 1))
         ok = True
         details = []
         for j in range(1, q + 1):
             bound = cfg.eps[j - 1] * result.delta_eps**j / factorial(j)
             if j <= 2:
-                phi = phi_reference(problem, result.x_eps, j, result.delta_eps)
+                phi = max_decrement_reference(b[:j], j, result.delta_eps)
                 passed = phi <= bound * _REL_SLACK
                 details.append(f"phi_{j}={phi:.3e}<={bound:.3e} certified" if passed
                                else f"phi_{j}={phi:.3e}>{bound:.3e}")
                 ok = ok and passed
                 continue
-            b = tuple(problem.exact_deriv(result.x_eps, i) for i in (1, 2, 3))
             dec = phi3_decide(b, result.delta_eps, bound * _REL_SLACK)
             ok = ok and dec.verdict == "pass"
             if dec.verdict == "pass":
@@ -537,11 +545,10 @@ def check_history(result: RunResult, problem: Problem,
             else:
                 details.append(f"phi_3 undecided: cell budget spent after "
                                f"{dec.cells:,} cells")
-        gnorm = vector_norm(problem.exact_deriv(result.x_eps, 1))
+        gnorm = vector_norm(b[0])
         details.append(f"|grad|={gnorm:.3e}")
         if gnorm > cfg.eps[0] * _REL_SLACK:
             ok = False
         checks["termination_soundness"] = CheckResult(ok, ", ".join(details))
 
-    return AuditReport(checks=checks, bounds=bc, lipschitz_used=L_f,
-                       lipschitz_orders=lipschitz)
+    return AuditReport(checks=checks, bounds=bc, lipschitz_orders=lipschitz)

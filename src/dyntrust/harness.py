@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .driver import AuditReport, ConfigError, RunResult, RunTrace, TrConfig, run
+from .driver import AuditReport, ConfigError, RunResult, RunTrace, TrConfig, lipschitz_f, run
 from .oracle import COST_MODELS, PHASES, EvalLedger, InexactOracle
 from .problems import make_problem
 
@@ -80,18 +80,16 @@ def _read_csv(path, header, parsers):
 
 
 def write_history_csv(path, history: RunTrace) -> None:
-    src = history.prev_success()  # a row's x is x0 or the x_trial of row src
-    _write_csv(path, CSV_COLUMNS, [
-        np.arange(len(history)), *map(history.column, RunTrace.dtype.names),
-        lambda rows: np.where(src[rows, None] < 0, history.x0, history.x_trial[src[rows]]),
-        history.x_trial])
+    _write_csv(path, CSV_COLUMNS, [np.arange(len(history)),
+                                   *map(history.column, RunTrace.dtype.names),
+                                   history.starts, history.x_trial])
 
 
 def read_history_csv(path) -> RunTrace:
     """The trace a history CSV holds; its start point is the first row's x.
     Each row's k must be its index and its x must follow from the rows
     before it.  The file is read, checked and added to the trace one block
-    of rows at a time."""
+    of rows at a time, so the read takes time linear in the rows."""
     parse = {"f": float, "i": int, "b": ("0", "1").index}
     parsers = [int, *(parse[RunTrace.dtype[f].kind] for f in RunTrace.dtype.names),
                _floats, _floats]
@@ -99,13 +97,12 @@ def read_history_csv(path) -> RunTrace:
     for start, (k, *fields, x, x_trial) in _read_csv(path, CSV_COLUMNS, parsers):
         if start == 0:
             trace = RunTrace(np.array(x[0]))
-        x0, n = trace.x0, trace.x0.size
+        n = trace.x0.size
         for i, (u, v) in enumerate(zip(x, x_trial), start):
             if not len(u) == len(v) == n:
                 raise ValueError(f"row {i}: x and x_trial must hold {n} entries each")
         trace.extend(np.rec.fromarrays(fields, dtype=RunTrace.dtype).tobytes(), x_trial)
-        src = trace.prev_success()[start:]  # a row's x is x0 or the x_trial of row src
-        follows = np.where(src[:, None] < 0, x0, trace.x_trial[src])
+        follows = trace.starts(slice(start, None))
         bad = (np.array(k) != np.arange(start, len(trace))) | (np.array(x) != follows).any(axis=1)
         if bad.any():
             i = int(np.argmax(bad))
@@ -130,8 +127,9 @@ def read_events_csv(path) -> EvalLedger:
     return EvalLedger(rows)
 
 
-def summary_dict(result: RunResult, audit: AuditReport | None = None,
-                 bounds=None, lipschitz: float | None = None) -> dict:
+def summary_dict(result: RunResult, audit: AuditReport | None = None, bounds=None) -> dict:
+    """The summary JSON of a run; with its audit, or with ``bounds`` (what
+    :func:`bounds_for_run` returns) for a run that was not audited."""
     ledger = result.eval_ledger
     step_tightens = int(result.history.column("step2_tightens").sum())
     out = {
@@ -154,14 +152,14 @@ def summary_dict(result: RunResult, audit: AuditReport | None = None,
         "config": dataclasses.asdict(result.cfg),
     }
     if audit is not None:
-        bounds = audit.bounds
-        lipschitz = audit.lipschitz_used
+        bounds = audit.bounds, audit.lipschitz_orders
         out["audit"] = {name: {"ok": c.ok, "detail": c.detail}
                         for name, c in audit.checks.items()}
         out["audit_ok"] = audit.ok
     if bounds is not None:
-        out["bounds"] = dataclasses.asdict(bounds)
-        out["lipschitz_used"] = lipschitz
+        bc, lipschitz = bounds
+        out["bounds"] = dataclasses.asdict(bc)
+        out["lipschitz_used"] = lipschitz_f(lipschitz)
     return out
 
 
@@ -249,13 +247,13 @@ class SweepRow:
 @dataclass
 class SweepResult:
     rows: list
-    slope: float
+    slope: float | None  # None when fewer than two targets have a terminated run
     slope_limit: float
     excluded: int
 
     @property
     def passed(self) -> bool:
-        return self.slope <= self.slope_limit
+        return self.slope is not None and self.slope <= self.slope_limit
 
 
 def eps_scaling_study(spec: RunSpec, eps_grid, seeds=(0, 1, 2, 3, 4)) -> SweepResult:
@@ -265,7 +263,8 @@ def eps_scaling_study(spec: RunSpec, eps_grid, seeds=(0, 1, 2, 3, 4)) -> SweepRe
     The pass verdict compares the slope of log(total evaluations) against
     log(1/eps) with the worst-case exponent q + 1, q = ``len(spec.eps)``
     (plus a 0.25 margin); the bound is one-sided, so easy problems sit far
-    below it.
+    below it.  With fewer than two targets that have a terminated run there
+    is no slope: it is None, and the study does not pass.
     """
     eps_grid = sorted(set(float(e) for e in eps_grid), reverse=True)
     if len(eps_grid) < 4:
@@ -278,11 +277,11 @@ def eps_scaling_study(spec: RunSpec, eps_grid, seeds=(0, 1, 2, 3, 4)) -> SweepRe
     for row in rows:
         if row.terminated:
             by_eps.setdefault(row.eps, []).append(row.total_evals)
-    if len(by_eps) < 2:
-        raise ConfigError("not enough terminated runs to fit a slope")
-    xs = np.log([1.0 / e for e in by_eps])
-    ys = np.log([np.mean(v) for v in by_eps.values()])
-    slope = float(np.polyfit(xs, ys, 1)[0])
+    slope = None
+    if len(by_eps) >= 2:
+        xs = np.log([1.0 / e for e in by_eps])
+        ys = np.log([np.mean(v) for v in by_eps.values()])
+        slope = float(np.polyfit(xs, ys, 1)[0])
     return SweepResult(rows=rows, slope=slope, slope_limit=len(spec.eps) + 1 + 0.25,
                        excluded=excluded)
 

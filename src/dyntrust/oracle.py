@@ -111,10 +111,8 @@ class Problem:
         if out.shape != shape:
             raise ValueError(f"{self.name}: {'deriv' if order else 'fun'} of points "
                              f"{x.shape} has shape {out.shape}, expected {shape}")
-        # a finite sum of squares has finite terms; a strided array, or a sum
-        # that overflows (numpy warns of it), is checked entry by entry
-        flat = out.ravel() if out.flags.c_contiguous else None
-        if (flat is None or not math.isfinite(flat.dot(flat))) and not np.isfinite(out).all():
+        # entry by entry: no sum to overflow, so no warning on any input
+        if np.count_nonzero(np.isfinite(out)) != out.size:
             bad = ~np.isfinite(out.reshape(-1, self.dim ** order)).all(axis=1)
             i = np.argmax(bad)  # the first bad point, in stack order
             what = f"order-{order} derivative" if order else f"objective value {out.flat[i]}"

@@ -13,7 +13,8 @@ from math import factorial
 
 import numpy as np
 
-from dyntrust.driver import _REL_SLACK, AuditReport, CheckResult, RunTrace, bounds_for_run
+from dyntrust.bounds import compute_bounds
+from dyntrust.driver import _REL_SLACK, AuditReport, CheckResult, RunTrace
 from dyntrust.model import (Bundle, as_vector, model_gradient, operator_norm, taylor_decrement,
                             vector_norm)
 from dyntrust.optimality import AccuracyLedger, allowed_tightenings
@@ -167,17 +168,18 @@ def assert_traces_equal(got, want):
     for name in RunTrace.dtype.names:
         np.testing.assert_array_equal(got.column(name), want.column(name), strict=True,
                                       err_msg=name)
-    for name in ("x0", "x", "x_trial"):
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), strict=True,
-                                      err_msg=name)
+    for name, g, w in (("x0", got.x0, want.x0), ("starts", got.starts(), want.starts()),
+                       ("x_trial", got.x_trial, want.x_trial)):
+        np.testing.assert_array_equal(g, w, strict=True, err_msg=name)
 
 
 def pointwise_replay(result, problem: Problem, report: AuditReport) -> AuditReport:
     """``report`` with the checks that replay the trace against exact values
     redone one row at a time: one ``exact_f`` call per trial point, the
-    step tightening cap per row, and the Lipschitz constants (declared,
+    step tightening cap per row, the Lipschitz constants (declared,
     certified on the box or sampled over it) on a box built from a copy of
-    every iterate.  ``check_history`` must give the same summary."""
+    every iterate, and the bounds from those constants and the exact data
+    at x0.  ``check_history`` must give the same summary."""
     cfg, trace = result.cfg, result.history
     q, eps_min = cfg.q, min(cfg.eps)
     col = {name: trace.column(name).tolist() for name in RunTrace.dtype.names}
@@ -194,7 +196,9 @@ def pointwise_replay(result, problem: Problem, report: AuditReport) -> AuditRepo
         (float(stated[j - 1]), source)
         if len(stated) >= j and stated[j - 1] is not None
         else (lipschitz_estimate(problem, box, j), sampled) for j in range(1, q + 1))
-    bc, L_f = bounds_for_run(result, problem, lipschitz)
+    g0 = max(operator_norm(problem.exact_deriv(trace.x0, i), i) for i in range(1, q + 1))
+    bc = compute_bounds(cfg, L_f=max(1.0, *(v for v, _ in lipschitz)),
+                        f0=problem.exact_f(trace.x0), f_low=problem.f_low, grad_norms_at_x0=g0)
 
     floor = (cfg.eta1 - 2 * cfg.omega) * bc.kappa_delta ** (q + 1) * eps_min ** (q + 1) / factorial(q)
     f_x = problem.exact_f(trace.x0)
@@ -224,7 +228,7 @@ def pointwise_replay(result, problem: Problem, report: AuditReport) -> AuditRepo
         acc_bad == 0,
         f"{acc_bad} iterations broke the objective accuracy contract "
         f"(worst overshoot {max([0.0, *gaps]):.3e})")
-    return AuditReport(checks=checks, bounds=bc, lipschitz_used=L_f, lipschitz_orders=lipschitz)
+    return AuditReport(checks=checks, bounds=bc, lipschitz_orders=lipschitz)
 
 
 def pointwise_lipschitz(problem: Problem, box, order: int,

@@ -298,7 +298,7 @@ def test_criterion_8_exact_mode_regression():
     assert res.terminated
     trace = res.history
     # the iterate after each iteration: its trial point if accepted, else x
-    mine = np.where(trace.column("successful")[:, None], trace.x_trial, trace.x)
+    mine = np.where(trace.column("successful")[:, None], trace.x_trial, trace.starts())
     a_diag = np.geomspace(1.0, cond, 2)
     twin = classical_tr_first_order(a_diag, [1.0, 1.0], 1e-6, cfg, len(mine))
     n_check = min(20, len(mine), len(twin))

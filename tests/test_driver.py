@@ -9,7 +9,7 @@ import pytest
 
 from checkers import pointwise_replay
 from dyntrust import driver, optimality, reference, step
-from dyntrust.driver import ConfigError, RunTrace, TrConfig, check_history, run
+from dyntrust.driver import ConfigError, RunTrace, TrConfig, check_history, lipschitz_f, run
 from dyntrust.optimality import CertificationError
 from dyntrust.oracle import InexactOracle, NonFiniteEvaluation, Problem
 from dyntrust.problems import list_problems, make_problem
@@ -32,6 +32,7 @@ from dyntrust.verify import VerifyOutcome
     ({"max_iterations": 2.5}, "max_iterations"),
     ({"kappa_zeta": math.inf}, "kappa_zeta"),
     ({"kappa_zeta": math.nan}, "kappa_zeta"),
+    ({"zeta0": (0.1, 0.1)}, "zeta0 must be scalar or one value per order"),
 ])
 def test_config_violations_name_the_constraint(overrides, fragment):
     with pytest.raises(ConfigError) as err:
@@ -72,6 +73,46 @@ def test_run_refuses_a_malformed_start_point(x0, message):
     o = InexactOracle(make_problem("rosenbrock"), policy="none", seed=0)
     with pytest.raises(ConfigError, match=re.escape(f"start point x0 = {message}")):
         run(o, TrConfig.with_defaults((1e-2,)), x0=x0)
+
+
+def test_run_refuses_a_start_point_of_another_dimension():
+    o = InexactOracle(make_problem("rosenbrock"), policy="none", seed=0)
+    with pytest.raises(ConfigError, match="start point dimension does not match the problem"):
+        run(o, TrConfig.with_defaults((1e-2,)), x0=np.ones(3))
+
+
+def test_a_trace_refuses_trial_points_that_do_not_match_its_rows():
+    trace = RunTrace(np.zeros(2))
+    row = np.zeros(1, RunTrace.dtype).tobytes()
+    for x_trial in (np.zeros((1, 3)), np.zeros((2, 2)), np.zeros(0)):
+        with pytest.raises(ValueError, match="one trial point of x0's size per row"):
+            trace.extend(row, x_trial)
+    assert len(trace) == 0
+
+
+@pytest.mark.parametrize("bad,calls,phase,what", [
+    ("fun", 8, "objective", "objective value nan"),
+    ("deriv", 5, "termination", "order-1 derivative"),
+], ids=["objective", "derivative"])
+def test_non_finite_problem_output_names_the_iteration_and_phase(bad, calls, phase, what):
+    # the problem door's text, led by the iteration and the phase
+    base = make_problem("quadratic", dim=2)
+    seen = []
+
+    def nan_from_call(f):
+        def wrapped(x, *args):
+            seen.append(bad)
+            return f(x, *args) * (math.nan if len(seen) >= calls else 1.0)
+        return wrapped
+
+    p = dataclasses.replace(base, **{bad: nan_from_call(getattr(base, bad))})
+    records = []
+    with pytest.raises(NonFiniteEvaluation) as err:
+        run(InexactOracle(p, policy="adversarial", seed=0), TrConfig.with_defaults((1e-3,)),
+            sink=records.append)
+    assert records
+    assert re.fullmatch(rf"iteration {len(records)}, {phase} phase: {what} at x = \[.+\] "
+                        "is not finite", str(err.value))
 
 
 def test_config_defaults_satisfy_constraints():
@@ -234,7 +275,7 @@ def test_exact_mode_audit_quadratic_exact_lipschitz():
     assert res.terminated
     report = check_history(res, p)  # exact L from the problem metadata
     assert report.ok, report.violations
-    assert report.lipschitz_used == max(1.0, 30.0)
+    assert lipschitz_f(report.lipschitz_orders) == max(1.0, 30.0)
 
 
 def test_audit_rosenbrock_boxed_lipschitz():
@@ -266,10 +307,10 @@ def test_audit_summary_names_each_lipschitz_source():
 
     p = dataclasses.replace(p, lipschitz=None)  # a user problem that states nothing
     report = check_history(res, p)
-    assert type(report.lipschitz_used) is float
+    assert type(lipschitz_f(report.lipschitz_orders)) is float
     (l1, s1), (l2, s2) = report.lipschitz_orders
     assert s1 == s2 == "sampled (1,500 pairs x 1.5)"
-    assert report.lipschitz_used == max(1.0, l1, l2)
+    assert lipschitz_f(report.lipschitz_orders) == max(1.0, l1, l2)
     assert report.summary().splitlines()[-1] == (
         f"L_f = max(1, L_j) = {max(l1, l2):.4g}: L_1={l1:.4g} sampled (1,500 pairs x 1.5), "
         f"L_2={l2:.4g} sampled (1,500 pairs x 1.5)")
@@ -521,14 +562,37 @@ def test_records_are_immutable():
             arr[0] = 0.0
 
 
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_the_audit_evaluates_the_exact_derivatives_at_x_eps_once(q, monkeypatch):
+    # termination soundness reads one bundle (T_1, ..., T_q) at x_eps: phi_1
+    # and phi_2 from its prefixes, phi_3 from the whole and |grad| from T_1
+    # (at q = 3 it used to make 7 calls: T_1 four times, T_2 twice)
+    p = make_problem("quartic", dim=3)
+    res = run(InexactOracle(p, policy="adversarial", seed=0), TrConfig.with_defaults((1e-2,) * q))
+    assert res.terminated and res.n_success > 0
+    orders = []
+    exact_deriv = Problem.exact_deriv
+
+    def spy(self, x, order):
+        if np.shape(x) == res.x_eps.shape and np.array_equal(x, res.x_eps):
+            orders.append(order)
+        return exact_deriv(self, x, order)
+
+    monkeypatch.setattr(Problem, "exact_deriv", spy)
+    report = check_history(res, p)
+    assert report.checks["termination_soundness"].ok
+    assert orders == list(range(1, q + 1))
+
+
 def test_bounds_for_run_helper():
     from dyntrust.driver import bounds_for_run
     p = make_problem("quadratic", dim=2, cond=10)
     o = InexactOracle(p, policy="none", seed=0)
     res = run(o, TrConfig.with_defaults((1e-3,)))
-    bc, L = bounds_for_run(res, p)
-    assert L == 10.0
+    bc, lipschitz = bounds_for_run(res, p)
+    assert lipschitz == ((10.0, "declared"),)
     assert bc.eval_bound_f > res.eval_ledger.n_f
+    assert check_history(res, p).bounds == bc
 
 
 def test_run_third_order_step_engaged():
@@ -565,7 +629,7 @@ def test_records_hold_each_point_once_read_only():
     assert block.shape == (res.n_iterations, 2)
     with pytest.raises(ValueError):
         block[0, 0] = 0.0
-    x = res.history.x
+    x = res.history.starts()
     current = res.history.x0
     for k, successful in enumerate(res.history.column("successful").tolist()):
         # x is the start point, or the previous accepted x_trial
@@ -626,7 +690,9 @@ def test_blocked_audit_equals_a_pointwise_replay(case):
         assert res.n_iterations > 2 * driver._AUDIT_BLOCK
     for problem in (p, dataclasses.replace(p, lipschitz=None)):
         report = check_history(res, problem)
-        assert report.summary() == pointwise_replay(res, problem, report).summary()
+        replay = pointwise_replay(res, problem, report)
+        assert report.summary() == replay.summary()
+        assert report.bounds == replay.bounds
 
 
 def test_audit_peak_memory_is_set_by_one_block():

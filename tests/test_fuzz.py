@@ -71,7 +71,7 @@ def test_random_admissible_configurations(batch):
         trace = result.history
         # objective accuracy contracts replayed against exact values
         for x, x_trial, f_old, f_new, dT_s in zip(
-                trace.x, trace.x_trial, trace.column("f_bar_old").tolist(),
+                trace.starts(), trace.x_trial, trace.column("f_bar_old").tolist(),
                 trace.column("f_bar_new").tolist(), trace.column("dT_s").tolist()):
             budget = cfg.omega * dT_s * (1 + 1e-9)
             assert abs(f_old - problem.exact_f(x)) <= budget

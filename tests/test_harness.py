@@ -17,7 +17,7 @@ from dyntrust.harness import (CSV_COLUMNS, EVENT_CSV_COLUMNS, RunSpec,
                               cost_savings_report, eps_scaling_study, execute_run,
                               parse_config_file, parse_eps_grid, read_events_csv,
                               read_history_csv, write_events_csv, write_history_csv)
-from dyntrust.oracle import PHASES
+from dyntrust.oracle import COST_MODELS, PHASES
 
 
 def test_csv_round_trip(tmp_path):
@@ -84,6 +84,49 @@ def test_csv_reader_refuses_malformed_cells_by_row_and_column(tmp_path, column, 
     _rewrite_csv(path, path, edit)
     with pytest.raises(ValueError, match=f"^row 3: unexpected {column} cell {text!r}$"):
         read_history_csv(path)
+
+
+@pytest.mark.parametrize("case,message", [
+    ("header", "^unexpected CSV schema$"),
+    ("short_row", "^row 3 has 19 cells, expected 20$"),
+    ("long_x", "^row 3: x and x_trial must hold 2 entries each$"),
+])
+def test_csv_reader_refuses_a_file_of_another_shape(tmp_path, case, message):
+    spec = RunSpec(problem="quadratic", problem_params={"dim": 2}, eps=(1e-3,),
+                   policy="adversarial", seed=0)
+    result, _ = execute_run(spec, write=False)
+    path = tmp_path / "hist.csv"
+    write_history_csv(path, result.history)
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    if case == "header":
+        header = header[:-1]
+    elif case == "short_row":
+        rows[3] = rows[3][:-1]
+    else:
+        rows[3][CSV_COLUMNS.index("x")] += ";0.5"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    with pytest.raises(ValueError, match=message):
+        read_history_csv(path)
+
+
+@pytest.mark.parametrize("accept_every", [1, 3, 300, 2_000])
+def test_start_points_of_any_rows_are_those_of_a_row_by_row_replay(accept_every):
+    # each row starts from x0 or the last accepted trial point before it;
+    # a slice reads back only to that point, however far (2,000: never)
+    trace = _random_trace(1_000, 2, accept_every)
+    want, current = [], trace.x0
+    for k, successful in enumerate(trace.column("successful").tolist()):
+        want.append(current)
+        if successful:
+            current = trace.x_trial[k]
+    want = np.array(want)
+    for start, stop in ((0, 1_000), (0, 0), (1, 2), (299, 300), (300, 301), (555, 812),
+                        (999, 1_000), (1_000, 1_000), (700, None)):
+        np.testing.assert_array_equal(trace.starts(slice(start, stop)), want[start:stop],
+                                      strict=True)
+    np.testing.assert_array_equal(trace.starts(), want, strict=True)
 
 
 def test_csv_schemas_are_fixed():
@@ -249,8 +292,9 @@ def test_cli_config_error_exit_code(tmp_path):
     (["--kappa-zeta", "inf"], "kappa_zeta must be positive and finite, got inf"),
     (["--problem", "finite_sum_logistic", "--lam", "-1"],
      "finite_sum_logistic: lam must be finite and non-negative, got -1.0"),
+    (["--q", "2", "--eps", "1e-3,1e-3,1e-3"], "--eps length must match --q"),
 ], ids=["q0", "eps_word", "eps_empty_field", "x0_nan", "seed_negative", "kappa_zeta_inf",
-        "lam_negative"])
+        "lam_negative", "eps_length_not_q"])
 def test_cli_malformed_numbers_are_config_errors(tmp_path, capsys, flags, message):
     code = main(["run", "--problem", "rosenbrock", *flags, "--out-dir", str(tmp_path)])
     assert code == EXIT_CONFIG
@@ -349,8 +393,9 @@ def test_cli_refuses_subsampling_a_problem_that_is_not_a_finite_sum(tmp_path, ca
     ("1e-1..0", "--eps-grid entries must be positive and finite, got '0'"),
     ("1e-2,-1e-3", "--eps-grid entries must be positive and finite, got '-1e-3'"),
     ("inf..1e-3", "--eps-grid entries must be positive and finite, got 'inf'"),
+    ("1e-2..1e-2", "grid range needs at least 2 points"),
 ], ids=["list_entry", "range_end", "range_count", "range_zero_lo", "range_zero_hi",
-        "list_negative", "range_inf"])
+        "list_negative", "range_inf", "range_one_point"])
 def test_cli_malformed_eps_grid_is_a_config_error(tmp_path, capsys, grid, message):
     code = main(["sweep", "--problem", "quadratic", "--eps-grid", grid,
                  "--out-dir", str(tmp_path)])
@@ -358,10 +403,37 @@ def test_cli_malformed_eps_grid_is_a_config_error(tmp_path, capsys, grid, messag
     assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
-def test_cli_cap_exhaustion_exit_code(tmp_path):
+def test_cli_cap_exhaustion_exit_code(tmp_path, capsys):
     code = main(["run", "--problem", "saddle_well", "--eps", "1e-3,1e-3",
                  "--max-iterations", "20", "--out-dir", str(tmp_path)])
     assert code == EXIT_CAP
+    # an audit of a capped run is skipped; its files go under the tag
+    out = tmp_path / "audit"
+    code = main(["audit", "--problem", "rosenbrock", "--max-iterations", "2",
+                 "--tag", "capped", "--out-dir", str(out)])
+    assert code == EXIT_CAP
+    assert "run hit the iteration cap; audit skipped\n" in capsys.readouterr().out
+    assert sorted(os.listdir(out)) == ["capped_events.csv", "capped_history.csv",
+                                       "capped_summary.json"]
+    summary = json.loads((out / "capped_summary.json").read_text())
+    assert summary["terminated"] is False and "audit" not in summary
+
+
+def test_cli_sweep_whose_runs_hit_the_cap_exits_3(tmp_path, capsys):
+    # too few targets with a terminated run to fit a slope: the rows are
+    # written and the cap's exit code returned (it used to exit 2)
+    code = main(["sweep", "--eps-grid", "1e-1,1e-2,1e-3,1e-4", "--max-iterations", "2",
+                 "--seeds", "1", "--out-dir", str(tmp_path)])
+    assert code == EXIT_CAP
+    out = capsys.readouterr().out
+    with open(tmp_path / "sweep_quadratic_q1.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(row["eps"]) for row in rows] == [1e-1, 1e-2, 1e-3, 1e-4]
+    done = len({row["eps"] for row in rows if row["terminated"] == "1"})
+    assert done < 2
+    assert out.startswith(f"{done}/4 accuracy targets have a terminated run: "
+                          "too few to fit a slope\n")
+    assert os.listdir(tmp_path) == ["sweep_quadratic_q1.csv"]
 
 
 def test_cli_audit_success(tmp_path):
@@ -474,11 +546,13 @@ def test_every_run_constant_is_a_flag_and_a_config_key(tmp_path, command):
 
 
 def test_cli_compare(tmp_path, capsys):
-    code = main(["compare", "--problem", "rosenbrock", "--eps", "1e-2",
-                 "--policy", "adversarial", "--cost-model", "inverse",
-                 "--out-dir", str(tmp_path)])
-    assert code == EXIT_OK
-    assert "ratio" in capsys.readouterr().out
+    for cost_model in sorted(COST_MODELS):
+        code = main(["compare", "--problem", "rosenbrock", "--eps", "1e-2",
+                     "--policy", "adversarial", "--cost-model", cost_model,
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert f"cost model: {cost_model}\n" in out and "ratio" in out
 
 
 def test_env_var_default_outdir(tmp_path, monkeypatch):
@@ -552,11 +626,11 @@ def test_cli_x0_override(tmp_path):
 def test_cli_audit_violation_exit_code(tmp_path, monkeypatch):
     # force a failing report to exercise the exit-code mapping
     import dyntrust.cli as cli_mod
-    from dyntrust.driver import AuditReport, CheckResult
+    from dyntrust.driver import CheckResult, check_history
 
     def fake_check_history(result, problem, **kw):
-        return AuditReport(checks={"forced": CheckResult(False, "synthetic")},
-                           bounds=None, lipschitz_used=1.0)
+        return dataclasses.replace(check_history(result, problem, **kw),
+                                   checks={"forced": CheckResult(False, "synthetic")})
 
     monkeypatch.setattr(cli_mod, "check_history", fake_check_history)
     code = main(["audit", "--problem", "quadratic", "--eps", "1e-2",

@@ -55,6 +55,28 @@ def test_max_decrement_order2_hard_case():
     assert d[1] == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("g,h,delta,want", [
+    ((0.0, 0.0), (-2.0, 1.0), 1.0, 1.0),   # hard case: the bottom eigenvector fills the ball
+    ((0.0, 1.0), (0.0, 2.0), 10.0, 0.25),  # PSD-singular: the pseudo-Newton point
+], ids=["hard_case", "psd_singular"])
+def test_max_decrement_order2_with_a_singular_bottom_reaches_the_dual_bound(g, h, delta, want):
+    # the gradient is orthogonal to the bottom eigenspace
+    b = make_bundle([sym_tensor(np.array(g)), sym_tensor(np.diag(h))])
+    _, dt, _ = max_decrement(b, 2, delta)
+    assert dt == want == max_decrement_reference(b, 2, delta)
+
+
+@pytest.mark.parametrize("j,delta,message", [
+    (2, 0.5, "bundle does not carry derivatives up to the requested order"),
+    (1, 0.0, "delta must be positive"),
+    (1, -0.5, "delta must be positive"),
+], ids=["order_past_bundle", "zero_radius", "negative_radius"])
+def test_max_decrement_refuses_by_name(j, delta, message):
+    b = make_bundle([sym_tensor(np.array([3.0, 4.0]))])
+    with pytest.raises(ValueError, match=message):
+        max_decrement(b, j, delta)
+
+
 def test_max_decrement_order2_matches_reference():
     rng = np.random.default_rng(12)
     for _ in range(25):

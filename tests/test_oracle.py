@@ -213,10 +213,8 @@ def test_nonfinite_accuracy_is_refused(policy):
     assert o.rng.bit_generator.state == state
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_quadratic_gradient_is_the_dense_product():
     # diag * x equals the dense product A x bit for bit, at any magnitude
-    # (the finiteness check's sum of squares overflows above ~1e154)
     rng = np.random.default_rng(11)
     for dim in (1, 2, 7, 100):
         p = make_problem("quadratic", dim=dim, cond=1e3)
@@ -236,18 +234,19 @@ def test_quadratic_gradient_keeps_a_negative_zero():
     assert np.signbit(stack).tolist() == [[True, False, True], [False, True, False]]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_exact_deriv_accepts_entries_whose_sum_of_squares_overflows():
-    # the finiteness check is one dot of the entries; an overflowing sum of
-    # squares (numpy warns about it) is checked entry by entry, not refused
+    # the finiteness check reads entry by entry, so huge finite output is
+    # accepted with no overflow warning (a sum of squares used to warn)
     def deriv(x, order):
         t = np.where(x[..., :1] < 0.0, math.nan, 1e200)
         return np.broadcast_to(t, x.shape[:-1] + (2,) * order).copy()
 
-    p = Problem(name="huge", dim=2, fun=lambda x: 0.0, deriv=deriv, f_low=0.0,
-                x0=np.ones(2))
-    big = p.exact_deriv(np.ones(2), 2)
-    assert np.all(big == 1e200) and not math.isfinite(big.ravel().dot(big.ravel()))
+    p = Problem(name="huge", dim=2, fun=lambda x: np.full(x.shape[:-1], 1e200), deriv=deriv,
+                f_low=0.0, x0=np.ones(2))
+    assert 1e200 * 1e200 == math.inf
+    assert p.exact_f(np.ones((3, 2))).tolist() == [1e200] * 3
+    for order in (1, 2):
+        assert np.all(p.exact_deriv(np.ones(2), order) == 1e200)
     pts = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.5], [-2.0, 0.5]])
     assert p.exact_deriv(pts[:2], 1).tolist() == [[1e200, 1e200]] * 2
     with pytest.raises(NonFiniteEvaluation,

@@ -235,6 +235,22 @@ def test_lipschitz_refuses_box_sides_of_another_dimension(lo, hi, side):
         lipschitz_estimate(p, (lo, hi), 1)
 
 
+def test_lipschitz_refuses_a_box_whose_lower_side_exceeds_its_upper():
+    p = make_problem("rosenbrock")
+    with pytest.raises(ValueError, match=r"box must be \(lower, upper\) with lower <= upper"):
+        lipschitz_estimate(p, (np.array([-1.0, 1.0]), np.array([1.0, 0.5])), 1)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.5])
+def test_references_refuse_a_radius_that_is_not_positive(delta):
+    b = make_bundle([sym_tensor(np.ones((2,) * i)) for i in (1, 2, 3)])
+    for j in (1, 2):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            max_decrement_reference(b[:j], j, delta)
+    with pytest.raises(ValueError, match="delta must be positive"):
+        phi3_decide(b, delta, 1.0)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_lipschitz_refuses_a_nonfinite_box(bad):
     # the sampler used to evaluate the NaN points it drew and blame the

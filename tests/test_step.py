@@ -264,7 +264,7 @@ def test_absolute_step_outcome_stops_the_run(monkeypatch):
     monkeypatch.setattr(step, "verify", absolute_after_one_step)
     with pytest.raises(CertificationError, match="absolute outcome") as err:
         run(InexactOracle(p, policy="adversarial", seed=0), cfg)
-    e, x = err.value, trace.x[k]
+    e, x = err.value, trace.starts()[k]
     assert k > 0 and (e.k, e.j, e.radius) == (k, trace.column("j")[k], trace.column("Delta")[k])
     np.testing.assert_array_equal(e.x, x)
     assert (f"(implementation bug): iteration {k}, order {e.j}, radius {e.radius!r}, "

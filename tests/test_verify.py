@@ -46,6 +46,8 @@ def test_input_validation():
         verify(1.0, 1.0, (-0.1,), 0.5, 0.1)
     with pytest.raises(ValueError):
         verify(1.0, 1.0, (0.1,), 0.5, 1.5)
+    with pytest.raises(ValueError, match="need at least one accuracy bound"):
+        verify(1.0, 1.0, (), 0.5, 0.1)
     # NaN fails every check instead of slipping past a negated comparison
     nan = float("nan")
     for args in [(nan, 1.0, (0.1,), 0.5, 0.1), (1.0, nan, (0.001,), 0.5, 0.1),
