@@ -66,6 +66,8 @@ def _given(args, names) -> dict:
 def _spec_from_args(args) -> RunSpec:
     eps = _floats(args.eps, "--eps")
     if args.q is not None:
+        if args.q < 1:  # a repeated --eps would hide the value given
+            raise ConfigError(f"criticality order q={args.q} outside the supported 1..3")
         if len(eps) == 1:
             eps = eps * args.q
         elif len(eps) != args.q:
@@ -108,6 +110,9 @@ def _cmd_audit(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = _spec_from_args(args)
     grid = parse_eps_grid(args.eps_grid)
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
+    out = spec.output_dir()
     seeds = tuple(range(spec.seed, spec.seed + args.seeds))
     if len(grid) == 1:
         # seed sweep at one fixed accuracy: rows only, no slope to fit
@@ -127,7 +132,7 @@ def _cmd_sweep(args) -> int:
                   f"{'PASS' if res.passed else 'FAIL'} rows={len(rows)} "
                   f"excluded={res.excluded}")
     stem = spec.tag or f"sweep_{spec.problem}_q{len(spec.eps)}"
-    csv_path = spec.output_dir() / f"{stem}.csv"
+    csv_path = out / f"{stem}.csv"
     write_sweep_csv(csv_path, rows)
     print(f"rows: {csv_path}")
     if res is None:

@@ -383,11 +383,16 @@ def bounds_for_run(result: RunResult, problem: Problem) -> tuple[BoundConstants,
     """The worst-case constants of a finished run, and the (L_j, source)
     pairs of :func:`resolve_lipschitz` that they rest on through
     :func:`lipschitz_f`."""
+    return _bounds(result, problem, problem.exact_f(result.history.x0))
+
+
+def _bounds(result: RunResult, problem: Problem, f0: float) -> tuple[BoundConstants, tuple]:
+    """:func:`bounds_for_run` given f(x0), which the audit's replay uses too."""
     cfg = result.cfg
     lipschitz = resolve_lipschitz(problem, result, cfg.q)
     x0 = result.history.x0
     g0 = max(operator_norm(problem.exact_deriv(x0, i), i) for i in range(1, cfg.q + 1))
-    bc = compute_bounds(cfg, L_f=lipschitz_f(lipschitz), f0=problem.exact_f(x0),
+    bc = compute_bounds(cfg, L_f=lipschitz_f(lipschitz), f0=f0,
                         f_low=problem.f_low, grad_norms_at_x0=g0)
     return bc, lipschitz
 
@@ -414,12 +419,12 @@ def check_history(result: RunResult, problem: Problem,
     cfg = result.cfg
     q = cfg.q
     eps_min = min(cfg.eps)
-    bc, lipschitz = bounds_for_run(result, problem)
-    checks: dict[str, CheckResult] = {}
     trace = result.history
+    f0 = problem.exact_f(trace.x0)
+    bc, lipschitz = _bounds(result, problem, f0)
+    checks: dict[str, CheckResult] = {}
     n_iter = len(trace)
     n_success = trace.n_success
-    f0 = problem.exact_f(trace.x0)
 
     # One replay against exact values, each trial point evaluated once, in
     # stacked blocks; f at each x is f0 or the f of the accepted trial point

@@ -199,9 +199,11 @@ class RunSpec:
         return TrConfig.with_defaults(self.eps, seed=self.seed, **self.cfg_overrides)
 
     def output_dir(self) -> Path:
-        base = self.out_dir or os.environ.get(OUTDIR_ENV) or "runs"
-        path = Path(base)
-        path.mkdir(parents=True, exist_ok=True)
+        path = Path(self.out_dir or os.environ.get(OUTDIR_ENV) or "runs")
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create the output directory: {exc}") from None
         return path
 
     def run_key(self) -> str:
@@ -217,10 +219,11 @@ def execute_run(spec: RunSpec, write: bool = True):
     files and the summary JSON, which the caller builds and writes.  The
     run's problem is ``result.acc.oracle.problem``."""
     cfg = spec.build_config()  # first: it names a bad seed before the oracle does
-    result = run(spec.build_oracle(), cfg, x0=spec.x0)
+    oracle = spec.build_oracle()
+    out = spec.output_dir() if write else None  # refused before the run, not after
+    result = run(oracle, cfg, x0=spec.x0)
     paths = {}
     if write:
-        out = spec.output_dir()
         key = spec.run_key()
         paths["history"] = out / f"{key}_history.csv"
         paths["events"] = out / f"{key}_events.csv"

@@ -82,17 +82,23 @@ def row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(row_dots(v, v))
 
 
-def _forms(t: np.ndarray, rows: np.ndarray, hs=None) -> np.ndarray:
-    """t[s]^i for each row s of ``rows`` (m, n); ``hs``, for an order-2
-    ``t``, is the product ``t @ rows[:, :, None]`` when the caller holds it."""
+def _product(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """t with every slot but one filled by s, for each row s of ``rows``
+    (m, n): T_2 s or T_3[s, s, .], as an (m, n, 1) stack.  The form t[s]^i
+    is s dotted with it, and the model gradient adds it over (i - 1)!."""
     # Stacked products send every row through the BLAS call a lone point
-    # uses (dot, and gemv for t @ s), so batch rows equal single-point values
-    # bit for bit; ``rows @ t`` would switch to gemv/gemm and round apart.
+    # uses (gemv for t @ s, then dot), so batch rows equal single-point
+    # values bit for bit; ``rows @ t`` would switch to gemm and round apart.
+    if t.ndim == 2:
+        return t @ rows[:, :, None]
+    return np.einsum("abc,pb,pc->pa", t, rows, rows)[:, :, None]
+
+
+def _forms(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """t[s]^i for each row s of ``rows`` (m, n)."""
     if t.ndim == 1:
         return (rows[:, None, :] @ t)[:, 0]
-    if t.ndim == 2:
-        return (rows[:, None, :] @ (t @ rows[:, :, None] if hs is None else hs))[:, 0, 0]
-    return np.einsum("abc,pa,pb,pc->p", t, rows, rows, rows)
+    return (rows[:, None, :] @ _product(t, rows))[:, 0, 0]
 
 
 def tensor_apply(t: np.ndarray, s):
@@ -120,12 +126,11 @@ def make_bundle(tensors) -> Bundle:
     return bundle
 
 
-def taylor_decrement(b: Bundle, s, j: int | None = None, hs=None):
+def taylor_decrement(b: Bundle, s, j: int | None = None):
     """Model decrement m(0) - m(s) of the degree-j model; independent of f0.
 
     ``s`` is one point (n,), giving a float, or rows (m, n), giving an
-    array of m values.  ``hs`` is the product ``b[1] @ rows[:, :, None]``
-    (T_2 s per row) when the caller holds it already.
+    array of m values.
     """
     j = len(b) if j is None else j
     if j > len(b):
@@ -135,7 +140,7 @@ def taylor_decrement(b: Bundle, s, j: int | None = None, hs=None):
     rows = s[None, :] if one else s
     total = 0.0
     for i in range(1, j + 1):
-        v = _forms(b[i - 1], rows, hs if i == 2 else None)
+        v = _forms(b[i - 1], rows)
         total += (float(v[0]) if one else v) / factorial(i)
     return -total
 
@@ -145,25 +150,19 @@ def taylor_value(b: Bundle, f0: float, s, j: int | None = None) -> float:
     return f0 - taylor_decrement(b, s, j)
 
 
-def model_gradient(b: Bundle, s, j: int | None = None, hs=None) -> Vector:
+def model_gradient(b: Bundle, s, j: int | None = None) -> Vector:
     """Gradient (in s) of the degree-j model: T_1 + T_2 s + (1/2) T_3[s,s,.].
 
     ``s`` is one point (n,), giving a vector, or rows (m, n), giving one
-    gradient per row.  ``hs`` is the product ``b[1] @ rows[:, :, None]``
-    when the caller holds it already, as :func:`taylor_decrement` takes it.
+    gradient per row.
     """
     j = len(b) if j is None else j
     s = np.asarray(s, dtype=float)
     rows = s if s.ndim == 2 else s[None, :]
-    t1 = b[0]
-    if j == 1:
-        g = np.repeat(t1[None, :], len(rows), axis=0)
-    else:
-        # As in _forms: the stacked T_2 product is one gemv per row,
-        # the call T_2 @ s makes, so rows equal single points bit for bit.
-        g = t1 + (b[1] @ rows[:, :, None] if hs is None else hs)[:, :, 0]
-    if j >= 3:
-        g += 0.5 * np.einsum("abc,pb,pc->pa", b[2], rows, rows)
+    g = np.empty_like(rows)
+    g[:] = b[0]
+    for i in range(2, j + 1):
+        g += _product(b[i - 1], rows)[:, :, 0] / factorial(i - 1)
     return g[0] if s.ndim == 1 else g
 
 

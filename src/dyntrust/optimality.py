@@ -168,10 +168,9 @@ def _max_cubic_on_ball(b: Bundle, radius: float, seed: int = 0) -> np.ndarray:
     would.  The live starts sit in compact arrays (point, value, step,
     ascent direction and its norm), compacted only in a round where one
     stops.  A start's gradient is evaluated at entry and then only where its
-    candidate was accepted, reusing the candidate's T_2 product: an unmoved
-    start's gradient is the same bit for bit, since each stacked row takes
-    its lone-point value.  Returns the first start with the largest positive
-    decrement, or zeros.
+    candidate was accepted: an unmoved start's gradient is the same bit for
+    bit, since each stacked row takes its lone-point value.  Returns the
+    first start with the largest positive decrement, or zeros.
     """
     n = b[0].size
     rng = np.random.default_rng(seed)
@@ -196,14 +195,13 @@ def _max_cubic_on_ball(b: Bundle, radius: float, seed: int = 0) -> np.ndarray:
         over = nc > radius
         if over.any():
             cand[over] *= (radius / nc[over])[:, None]
-        hs = b[1] @ cand[:, :, None]
-        cand_val = taylor_decrement(b, cand, 3, hs)
+        cand_val = taylor_decrement(b, cand, 3)
         up = cand_val > pv + 1e-16
         step = np.where(up, np.minimum(step * 1.3, radius), step * 0.5)
         if up.any():
             np.copyto(pt, cand, where=up[:, None])
             np.copyto(pv, cand_val, where=up)
-            g[up] = gu = -model_gradient(b, cand[up], 3, hs[up])
+            g[up] = gu = -model_gradient(b, cand[up], 3)
             ng[up] = row_norms(gu)
     d[live], val[live] = pt, pv
     best = int(np.argmax(val))

@@ -584,6 +584,24 @@ def test_the_audit_evaluates_the_exact_derivatives_at_x_eps_once(q, monkeypatch)
     assert orders == list(range(1, q + 1))
 
 
+def test_the_audit_evaluates_the_objective_at_x0_once(monkeypatch):
+    # the bounds (f0 - f_low) and the replay (f at the rows before the first
+    # success) read one exact_f(x0)
+    p = make_problem("rosenbrock")
+    res = run(InexactOracle(p, policy="adversarial", seed=0), TrConfig.with_defaults((1e-2,)))
+    calls = []
+    exact_f = Problem.exact_f
+
+    def spy(self, x):
+        if np.shape(x) == res.history.x0.shape and np.array_equal(x, res.history.x0):
+            calls.append(x)
+        return exact_f(self, x)
+
+    monkeypatch.setattr(Problem, "exact_f", spy)
+    assert check_history(res, p).ok
+    assert len(calls) == 1
+
+
 def test_bounds_for_run_helper():
     from dyntrust.driver import bounds_for_run
     p = make_problem("quadratic", dim=2, cond=10)

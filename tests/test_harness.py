@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from checkers import assert_traces_equal
+from dyntrust import harness
 from dyntrust.cli import (EXIT_AUDIT, EXIT_CAP, EXIT_CONFIG, EXIT_OK, _with_config_file,
                           build_parser, main)
 from dyntrust.driver import ConfigError, RunTrace, TrConfig
@@ -285,6 +286,7 @@ def test_cli_config_error_exit_code(tmp_path):
 
 @pytest.mark.parametrize("flags,message", [
     (["--q", "0"], "criticality order q=0 outside the supported 1..3"),
+    (["--q", "-1"], "criticality order q=-1 outside the supported 1..3"),
     (["--eps", "abc"], "--eps expects comma-separated numbers, got 'abc'"),
     (["--eps", "1e-3,,1e-3"], "--eps expects comma-separated numbers, got '1e-3,,1e-3'"),
     (["--x0", "1,nan"], "start point x0 = [1.0, nan] is not finite"),
@@ -293,8 +295,8 @@ def test_cli_config_error_exit_code(tmp_path):
     (["--problem", "finite_sum_logistic", "--lam", "-1"],
      "finite_sum_logistic: lam must be finite and non-negative, got -1.0"),
     (["--q", "2", "--eps", "1e-3,1e-3,1e-3"], "--eps length must match --q"),
-], ids=["q0", "eps_word", "eps_empty_field", "x0_nan", "seed_negative", "kappa_zeta_inf",
-        "lam_negative", "eps_length_not_q"])
+], ids=["q0", "q_negative", "eps_word", "eps_empty_field", "x0_nan", "seed_negative",
+        "kappa_zeta_inf", "lam_negative", "eps_length_not_q"])
 def test_cli_malformed_numbers_are_config_errors(tmp_path, capsys, flags, message):
     code = main(["run", "--problem", "rosenbrock", *flags, "--out-dir", str(tmp_path)])
     assert code == EXIT_CONFIG
@@ -401,6 +403,35 @@ def test_cli_malformed_eps_grid_is_a_config_error(tmp_path, capsys, grid, messag
                  "--out-dir", str(tmp_path)])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("grid,seeds", [("1e-1", "0"), ("1e-1,1e-2,1e-3,1e-4", "-2")],
+                         ids=["seed_sweep_none", "slope_sweep_negative"])
+def test_cli_sweep_refuses_fewer_than_one_seed(tmp_path, capsys, grid, seeds):
+    # a sweep of no runs is a configuration error, not the iteration-cap exit
+    code = main(["sweep", "--problem", "quadratic", "--eps-grid", grid, "--seeds", seeds,
+                 "--out-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"configuration error: --seeds must be at least 1, got {seeds}\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [["run"], ["audit"],
+                                  ["sweep", "--eps-grid", "1e-1", "--seeds", "1"]],
+                         ids=["run", "audit", "sweep"])
+def test_cli_out_dir_that_cannot_be_created_is_refused_before_any_run(tmp_path, capsys,
+                                                                      monkeypatch, argv):
+    # refused by name before any work, not as a traceback after the run
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    monkeypatch.setattr(harness, "run", lambda *a, **k: pytest.fail("the run started"))
+    for out_dir in (taken, taken / "sub"):
+        code = main([*argv, "--problem", "quadratic", "--out-dir", str(out_dir)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot create the output directory: ")
+        assert err.endswith(f"{str(out_dir)!r}\n")
 
 
 def test_cli_cap_exhaustion_exit_code(tmp_path, capsys):

@@ -85,6 +85,12 @@ def test_batch_rows_equal_single_points(n, degree):
             single = model_gradient(b, p, j)
             assert single.shape == (n,)
             assert np.array_equal(g, single)
+    if degree == 3:
+        # one order-3 contraction: the cubic form of each row is the row
+        # dotted with the T_3[s, s, .] that the gradient adds over 2
+        cubic_only = (np.zeros(n), np.zeros((n, n)), b[2])
+        for p, a, w in zip(pts, applied, 2 * model_gradient(cubic_only, pts)):
+            assert a == p @ w
 
 
 def test_taylor_decrement_zero_step():

@@ -209,8 +209,8 @@ ORDER3_SEED0_AUDITS = [
 
 def test_order3_pass_reproduces_the_recorded_fingerprints(monkeypatch):
     # iterations, evaluation counts, i_zeta and x_eps of every order-3 case
-    # at seed 0 equal the copy the benchmark recorded, and every audit,
-    # phi_3 from the order-3 decision included, reads as recorded above
+    # at seeds 0-2 equal the copy the benchmark recorded, and every audit at
+    # seed 0, phi_3 from the order-3 decision included, reads as recorded above
     from dyntrust import driver
 
     worker = _load("worker")
@@ -227,6 +227,10 @@ def test_order3_pass_reproduces_the_recorded_fingerprints(monkeypatch):
     assert out["failures"] == []
     assert out["fingerprints"] == worker.recorded_fingerprints("order3", 0)
     assert audits == ORDER3_SEED0_AUDITS
+    for seed in (1, 2):  # other adversaries and start samples, same copy
+        out = worker.run_pass(worker.WORKLOADS["order3"], seed)
+        assert out["failures"] == []
+        assert out["fingerprints"] == worker.recorded_fingerprints("order3", seed), seed
 
 
 def test_audit_corpus_pass_reproduces_the_recorded_fingerprints():
