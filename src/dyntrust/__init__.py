@@ -8,8 +8,8 @@ available in closed form and every run can be audited against them.
 """
 
 from .bounds import BoundConstants, compute_bounds
-from .driver import (AuditReport, ConfigError, RunResult, RunTrace, TrConfig,
-                     check_history, run)
+from .driver import (AuditReport, ConfigError, RadiusUnderflow, RunResult, RunTrace,
+                     TrConfig, check_history, run)
 from .harness import (RunSpec, cost_savings_report, eps_scaling_study,
                       execute_run, read_events_csv, read_history_csv,
                       write_events_csv, write_history_csv, write_summary_json)
@@ -29,7 +29,7 @@ __all__ = [
     "AccuracyLedger", "AuditReport", "BoundConstants",
     "CertificationError", "CertifiedDecrement", "ConfigError",
     "EvalLedger", "InexactOracle", "NonFiniteEvaluation", "Problem",
-    "RunResult", "RunSpec", "RunTrace", "StepResult",
+    "RadiusUnderflow", "RunResult", "RunSpec", "RunTrace", "StepResult",
     "TrConfig", "VerifyOutcome", "certified_decrement", "check_history",
     "compute_bounds", "compute_step",
     "cost_savings_report", "eps_scaling_study", "execute_run",

@@ -49,12 +49,12 @@ def compute_bounds(cfg, L_f: float, f0: float, f_low: float,
     q = cfg.q
     eps_min = min(cfg.eps)
     omega = cfg.omega
-    zeta_cap = max(cfg.zeta0)
+    model_size = grad_norms_at_x0 + max(cfg.zeta0)  # 0 if every order is exact at a stationary x0
     delta0 = min(cfg.Delta0, cfg.vartheta)
 
     kappa_Delta = (cfg.gamma1 * (1 - cfg.eta2) / max(1.0, L_f)) * min(
         cfg.vartheta,
-        cfg.Delta0 * delta0**q / (2 * q * (grad_norms_at_x0 + zeta_cap)))
+        cfg.Delta0 * delta0**q / (2 * q * model_size) if model_size > 0 else math.inf)
     kappa_delta = kappa_Delta / (1 + omega)
     kappa_s = factorial(q) / ((cfg.eta1 - 2 * omega) * kappa_delta ** (q + 1))
 

@@ -4,7 +4,8 @@ Subcommands: ``run`` (single run, history and events CSVs + summary JSON),
 ``sweep`` (accuracy-grid study with fitted slope), ``audit`` (run + bound
 audit), ``compare`` (dynamic vs fixed-accuracy cost).  Exit codes: 0 success,
 2 configuration error, 3 iteration cap exhausted (for a sweep: too few
-targets with a terminated run to fit a slope), 4 audit violation.
+targets with a terminated run to fit a slope), 4 audit violation, 5 the
+trust-region radius or the objective accuracy rounded to zero.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import dataclasses
 import sys
 
-from .driver import ConfigError, TrConfig, bounds_for_run, check_history
+from .driver import ConfigError, RadiusUnderflow, TrConfig, check_history
 from .harness import (RunSpec, cost_savings_report, eps_scaling_study,
                       execute_run, parse_config_file, parse_eps_grid, seed_sweep,
                       summary_dict, write_summary_json, write_sweep_csv)
@@ -24,6 +25,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CAP = 3
 EXIT_AUDIT = 4
+EXIT_UNDERFLOW = 5
 
 # every TrConfig constant but the targets and the seed, which have flags of their own
 _CFG_FLAGS = {f.name: int if isinstance(f.default, int) else float
@@ -82,8 +84,7 @@ def _spec_from_args(args) -> RunSpec:
 def _cmd_run(args) -> int:
     spec = _spec_from_args(args)
     result, paths = execute_run(spec)
-    bounds = bounds_for_run(result, result.acc.oracle.problem) if result.history else None
-    write_summary_json(paths["summary"], summary_dict(result, bounds=bounds))
+    write_summary_json(paths["summary"], summary_dict(result))
     print(f"terminated={result.terminated} iterations={result.n_iterations} "
           f"x_eps={[round(float(v), 6) for v in result.x_eps]} "
           f"n_f={result.eval_ledger.n_f} n_deriv={result.eval_ledger.n_deriv()}")
@@ -208,6 +209,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except RadiusUnderflow as exc:
+        print(f"run stopped: {exc}", file=sys.stderr)
+        return EXIT_UNDERFLOW
 
 
 if __name__ == "__main__":

@@ -32,12 +32,25 @@ class ConfigError(ValueError):
     """A run configuration violates an admissibility constraint."""
 
 
+class RadiusUnderflow(RuntimeError):
+    """The trust-region radius, or the objective accuracy omega dT it sets,
+    rounded to zero, so no further step can be taken in floating point;
+    named with the iteration ``k``, the radius and the point ``x``."""
+
+    def __init__(self, what: str, k: int, radius: float, x):
+        self.k, self.radius = k, radius
+        self.x = np.array(x, dtype=float)
+        super().__init__(f"{what} rounded to zero: iteration {k}, radius {radius!r}, "
+                         f"x = {self.x.tolist()}")
+
+
 @dataclass(frozen=True)
 class TrConfig:
     """All algorithm constants, checked for admissibility at construction.
 
     ``eps`` holds the per-order accuracy targets (length q).  ``zeta0`` is
-    the initial absolute derivative accuracy (scalar or per order).  Unless
+    the initial absolute derivative accuracy (scalar or per order; a zero
+    entry makes its order exact, as in exact-information methods).  Unless
     given, ``vartheta`` is max(min_j eps_j, 0.5) and ``omega`` is
     0.9 min(eta1/2, (1 - eta2)/4).  ``seed`` seeds the order-3 ascent starts.
     """
@@ -74,12 +87,12 @@ class TrConfig:
             object.__setattr__(self, "vartheta", max(min(eps), 0.5))
         if not min(eps) <= self.vartheta <= 1:
             raise ConfigError("vartheta must satisfy min_j eps_j <= vartheta <= 1")
-        if not 0 < self.Delta0 <= self.Delta_max:
-            raise ConfigError("radii must satisfy 0 < Delta0 <= Delta_max")
+        if not 0 < self.Delta0 <= self.Delta_max < math.inf:
+            raise ConfigError("radii must satisfy 0 < Delta0 <= Delta_max < inf")
         if not 0 < self.eta1 <= self.eta2 < 1:
             raise ConfigError("acceptance thresholds must satisfy 0 < eta1 <= eta2 < 1")
-        if not 0 < self.gamma1 < self.gamma2 < 1 < self.gamma3:
-            raise ConfigError("radius factors must satisfy 0 < gamma1 < gamma2 < 1 < gamma3")
+        if not 0 < self.gamma1 < self.gamma2 < 1 < self.gamma3 < math.inf:
+            raise ConfigError("radius factors must satisfy 0 < gamma1 < gamma2 < 1 < gamma3 < inf")
         if not 0 < self.varsigma <= 1:
             raise ConfigError("varsigma must lie in (0, 1]")
         omega_cap = min(0.5 * self.eta1, 0.25 * (1 - self.eta2))
@@ -97,8 +110,8 @@ class TrConfig:
         object.__setattr__(self, "zeta0", zeta0)
         if len(zeta0) != len(eps):
             raise ConfigError("zeta0 must be scalar or one value per order")
-        if any(not 0 < z <= self.kappa_zeta for z in zeta0):
-            raise ConfigError("initial accuracies must satisfy 0 < zeta0_j <= kappa_zeta")
+        if any(not 0 <= z <= self.kappa_zeta for z in zeta0):
+            raise ConfigError("initial accuracies must satisfy 0 <= zeta0_j <= kappa_zeta")
         if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
             raise ConfigError(
                 f"max_iterations must be a positive integer, got {self.max_iterations!r}")
@@ -217,10 +230,11 @@ def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
     cap trips, which is reported, not raised).
 
     A broken certification guarantee raises :class:`CertificationError`,
-    and non-finite problem output :class:`NonFiniteEvaluation`, each naming
-    the iteration (and the latter the phase).  ``sink``, if given, is called
-    once per iteration with the row appended to the trace: its scalar
-    fields, in :attr:`RunTrace.dtype` order.
+    non-finite problem output :class:`NonFiniteEvaluation` (naming the phase
+    too), and a radius or objective accuracy that rounds to zero
+    :class:`RadiusUnderflow`, each naming the iteration.  ``sink``, if given,
+    is called once per iteration with the row appended to the trace: its
+    scalar fields, in :attr:`RunTrace.dtype` order.
 
     After a rejected step the certified optimality displacement is reused
     (skipping the termination test) exactly when the shrunken radius still
@@ -245,6 +259,8 @@ def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
     delta_tr = cfg.Delta0
 
     for k in range(cfg.max_iterations):
+        if not delta_tr > 0:  # steps that round onto x halved it to zero
+            raise RadiusUnderflow("trust-region radius", k, delta_tr, x)
         delta_k = min(delta_tr, cfg.vartheta)
         try:
             if pending is None:
@@ -262,6 +278,9 @@ def run(oracle: InexactOracle, cfg: TrConfig, x0=None, sink=None) -> RunResult:
 
             ledger.phase = PHASE_OBJECTIVE
             acc_req = cfg.omega * sres.dT
+            if not acc_req > 0:
+                raise RadiusUnderflow(f"objective accuracy omega dT = {acc_req!r}",
+                                      k, delta_tr, x)
             x_trial = x + sres.s
             x_trial.flags.writeable = False
             f_bar_new = oracle.eval_f(x_trial, acc_req, ledger)

@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .driver import AuditReport, ConfigError, RunResult, RunTrace, TrConfig, lipschitz_f, run
+from .driver import (AuditReport, ConfigError, RunResult, RunTrace, TrConfig, bounds_for_run,
+                     lipschitz_f, run)
 from .oracle import COST_MODELS, PHASES, EvalLedger, InexactOracle
 from .problems import make_problem
 
@@ -127,9 +128,9 @@ def read_events_csv(path) -> EvalLedger:
     return EvalLedger(rows)
 
 
-def summary_dict(result: RunResult, audit: AuditReport | None = None, bounds=None) -> dict:
-    """The summary JSON of a run; with its audit, or with ``bounds`` (what
-    :func:`bounds_for_run` returns) for a run that was not audited."""
+def summary_dict(result: RunResult, audit: AuditReport | None = None) -> dict:
+    """The summary JSON of a run, with its audit if given.  Its bounds are
+    the audit's, or else those :func:`bounds_for_run` works out."""
     ledger = result.eval_ledger
     step_tightens = int(result.history.column("step2_tightens").sum())
     out = {
@@ -151,21 +152,21 @@ def summary_dict(result: RunResult, audit: AuditReport | None = None, bounds=Non
                                  "step": step_tightens},
         "config": dataclasses.asdict(result.cfg),
     }
-    if audit is not None:
-        bounds = audit.bounds, audit.lipschitz_orders
+    if audit is None:
+        bc, lipschitz = bounds_for_run(result, result.acc.oracle.problem)
+    else:
+        bc, lipschitz = audit.bounds, audit.lipschitz_orders
         out["audit"] = {name: {"ok": c.ok, "detail": c.detail}
                         for name, c in audit.checks.items()}
         out["audit_ok"] = audit.ok
-    if bounds is not None:
-        bc, lipschitz = bounds
-        out["bounds"] = dataclasses.asdict(bc)
-        out["lipschitz_used"] = lipschitz_f(lipschitz)
+    out["bounds"] = dataclasses.asdict(bc)
+    out["lipschitz_used"] = lipschitz_f(lipschitz)
     return out
 
 
 def write_summary_json(path, summary: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, default=float)
+        json.dump(summary, fh, indent=2, default=float, allow_nan=False)
         fh.write("\n")
 
 
@@ -337,9 +338,13 @@ def cost_savings_report(spec: RunSpec, cost_model: str = "inverse") -> CompareRe
     The comparison run uses the zero-noise policy with the initial accuracy
     already at the tightest level the dynamic run ever requested, and its
     cost is charged at that fixed accuracy per call; the dynamic run is
-    charged at its per-call requested accuracies.  Informational only.
+    charged at its per-call requested accuracies.  Informational only; an
+    exact order (a zero ``zeta0`` entry) has no accuracy to charge and is refused.
     """
     cost = COST_MODELS[cost_model]
+    if 0.0 in (zeta0 := spec.build_config().zeta0):
+        raise ConfigError(f"compare needs every zeta0 entry positive, got {zeta0}: "
+                          "an exact order has no accuracy to charge")
     dyn_result, _ = execute_run(spec, write=False)
     ledger = dyn_result.eval_ledger
     tight_f = ledger.min_acc((0,))

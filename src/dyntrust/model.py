@@ -66,10 +66,26 @@ def sym_tensor(entries, already_symmetric: bool = False) -> np.ndarray:
     return arr
 
 
+# np.vdot's C function, without the __array_function__ dispatch, which costs
+# a large share of one small dot
+_vdot = getattr(np.vdot, "_implementation", np.vdot)
+
+
 def vector_norm(v: Vector) -> float:
     """Euclidean norm of a 1-D array, equal to ``np.linalg.norm(v)`` bit for
-    bit (numpy computes sqrt(v.dot(v)) too) at a fraction of its call cost."""
-    return math.sqrt(v.dot(v))
+    bit (numpy computes sqrt(v.dot(v)) too) at a fraction of its call cost,
+    wherever that norm is finite.  ``np.vdot`` is the same dot without the
+    overflow warning; only a sum of squares that overflows (entries above
+    about 1.3e154) is redone on the entries scaled by a power of two."""
+    norm = math.sqrt(_vdot(v, v))
+    if norm < math.inf:
+        return norm
+    k = math.frexp(np.max(np.abs(v)))[1]
+    w = np.ldexp(v, -k)
+    try:
+        return math.ldexp(math.sqrt(w.dot(w)), k)
+    except OverflowError:  # the norm itself exceeds the largest float
+        return math.inf
 
 
 def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -61,10 +61,10 @@ class AccuracyLedger:
     each evaluated within its order's current bound."""
 
     def __init__(self, cfg, oracle: InexactOracle, x0):
-        """The config's initial accuracies at ``x0``; the oracle's exact
-        orders start (and stay) at zero."""
+        """The config's initial accuracies at ``x0``; an order whose zeta0
+        entry is zero is exact, and its bound stays zero."""
         self.cfg = cfg
-        self.zetas = [0.0 if i in oracle.exact_orders else z for i, z in enumerate(cfg.zeta0, 1)]
+        self.zetas = list(cfg.zeta0)
         self.i_zeta = 0
         self.oracle = oracle
         self.ledger = EvalLedger()

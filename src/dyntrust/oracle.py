@@ -262,12 +262,10 @@ class InexactOracle:
                          subset of terms, bounding the remainder via per-term
                          range bounds.
 
-    Orders listed in ``exact_orders`` are always returned exact (their
-    certified bound is zero no matter what is requested).
+    A request of accuracy zero returns the exact value under every policy.
     """
 
-    def __init__(self, problem: Problem, policy: str = "none", seed: int = 0,
-                 exact_orders: tuple[int, ...] = ()):
+    def __init__(self, problem: Problem, policy: str = "none", seed: int = 0):
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
         if policy == "subsample" and problem.term_model is None:
@@ -275,7 +273,6 @@ class InexactOracle:
         self.problem = problem
         self.policy = policy
         self.seed = seed
-        self.exact_orders = frozenset(exact_orders)
         self.rng = np.random.default_rng(seed)
 
     @property
@@ -309,7 +306,7 @@ class InexactOracle:
     def eval_deriv(self, x, order: int, zeta: float, ledger: EvalLedger | None = None) -> np.ndarray:
         if not 0 <= zeta < math.inf:  # NaN fails too
             raise ValueError(f"requested accuracy {zeta!r} must be nonnegative and finite")
-        exact = order in self.exact_orders or zeta == 0.0
+        exact = zeta == 0.0
         work = 1.0
         if self.policy == "subsample" and not exact:
             self.problem.check_order(order)  # the exact door checks it otherwise
@@ -320,18 +317,15 @@ class InexactOracle:
             tensor = self.problem.exact_deriv(x, order)
         if not exact:
             # rank-one bumps and rounding keep symmetry and shape: no re-check
-            if self.policy == "adversarial":
-                u = self.rng.standard_normal(self.dim)
-                u /= vector_norm(u)
-                tensor = tensor + _rank_one(order, u, NOISE_FRACTION * zeta)
-            elif self.policy == "truncate":
+            if self.policy == "truncate":
                 h = _decimal_grid(2.0 * zeta / self.dim ** (order / 2.0))
                 tensor = np.round(tensor / h) * h
-            elif self.policy == "gaussian":
+            elif self.policy in ("adversarial", "gaussian"):
                 u = self.rng.standard_normal(self.dim)
                 u /= vector_norm(u)
-                mag = float(np.clip(self.rng.normal(0.0, zeta / 3.0),
-                                    -NOISE_FRACTION * zeta, NOISE_FRACTION * zeta))
+                mag = NOISE_FRACTION * zeta
+                if self.policy == "gaussian":
+                    mag = float(np.clip(self.rng.normal(0.0, zeta / 3.0), -mag, mag))
                 tensor = tensor + _rank_one(order, u, mag)
         if ledger is not None:
             ledger.record(order, zeta, work)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import as_vector, vector_norm
+from .model import vector_norm
 from .oracle import Problem
 
 
@@ -41,7 +41,7 @@ def _require(ok: bool, problem: str, param: str, rule: str, value) -> None:
         raise ValueError(f"{problem}: {param} must be {rule}, got {value!r}")
 
 
-def quadratic(dim: int = 2, cond: float = 10.0, x0=None) -> Problem:
+def quadratic(dim: int = 2, cond: float = 10.0) -> Problem:
     """Convex quadratic 0.5 x'Ax with A = diag(1 .. cond) (geometric).  A x is
     ``diag * x``: the dense product bit for bit, except that -0.0 stays -0.0."""
     _require(dim >= 1, "quadratic", "dim", "at least 1", dim)
@@ -59,9 +59,8 @@ def quadratic(dim: int = 2, cond: float = 10.0, x0=None) -> Problem:
             return np.broadcast_to(a_mat, x.shape[:-1] + a_mat.shape)
         return np.zeros(x.shape[:-1] + (dim,) * order)
 
-    start = np.ones(dim) if x0 is None else as_vector(x0)
     return Problem(name=f"quadratic(dim={dim},cond={cond:g})", dim=dim, fun=fun,
-                   deriv=deriv, f_low=0.0, x0=start,
+                   deriv=deriv, f_low=0.0, x0=np.ones(dim),
                    lipschitz=(float(np.max(diag)), 0.0, 0.0))
 
 
@@ -248,14 +247,13 @@ class LogisticTermModel:
         return tensor, k / self.m
 
 
-def finite_sum_logistic(dim: int = 4, terms: int = 64, lam: float = 0.1,
-                        seed: int = 7) -> Problem:
+def finite_sum_logistic(dim: int = 4, terms: int = 64, lam: float = 0.1) -> Problem:
     """Finite-sum logistic-like objective with deterministic subsampling
     support; ``lam >= 0`` keeps f_low = 0 a lower bound."""
     for param, value in (("dim", dim), ("terms", terms)):
         _require(value >= 1, "finite_sum_logistic", param, "at least 1", value)
     _require(0 <= lam < math.inf, "finite_sum_logistic", "lam", "finite and non-negative", lam)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)  # the terms are part of the problem: one fixed draw
     a = rng.normal(0.0, 1.0, size=(terms, dim)) * rng.uniform(0.2, 1.5, size=(terms, 1))
     b = rng.normal(0.0, 0.5, size=terms)
     a_norm = np.linalg.norm(a, axis=1)
@@ -294,7 +292,7 @@ def finite_sum_logistic(dim: int = 4, terms: int = 64, lam: float = 0.1,
     lipschitz = (float(np.mean(a_norm**2)) / 4.0 + lam,
                  float(np.mean(a_norm**3)) / (6.0 * math.sqrt(3.0)),
                  float(np.mean(a_norm**4)) / 8.0)
-    return Problem(name=f"finite_sum_logistic(dim={dim},m={terms})", dim=dim,
+    return Problem(name=f"finite_sum_logistic(dim={dim},m={terms},lam={lam:g})", dim=dim,
                    fun=fun, deriv=deriv, f_low=0.0, x0=np.zeros(dim),
                    lipschitz=lipschitz, term_model=tm)
 

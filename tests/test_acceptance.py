@@ -15,7 +15,7 @@ from dyntrust.driver import TrConfig, check_history, run
 from dyntrust.harness import RunSpec, eps_scaling_study, execute_run
 from dyntrust.model import make_bundle, sym_tensor, taylor_decrement
 from dyntrust.optimality import AccuracyLedger, certified_decrement
-from dyntrust.oracle import InexactOracle
+from dyntrust.oracle import InexactOracle, Problem
 from dyntrust.problems import make_problem
 from dyntrust.reference import phi_reference
 from dyntrust.verify import VerifyOutcome
@@ -185,16 +185,40 @@ def test_criterion_2_certified_decrement_soundness():
 # criteria over the shared corpus
 
 
+def _step_tightening_runs():
+    """Runs whose step loop tightens with no monkeypatching: f = 5e-5 x^2
+    from x0 = 9 with Delta0 = 2 > vartheta and zeta0 = 1e-5.  The order-2
+    trial step over the full radius is not certified relative at zeta0, so
+    the step loop tightens once (iteration 0, j = 2)."""
+    def deriv(x, order):
+        if order == 1:
+            return 1e-4 * x
+        return np.full(x.shape[:-1] + (1,) * order, 1e-4 if order == 2 else 0.0)
+
+    p = Problem(name="shallow_bowl", dim=1, fun=lambda x: 5e-5 * np.vecdot(x, x),
+                deriv=deriv, f_low=0.0, x0=np.array([9.0]), lipschitz=(1e-4, 0.0))
+    cfg = TrConfig.with_defaults((1e-3, 1e-3), Delta0=2.0, zeta0=1e-5)
+    for policy in ("none", "adversarial"):
+        result = run(InexactOracle(p, policy=policy, seed=0), cfg)
+        yield result, check_history(result, p)
+
+
 def test_criterion_3_step_never_absolute(corpus):
     # an absolute outcome in the step loop raises CertificationError, so
-    # every corpus run that completed saw none
-    n_runs = len(corpus)
-    step_loops = sum(int(np.count_nonzero(c.result.history.column("Delta")
-                                          > c.result.cfg.vartheta)) for c in corpus)
-    cap_ok = all(c.audit.checks["step_tighten_cap"].ok for c in corpus)
-    ok = cap_ok and n_runs >= 100 and step_loops > 0
+    # every corpus run that completed saw none; the corpus never tightens in
+    # the step loop, so two runs that do are checked besides
+    extra = list(_step_tightening_runs())
+    runs = [(c.result, c.audit) for c in corpus] + extra
+    n_runs = len(runs)
+    step_loops = sum(int(np.count_nonzero(r.history.column("Delta") > r.cfg.vartheta))
+                     for r, _ in runs)
+    step_tightens = [int(r.history.column("step2_tightens").sum()) for r, _ in extra]
+    cap_ok = all(audit.checks["step_tighten_cap"].ok for _, audit in runs)
+    ok = (cap_ok and n_runs >= 100 and step_loops > 0 and min(step_tightens) >= 1
+          and all(r.terminated and audit.ok for r, audit in extra))
     report("criterion 3 (step certification never absolute)", ok,
-           f"{n_runs} runs completed, {step_loops} step-loop iterations, tighten caps "
+           f"{n_runs} runs completed, {step_loops} step-loop iterations, "
+           f"step tightenings {step_tightens} in the extra runs, tighten caps "
            f"{'respected' if cap_ok else 'EXCEEDED'}")
 
 

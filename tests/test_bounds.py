@@ -58,6 +58,14 @@ def test_constants_positive_and_consistent():
     assert cfg.gamma_zeta ** bc.i_zeta_min * cfg.kappa_zeta <= level * (1 + 1e-12)
 
 
+def test_every_order_exact_at_a_stationary_start():
+    # zero gradient and zero zeta0: the radius floor is vartheta's term alone
+    cfg = base_cfg(q=2, zeta0=0.0)
+    bc = compute_bounds(cfg, L_f=4.0, f0=1.0, f_low=0.0, grad_norms_at_x0=0.0)
+    assert bc.kappa_Delta == cfg.gamma1 * (1 - cfg.eta2) / 4.0 * cfg.vartheta
+    assert all(math.isfinite(v) for v in vars(bc).values())
+
+
 def test_input_validation():
     cfg = base_cfg()
     with pytest.raises(ValueError):

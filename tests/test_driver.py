@@ -33,6 +33,10 @@ from dyntrust.verify import VerifyOutcome
     ({"kappa_zeta": math.inf}, "kappa_zeta"),
     ({"kappa_zeta": math.nan}, "kappa_zeta"),
     ({"zeta0": (0.1, 0.1)}, "zeta0 must be scalar or one value per order"),
+    ({"gamma3": math.inf}, "gamma3 < inf"),
+    ({"Delta_max": math.inf}, "Delta_max < inf"),
+    ({"Delta0": math.inf, "Delta_max": math.inf}, "Delta_max < inf"),
+    ({"zeta0": -1e-3}, "0 <= zeta0_j"),
 ])
 def test_config_violations_name_the_constraint(overrides, fragment):
     with pytest.raises(ConfigError) as err:
@@ -520,12 +524,68 @@ def test_audit_rosenbrock_q3_terminates_at_a_third_order_minimizer():
 def test_audit_accuracy_floor_skips_exact_orders():
     # exact orders request zeta = 0 by design; the floor covers the rest
     p = make_problem("quadratic", dim=2, cond=10)
-    o = InexactOracle(p, policy="adversarial", seed=0, exact_orders=(1,))
-    res = run(o, TrConfig.with_defaults((1e-3,)))
+    o = InexactOracle(p, policy="adversarial", seed=0)
+    res = run(o, TrConfig.with_defaults((1e-3,), zeta0=0.0))
     assert res.terminated
     report = check_history(res, p)
     assert report.checks["zeta_floor"].ok, report.checks["zeta_floor"].detail
     assert report.ok, report.violations
+
+
+def test_a_zero_zeta0_entry_makes_its_order_exact():
+    # zeta0 = 0 is the exact-information method at that order: every request
+    # of it is 0.0 and never tightened, and the run's config says so
+    from dyntrust.harness import summary_dict
+    p = make_problem("rosenbrock")
+    res = run(InexactOracle(p, policy="adversarial", seed=0),
+              TrConfig.with_defaults((1e-3, 1e-3), zeta0=(0.1, 0.0)))
+    assert res.terminated
+    log = res.eval_ledger
+    assert log.n_deriv(2) > 0 and log.accs((2,)).tolist() == [0.0] * log.n_deriv(2)
+    assert log.min_acc((1,)) < 0.1  # order 1 stays inexact and tightens
+    assert res.acc.zetas[1] == 0.0
+    summary = summary_dict(res)
+    assert summary["config"]["zeta0"] == (0.1, 0.0)
+    report = check_history(res, p)
+    assert report.ok, report.violations
+
+
+def test_run_stops_by_name_when_the_radius_or_objective_accuracy_rounds_to_zero():
+    # trial points that round onto x halve the radius to 0.0; a tiny radius
+    # makes omega dT round to 0.0 first
+    for problem, delta0, what, k in (("rosenbrock", 1e-20, "trust-region radius", 1009),
+                                     ("quadratic", 1e-300, "objective accuracy", 77)):
+        p = make_problem(problem)
+        with pytest.raises(driver.RadiusUnderflow, match=f"^{what}") as err:
+            run(InexactOracle(p, policy="adversarial", seed=0),
+                TrConfig.with_defaults((1e-3,), Delta0=delta0))
+        assert err.value.k == k and err.value.radius < 1e-300
+        assert f"iteration {k}, radius {err.value.radius!r}, x = " in str(err.value)
+        np.testing.assert_array_equal(err.value.x, p.x0)
+
+
+def test_gradients_whose_squares_overflow_still_step():
+    # |g|^2 exceeds the float range at x0 = (1, 1) but |g| does not: the run
+    # steps and terminates instead of reading a zero step decrement
+    def deriv(x, order):
+        if order == 1:
+            return 1e200 * x
+        return np.broadcast_to(1e200 * np.eye(2), x.shape[:-1] + (2, 2))
+
+    p = Problem(name="steep", dim=2, fun=lambda x: 0.5 * np.vecdot(1e100 * x, 1e100 * x),
+                deriv=deriv, f_low=0.0, x0=np.ones(2))
+    res = run(InexactOracle(p, policy="none"), TrConfig.with_defaults((1e-3,)))
+    assert res.terminated and res.n_success > 0
+    assert np.linalg.norm(1e200 * res.x_eps) <= 1e-3
+
+
+def test_a_step_beyond_the_squared_float_range_reaches_the_objective():
+    # a 1e300 step has a finite norm; the objective there is not finite
+    p = make_problem("rosenbrock")
+    cfg = TrConfig.with_defaults((1e-3,), Delta0=1e300, Delta_max=1e300)
+    with np.errstate(over="ignore"), pytest.raises(
+            NonFiniteEvaluation, match="^iteration 0, objective phase: objective value inf"):
+        run(InexactOracle(p, policy="adversarial", seed=0), cfg)
 
 
 def test_audit_flags_a_step_beyond_the_radius():

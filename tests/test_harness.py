@@ -11,13 +11,14 @@ import pytest
 
 from checkers import assert_traces_equal
 from dyntrust import harness
-from dyntrust.cli import (EXIT_AUDIT, EXIT_CAP, EXIT_CONFIG, EXIT_OK, _with_config_file,
-                          build_parser, main)
+from dyntrust.cli import (EXIT_AUDIT, EXIT_CAP, EXIT_CONFIG, EXIT_OK, EXIT_UNDERFLOW,
+                          _with_config_file, build_parser, main)
 from dyntrust.driver import ConfigError, RunTrace, TrConfig
 from dyntrust.harness import (CSV_COLUMNS, EVENT_CSV_COLUMNS, RunSpec,
                               cost_savings_report, eps_scaling_study, execute_run,
                               parse_config_file, parse_eps_grid, read_events_csv,
-                              read_history_csv, write_events_csv, write_history_csv)
+                              read_history_csv, write_events_csv, write_history_csv,
+                              write_summary_json)
 from dyntrust.oracle import COST_MODELS, PHASES
 
 
@@ -652,6 +653,40 @@ def test_cli_x0_override(tmp_path):
     summary_file = next(f for f in os.listdir(tmp_path) if f.endswith("_summary.json"))
     summary = json.loads((tmp_path / summary_file).read_text())
     assert summary["iterations"] == 0 and summary["x_eps"] == [0.0, 0.0]
+    # a run of no iterations still has its bounds, as its audit does
+    assert summary["bounds"]["kappa_delta"] > 0 and summary["lipschitz_used"] == 5.0
+
+
+def test_cli_zeta0_zero_runs_the_exact_method(tmp_path, capsys):
+    # every order exact at a stationary start: the bounds need no division
+    # by the start's model size, which is zero
+    code = main(["audit", "--problem", "quadratic", "--x0", "0,0", "--zeta0", "0",
+                 "--tag", "exact", "--out-dir", str(tmp_path)])
+    assert code == EXIT_OK
+    summary = json.loads((tmp_path / "exact_summary.json").read_text())
+    assert summary["audit_ok"] is True and summary["config"]["zeta0"] == [0.0]
+    assert summary["bounds"]["kappa_delta"] > 0
+    # the cost comparison charges each call at its accuracy: an exact order has none
+    capsys.readouterr()
+    code = main(["compare", "--zeta0", "0", "--out-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "zeta0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,what", [
+    (["--problem", "rosenbrock", "--delta0", "1e-20"], "trust-region radius rounded to zero"),
+    (["--problem", "quadratic", "--delta0", "1e-300"], "objective accuracy omega dT = 0.0"),
+], ids=["radius", "objective_accuracy"])
+def test_cli_stops_when_the_radius_rounds_to_zero(tmp_path, capsys, flags, what):
+    code = main(["audit", *flags, "--out-dir", str(tmp_path)])
+    assert code == EXIT_UNDERFLOW
+    err = capsys.readouterr().err
+    assert err.startswith(f"run stopped: {what}") and ", radius " in err and "x = [" in err
+
+
+def test_summaries_are_strict_json(tmp_path):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_summary_json(tmp_path / "bad.json", {"bound": float("inf")})
 
 
 def test_cli_audit_violation_exit_code(tmp_path, monkeypatch):

@@ -24,11 +24,11 @@ from checkers import NoShrinkLedger, sequential_max_cubic_on_ball
 REL_SLACK = 1.0 + 1e-9  # rounding in the reference and the certified decrement
 
 
-def fresh_state(problem, q, x, policy="none", seed=0, zeta0=0.1, exact_orders=(),
-                eps=1e-3, omega=0.02):
-    oracle = InexactOracle(problem, policy=policy, seed=seed, exact_orders=exact_orders)
+def fresh_state(problem, q, x, policy="none", seed=0, zeta0=0.1, eps=1e-3, omega=0.02):
+    oracle = InexactOracle(problem, policy=policy, seed=seed)
     return AccuracyLedger(TrConfig.with_defaults(
-        (eps,) * q, zeta0=zeta0, kappa_zeta=max(zeta0, 0.1), omega=omega), oracle, x)
+        (eps,) * q, zeta0=zeta0, kappa_zeta=max(float(np.max(zeta0)), 0.1), omega=omega),
+        oracle, x)
 
 
 def test_max_decrement_order1_closed_form():
@@ -435,7 +435,7 @@ def test_cache_reuses_until_tightened():
     assert deriv_counts(acc) == (4, 3)
 
     # an exact order's bound is 0 and never decreases: it is evaluated once
-    acc = fresh_state(p, 2, x, policy="adversarial", exact_orders=(2,))
+    acc = fresh_state(p, 2, x, policy="adversarial", zeta0=(0.1, 0.0))
     for _ in range(5):
         acc.bundle(2)
         acc.tighten(2)
@@ -498,8 +498,9 @@ def test_finite_tightening_invariant():
 
 
 def test_accuracy_ledger_tighten_and_exact_orders():
-    oracle = InexactOracle(make_problem("rosenbrock"), exact_orders=(2,))
-    acc = AccuracyLedger(TrConfig.with_defaults((1e-3,) * 3, gamma_zeta=0.5),
+    oracle = InexactOracle(make_problem("rosenbrock"))
+    acc = AccuracyLedger(TrConfig.with_defaults((1e-3,) * 3, gamma_zeta=0.5,
+                                                zeta0=(0.1, 0.0, 0.1)),
                          oracle, oracle.problem.x0)
     assert acc.zetas[1] == 0.0
     acc.tighten(3)

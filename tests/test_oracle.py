@@ -177,13 +177,19 @@ def test_tables_pack_rows_in_their_declared_layout():
 
 
 def test_exact_order_set_returns_exact():
-    p = make_problem("rosenbrock")
-    o = InexactOracle(p, policy="adversarial", seed=0, exact_orders=(2,))
-    x = np.array([0.2, 0.9])
-    np.testing.assert_array_equal(o.eval_deriv(x, 2, 1e-2),
-                                  p.exact_deriv(x, 2))
-    # non-exact orders still corrupted
-    g = o.eval_deriv(x, 1, 1e-2)
+    # an exact order is a request of accuracy zero: exact under every
+    # policy, with no random draw
+    for policy in POLICIES + ("subsample",):
+        p = make_problem("finite_sum_logistic" if policy == "subsample" else "rosenbrock")
+        o = InexactOracle(p, policy=policy, seed=0)
+        x = np.full(p.dim, 0.3)
+        state = o.rng.bit_generator.state
+        for order in (1, 2, 3):
+            np.testing.assert_array_equal(o.eval_deriv(x, order, 0.0), p.exact_deriv(x, order))
+        assert o.rng.bit_generator.state == state, policy
+    # a positive request is still corrupted
+    p, x = make_problem("rosenbrock"), np.array([0.2, 0.9])
+    g = InexactOracle(p, policy="adversarial", seed=0).eval_deriv(x, 1, 1e-2)
     assert realized_tensor_error(p, g, x, 1) > 0
 
 
@@ -423,6 +429,14 @@ def test_problem_factories_refuse_parameters_outside_their_domain(name, params, 
     with pytest.raises(ValueError, match=re.escape(f"{name}: {param} must be ") +
                        f".*, got {re.escape(repr(value))}$"):
         make_problem(name, **params)
+
+
+def test_problem_names_hold_every_parameter():
+    # the run's summary names its problem, so two problems never share a name
+    assert make_problem("finite_sum_logistic", lam=0.5).name == \
+        "finite_sum_logistic(dim=4,m=64,lam=0.5)"
+    assert make_problem("finite_sum_logistic").name == "finite_sum_logistic(dim=4,m=64,lam=0.1)"
+    assert make_problem("quadratic", dim=3, cond=4).name == "quadratic(dim=3,cond=4)"
 
 
 def test_subsample_oracle_honesty():
