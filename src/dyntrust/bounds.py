@@ -16,7 +16,7 @@ from math import factorial
 
 @dataclass(frozen=True)
 class BoundConstants:
-    kappa_Delta: float      # trust-region radius floor coefficient
+    kappa_Delta: float      # radius floor coefficient; a rejected step contracts by gamma2
     kappa_delta: float      # = kappa_Delta / (1 + omega)
     kappa_s: float          # successful-iteration coefficient
     kappa_a: float          # objective-evaluation bound, leading coefficient
@@ -37,8 +37,8 @@ def compute_bounds(cfg, L_f: float, f0: float, f_low: float,
 
     ``grad_norms_at_x0`` is the largest operator norm among the exact
     derivative tensors of orders 1..q at the start point; the absolute
-    derivative error there is bounded by the largest initial accuracy
-    ``max(cfg.zeta0)``.
+    derivative error there, and every accuracy a run requests, is bounded
+    by the largest initial accuracy ``max(cfg.zeta0)``.
     """
     for name, v in (("L_f", L_f), ("f0", f0), ("f_low", f_low),
                     ("grad_norms_at_x0", grad_norms_at_x0)):
@@ -49,10 +49,11 @@ def compute_bounds(cfg, L_f: float, f0: float, f_low: float,
     q = cfg.q
     eps_min = min(cfg.eps)
     omega = cfg.omega
-    model_size = grad_norms_at_x0 + max(cfg.zeta0)  # 0 if every order is exact at a stationary x0
+    zeta_max = max(cfg.zeta0)  # accuracies only shrink from zeta0
+    model_size = grad_norms_at_x0 + zeta_max  # 0 if every order is exact at a stationary x0
     delta0 = min(cfg.Delta0, cfg.vartheta)
 
-    kappa_Delta = (cfg.gamma1 * (1 - cfg.eta2) / max(1.0, L_f)) * min(
+    kappa_Delta = (cfg.gamma2 * (1 - cfg.eta2) / max(1.0, L_f)) * min(
         cfg.vartheta,
         cfg.Delta0 * delta0**q / (2 * q * model_size) if model_size > 0 else math.inf)
     kappa_delta = kappa_Delta / (1 + omega)
@@ -65,13 +66,13 @@ def compute_bounds(cfg, L_f: float, f0: float, f_low: float,
     kappa_c = (2 / log_g2) * abs(math.log(kappa_delta / cfg.Delta0)) + 2 / log_gz + 2
 
     kappa_acc = cfg.varsigma * omega * kappa_delta ** (q - 1) / (8 * (1 + omega))
-    # smallest tightening count i with gamma_zeta^i * kappa_zeta <= kappa_acc * eps_min^q
-    ratio = kappa_acc * eps_min**q / cfg.kappa_zeta
-    i_zeta_min = max(0, math.ceil(math.log(ratio) / math.log(cfg.gamma_zeta)))
+    # smallest i with gamma_zeta^i max(zeta0) <= kappa_acc eps_min^q; 0 if every order is exact
+    i_zeta_min = 0 if zeta_max == 0 else max(0, math.ceil(
+        math.log(kappa_acc * eps_min**q / zeta_max) / math.log(cfg.gamma_zeta)))
 
     kappa_d = kappa_s
     kappa_e = q / log_gz
-    kappa_f = abs(math.log(kappa_acc / cfg.kappa_zeta)) / log_gz + 2
+    kappa_f = 2 + (abs(math.log(kappa_acc / zeta_max)) / log_gz if zeta_max > 0 else 0)
 
     gap = f0 - f_low
     log_eps = abs(math.log(eps_min))

@@ -5,7 +5,8 @@ Subcommands: ``run`` (single run, history and events CSVs + summary JSON),
 audit), ``compare`` (dynamic vs fixed-accuracy cost).  Exit codes: 0 success,
 2 configuration error, 3 iteration cap exhausted (for a sweep: too few
 targets with a terminated run to fit a slope), 4 audit violation, 5 the
-trust-region radius or the objective accuracy rounded to zero.
+trust-region radius or the objective accuracy rounded to zero, 6 non-finite
+problem output, 7 a broken certification guarantee (an implementation bug).
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import argparse
 import dataclasses
 import sys
 
-from .driver import ConfigError, RadiusUnderflow, TrConfig, check_history
+from .driver import (CertificationError, ConfigError, NonFiniteEvaluation, RadiusUnderflow,
+                     TrConfig, check_history)
 from .harness import (RunSpec, cost_savings_report, eps_scaling_study,
                       execute_run, parse_config_file, parse_eps_grid, seed_sweep,
                       summary_dict, write_summary_json, write_sweep_csv)
@@ -26,6 +28,14 @@ EXIT_CONFIG = 2
 EXIT_CAP = 3
 EXIT_AUDIT = 4
 EXIT_UNDERFLOW = 5
+EXIT_NONFINITE = 6
+EXIT_CERTIFICATION = 7
+
+# each named stop by its exception class: the exit code and the lead of its one stderr line
+_STOPS = {ConfigError: (EXIT_CONFIG, "configuration error"),
+          RadiusUnderflow: (EXIT_UNDERFLOW, "run stopped"),
+          NonFiniteEvaluation: (EXIT_NONFINITE, "bad problem output"),
+          CertificationError: (EXIT_CERTIFICATION, "broken guarantee")}
 
 # every TrConfig constant but the targets and the seed, which have flags of their own
 _CFG_FLAGS = {f.name: int if isinstance(f.default, int) else float
@@ -81,8 +91,7 @@ def _spec_from_args(args) -> RunSpec:
                    out_dir=args.out_dir, tag=args.tag)
 
 
-def _cmd_run(args) -> int:
-    spec = _spec_from_args(args)
+def _cmd_run(spec: RunSpec, args) -> int:
     result, paths = execute_run(spec)
     write_summary_json(paths["summary"], summary_dict(result))
     print(f"terminated={result.terminated} iterations={result.n_iterations} "
@@ -93,8 +102,7 @@ def _cmd_run(args) -> int:
     return EXIT_OK if result.terminated else EXIT_CAP
 
 
-def _cmd_audit(args) -> int:
-    spec = _spec_from_args(args)
+def _cmd_audit(spec: RunSpec, args) -> int:
     result, paths = execute_run(spec)
     report = None
     if result.terminated:
@@ -108,8 +116,7 @@ def _cmd_audit(args) -> int:
     return EXIT_OK if report.ok else EXIT_AUDIT
 
 
-def _cmd_sweep(args) -> int:
-    spec = _spec_from_args(args)
+def _cmd_sweep(spec: RunSpec, args) -> int:
     grid = parse_eps_grid(args.eps_grid)
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
@@ -149,8 +156,7 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK if res.passed else EXIT_AUDIT
 
 
-def _cmd_compare(args) -> int:
-    spec = _spec_from_args(args)
+def _cmd_compare(spec: RunSpec, args) -> int:
     report = cost_savings_report(spec, cost_model=args.cost_model)
     print(f"cost model: {report.cost_model}")
     print(f"dynamic   cost: f={report.dynamic_cost_f:.4g} "
@@ -205,13 +211,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_with_config_file(sys.argv[1:] if argv is None else argv))
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except RadiusUnderflow as exc:
-        print(f"run stopped: {exc}", file=sys.stderr)
-        return EXIT_UNDERFLOW
+        return args.func(_spec_from_args(args), args)
+    except tuple(_STOPS) as exc:
+        code, lead = next(stop for cls, stop in _STOPS.items() if isinstance(exc, cls))
+        print(f"{lead}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -61,13 +61,11 @@ class TrConfig:
     vartheta: float | None = None
     eta1: float = 0.05
     eta2: float = 0.9
-    gamma1: float = 0.25
     gamma2: float = 0.5
     gamma3: float = 2.0
     omega: float | None = None
     varsigma: float = 0.99
     gamma_zeta: float = 0.1
-    kappa_zeta: float = 0.1
     zeta0: float = 0.1
     seed: int = 0
     max_iterations: int = 10**6
@@ -91,8 +89,8 @@ class TrConfig:
             raise ConfigError("radii must satisfy 0 < Delta0 <= Delta_max < inf")
         if not 0 < self.eta1 <= self.eta2 < 1:
             raise ConfigError("acceptance thresholds must satisfy 0 < eta1 <= eta2 < 1")
-        if not 0 < self.gamma1 < self.gamma2 < 1 < self.gamma3 < math.inf:
-            raise ConfigError("radius factors must satisfy 0 < gamma1 < gamma2 < 1 < gamma3 < inf")
+        if not 0 < self.gamma2 < 1 < self.gamma3 < math.inf:
+            raise ConfigError("radius factors must satisfy 0 < gamma2 < 1 < gamma3 < inf")
         if not 0 < self.varsigma <= 1:
             raise ConfigError("varsigma must lie in (0, 1]")
         omega_cap = min(0.5 * self.eta1, 0.25 * (1 - self.eta2))
@@ -103,15 +101,13 @@ class TrConfig:
                 f"omega must lie in (0, min[eta1/2, (1-eta2)/4]) = (0, {omega_cap:g})")
         if not 0 < self.gamma_zeta < 1:
             raise ConfigError("gamma_zeta must lie in (0, 1)")
-        if not 0 < self.kappa_zeta < math.inf:  # NaN fails too
-            raise ConfigError(f"kappa_zeta must be positive and finite, got {self.kappa_zeta!r}")
         zeta0 = self.zeta0 if np.iterable(self.zeta0) else (self.zeta0,) * len(eps)
         zeta0 = tuple(float(z) for z in zeta0)
         object.__setattr__(self, "zeta0", zeta0)
         if len(zeta0) != len(eps):
             raise ConfigError("zeta0 must be scalar or one value per order")
-        if any(not 0 <= z <= self.kappa_zeta for z in zeta0):
-            raise ConfigError("initial accuracies must satisfy 0 <= zeta0_j <= kappa_zeta")
+        if any(not 0 <= z < math.inf for z in zeta0):  # NaN fails too
+            raise ConfigError(f"initial accuracies must satisfy 0 <= zeta0_j < inf, got {zeta0}")
         if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
             raise ConfigError(
                 f"max_iterations must be a positive integer, got {self.max_iterations!r}")
@@ -353,9 +349,8 @@ class AuditReport:
         return [f"{name}: {c.detail}" for name, c in self.checks.items() if not c.ok]
 
     def summary(self) -> str:
-        lines = []
-        for name, c in self.checks.items():
-            lines.append(f"[{'PASS' if c.ok else 'FAIL'}] {name}: {c.detail}")
+        lines = [f"[{'PASS' if c.ok else 'FAIL'}] {name}: {c.detail}"
+                 for name, c in self.checks.items()]
         if lipschitz := self.lipschitz_orders:
             per_order = ", ".join(f"L_{j}={v:.4g} {s}" for j, (v, s) in enumerate(lipschitz, 1))
             lines.append(f"L_f = max(1, L_j) = {lipschitz_f(lipschitz):.4g}: {per_order}")
@@ -363,12 +358,11 @@ class AuditReport:
 
 
 def _iterate_box(trace: RunTrace) -> tuple:
-    """(lo, hi): the box of every iterate (x0 and each accepted trial point;
-    x_eps is one of them), reduced in place over the trace's trial points
-    and padded by 0.5 on each side."""
-    accepted = trace.column("successful")[:, None]
-    lo = np.min(trace.x_trial, axis=0, where=accepted, initial=np.inf)
-    hi = np.max(trace.x_trial, axis=0, where=accepted, initial=-np.inf)
+    """(lo, hi): the box of x0 and every trial point, accepted or not, padded
+    by 0.5 on each side and reduced in place over the trace's trial points;
+    it holds each step's segment [x_k, x_k + s_k], whose ends are two of them."""
+    lo = np.min(trace.x_trial, axis=0, initial=np.inf)
+    hi = np.max(trace.x_trial, axis=0, initial=-np.inf)
     return np.minimum(lo, trace.x0) - 0.5, np.maximum(hi, trace.x0) + 0.5
 
 

@@ -354,9 +354,8 @@ def cost_savings_report(spec: RunSpec, cost_model: str = "inverse") -> CompareRe
     if not math.isfinite(tight_f):
         tight_f = tight_d
 
-    fixed_overrides = dict(spec.cfg_overrides)
-    fixed_overrides["zeta0"] = min(tight_d, dyn_result.cfg.kappa_zeta)
-    fixed_spec = dataclasses.replace(spec, policy="none", cfg_overrides=fixed_overrides)
+    fixed_spec = dataclasses.replace(spec, policy="none",
+                                     cfg_overrides={**spec.cfg_overrides, "zeta0": tight_d})
     fixed_result, _ = execute_run(fixed_spec, write=False)
     fl = fixed_result.eval_ledger
 

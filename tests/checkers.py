@@ -178,15 +178,15 @@ def pointwise_replay(result, problem: Problem, report: AuditReport) -> AuditRepo
     redone one row at a time: one ``exact_f`` call per trial point, the
     step tightening cap per row, the Lipschitz constants (declared,
     certified on the box or sampled over it) on a box built from a copy of
-    every iterate, and the bounds from those constants and the exact data
-    at x0.  ``check_history`` must give the same summary."""
+    x0 and every trial point, accepted or not, and the bounds from those
+    constants and the exact data at x0.  ``check_history`` must give the
+    same summary."""
     cfg, trace = result.cfg, result.history
     q, eps_min = cfg.q, min(cfg.eps)
     col = {name: trace.column(name).tolist() for name in RunTrace.dtype.names}
     x_trial = trace.x_trial
     rows = range(len(trace))
-    pts = np.array([trace.x0, *(x_trial[k] for k in rows if col["successful"][k]),
-                    result.x_eps])
+    pts = np.array([trace.x0, *(x_trial[k] for k in rows)])
     box = pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5
     stated, source = problem.lipschitz or (), "declared"
     if callable(stated):

@@ -19,8 +19,8 @@ def test_kappa_delta_limit_as_omega_vanishes():
 
 def test_kappa_Delta_hand_recomputed():
     # independent hand transcription of the radius-floor coefficient
-    cfg = base_cfg(q=2, omega=0.02, eta2=0.85, gamma1=0.3, vartheta=0.6,
-                   Delta0=2.0, kappa_zeta=0.05, zeta0=0.05)
+    cfg = base_cfg(q=2, omega=0.02, eta2=0.85, gamma2=0.3, vartheta=0.6,
+                   Delta0=2.0, zeta0=0.05)
     L_f, g0 = 4.0, 7.0
     bc = compute_bounds(cfg, L_f=L_f, f0=3.0, f_low=-1.0, grad_norms_at_x0=g0)
     delta0 = min(2.0, 0.6)
@@ -55,15 +55,31 @@ def test_constants_positive_and_consistent():
     assert bc.kappa_delta == pytest.approx(bc.kappa_Delta / (1 + cfg.omega))
     # the tightening bound really reaches the guaranteed level
     level = bc.kappa_acc * min(cfg.eps) ** cfg.q
-    assert cfg.gamma_zeta ** bc.i_zeta_min * cfg.kappa_zeta <= level * (1 + 1e-12)
+    assert cfg.gamma_zeta ** bc.i_zeta_min * max(cfg.zeta0) <= level * (1 + 1e-12)
 
 
 def test_every_order_exact_at_a_stationary_start():
     # zero gradient and zero zeta0: the radius floor is vartheta's term alone
     cfg = base_cfg(q=2, zeta0=0.0)
     bc = compute_bounds(cfg, L_f=4.0, f0=1.0, f_low=0.0, grad_norms_at_x0=0.0)
-    assert bc.kappa_Delta == cfg.gamma1 * (1 - cfg.eta2) / 4.0 * cfg.vartheta
+    assert bc.kappa_Delta == cfg.gamma2 * (1 - cfg.eta2) / 4.0 * cfg.vartheta
     assert all(math.isfinite(v) for v in vars(bc).values())
+    # a zero error budget is never insufficient, so no accuracy is ever tightened
+    assert bc.i_zeta_min == 0 and bc.kappa_f == 2.0
+
+
+def test_tightening_bound_starts_from_the_largest_zeta0():
+    # accuracies only shrink from zeta0, so its largest entry sets the count,
+    # however large it is
+    for zeta0 in ((0.02, 0.3), (0.0, 0.3), (5.0, 1e-9)):
+        cfg = base_cfg(q=2, zeta0=zeta0)
+        bc = compute_bounds(cfg, L_f=10.0, f0=4.0, f_low=-0.5, grad_norms_at_x0=3.0)
+        level = bc.kappa_acc * min(cfg.eps) ** cfg.q
+        top = max(zeta0)
+        assert cfg.gamma_zeta ** bc.i_zeta_min * top <= level * (1 + 1e-12)
+        assert cfg.gamma_zeta ** (bc.i_zeta_min - 1) * top > level
+        assert bc.kappa_f == pytest.approx(abs(math.log(bc.kappa_acc / top))
+                                           / abs(math.log(cfg.gamma_zeta)) + 2, rel=1e-15)
 
 
 def test_input_validation():

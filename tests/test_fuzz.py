@@ -26,20 +26,22 @@ def random_config(rng, q):
     eta1 = float(rng.uniform(0.01, 0.5))
     eta2 = float(rng.uniform(eta1, 0.97))
     gamma2 = float(rng.uniform(0.3, 0.9))
-    gamma1 = float(rng.uniform(0.05, 0.95)) * gamma2
+    # an unused draw: it set a contraction floor that no run reads, and it stays
+    # so that every later draw, and so each batch's configurations, stay put
+    rng.uniform(0.05, 0.95)
     gamma3 = float(rng.uniform(1.1, 4.0))
     omega_cap = min(0.5 * eta1, 0.25 * (1 - eta2))
     omega = float(rng.uniform(0.1, 0.98)) * omega_cap
     eps = tuple(float(10 ** rng.uniform(-2.3, -1)) for _ in range(q))
     vartheta = float(rng.uniform(min(eps), 1.0))
     delta0 = float(10 ** rng.uniform(-0.5, 1.0))
-    kappa_zeta = float(10 ** rng.uniform(-3, -0.5))
+    zeta_scale = float(10 ** rng.uniform(-3, -0.5))
     return TrConfig(
         eps=eps, Delta0=delta0, Delta_max=delta0 * float(rng.uniform(1, 100)),
-        vartheta=vartheta, eta1=eta1, eta2=eta2, gamma1=gamma1, gamma2=gamma2,
+        vartheta=vartheta, eta1=eta1, eta2=eta2, gamma2=gamma2,
         gamma3=gamma3, omega=omega, varsigma=float(rng.uniform(0.5, 1.0)),
-        gamma_zeta=float(rng.uniform(0.05, 0.6)), kappa_zeta=kappa_zeta,
-        zeta0=kappa_zeta * float(rng.uniform(0.1, 1.0)),
+        gamma_zeta=float(rng.uniform(0.05, 0.6)),
+        zeta0=zeta_scale * float(rng.uniform(0.1, 1.0)),
         seed=int(rng.integers(0, 1000)), max_iterations=40000)
 
 

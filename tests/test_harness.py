@@ -4,15 +4,17 @@ import json
 import os
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from checkers import assert_traces_equal
-from dyntrust import harness
-from dyntrust.cli import (EXIT_AUDIT, EXIT_CAP, EXIT_CONFIG, EXIT_OK, EXIT_UNDERFLOW,
-                          _with_config_file, build_parser, main)
+from dyntrust import harness, optimality
+from dyntrust.cli import (EXIT_AUDIT, EXIT_CAP, EXIT_CERTIFICATION, EXIT_CONFIG,
+                          EXIT_NONFINITE, EXIT_OK, EXIT_UNDERFLOW, _with_config_file,
+                          build_parser, main)
 from dyntrust.driver import ConfigError, RunTrace, TrConfig
 from dyntrust.harness import (CSV_COLUMNS, EVENT_CSV_COLUMNS, RunSpec,
                               cost_savings_report, eps_scaling_study, execute_run,
@@ -20,6 +22,7 @@ from dyntrust.harness import (CSV_COLUMNS, EVENT_CSV_COLUMNS, RunSpec,
                               read_history_csv, write_events_csv, write_history_csv,
                               write_summary_json)
 from dyntrust.oracle import COST_MODELS, PHASES
+from dyntrust.verify import VerifyOutcome
 
 
 def test_csv_round_trip(tmp_path):
@@ -292,16 +295,30 @@ def test_cli_config_error_exit_code(tmp_path):
     (["--eps", "1e-3,,1e-3"], "--eps expects comma-separated numbers, got '1e-3,,1e-3'"),
     (["--x0", "1,nan"], "start point x0 = [1.0, nan] is not finite"),
     (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
-    (["--kappa-zeta", "inf"], "kappa_zeta must be positive and finite, got inf"),
+    (["--zeta0", "inf"], "initial accuracies must satisfy 0 <= zeta0_j < inf, got (inf,)"),
     (["--problem", "finite_sum_logistic", "--lam", "-1"],
      "finite_sum_logistic: lam must be finite and non-negative, got -1.0"),
     (["--q", "2", "--eps", "1e-3,1e-3,1e-3"], "--eps length must match --q"),
 ], ids=["q0", "q_negative", "eps_word", "eps_empty_field", "x0_nan", "seed_negative",
-        "kappa_zeta_inf", "lam_negative", "eps_length_not_q"])
+        "zeta0_inf", "lam_negative", "eps_length_not_q"])
 def test_cli_malformed_numbers_are_config_errors(tmp_path, capsys, flags, message):
     code = main(["run", "--problem", "rosenbrock", *flags, "--out-dir", str(tmp_path)])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--gamma1", "0.3"], "--gamma1"),
+    (["--kappa-zeta", "0.1"], "--kappa-zeta"),
+    (["--config", "{cfg}"], "--kappa-zeta=0.1"),
+], ids=["gamma1", "kappa_zeta", "kappa_zeta_config_line"])
+def test_cli_refuses_the_flags_of_constants_no_run_reads(tmp_path, capsys, flags, named):
+    # a run contracts by gamma2 and starts at zeta0, so neither has a flag
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kappa_zeta = 0.1\n")
+    err = _refused(capsys, ["run", *(f.format(cfg=cfg) for f in flags),
+                            "--out-dir", str(tmp_path)])
+    assert f"unrecognized arguments: {named}" in err
 
 
 def test_cli_refuses_a_non_integer_iteration_cap(tmp_path, capsys):
@@ -684,6 +701,30 @@ def test_cli_stops_when_the_radius_rounds_to_zero(tmp_path, capsys, flags, what)
     assert err.startswith(f"run stopped: {what}") and ", radius " in err and "x = [" in err
 
 
+def test_cli_names_non_finite_problem_output_with_its_own_exit_code(tmp_path, capsys):
+    # the first step overflows rosenbrock's objective; numpy's overflow
+    # warning, an error under the test config, is silenced to reach the stop
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["audit", "--problem", "rosenbrock", "--delta-max", "1e300",
+                     "--delta0", "1e300", "--out-dir", str(tmp_path)])
+    assert code == EXIT_NONFINITE == 6
+    err = capsys.readouterr().err
+    assert err.startswith("bad problem output: iteration 0, objective phase: objective value inf")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_names_a_broken_certification_guarantee_with_its_own_exit_code(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(optimality, "verify", lambda *a: VerifyOutcome.INSUFFICIENT)
+    code = main(["run", "--problem", "rosenbrock", "--out-dir", str(tmp_path)])
+    assert code == EXIT_CERTIFICATION == 7
+    err = capsys.readouterr().err
+    assert err.startswith("broken guarantee: accuracy certification failed")
+    assert "(implementation bug): iteration 0, order 1" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_summaries_are_strict_json(tmp_path):
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_summary_json(tmp_path / "bad.json", {"bound": float("inf")})
@@ -719,7 +760,7 @@ def test_cost_savings_zero_iteration_ratio_near_one():
     # tight start accuracy removes even that slack
     spec2 = RunSpec(problem="quadratic", problem_params={"dim": 2, "cond": 5},
                     eps=(1e-2,), policy="none", seed=0, x0=(0.0, 0.0),
-                    cfg_overrides={"zeta0": 1e-6, "kappa_zeta": 1e-6})
+                    cfg_overrides={"zeta0": 1e-6})
     report2 = cost_savings_report(spec2, cost_model="inverse")
     assert report2.ratio == pytest.approx(1.0)
     assert report2.dynamic_calls == report2.fixed_calls

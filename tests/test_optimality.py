@@ -26,9 +26,8 @@ REL_SLACK = 1.0 + 1e-9  # rounding in the reference and the certified decrement
 
 def fresh_state(problem, q, x, policy="none", seed=0, zeta0=0.1, eps=1e-3, omega=0.02):
     oracle = InexactOracle(problem, policy=policy, seed=seed)
-    return AccuracyLedger(TrConfig.with_defaults(
-        (eps,) * q, zeta0=zeta0, kappa_zeta=max(float(np.max(zeta0)), 0.1), omega=omega),
-        oracle, x)
+    return AccuracyLedger(TrConfig.with_defaults((eps,) * q, zeta0=zeta0, omega=omega),
+                          oracle, x)
 
 
 def test_max_decrement_order1_closed_form():

@@ -75,15 +75,15 @@ def test_worker_pass_reads_every_result_attribute():
 # lines per case; each phi_3 is the largest cell bound of phi3_decide's pass
 ORDER3_SEED0_AUDITS = [
     [
-        "[PASS] decrease_floor: min exact decrease 4.680e-06 vs floor 8.626e-32 (0 violations)",
-        "[PASS] radius_floor: min Delta 7.812e-03 vs floor 1.009e-07",
-        "[PASS] iteration_bound: 13 iterations vs bound 35.24",
-        "[PASS] success_bound: 6 successes vs bound 4890903150770695876612582277120.00",
-        "[PASS] f_eval_bound: 26 objective evaluations vs bound 19563612603082783506450329108480.00",
-        "[PASS] deriv_round_bound: 17 derivative rounds vs bound 4890903150770695876612582277120.00",
-        "[PASS] deriv_round_count: 17 derivative rounds vs counting bound 25",
-        "[PASS] i_zeta_bound: i_zeta 10 vs bound 18",
-        "[PASS] zeta_floor: min requested zeta 1.000e-11 vs floor 4.617e-21",
+        "[PASS] decrease_floor: min exact decrease 4.680e-06 vs floor 1.380e-30 (0 violations)",
+        "[PASS] radius_floor: min Delta 7.812e-03 vs floor 2.017e-07",
+        "[PASS] iteration_bound: 13 iterations vs bound 34.24",
+        "[PASS] success_bound: 6 successes vs bound 305681446923168492288286392320.00",
+        "[PASS] f_eval_bound: 26 objective evaluations vs bound 1222725787692673969153145569280.00",
+        "[PASS] deriv_round_bound: 17 derivative rounds vs bound 305681446923168492288286392320.00",
+        "[PASS] deriv_round_count: 17 derivative rounds vs counting bound 24",
+        "[PASS] i_zeta_bound: i_zeta 10 vs bound 17",
+        "[PASS] zeta_floor: min requested zeta 1.000e-11 vs floor 1.847e-20",
         "[PASS] step_tighten_cap: 0 iterations exceeded the step tightening cap",
         "[PASS] f_accuracy_contract: 0 iterations broke the objective accuracy contract (worst overshoot 0.000e+00)",
         "[PASS] step_within_radius: max |s|/Delta 1.000000000000000",
@@ -94,34 +94,34 @@ ORDER3_SEED0_AUDITS = [
          "L_2=9.535 certified on box, L_3=6 certified on box"),
     ],
     [
-        "[PASS] decrease_floor: min exact decrease 4.230e-06 vs floor 8.620e-32 (0 violations)",
-        "[PASS] radius_floor: min Delta 7.812e-03 vs floor 1.008e-07",
-        "[PASS] iteration_bound: 13 iterations vs bound 35.24",
-        "[PASS] success_bound: 6 successes vs bound 4894354271137494930251111727104.00",
-        "[PASS] f_eval_bound: 26 objective evaluations vs bound 19577417084549979721004446908416.00",
-        "[PASS] deriv_round_bound: 17 derivative rounds vs bound 4894354271137494930251111727104.00",
-        "[PASS] deriv_round_count: 17 derivative rounds vs counting bound 25",
-        "[PASS] i_zeta_bound: i_zeta 10 vs bound 18",
-        "[PASS] zeta_floor: min requested zeta 1.000e-11 vs floor 4.616e-21",
+        "[PASS] decrease_floor: min exact decrease 4.230e-06 vs floor 1.377e-30 (0 violations)",
+        "[PASS] radius_floor: min Delta 7.812e-03 vs floor 2.016e-07",
+        "[PASS] iteration_bound: 13 iterations vs bound 34.24",
+        "[PASS] success_bound: 6 successes vs bound 306459486586707571196930555904.00",
+        "[PASS] f_eval_bound: 26 objective evaluations vs bound 1225837946346830284787722223616.00",
+        "[PASS] deriv_round_bound: 17 derivative rounds vs bound 306459486586707571196930555904.00",
+        "[PASS] deriv_round_count: 17 derivative rounds vs counting bound 24",
+        "[PASS] i_zeta_bound: i_zeta 10 vs bound 17",
+        "[PASS] zeta_floor: min requested zeta 1.000e-11 vs floor 1.845e-20",
         "[PASS] step_tighten_cap: 0 iterations exceeded the step tightening cap",
         "[PASS] f_accuracy_contract: 0 iterations broke the objective accuracy contract (worst overshoot 0.000e+00)",
         "[PASS] step_within_radius: max |s|/Delta 1.000000000000000",
         ("[PASS] termination_soundness: phi_1=1.334e-07<=1.563e-04 certified, "
          "phi_2=1.823e-11<=1.221e-06 certified, phi_3=1.823e-11<=6.358e-09 certified, "
          "|grad|=8.540e-06"),
-        ("L_f = max(1, L_j) = 9.537: L_1=6.579 certified on box, "
-         "L_2=9.537 certified on box, L_3=6 certified on box"),
+        ("L_f = max(1, L_j) = 9.541: L_1=6.586 certified on box, "
+         "L_2=9.541 certified on box, L_3=6 certified on box"),
     ],
     [
-        "[PASS] decrease_floor: min exact decrease 4.475e-06 vs floor 8.618e-32 (0 violations)",
-        "[PASS] radius_floor: min Delta 7.812e-03 vs floor 1.008e-07",
-        "[PASS] iteration_bound: 13 iterations vs bound 35.24",
-        "[PASS] success_bound: 6 successes vs bound 4895352925270133022466861170688.00",
-        "[PASS] f_eval_bound: 26 objective evaluations vs bound 19581411701080532089867444682752.00",
-        "[PASS] deriv_round_bound: 17 derivative rounds vs bound 4895352925270133022466861170688.00",
-        "[PASS] deriv_round_count: 17 derivative rounds vs counting bound 25",
-        "[PASS] i_zeta_bound: i_zeta 10 vs bound 18",
-        "[PASS] zeta_floor: min requested zeta 1.000e-11 vs floor 4.615e-21",
+        "[PASS] decrease_floor: min exact decrease 4.475e-06 vs floor 1.379e-30 (0 violations)",
+        "[PASS] radius_floor: min Delta 7.812e-03 vs floor 2.017e-07",
+        "[PASS] iteration_bound: 13 iterations vs bound 34.24",
+        "[PASS] success_bound: 6 successes vs bound 305959557829383313904178823168.00",
+        "[PASS] f_eval_bound: 26 objective evaluations vs bound 1223838231317533255616715292672.00",
+        "[PASS] deriv_round_bound: 17 derivative rounds vs bound 305959557829383313904178823168.00",
+        "[PASS] deriv_round_count: 17 derivative rounds vs counting bound 24",
+        "[PASS] i_zeta_bound: i_zeta 10 vs bound 17",
+        "[PASS] zeta_floor: min requested zeta 1.000e-11 vs floor 1.846e-20",
         "[PASS] step_tighten_cap: 0 iterations exceeded the step tightening cap",
         "[PASS] f_accuracy_contract: 0 iterations broke the objective accuracy contract (worst overshoot 0.000e+00)",
         "[PASS] step_within_radius: max |s|/Delta 1.000000000000000",
@@ -132,69 +132,69 @@ ORDER3_SEED0_AUDITS = [
          "L_2=9.537 certified on box, L_3=6 certified on box"),
     ],
     [
-        "[PASS] decrease_floor: min exact decrease 3.338e-13 vs floor 2.587e-35 (0 violations)",
-        "[PASS] radius_floor: min Delta 4.883e-04 vs floor 1.327e-08",
-        "[PASS] iteration_bound: 26 iterations vs bound 52.17",
-        "[PASS] success_bound: 13 successes vs bound 19706355489081836604108612869029888.00",
-        "[PASS] f_eval_bound: 49 objective evaluations vs bound 78825421956327346416434451476119552.00",
-        "[PASS] deriv_round_bound: 27 derivative rounds vs bound 19706355489081836604108612869029888.00",
-        "[PASS] deriv_round_count: 27 derivative rounds vs counting bound 35",
-        "[PASS] i_zeta_bound: i_zeta 13 vs bound 21",
-        "[PASS] zeta_floor: min requested zeta 1.000e-14 vs floor 7.997e-24",
+        "[PASS] decrease_floor: min exact decrease 3.338e-13 vs floor 1.508e-34 (0 violations)",
+        "[PASS] radius_floor: min Delta 4.883e-04 vs floor 2.062e-08",
+        "[PASS] iteration_bound: 26 iterations vs bound 51.53",
+        "[PASS] success_bound: 13 successes vs bound 3382166725312167432467084249923584.00",
+        "[PASS] f_eval_bound: 49 objective evaluations vs bound 13528666901248669729868336999694336.00",
+        "[PASS] deriv_round_bound: 27 derivative rounds vs bound 3382166725312167432467084249923584.00",
+        "[PASS] deriv_round_count: 27 derivative rounds vs counting bound 34",
+        "[PASS] i_zeta_bound: i_zeta 13 vs bound 20",
+        "[PASS] zeta_floor: min requested zeta 1.000e-14 vs floor 1.930e-23",
         "[PASS] step_tighten_cap: 0 iterations exceeded the step tightening cap",
         "[PASS] f_accuracy_contract: 0 iterations broke the objective accuracy contract (worst overshoot 0.000e+00)",
         "[PASS] step_within_radius: max |s|/Delta 1.000000000000000",
         ("[PASS] termination_soundness: phi_1=4.913e-15<=1.953e-06 certified, "
          "phi_2=8.195e-25<=1.907e-09 certified, phi_3=1.582e-24<=1.242e-12 certified, "
          "|grad|=2.515e-12"),
-        ("L_f = max(1, L_j) = 18.27: L_1=11.91 certified on box, "
-         "L_2=18.27 certified on box, L_3=12 certified on box"),
+        ("L_f = max(1, L_j) = 23.52: L_1=21.05 certified on box, "
+         "L_2=23.52 certified on box, L_3=12 certified on box"),
     ],
     [
-        "[PASS] decrease_floor: min exact decrease 4.222e-08 vs floor 2.598e-35 (0 violations)",
-        "[PASS] radius_floor: min Delta 4.883e-04 vs floor 1.329e-08",
-        "[PASS] iteration_bound: 26 iterations vs bound 52.17",
-        "[PASS] success_bound: 13 successes vs bound 19624760676779696282593646363017216.00",
-        "[PASS] f_eval_bound: 49 objective evaluations vs bound 78499042707118785130374585452068864.00",
-        "[PASS] deriv_round_bound: 27 derivative rounds vs bound 19624760676779696282593646363017216.00",
-        "[PASS] deriv_round_count: 27 derivative rounds vs counting bound 35",
-        "[PASS] i_zeta_bound: i_zeta 13 vs bound 21",
-        "[PASS] zeta_floor: min requested zeta 1.000e-14 vs floor 8.014e-24",
+        "[PASS] decrease_floor: min exact decrease 4.222e-08 vs floor 1.512e-34 (0 violations)",
+        "[PASS] radius_floor: min Delta 4.883e-04 vs floor 2.064e-08",
+        "[PASS] iteration_bound: 26 iterations vs bound 51.53",
+        "[PASS] success_bound: 13 successes vs bound 3371519198078933086652612279795712.00",
+        "[PASS] f_eval_bound: 49 objective evaluations vs bound 13486076792315732346610449119182848.00",
+        "[PASS] deriv_round_bound: 27 derivative rounds vs bound 3371519198078933086652612279795712.00",
+        "[PASS] deriv_round_count: 27 derivative rounds vs counting bound 34",
+        "[PASS] i_zeta_bound: i_zeta 13 vs bound 20",
+        "[PASS] zeta_floor: min requested zeta 1.000e-14 vs floor 1.933e-23",
         "[PASS] step_tighten_cap: 0 iterations exceeded the step tightening cap",
         "[PASS] f_accuracy_contract: 0 iterations broke the objective accuracy contract (worst overshoot 0.000e+00)",
         "[PASS] step_within_radius: max |s|/Delta 1.000000000000000",
         ("[PASS] termination_soundness: phi_1=2.570e-10<=9.766e-07 certified, "
          "phi_2=1.226e-14<=4.768e-10 certified, phi_3=1.731e-14<=1.552e-13 certified, "
          "|grad|=2.631e-07"),
-        ("L_f = max(1, L_j) = 18.25: L_1=11.88 certified on box, "
-         "L_2=18.25 certified on box, L_3=12 certified on box"),
+        ("L_f = max(1, L_j) = 23.5: L_1=21.02 certified on box, "
+         "L_2=23.5 certified on box, L_3=12 certified on box"),
     ],
     [
-        "[PASS] decrease_floor: min exact decrease 9.929e-06 vs floor 7.135e-33 (0 violations)",
-        "[PASS] radius_floor: min Delta 1.562e-02 vs floor 5.409e-08",
-        "[PASS] iteration_bound: 15 iterations vs bound 40.14",
-        "[PASS] success_bound: 8 successes vs bound 197102621440574850726372162142208.00",
-        "[PASS] f_eval_bound: 28 objective evaluations vs bound 788410485762299402905488648568832.00",
-        "[PASS] deriv_round_bound: 18 derivative rounds vs bound 197102621440574850726372162142208.00",
-        "[PASS] deriv_round_count: 18 derivative rounds vs counting bound 28",
-        "[PASS] i_zeta_bound: i_zeta 9 vs bound 19",
-        "[PASS] zeta_floor: min requested zeta 1.000e-10 vs floor 1.328e-21",
+        "[PASS] decrease_floor: min exact decrease 9.929e-06 vs floor 5.553e-32 (0 violations)",
+        "[PASS] radius_floor: min Delta 1.562e-02 vs floor 9.035e-08",
+        "[PASS] iteration_bound: 15 iterations vs bound 39.40",
+        "[PASS] success_bound: 8 successes vs bound 25324991927207056066719470583808.00",
+        "[PASS] f_eval_bound: 28 objective evaluations vs bound 101299967708828224266877882335232.00",
+        "[PASS] deriv_round_bound: 18 derivative rounds vs bound 25324991927207056066719470583808.00",
+        "[PASS] deriv_round_count: 18 derivative rounds vs counting bound 27",
+        "[PASS] i_zeta_bound: i_zeta 9 vs bound 18",
+        "[PASS] zeta_floor: min requested zeta 1.000e-10 vs floor 3.705e-21",
         "[PASS] step_tighten_cap: 0 iterations exceeded the step tightening cap",
         "[PASS] f_accuracy_contract: 0 iterations broke the objective accuracy contract (worst overshoot 0.000e+00)",
         "[PASS] step_within_radius: max |s|/Delta 1.000000000000000",
-        ("L_f = max(1, L_j) = 9.823: L_1=7.04 certified on box, "
-         "L_2=9.823 certified on box, L_3=6 certified on box"),
+        ("L_f = max(1, L_j) = 11.76: L_1=10.53 certified on box, "
+         "L_2=11.76 certified on box, L_3=6 certified on box"),
     ],
     [
-        "[PASS] decrease_floor: min exact decrease 2.105e-07 vs floor 1.904e-29 (0 violations)",
-        "[PASS] radius_floor: min Delta 7.812e-03 vs floor 3.888e-07",
-        "[PASS] iteration_bound: 13 iterations vs bound 33.29",
-        "[PASS] success_bound: 6 successes vs bound 37561185530707257032991309824.00",
-        "[PASS] f_eval_bound: 26 objective evaluations vs bound 150244742122829028131965239296.00",
-        "[PASS] deriv_round_bound: 19 derivative rounds vs bound 37561185530707257032991309824.00",
-        "[PASS] deriv_round_count: 19 derivative rounds vs counting bound 25",
-        "[PASS] i_zeta_bound: i_zeta 12 vs bound 18",
-        "[PASS] zeta_floor: min requested zeta 1.000e-13 vs floor 6.860e-21",
+        "[PASS] decrease_floor: min exact decrease 2.105e-07 vs floor 3.046e-28 (0 violations)",
+        "[PASS] radius_floor: min Delta 7.812e-03 vs floor 7.776e-07",
+        "[PASS] iteration_bound: 13 iterations vs bound 32.29",
+        "[PASS] success_bound: 6 successes vs bound 2347574095669203564561956864.00",
+        "[PASS] f_eval_bound: 26 objective evaluations vs bound 9390296382676814258247827456.00",
+        "[PASS] deriv_round_bound: 19 derivative rounds vs bound 2347574095669203564561956864.00",
+        "[PASS] deriv_round_count: 19 derivative rounds vs counting bound 24",
+        "[PASS] i_zeta_bound: i_zeta 12 vs bound 17",
+        "[PASS] zeta_floor: min requested zeta 1.000e-13 vs floor 2.744e-20",
         "[PASS] step_tighten_cap: 0 iterations exceeded the step tightening cap",
         "[PASS] f_accuracy_contract: 0 iterations broke the objective accuracy contract (worst overshoot 0.000e+00)",
         "[PASS] step_within_radius: max |s|/Delta 1.000000000000000",

@@ -21,8 +21,7 @@ from checkers import NoShrinkLedger
 def state(problem, q, x, policy="none", seed=0, zeta0=0.1, vartheta=0.5):
     oracle = InexactOracle(problem, policy=policy, seed=seed)
     return AccuracyLedger(TrConfig.with_defaults(
-        (1e-3,) * q, zeta0=zeta0, kappa_zeta=max(zeta0, 0.1), vartheta=vartheta,
-        omega=0.02), oracle, x)
+        (1e-3,) * q, zeta0=zeta0, vartheta=vartheta, omega=0.02), oracle, x)
 
 
 def spy_on_verify(monkeypatch):
